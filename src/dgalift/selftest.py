@@ -24,7 +24,6 @@ from .module import (
     dop_normalize,
     invert_unit,
     left_mult,
-    square_of,
     twofold_extension,
 )
 from .randgen import (
@@ -200,7 +199,7 @@ def check_scalar_bracket_of_composites(pool, rng) -> bool:
 def check_square_linear(pool, rng) -> bool:
     mod, _ = pool.module_with_var(rng)
     d = rand_diff(mod, rng)
-    s = square_of(d)
+    s = d.square()
     lam = rng.randrange(mod.rank)
     x = mod.basis_elem(lam).scale_right(rand_homogeneous(mod.sig, rng))
     if d.apply(d.apply(x)) != s.apply(x):

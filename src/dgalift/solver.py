@@ -54,33 +54,3 @@ def solve_exact(field, matrix: list, rhs: list) -> Optional[list]:
         x[c] = a[r][ncols]
     return x
 
-
-def nullspace_membership(field, matrix: list) -> bool:
-    """True when the homogeneous system has only the zero solution."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    if ncols == 0:
-        return True
-    a = [list(row) for row in matrix]
-    zero = field.zero
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if a[r][col] != zero:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = field.inv(a[rank][col])
-        a[rank] = [field.mul(inv, x) for x in a[rank]]
-        for r in range(nrows):
-            if r != rank and a[r][col] != zero:
-                factor = a[r][col]
-                a[r] = [
-                    field.sub(x, field.mul(factor, y))
-                    for x, y in zip(a[r], a[rank])
-                ]
-        rank += 1
-    return rank == ncols

@@ -11,7 +11,6 @@ from dgalift import (
     diff,
     is_boundary_up_to,
     is_cycle,
-    tate_adjoin,
 )
 from dgalift.algebra import monomial_sort_key
 from dgalift.errors import SchemaError
@@ -168,19 +167,19 @@ def test_component_monomials_frozen(S1, S3):
 
 def test_tate_adjoin_builds_fixture(S1, S3):
     base = Signature(QQ, ["a", "b"]).adjoin("W1", 1, "a").adjoin("W2", 1, "b")
-    assert tate_adjoin(base, "X", 2, "b*W1 - a*W2") == S1
-    assert tate_adjoin(Signature(QQ, ["a"]), "X", 1, "a") == S3
+    assert base.adjoin("X", 2, "b*W1 - a*W2") == S1
+    assert Signature(QQ, ["a"]).adjoin("X", 1, "a") == S3
 
 
 def test_tate_adjoin_errors(S3):
     with pytest.raises(SchemaError):
-        tate_adjoin(S3, "Z", 2, "X")  # dX = a != 0, not a cycle
+        S3.adjoin("Z", 2, "X")  # dX = a != 0, not a cycle
     with pytest.raises(SchemaError):
-        tate_adjoin(S3, "Z", 1, "X")  # degree mismatch as well
+        S3.adjoin("Z", 1, "X")  # degree mismatch as well
     with pytest.raises(SchemaError):
-        tate_adjoin(S3, "X", 2, "a*a")  # duplicate name
+        S3.adjoin("X", 2, "a*a")  # duplicate name
     with pytest.raises(SchemaError):
-        tate_adjoin(S3, "Z", 3, "a")  # wrong degree for the cycle
+        S3.adjoin("Z", 3, "a")  # wrong degree for the cycle
 
 
 def test_degenerate_flag():

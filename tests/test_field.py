@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,10 +26,16 @@ def test_prime_field_ops():
 
 
 def test_prime_validation():
-    with pytest.raises(SchemaError):
-        PrimeField(6)
-    with pytest.raises(SchemaError):
-        PrimeField(1)
+    # 561 is a Carmichael number; 318665857834031151167461 = 399165290221 *
+    # 798330580441 passes Miller-Rabin to every prime base up to 37.
+    for p in (6, 1, 561, 318665857834031151167461, 3317044064679887385961981):
+        with pytest.raises(SchemaError):
+            PrimeField(p)
+    for p in (2, 3, 5):
+        assert PrimeField(p).p == p
+    start = time.perf_counter()
+    assert PrimeField(10**18 + 3).p == 10**18 + 3
+    assert time.perf_counter() - start < 1.0
 
 
 def test_zero_has_no_inverse():

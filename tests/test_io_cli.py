@@ -305,3 +305,25 @@ def test_cli_selftest_single_field(capsys):
     doc = json.loads(capsys.readouterr().out)
     fields = {json.dumps(r["field"], sort_keys=True) for r in doc["data"]["suites"]}
     assert fields == {json.dumps({"type": "Fp", "p": 5}, sort_keys=True)}
+
+
+@pytest.mark.parametrize(
+    "field, argv",
+    [
+        ({"type": "Fp", "p": 5}, ["eval", "1/5*a"]),
+        ({"type": "Fp", "p": 561}, ["validate"]),
+        ({"type": "Fp", "p": 3317044064679887385961981}, ["validate"]),
+        ({"type": "Q"}, ["naive", "--bound", "-1"]),
+        ({"type": "Q"}, ["lift", "--bound", "-1"]),
+    ],
+    ids=["zero-denominator-in-F5", "carmichael-p", "p-too-large", "naive-bound", "lift-bound"],
+)
+def test_cli_hostile_inputs_exit_1(tmp_path, capsys, field, argv):
+    sig = _write(tmp_path, "sig.json", dict(S3_DOC, field=field))
+    mod = _write(tmp_path, "mod.json", N3_DOC)
+    extra = ["--mod", mod] if argv[0] in ("naive", "lift") else []
+    assert main([argv[0], "--sig", sig, *extra, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

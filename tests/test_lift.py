@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from dgalift import QQ, Signature, derivative
+from dgalift import QQ, Signature, derivative, diff
 from dgalift.errors import SchemaError, VerificationError
-from dgalift.jop import JOperator
+from dgalift.field import PrimeField
+from dgalift.jop import JOperator, WeakJOp
 from dgalift.lift import (
     HomotopyCertificate,
+    _beta_sharp,
     construct_lift_even,
     construct_lift_odd,
     decide_naive_lift,
@@ -18,17 +20,91 @@ from dgalift.module import (
     Differential,
     FreeModule,
     GradedMap,
+    bracket,
     bracket_diff,
     compose,
+    idempotent,
     invert_unit,
+    is_scalar_cycle,
+    left_mult,
+    sharp_map,
+    twofold_extension,
+    unit_elementary,
 )
-from dgalift.randgen import rand_unit, unit_poly_degree
+from dgalift.randgen import (
+    FixturePool,
+    rand_homogeneous,
+    rand_map,
+    rand_unit,
+    unit_poly_degree,
+)
+
+
+def _doubled_derivation(mod, d, gamma, var="X"):
+    """``(d_sharp, j_sharp, g)`` with ``Gamma = j_sharp + [g, -]`` on the
+    doubled module, built from a certificate as `construct_lift_odd` does."""
+    jop = JOperator(mod, var)
+    k = -jop.var.degree
+    alpha = compose(gamma, gamma) - jop.of_map(gamma)
+    doubled, d_sharp = twofold_extension(mod, d, k)
+    g = _beta_sharp(doubled, mod, alpha, k) - sharp_map(gamma, doubled, k)
+    return d_sharp, JOperator(doubled, var), g
+
+
+def _squares_to_zero_on_units(big_gamma, d_sharp):
+    """Reference check: ``Gamma^2`` applied to every matrix unit and to d."""
+    dbl = d_sharp.module
+    for lam in range(dbl.rank):
+        for mu in range(dbl.rank):
+            t = unit_elementary(dbl, lam, mu)
+            if not big_gamma.of_map(big_gamma.of_map(t)).is_zero():
+                return False
+    return big_gamma.of_map(big_gamma.of_diff(d_sharp)).is_zero()
+
+
+def _is_scalar_cycle_by_units(f, d):
+    """Reference `is_scalar_cycle`: commutation with every matrix unit first."""
+    module = f.module
+    for lam in range(module.rank):
+        for mu in range(module.rank):
+            if not bracket(f, unit_elementary(module, lam, mu)).is_zero():
+                return None
+    if not bracket_diff(d, f).is_zero():
+        return None
+    if f.is_zero():
+        return module.sig.zero()
+    b = f.entry(0, 0)
+    if (f.degree * module.degrees[0]) % 2:
+        b = -b
+    if f != left_mult(module, b) or not diff(b).is_zero():
+        return None
+    return b
+
+
+def _assert_corrected_projections(mod, d, lift, var="X"):
+    """The projections ``Gamma(l_X eps_i)`` behind an odd lift are orthogonal
+    idempotents summing to the identity, and give the columns of ``u``."""
+    d_sharp, j_sharp, g = _doubled_derivation(mod, d, lift.certificate.gamma, var)
+    assert d_sharp == lift.ambient_diff
+    dbl = lift.module
+    big_gamma = WeakJOp(j_sharp, +1, g)
+    lx = left_mult(dbl, dbl.sig.gen(var))
+    ps = [big_gamma.of_map(compose(lx, idempotent(dbl, i))) for i in range(dbl.rank)]
+    total = GradedMap.zero(dbl, 0)
+    for p in ps:
+        total = total + p
+    assert total == GradedMap.identity(dbl)
+    for i, p in enumerate(ps):
+        for k, q in enumerate(ps):
+            assert compose(p, q) == (p if i == k else GradedMap.zero(dbl, 0))
+        e = dbl.basis_elem(i)
+        assert lift.u.apply(e) == p.apply(e)
 
 
 def test_obstruction_values(N3, N1):
     mod3, d3 = N3
     obs = obstruction(mod3, d3, "X")
-    assert obs.cycle_verified
+    assert bracket_diff(d3, obs.h).is_zero()
     assert obs.h == GradedMap.single(mod3, "f0", "f2", -mod3.sig.parse("a"), degree=-2)
     mod1, d1 = N1
     obs1 = obstruction(mod1, d1, "X")
@@ -128,6 +204,7 @@ def test_odd_lift_roundtrip(N3):
     assert result.lift_diff.square_zero
     rep = verify_lift(result.lift_diff, result.u, result.ambient_diff, "X", u_inv=result.u_inv)
     assert rep.passed
+    _assert_corrected_projections(mod, d, result)
 
 
 def test_odd_lift_flat_input(S3):
@@ -203,30 +280,21 @@ def test_verify_lift_trivial_flat(S1):
 def test_doubled_derivation_squares_to_zero_on_random_pairs(N3):
     """The corrected derivation on the doubled module kills its own square
     on random operator pairs, not just on the spanning family."""
-    from dgalift.lift import _beta_sharp
-    from dgalift.jop import JOperator, WeakJOp
-    from dgalift.module import sharp_map, twofold_extension
     from dgalift.randgen import rand_dop
 
     mod, d = N3
     rng = random.Random(31)
-    jop = JOperator(mod, "X")
     cert = decide_naive_lift(mod, d, "X", 0).certificate
-    gamma = cert.gamma
-    alpha = compose(gamma, gamma) - jop.of_map(gamma)
-    doubled, d_sharp = twofold_extension(mod, d, -1)
-    beta = _beta_sharp(doubled, mod, alpha, -1)
-    big_gamma = WeakJOp(JOperator(doubled, "X"), +1, beta - sharp_map(gamma, doubled, -1))
+    d_sharp, j_sharp, g = _doubled_derivation(mod, d, cert.gamma)
+    big_gamma = WeakJOp(j_sharp, +1, g)
     for _ in range(20):
-        t = rand_dop(doubled, d_sharp, rng)
+        t = rand_dop(d_sharp.module, d_sharp, rng)
         assert big_gamma.of_dop(big_gamma.of_dop(t)).is_zero()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_pipelines_over_prime_fields(p):
     """Both constructions, prime coefficients, conjugated fixtures."""
-    from dgalift.field import PrimeField
-    from dgalift.randgen import FixturePool, rand_unit
     from dgalift.tensor import NaiveTensor, verify_splitting
 
     pool = FixturePool(PrimeField(p))
@@ -236,6 +304,7 @@ def test_pipelines_over_prime_fields(p):
     dec = decide_naive_lift(pool.N3, d, "X", 2)
     assert dec.vanishes
     lift = construct_lift_odd(pool.N3, d, "X", dec.certificate)
+    _assert_corrected_projections(pool.N3, d, lift)
     assert verify_splitting(
         NaiveTensor(lift.module, lift.ambient_diff, "X"), lift
     ).passed
@@ -302,7 +371,6 @@ def test_even_lift_multi_step_series(S1):
 def test_odd_lift_of_an_already_doubled_module(N3):
     """Doubling twice must not collide basis names, and negative basis
     degrees are fine."""
-    from dgalift.module import twofold_extension
     from dgalift.tensor import NaiveTensor, odd_ses, verify_splitting
 
     mod, d = N3
@@ -313,6 +381,7 @@ def test_odd_lift_of_an_already_doubled_module(N3):
     lift = construct_lift_odd(dbl, dd, "X", dec.certificate)
     assert lift.module.rank == 12
     assert len(set(lift.module.names)) == 12
+    _assert_corrected_projections(dbl, dd, lift)
     assert verify_splitting(
         NaiveTensor(lift.module, lift.ambient_diff, "X"), lift
     ).passed
@@ -326,11 +395,6 @@ def test_corrected_basis_realizes_the_derivation(N3, N1prime):
     This is the structural content behind the constructions: the new basis
     is chosen so that the derivation becomes the basis operator itself.
     """
-    from dgalift.jop import WeakJOp
-    from dgalift.lift import _beta_sharp
-    from dgalift.module import sharp_map
-    from dgalift.randgen import rand_map
-
     rng = random.Random(55)
 
     mod, d, _, _ = N1prime
@@ -348,11 +412,8 @@ def test_corrected_basis_realizes_the_derivation(N3, N1prime):
     dec3 = decide_naive_lift(mod3, d3, "X", 0)
     lift3 = construct_lift_odd(mod3, d3, "X", dec3.certificate)
     dbl = lift3.module
-    j_sh = JOperator(dbl, "X")
-    gamma = dec3.certificate.gamma
-    alpha = compose(gamma, gamma) - JOperator(mod3, "X").of_map(gamma)
-    beta = _beta_sharp(dbl, mod3, alpha, -1)
-    big_gamma = WeakJOp(j_sh, +1, beta - sharp_map(gamma, dbl, -1))
+    _, j_sh, g = _doubled_derivation(mod3, d3, dec3.certificate.gamma)
+    big_gamma = WeakJOp(j_sh, +1, g)
     u, ui = lift3.u, lift3.u_inv
     for _ in range(25):
         f = rand_map(dbl, rng.randint(-2, 2), rng)
@@ -419,3 +480,57 @@ def test_certificate_transport_under_conjugation(N3, N1prime):
                 defect if sign > 0 else -defect
             )
             assert bracket_diff(d2, transported) == j.of_diff(d2)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_square_check_matches_unit_loop(field):
+    """The O(r) square check of `construct_lift_odd` (``j(g) + g^2`` is left
+    multiplication by a cycle) agrees with ``Gamma^2 = 0`` on every matrix
+    unit and on d, for the certificate, gauge-shifted certificates and
+    perturbed ``g``."""
+    pool = FixturePool(field)
+    rng = random.Random(field.key().__repr__())
+    mod3, d3 = pool.N3, pool.d3
+    settings = [(mod3, d3, 0), (*twofold_extension(mod3, d3, 2), 1)]
+    verdicts = []
+    for mod, d, bound in settings:
+        gamma = decide_naive_lift(mod, d, "X", bound).certificate.gamma
+        gammas = [gamma]
+        for _ in range(2):
+            gammas.append(gamma + bracket_diff(d, rand_map(mod, gamma.degree + 1, rng)))
+        for gam in gammas:
+            d_sharp, j_sharp, g = _doubled_derivation(mod, d, gam)
+            candidates = [g] + [
+                g + rand_map(d_sharp.module, g.degree, rng, poly_bound=1) for _ in range(2)
+            ]
+            for h in candidates:
+                new = is_scalar_cycle(j_sharp.of_map(h) + compose(h, h), d_sharp) is not None
+                old = _squares_to_zero_on_units(WeakJOp(j_sharp, +1, h), d_sharp)
+                assert new == old
+                verdicts.append(new)
+    assert True in verdicts and False in verdicts
+
+
+def test_is_scalar_cycle_matches_unit_loop(N3, N1prime):
+    """Dropping the matrix-unit loop from `is_scalar_cycle` keeps every
+    verdict: random maps, left multiplications (cycles or not) and their
+    perturbations, over Q and F5."""
+    rng = random.Random(7)
+    cases = [N3, N1prime[:2]]
+    pool = FixturePool(PrimeField(5))
+    cases += [(pool.N3, pool.d3), (pool.NK, pool.dK)]
+    outcomes = []
+    for mod, d in cases:
+        for _ in range(12):
+            b = rand_homogeneous(mod.sig, rng, max_degree=3)
+            lb = left_mult(mod, b)
+            for f in (
+                lb,
+                lb + rand_map(mod, lb.degree, rng),
+                rand_map(mod, rng.randint(-2, 2), rng),
+                GradedMap.zero(mod, 0),
+            ):
+                got = is_scalar_cycle(f, d)
+                assert got == _is_scalar_cycle_by_units(f, d)
+                outcomes.append(got is not None)
+    assert True in outcomes and False in outcomes

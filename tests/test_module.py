@@ -7,8 +7,6 @@ from dgalift.module import (
     DOpPair,
     FreeModule,
     GradedMap,
-    apply_diff,
-    apply_map,
     bracket,
     bracket_diff,
     bracket_diff2,
@@ -21,7 +19,6 @@ from dgalift.module import (
     left_mult,
     sharp_map,
     shift,
-    square_of,
     twofold_extension,
     unit_elementary,
 )
@@ -30,36 +27,36 @@ from dgalift.module import (
 def test_apply_map_identity(S1):
     mod = FreeModule(S1, [("e0", 0), ("e1", 2)])
     x = mod.elem([("e0", "X"), ("e1", "a")])
-    assert apply_map(GradedMap.identity(mod), x) == x
+    assert GradedMap.identity(mod).apply(x) == x
 
 
 def test_apply_map_degree_zero_scalar(S1):
     mod = FreeModule(S1, [("e0", 0), ("e1", 2)])
     la = left_mult(mod, S1.parse("a"))
     for name in mod.names:
-        assert apply_map(la, mod.basis_elem(name)) == mod.elem([(name, "a")])
+        assert la.apply(mod.basis_elem(name)) == mod.elem([(name, "a")])
 
 
 def test_apply_map_single_entry(S1):
     mod = FreeModule(S1, [("e0", 0), ("e1", 1)])
     f = GradedMap.single(mod, "e0", "e1", S1.parse("W1"))
     x = mod.elem([("e1", "W2")])
-    assert apply_map(f, x) == mod.elem([("e0", "W1*W2")])
+    assert f.apply(x) == mod.elem([("e0", "W1*W2")])
 
 
 def test_apply_diff_free(S1):
     mod = FreeModule(S1, [("e0", 0), ("e1", 1)])
     free = Differential.free(mod)
     # sign is (-1)^{basis degree}
-    assert apply_diff(free, mod.elem([("e1", "X")])) == mod.elem(
+    assert free.apply(mod.elem([("e1", "X")])) == mod.elem(
         [("e1", "a*W2 - b*W1")]
     )
-    assert apply_diff(free, mod.basis_elem("e1")).is_zero()
+    assert free.apply(mod.basis_elem("e1")).is_zero()
 
 
 def test_apply_diff_square_zero_fixture(N3):
     mod, d = N3
-    assert apply_diff(d, apply_diff(d, mod.basis_elem("f2"))).is_zero()
+    assert d.apply(d.apply(mod.basis_elem("f2"))).is_zero()
     assert d.square_zero
 
 
@@ -99,11 +96,11 @@ def test_bracket_odd_self(S1):
 
 def test_square_of_examples(S3, N3):
     mod, d = N3
-    assert square_of(Differential.free(mod)).is_zero()
-    assert square_of(d).is_zero()
+    assert Differential.free(mod).square().is_zero()
+    assert d.square().is_zero()
     rank2 = FreeModule(S3, [("e0", 0), ("e1", 2)])
     dd = Differential(GradedMap(rank2, -1, {(0, 1): S3.parse("X")}))
-    sq = square_of(dd)
+    sq = dd.square()
     assert sq == GradedMap.single(rank2, "e0", "e1", S3.parse("a"), degree=-2)
 
 
@@ -114,7 +111,7 @@ def test_bracket_diff_examples(S1, N3):
     assert bracket_diff(Differential.free(mod), left_mult(mod, b)) == left_mult(
         mod, diff(b)
     )
-    assert bracket_diff2(d, d) == square_of(d).scale(2)
+    assert bracket_diff2(d, d) == d.square().scale(2)
 
 
 def test_dop_normalize_forms(N3):
@@ -126,7 +123,7 @@ def test_dop_normalize_forms(N3):
     q = dop_normalize([[g]], d)
     assert q.f == g and q.g.is_zero()
     sq = dop_normalize([[d, d]], d)
-    assert sq.f == square_of(d) and sq.g.is_zero()
+    assert sq.f == d.square() and sq.g.is_zero()
 
 
 def test_idempotents_sum(N3):
@@ -135,8 +132,8 @@ def test_idempotents_sum(N3):
     for i in range(mod.rank):
         total = total + idempotent(mod, i)
     assert total == GradedMap.identity(mod)
-    assert apply_map(idempotent(mod, 1), mod.basis_elem(1)) == mod.basis_elem(1)
-    assert apply_map(idempotent(mod, 1), mod.basis_elem(0)).is_zero()
+    assert idempotent(mod, 1).apply(mod.basis_elem(1)) == mod.basis_elem(1)
+    assert idempotent(mod, 1).apply(mod.basis_elem(0)).is_zero()
     eps = idempotent(mod, 2)
     assert compose(eps, eps) == eps
 
