@@ -542,22 +542,8 @@ def is_boundary_up_to(elem: AlgElem, poly_bound: int):
         return sig.zero()
     n = elem.degree()  # raises on inhomogeneous input
     candidates = component_monomials(sig, n + 1, poly_bound)
-    if not candidates:
-        return None
-    images = [diff(AlgElem(sig, {m: field.one})) for m in candidates]
-    support: set = set(elem.terms)
-    for img in images:
-        support.update(img.terms)
-    rows = sorted(support, key=lambda m: monomial_sort_key(sig, m))
-    row_index = {m: i for i, m in enumerate(rows)}
-    matrix = [[field.zero] * len(candidates) for _ in rows]
-    for j, img in enumerate(images):
-        for m, c in img.terms.items():
-            matrix[row_index[m]][j] = c
-    rhs = [field.zero] * len(rows)
-    for m, c in elem.terms.items():
-        rhs[row_index[m]] = c
-    sol = solve_exact(field, matrix, rhs)
+    columns = [diff(AlgElem(sig, {m: field.one})).terms for m in candidates]
+    sol = solve_exact(field, columns, elem.terms)
     if sol is None:
         return None
     witness = AlgElem(

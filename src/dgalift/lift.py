@@ -62,13 +62,9 @@ class Obstruction:
 
 @dataclass
 class HomotopyCertificate:
-    """A matrix ``gamma`` with ``j(d) = [d, gamma]``, checked exactly.
-
-    `solve_homotopy` does not know the variable and leaves `var_name` None.
-    """
+    """A matrix ``gamma`` with ``j(d) = [d, gamma]``, checked exactly."""
 
     gamma: GradedMap
-    var_name: Optional[str]
 
 
 @dataclass
@@ -123,69 +119,36 @@ def obstruction(module: FreeModule, d: Differential, var_name: str) -> Obstructi
     return Obstruction(h, var_name)
 
 
+def _coefficients(f: GradedMap) -> dict:
+    """The monomial coefficients of a map, keyed by ``((row, col), monomial)``."""
+    return {(key, m): c for key, e in f.entries.items() for m, c in e.terms.items()}
+
+
 def solve_homotopy(
     module: FreeModule, d: Differential, h: GradedMap, bound: int
 ) -> Optional[HomotopyCertificate]:
     """Search for gamma with ``[d, gamma] = h``, polygen degrees <= bound.
 
     Unknowns are the monomial coefficients of each matrix entry, ordered by
-    (row, column, monomial order); the first solution of the reduced exact
-    system is returned and re-verified.  None means no certificate exists
+    (row, column, monomial order); the solution with every free unknown
+    zero is returned and re-verified.  None means no certificate exists
     within the bound.
     """
     sig = module.sig
     field = sig.field
     gamma_degree = h.degree + 1
     unknowns = []  # (row, col, monomial)
-    unit_brackets = []
+    columns = []  # per unknown: ((row, col), monomial) -> coefficient of [d, unit]
     for r in range(module.rank):
         for c in range(module.rank):
             want = module.degrees[c] + gamma_degree - module.degrees[r]
-            if want < 0:
-                continue
             for m in component_monomials(sig, want, bound):
+                unit = GradedMap(
+                    module, gamma_degree, {(r, c): AlgElem(sig, {m: field.one})}, check=False
+                )
                 unknowns.append((r, c, m))
-    if not unknowns:
-        return (
-            HomotopyCertificate(GradedMap.zero(module, gamma_degree), None)
-            if h.is_zero()
-            else None
-        )
-    for r, c, m in unknowns:
-        unit = GradedMap(
-            module, gamma_degree, {(r, c): AlgElem(sig, {m: field.one})}, check=False
-        )
-        unit_brackets.append(bracket_diff(d, unit))
-    support = set(h.entries)
-    for br in unit_brackets:
-        support.update(br.entries)
-    mono_support: dict = {}
-    for key in support:
-        monos = set()
-        for br in unit_brackets:
-            e = br.entries.get(key)
-            if e is not None:
-                monos.update(e.terms)
-        e = h.entries.get(key)
-        if e is not None:
-            monos.update(e.terms)
-        mono_support[key] = sorted(monos)
-    rows = []
-    row_index = {}
-    for key in sorted(mono_support):
-        for m in mono_support[key]:
-            row_index[(key, m)] = len(rows)
-            rows.append((key, m))
-    matrix = [[field.zero] * len(unknowns) for _ in rows]
-    rhs = [field.zero] * len(rows)
-    for j, br in enumerate(unit_brackets):
-        for key, e in br.entries.items():
-            for m, cval in e.terms.items():
-                matrix[row_index[(key, m)]][j] = cval
-    for key, e in h.entries.items():
-        for m, cval in e.terms.items():
-            rhs[row_index[(key, m)]] = cval
-    sol = solve_exact(field, matrix, rhs)
+                columns.append(_coefficients(bracket_diff(d, unit)))
+    sol = solve_exact(field, columns, _coefficients(h))
     if sol is None:
         return None
     entries: dict = {}
@@ -198,7 +161,7 @@ def solve_homotopy(
     gamma = GradedMap(module, gamma_degree, entries, check=False)
     if bracket_diff(d, gamma) != h:
         raise VerificationError("homotopy certificate failed its exact re-check")
-    return HomotopyCertificate(gamma, None)
+    return HomotopyCertificate(gamma)
 
 
 def decide_naive_lift(
@@ -207,9 +170,7 @@ def decide_naive_lift(
     """Semi-decide obstruction vanishing at the given polygen-degree bound."""
     obs = obstruction(module, d, var_name)
     cert = solve_homotopy(module, d, obs.h, bound)
-    if cert is None:
-        return LiftDecision(False, None, bound)
-    return LiftDecision(True, HomotopyCertificate(cert.gamma, var_name), bound)
+    return LiftDecision(cert is not None, cert, bound)
 
 
 # -- even-variable construction -----------------------------------------------------
@@ -336,7 +297,7 @@ def construct_lift_odd(
         raise VerificationError("doubled derivation does not kill the differential")
     # Gamma^2 = ad(j(g) + g^2): it vanishes on every map and on d exactly
     # when j(g) + g^2 is left multiplication by a cycle.
-    if is_scalar_cycle(j_sharp.of_map(g) + compose(g, g), d_sharp) is None:
+    if is_scalar_cycle(j_sharp.of_map(g) + compose(g, g)) is None:
         raise VerificationError("doubled derivation does not square to zero")
 
     # Gamma^2 = 0 puts each Gamma(l_X eps_i) in the kernel, and they sum to

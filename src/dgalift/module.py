@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from .algebra import AlgElem, Signature, diff
+from .algebra import AlgElem, Signature, component_monomials, diff
 from .errors import NotInvertibleError, SchemaError, VerificationError
 from .solver import solve_exact
 
@@ -648,68 +648,51 @@ def _invert_flat(u_flat: GradedMap) -> GradedMap:
         blocks.setdefault(d, []).append(i)
     max_block = max(len(b) for b in blocks.values())
     bound = max(0, (max_block - 1) * max_poly)
-    from .algebra import component_monomials
+    cand = component_monomials(sig, 0, bound)
+    cand_elems = [AlgElem(sig, {m: field.one}) for m in cand]
+    one_mono = ((0,) * len(sig.polygens), (0,) * len(sig.variables))
 
     inv_entries: dict = {}
-    for d, idxs in blocks.items():
+    for idxs in blocks.values():
         k = len(idxs)
-        sub = {
-            (a, b): u_flat.entries.get((idxs[a], idxs[b]), sig.zero())
-            for a in range(k)
-            for b in range(k)
-        }
-        cand = component_monomials(sig, 0, bound)
-        cand_elems = [AlgElem(sig, {m: field.one}) for m in cand]
-        unknowns = [(a, b, j) for a in range(k) for b in range(k) for j in range(len(cand))]
-        rows_monos = component_monomials(sig, 0, bound + max_poly)
-        row_index = {}
-        rows = []
+        unknowns = []  # (a, b, monomial) for v[a][b]
+        columns = []  # per unknown: (r, b, monomial) -> coefficient in (u v)[r][b]
         for a in range(k):
             for b in range(k):
-                for m in rows_monos:
-                    row_index[(a, b, m)] = len(rows)
-                    rows.append((a, b, m))
-        matrix = [[field.zero] * len(unknowns) for _ in rows]
-        rhs = [field.zero] * len(rows)
-        for col_u, (a, b, j) in enumerate(unknowns):
-            # contribution of v[a][b] = cand[j] to (u v)[r][b] for each r
-            for r in range(k):
-                e = sub[(r, a)]
-                if e.is_zero():
-                    continue
-                prod = e * cand_elems[j]
-                for m, c in prod.terms.items():
-                    key = (r, b, m)
-                    if key in row_index:
-                        matrix[row_index[key]][col_u] = field.add(
-                            matrix[row_index[key]][col_u], c
-                        )
-        one_mono = ((0,) * len(sig.polygens), (0,) * len(sig.variables))
-        for a in range(k):
-            rhs[row_index[(a, a, one_mono)]] = field.one
-        sol = solve_exact(field, matrix, rhs)
+                for m, unit in zip(cand, cand_elems):
+                    col = {}
+                    for r in range(k):
+                        e = u_flat.entries.get((idxs[r], idxs[a]))
+                        if e is not None:
+                            for mono, c in (e * unit).terms.items():
+                                col[(r, b, mono)] = c
+                    unknowns.append((a, b, m))
+                    columns.append(col)
+        rhs = {(a, a, one_mono): field.one for a in range(k)}
+        sol = solve_exact(field, columns, rhs)
         if sol is None:
             raise NotInvertibleError("degree-level part of the unit is singular")
-        for col_u, (a, b, j) in enumerate(unknowns):
-            if sol[col_u] != field.zero:
+        for (a, b, m), cval in zip(unknowns, sol):
+            if cval != field.zero:
                 key = (idxs[a], idxs[b])
                 prev = inv_entries.get(key, sig.zero())
-                inv_entries[key] = prev + AlgElem(sig, {cand[j]: sol[col_u]})
+                inv_entries[key] = prev + AlgElem(sig, {m: cval})
     v = GradedMap(module, 0, {k: e for k, e in inv_entries.items() if not e.is_zero()}, check=False)
     if compose(u_flat, v) != one or compose(v, u_flat) != one:
         raise NotInvertibleError("degree-level part of the unit is singular")
     return v
 
 
-def is_scalar_cycle(f: GradedMap, d: Differential) -> Optional[AlgElem]:
+def is_scalar_cycle(f: GradedMap) -> Optional[AlgElem]:
     """Test whether ``f`` is left multiplication by a cycle.
 
     Reads ``b`` off the first diagonal entry and checks ``f = left_mult(b)``
-    and ``d(b) = 0``; on success returns ``b``, otherwise None.  A left
+    and ``diff(b) = 0``; on success returns ``b``, otherwise None.  A left
     multiplication graded-commutes with every matrix unit (its row signs
-    cancel the Koszul sign), and since the module differential ``d``
-    follows the Leibniz rule, ``[d, left_mult(b)] = left_mult(d(b))``; so
-    neither a commutation test nor ``[d, f] = 0`` needs checking apart.
+    cancel the Koszul sign), and since every module differential ``d``
+    follows the Leibniz rule, ``[d, left_mult(b)] = left_mult(diff(b))``;
+    so neither a commutation test nor ``[d, f] = 0`` needs checking apart,
+    and the answer holds for every differential on the module.
     """
     module = f.module
     if f.is_zero():

@@ -1,56 +1,75 @@
-"""Exact dense linear algebra over a coefficient field.
+"""Exact sparse linear algebra over a coefficient field, in column form.
 
-Small systems only; everything the package solves is assembled from
-finitely many monomial coefficients.  Gaussian elimination with the first
-usable pivot, free unknowns pinned to zero, so the returned solution is a
-deterministic function of the input ordering.
+A system is given by its columns: ``columns[j]`` maps row keys to the
+coefficients of unknown ``j``, and ``rhs`` maps row keys to the right-hand
+side.  Row keys are any hashable values and a key no column touches is a
+zero row, so callers pass the sparse images they already hold (brackets
+with matrix units, differentials of monomials, products of entries) and no
+dense matrix is ever built.
+
+Elimination takes one row at a time, reduces it by the pivot rows found so
+far and, if anything is left, makes it a pivot row on its smallest column.
+Every pivot row then leads on a different column and together they span
+the row space, so the pivot columns are exactly the columns outside the
+span of the columns before them, whatever order the rows come in.
+Back-substitution with free unknowns set to zero yields the unique solution
+supported on those columns: the result depends on the column order only.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 
-def solve_exact(field, matrix: list, rhs: list) -> Optional[list]:
-    """Solve ``matrix @ x == rhs`` exactly.
+def solve_exact(field, columns: list, rhs: dict) -> Optional[list]:
+    """Solve ``sum_j x[j] * columns[j] == rhs`` exactly.
 
-    `matrix` is a list of rows over the field; may be rectangular.  Returns
-    the deterministic particular solution (free unknowns zero) or None when
-    the system is inconsistent.
+    Returns the values of the unknowns with every free unknown zero, or
+    None when the system is inconsistent.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    a = [list(row) + [r] for row, r in zip(matrix, rhs)]
     zero = field.zero
-    pivots = []  # (row, col)
-    row = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(row, nrows):
-            if a[r][col] != zero:
-                pivot_row = r
-                break
-        if pivot_row is None:
+    rows: dict = {}
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            if c != zero:
+                rows.setdefault(key, {})[j] = c
+    for key in rhs:
+        rows.setdefault(key, {})
+    # pivot column -> (the rest of its row scaled to a leading one, rhs)
+    pivots: dict = {}
+    for key, row in rows.items():
+        b = rhs.get(key, zero)
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            col = heappop(heap)
+            if col not in row or col not in pivots:
+                continue
+            factor = row.pop(col)
+            rest, pb = pivots[col]
+            # pivot rows only reach columns right of their pivot
+            for k, v in rest.items():
+                x = field.sub(row.get(k, zero), field.mul(factor, v))
+                if x == zero:
+                    row.pop(k, None)
+                    continue
+                if k not in row:
+                    heappush(heap, k)
+                row[k] = x
+            b = field.sub(b, field.mul(factor, pb))
+        if not row:
+            if b != zero:
+                return None
             continue
-        a[row], a[pivot_row] = a[pivot_row], a[row]
-        inv = field.inv(a[row][col])
-        a[row] = [field.mul(inv, x) for x in a[row]]
-        for r in range(nrows):
-            if r != row and a[r][col] != zero:
-                factor = a[r][col]
-                a[r] = [
-                    field.sub(x, field.mul(factor, y))
-                    for x, y in zip(a[r], a[row])
-                ]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if a[r][ncols] != zero:
-            return None
-    x = [zero] * ncols
-    for r, c in pivots:
-        x[c] = a[r][ncols]
+        lead = min(row)
+        inv = field.inv(row.pop(lead))
+        pivots[lead] = ({k: field.mul(inv, v) for k, v in row.items()}, field.mul(inv, b))
+    x = [zero] * len(columns)
+    for lead in sorted(pivots, reverse=True):
+        rest, b = pivots[lead]
+        for k, v in rest.items():
+            if x[k] != zero:
+                b = field.sub(b, field.mul(v, x[k]))
+        x[lead] = b
     return x
-

@@ -113,8 +113,10 @@ def test_boundary_found():
     assert diff(base.parse("- W1*W2")) == t
 
 
-def test_boundary_not_found(S2):
+def test_boundary_not_found(S2, S3):
     assert is_boundary_up_to(S2.parse("c"), 4) is None
+    # X is odd, so no monomial has degree 2: there is no candidate at all
+    assert is_boundary_up_to(S3.parse("a*X"), 3) is None
 
 
 def test_boundary_zero(S1):

@@ -141,17 +141,25 @@ def test_solve_homotopy_fixture(N3):
     assert bracket_diff(d, cert.gamma) == obs.h
 
 
-def test_solve_homotopy_not_found(N1):
+def test_solve_homotopy_not_found(N1, S3):
     mod, d = N1
     obs = obstruction(mod, d, "X")
     assert solve_homotopy(mod, d, obs.h, 3) is None
+    # X is odd, so no monomial has degree 2 and the system has no unknowns
+    mod1 = FreeModule(S3, [("e0", 0)])
+    h = GradedMap(mod1, 1, {(0, 0): S3.parse("X")})
+    assert solve_homotopy(mod1, Differential.free(mod1), h, 2) is None
 
 
-def test_solve_homotopy_zero_obstruction(S1):
+def test_solve_homotopy_zero_obstruction(S1, S3):
     mod = FreeModule(S1, [("e0", 0), ("e1", 1)])
     d = Differential(GradedMap(mod, -1, {(0, 1): S1.parse("a")}))
     cert = solve_homotopy(mod, d, obstruction(mod, d, "X").h, 0)
     assert cert is not None and cert.gamma.is_zero()
+    # rank 1: gamma has degree -|X| < 0, so the system has no unknowns
+    mod1 = FreeModule(S3, [("e0", 0)])
+    dec = decide_naive_lift(mod1, Differential.free(mod1), "X", 2)
+    assert dec.vanishes and dec.certificate.gamma == GradedMap.zero(mod1, -1)
 
 
 def test_decide_naive_lift(N3, N1):
@@ -188,7 +196,7 @@ def test_even_lift_roundtrip(N1prime):
 
 def test_even_lift_rejects_bad_certificate(N1):
     mod, d = N1
-    bogus = HomotopyCertificate(GradedMap.zero(mod, -2), "X")
+    bogus = HomotopyCertificate(GradedMap.zero(mod, -2))
     with pytest.raises(VerificationError):
         construct_lift_even(mod, d, "X", bogus)
 
@@ -362,7 +370,7 @@ def test_even_lift_multi_step_series(S1):
             break
     else:
         pytest.fail("no gauge produced a multi-step series")
-    lift = construct_lift_even(mod, d, "X", HomotopyCertificate(gamma2, "X"))
+    lift = construct_lift_even(mod, d, "X", HomotopyCertificate(gamma2))
     rep = verify_lift(lift.lift_diff, lift.u, d, "X", u_inv=lift.u_inv)
     assert rep.passed, rep.failures
     assert verify_splitting(NaiveTensor(mod, d, "X"), lift).passed
@@ -504,7 +512,7 @@ def test_square_check_matches_unit_loop(field):
                 g + rand_map(d_sharp.module, g.degree, rng, poly_bound=1) for _ in range(2)
             ]
             for h in candidates:
-                new = is_scalar_cycle(j_sharp.of_map(h) + compose(h, h), d_sharp) is not None
+                new = is_scalar_cycle(j_sharp.of_map(h) + compose(h, h)) is not None
                 old = _squares_to_zero_on_units(WeakJOp(j_sharp, +1, h), d_sharp)
                 assert new == old
                 verdicts.append(new)
@@ -530,7 +538,7 @@ def test_is_scalar_cycle_matches_unit_loop(N3, N1prime):
                 rand_map(mod, rng.randint(-2, 2), rng),
                 GradedMap.zero(mod, 0),
             ):
-                got = is_scalar_cycle(f, d)
+                got = is_scalar_cycle(f)
                 assert got == _is_scalar_cycle_by_units(f, d)
                 outcomes.append(got is not None)
     assert True in outcomes and False in outcomes

@@ -176,15 +176,15 @@ def test_invert_unit_rejects_singular(N3):
 
 
 def test_is_scalar_cycle(N3):
-    mod, d = N3
+    mod, _ = N3
     b = mod.sig.parse("a")
-    assert is_scalar_cycle(left_mult(mod, b), d) == b
-    assert is_scalar_cycle(idempotent(mod, 0), d) is None
+    assert is_scalar_cycle(left_mult(mod, b)) == b
+    assert is_scalar_cycle(idempotent(mod, 0)) is None
     zero = GradedMap.zero(mod, -2)
-    assert is_scalar_cycle(zero, d) == mod.sig.zero()
+    assert is_scalar_cycle(zero) == mod.sig.zero()
     # left multiplication by a non-cycle commutes with matrix units but not with d
     w = Signature(QQ, ["a"]).adjoin("X", 1, "a").parse("X")
-    assert is_scalar_cycle(left_mult(mod, mod.sig.parse("X")), d) is None
+    assert is_scalar_cycle(left_mult(mod, mod.sig.parse("X"))) is None
 
 
 def test_shift_and_direct_sum(N3):
