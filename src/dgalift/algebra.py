@@ -71,11 +71,13 @@ class Signature:
         self.polygens = tuple(polygens)
         self.variables: tuple[Variable, ...] = _variables
         names = list(self.polygens) + [v.name for v in self.variables]
+        for n in names:
+            if not isinstance(n, str) or not (n[:1].isalpha() or n[:1] == "_") or not all(
+                c.isalnum() or c == "_" for c in n
+            ):
+                raise SchemaError(f"bad generator name {n!r}")
         if len(set(names)) != len(names):
             raise SchemaError("generator names must be unique")
-        for n in names:
-            if not n or not (n[0].isalpha() or n[0] == "_") or not all(c.isalnum() or c == "_" for c in n):
-                raise SchemaError(f"bad generator name {n!r}")
         self._poly_index = {n: i for i, n in enumerate(self.polygens)}
         self._var_index = {v.name: i for i, v in enumerate(self.variables)}
         self._var_degrees = tuple(v.degree for v in self.variables)
@@ -195,8 +197,6 @@ class Signature:
         """
         if degree < 1:
             raise SchemaError("adjoined variables must have positive degree")
-        if name in self._poly_index or name in self._var_index:
-            raise SchemaError(f"duplicate generator name {name!r}")
         if isinstance(t, str):
             t = self.parse(t)
         if t.sig != self:

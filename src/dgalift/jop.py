@@ -30,6 +30,7 @@ from .module import (
     bracket,
     bracket_diff,
     compose,
+    derive_entries,
     idempotent,
     invert_unit,
     left_mult,
@@ -55,19 +56,10 @@ class JOperator:
         self.is_top = self.sig.is_top(var_name)
         self.degree = -self.var.degree
 
-    def row_sign(self, r: int) -> int:
-        return -1 if (self.module.degrees[r] * self.var.degree) % 2 else 1
-
     def of_map(self, alpha: GradedMap) -> GradedMap:
         if alpha.module != self.module:
             raise SchemaError("map acts on a different module")
-        entries = {}
-        for (r, c), e in alpha.entries.items():
-            de = derivative(e, self.var_name)
-            if de.is_zero():
-                continue
-            entries[(r, c)] = -de if self.row_sign(r) < 0 else de
-        return GradedMap(self.module, alpha.degree + self.degree, entries, check=False)
+        return derive_entries(alpha, lambda e: derivative(e, self.var_name), self.degree)
 
     def of_diff(self, d: Differential) -> GradedMap:
         """Apply to a differential: only its matrix part contributes."""

@@ -208,37 +208,14 @@ def construct_lift_even(
     delta = WeakJOp(jop, +1, cert.gamma)
     if not delta.of_diff(d).is_zero():
         raise VerificationError("certificate does not solve j(d) = [d, gamma]")
-    cols = []
+    entries = {}
     for lam in range(module.rank):
         eps = idempotent(module, lam)
         eps0 = eps - _series_plus(delta, eps, var)
         if not delta.of_map(eps0).is_zero():
             raise VerificationError("corrected idempotent is not in the kernel")
-        cols.append(eps0.apply(module.basis_elem(lam)))
-    entries = {}
-    for c, col in enumerate(cols):
-        for r, coeff in col.coeffs.items():
-            entries[(r, c)] = coeff
-    u = GradedMap(module, 0, entries)
-    u_inv = invert_unit(u)
-    lift_diff = d.conjugate(u_inv, u)
-    result = LiftResult(
-        parity="even",
-        var_name=var_name,
-        module=module,
-        base_module=module,
-        u=u,
-        u_inv=u_inv,
-        lift_diff=lift_diff,
-        ambient_diff=d,
-        certificate=cert,
-    )
-    report = verify_lift(lift_diff, u, d, var_name, u_inv=u_inv)
-    if not report.passed:
-        raise VerificationError(
-            "even lift failed verification: " + "; ".join(report.failures)
-        )
-    return result
+        entries.update(_column(eps0, lam))
+    return _conjugate_and_verify("even", var_name, module, module, d, entries, cert)
 
 
 # -- odd-variable construction -------------------------------------------------------
@@ -304,31 +281,31 @@ def construct_lift_odd(
     # Gamma(l_X) = id; the conjugation check in verify_lift covers the rest.
     entries = {}
     for c in range(doubled.rank):
-        p = big_gamma.of_map(compose(lx, idempotent(doubled, c)))
-        col = p.apply(doubled.basis_elem(c))
-        for r, coeff in col.coeffs.items():
-            entries[(r, c)] = coeff
-    u = GradedMap(doubled, 0, entries)
+        entries.update(_column(big_gamma.of_map(compose(lx, idempotent(doubled, c))), c))
+    return _conjugate_and_verify("odd", var_name, doubled, module, d_sharp, entries, cert, k)
+
+
+def _column(f: GradedMap, c: int) -> dict:
+    """The entries of column ``c`` of a map: its value on ``e_c``."""
+    return {key: v for key, v in f.entries.items() if key[1] == c}
+
+
+def _conjugate_and_verify(
+    parity, var_name, module, base_module, d, u_entries, cert, shift_k=None
+) -> LiftResult:
+    """Conjugate ``d`` into the basis whose columns are ``u_entries`` and
+    return the lift once `verify_lift` has passed on it."""
+    u = GradedMap(module, 0, u_entries)
     u_inv = invert_unit(u)
-    lift_diff = d_sharp.conjugate(u_inv, u)
-    result = LiftResult(
-        parity="odd",
-        var_name=var_name,
-        module=doubled,
-        base_module=module,
-        u=u,
-        u_inv=u_inv,
-        lift_diff=lift_diff,
-        ambient_diff=d_sharp,
-        certificate=cert,
-        shift_k=k,
-    )
-    report = verify_lift(lift_diff, u, d_sharp, var_name, u_inv=u_inv)
+    lift_diff = d.conjugate(u_inv, u)
+    report = verify_lift(lift_diff, u, d, var_name, u_inv=u_inv)
     if not report.passed:
         raise VerificationError(
-            "odd lift failed verification: " + "; ".join(report.failures)
+            f"{parity} lift failed verification: " + "; ".join(report.failures)
         )
-    return result
+    return LiftResult(
+        parity, var_name, module, base_module, u, u_inv, lift_diff, d, cert, shift_k
+    )
 
 
 def verify_lift(

@@ -180,6 +180,11 @@ def test_tate_adjoin_errors(S3):
         S3.adjoin("Z", 1, "X")  # degree mismatch as well
     with pytest.raises(SchemaError):
         S3.adjoin("X", 2, "a*a")  # duplicate name
+    with pytest.raises(SchemaError, match="unique"):
+        S3.adjoin("X", 1, "a")  # duplicate name with a valid cycle
+    for name in (5, ["Z"], "", "1Z"):
+        with pytest.raises(SchemaError, match="bad generator name"):
+            S3.adjoin(name, 1, "a")
     with pytest.raises(SchemaError):
         S3.adjoin("Z", 3, "a")  # wrong degree for the cycle
 

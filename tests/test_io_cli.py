@@ -308,19 +308,45 @@ def test_cli_selftest_single_field(capsys):
 
 
 @pytest.mark.parametrize(
-    "field, argv",
+    "sig_doc, mod_doc, argv",
     [
-        ({"type": "Fp", "p": 5}, ["eval", "1/5*a"]),
-        ({"type": "Fp", "p": 561}, ["validate"]),
-        ({"type": "Fp", "p": 3317044064679887385961981}, ["validate"]),
-        ({"type": "Q"}, ["naive", "--bound", "-1"]),
-        ({"type": "Q"}, ["lift", "--bound", "-1"]),
+        (dict(S3_DOC, field={"type": "Fp", "p": 5}), N3_DOC, ["eval", "1/5*a"]),
+        (dict(S3_DOC, field={"type": "Fp", "p": 561}), N3_DOC, ["validate"]),
+        (
+            dict(S3_DOC, field={"type": "Fp", "p": 3317044064679887385961981}),
+            N3_DOC,
+            ["validate"],
+        ),
+        (S3_DOC, N3_DOC, ["naive", "--bound", "-1"]),
+        (S3_DOC, N3_DOC, ["lift", "--bound", "-1"]),
+        (dict(S3_DOC, variables=[{"name": 5, "degree": 1, "d": "a"}]), N3_DOC, ["validate"]),
+        (dict(S3_DOC, variables=[{"name": [1], "degree": 1, "d": "a"}]), N3_DOC, ["validate"]),
+        (
+            S3_DOC,
+            dict(N3_DOC, basis=N3_DOC["basis"] + [{"name": 5, "degree": 0}]),
+            ["lift", "--bound", "0"],
+        ),
+        (
+            S3_DOC,
+            dict(N3_DOC, basis=N3_DOC["basis"] + [{"name": [1], "degree": 0}]),
+            ["lift", "--bound", "0"],
+        ),
     ],
-    ids=["zero-denominator-in-F5", "carmichael-p", "p-too-large", "naive-bound", "lift-bound"],
+    ids=[
+        "zero-denominator-in-F5",
+        "carmichael-p",
+        "p-too-large",
+        "naive-bound",
+        "lift-bound",
+        "int-variable-name",
+        "list-variable-name",
+        "int-basis-name",
+        "list-basis-name",
+    ],
 )
-def test_cli_hostile_inputs_exit_1(tmp_path, capsys, field, argv):
-    sig = _write(tmp_path, "sig.json", dict(S3_DOC, field=field))
-    mod = _write(tmp_path, "mod.json", N3_DOC)
+def test_cli_hostile_inputs_exit_1(tmp_path, capsys, sig_doc, mod_doc, argv):
+    sig = _write(tmp_path, "sig.json", sig_doc)
+    mod = _write(tmp_path, "mod.json", mod_doc)
     extra = ["--mod", mod] if argv[0] in ("naive", "lift") else []
     assert main([argv[0], "--sig", sig, *extra, *argv[1:]]) == 1
     captured = capsys.readouterr()

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from dgalift import QQ, Signature, diff
+from dgalift import QQ, PrimeField, Signature, derivative, diff
 from dgalift.errors import NotInvertibleError, SchemaError
+from dgalift.jop import JOperator
 from dgalift.module import (
     Differential,
     DOpPair,
@@ -22,6 +25,7 @@ from dgalift.module import (
     twofold_extension,
     unit_elementary,
 )
+from dgalift.randgen import FixturePool, rand_diff, rand_map, rand_unit
 
 
 def test_apply_map_identity(S1):
@@ -223,3 +227,104 @@ def test_dop_apply_matches_composition(N3):
     p = DOpPair.of_map(f, d).compose(DOpPair.of_diff(d))
     x = mod.elem([("f2", "X"), ("f1", "a")])
     assert p.apply(x) == f.apply(d.apply(x))
+
+
+# -- closed forms against the basis read-back they replace ----------------------
+
+
+def _read_back(module, degree, action):
+    """Column ``c`` of the result is ``action(e_c)``."""
+    entries = {}
+    for c in range(module.rank):
+        for r, coeff in action(module.basis_elem(c)).coeffs.items():
+            entries[(r, c)] = coeff
+    return GradedMap(module, degree, entries)
+
+
+def _bracket_diff_by_basis(d, f):
+    def action(e):
+        t = f.apply(d.apply(e))
+        return d.apply(f.apply(e)) - (-t if f.degree % 2 else t)
+
+    return _read_back(d.module, f.degree - 1, action)
+
+
+def _bracket_diff2_by_basis(d, d2):
+    return _read_back(d.module, -2, lambda e: d.apply(d2.apply(e)) + d2.apply(d.apply(e)))
+
+
+def _square_by_basis(d):
+    return _read_back(d.module, -2, lambda e: d.apply(d.apply(e)))
+
+
+def _conjugate_by_basis(d, u, u_inv):
+    return _read_back(d.module, -1, lambda e: u.apply(d.apply(u_inv.apply(e))))
+
+
+def _j_by_row_sign(jop, alpha):
+    entries = {}
+    for (r, c), e in alpha.entries.items():
+        de = derivative(e, jop.var_name)
+        if de.is_zero():
+            continue
+        row_sign = -1 if (jop.module.degrees[r] * jop.var.degree) % 2 else 1
+        entries[(r, c)] = -de if row_sign < 0 else de
+    return GradedMap(jop.module, alpha.degree + jop.degree, entries)
+
+
+def _same(new, old):
+    return new == old and new.degree == old.degree
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_closed_forms_match_basis_readback(field):
+    pool = FixturePool(field)
+    rng = random.Random(23)
+    rank1 = FreeModule(pool.Sodd3, [("g", 3)])
+    cases = [
+        (pool.N3, [pool.d3]),
+        (pool.N1, [pool.d1]),
+        (pool.NK, [pool.dK]),
+        (pool.Nodd, [pool.dodd]),
+        (pool.M2_S3, []),
+        (pool.M2_S1, []),
+        (pool.M2_odd, []),
+        (rank1, []),
+    ]
+    not_square_zero = 0
+    for mod, fixtures in cases:
+        diffs = fixtures + [
+            Differential.free(mod),
+            rand_diff(mod, rng),
+            rand_diff(mod, rng, poly_bound=2),
+        ]
+        maps = [
+            f
+            for degree in range(-3, 3)
+            for f in (
+                GradedMap.zero(mod, degree),
+                rand_map(mod, degree, rng),
+                rand_map(mod, degree, rng, poly_bound=2, density=1.0),
+            )
+        ]
+        for d in diffs:
+            not_square_zero += not d.square_zero
+            assert _same(d.square(), _square_by_basis(d))
+            for d2 in diffs:
+                assert _same(bracket_diff2(d, d2), _bracket_diff2_by_basis(d, d2))
+            for f in maps:
+                assert _same(bracket_diff(d, f), _bracket_diff_by_basis(d, f))
+            for _ in range(3):
+                u = compose(
+                    rand_unit(mod, rng, strict_raising=False), rand_unit(mod, rng, poly_bound=2)
+                )
+                u_inv = invert_unit(u)
+                want = _conjugate_by_basis(d, u, u_inv)
+                assert _same(d.conjugate(u, u_inv).matrix, want)
+                assert _same(d.conjugate(u_inv, u).matrix, _conjugate_by_basis(d, u_inv, u))
+            assert _same(d.conjugate(u).matrix, want)
+        for var in mod.sig.variables:
+            jop = JOperator(mod, var.name)
+            for f in maps + [d.matrix for d in diffs]:
+                assert _same(jop.of_map(f), _j_by_row_sign(jop, f))
+    assert not_square_zero > 0
