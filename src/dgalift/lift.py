@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import AlgElem, component_monomials, derivative
+from .algebra import AlgElem, component_monomials, derivative, diff
 from .errors import SchemaError, VerificationError
 from .jop import CheckReport, JOperator, WeakJOp
 from .module import (
@@ -124,30 +124,77 @@ def _coefficients(f: GradedMap) -> dict:
     return {(key, m): c for key, e in f.entries.items() for m, c in e.terms.items()}
 
 
+def _homotopy_columns(module: FreeModule, d: Differential, degree: int, bound: int):
+    """The unknowns ``(r, c, m)`` of ``[d, gamma]`` for a degree-``degree``
+    ``gamma`` and the coefficients of each unknown's image.
+
+    The image of ``m E_rc`` is ``D[:, r] m`` in column ``c``, plus
+    ``(-1)^{|e_r|} d(m)`` at ``(r, c)``, minus ``(-1)^{degree} m D[c, :]`` in
+    row ``r``.  The three parts never share a matrix entry, because ``D``
+    has no diagonal entries (they would have degree -1).  ``D`` is indexed
+    by column and by row once, and ``d(m)``, ``D[:, r] m`` and ``m D[c, :]``
+    are computed once per monomial, per ``(r, m)`` and per ``(c, m)``: each
+    is shared by every unknown of its degree band.
+    """
+    sig = module.sig
+    field = sig.field
+    degs = module.degrees
+    by_col: dict = {}  # r -> [(a, D[a, r])]
+    by_row: dict = {}  # c -> [(b, D[c, b])]
+    for (a, b), e in d.matrix.entries.items():
+        by_col.setdefault(b, []).append((a, e))
+        by_row.setdefault(a, []).append((b, e))
+    subtract = degree % 2 == 0
+    bands: dict = {}  # degree -> its monomials
+    monos: dict = {}  # m -> (m as an element, coefficients of (d(m), -d(m)))
+    lefts: dict = {}  # (r, m) -> [(a, coefficients of D[a, r] m)]
+    rights: dict = {}  # (c, m) -> [(b, coefficients of -/+ m D[c, b])]
+    unknowns = []  # (row, col, monomial)
+    columns = []  # per unknown: ((row, col), monomial) -> coefficient
+    for r in range(module.rank):
+        for c in range(module.rank):
+            want = degs[c] + degree - degs[r]
+            if want not in bands:
+                bands[want] = component_monomials(sig, want, bound)
+            for m in bands[want]:
+                if m not in monos:
+                    unit = AlgElem(sig, {m: field.one})
+                    dm = diff(unit)
+                    monos[m] = unit, (dm.terms, (-dm).terms)
+                unit, dms = monos[m]
+                if (r, m) not in lefts:
+                    lefts[r, m] = [(a, (e * unit).terms) for a, e in by_col.get(r, ())]
+                if (c, m) not in rights:
+                    products = [(b, unit * e) for b, e in by_row.get(c, ())]
+                    rights[c, m] = [(b, (-p if subtract else p).terms) for b, p in products]
+                parts = [((a, c), t) for a, t in lefts[r, m]]
+                parts.append(((r, c), dms[degs[r] % 2]))
+                parts += [((r, b), t) for b, t in rights[c, m]]
+                unknowns.append((r, c, m))
+                columns.append({(key, mono): x for key, t in parts for mono, x in t.items()})
+    return unknowns, columns
+
+
 def solve_homotopy(
     module: FreeModule, d: Differential, h: GradedMap, bound: int
 ) -> Optional[HomotopyCertificate]:
     """Search for gamma with ``[d, gamma] = h``, polygen degrees <= bound.
 
     Unknowns are the monomial coefficients of each matrix entry, ordered by
-    (row, column, monomial order); the solution with every free unknown
-    zero is returned and re-verified.  None means no certificate exists
-    within the bound.
+    (row, column, monomial order).  Their images come in closed form from
+    ``[d, m E_rc] = D[:, r] m + (-1)^{|e_r|} d(m) E_rc - (-1)^{|gamma|} m D[c, :]``
+    (see `_homotopy_columns`), which reads one column and one row of the
+    matrix ``D`` of ``d`` and shares every product across the unknowns of
+    its degree band.  The solution with every free unknown zero is
+    returned and re-verified by ``[d, gamma] = h``.  None means no
+    certificate exists within the bound.
     """
+    if d.module != module or h.module != module:
+        raise SchemaError("differential and target must act on the given module")
     sig = module.sig
     field = sig.field
     gamma_degree = h.degree + 1
-    unknowns = []  # (row, col, monomial)
-    columns = []  # per unknown: ((row, col), monomial) -> coefficient of [d, unit]
-    for r in range(module.rank):
-        for c in range(module.rank):
-            want = module.degrees[c] + gamma_degree - module.degrees[r]
-            for m in component_monomials(sig, want, bound):
-                unit = GradedMap(
-                    module, gamma_degree, {(r, c): AlgElem(sig, {m: field.one})}, check=False
-                )
-                unknowns.append((r, c, m))
-                columns.append(_coefficients(bracket_diff(d, unit)))
+    unknowns, columns = _homotopy_columns(module, d, gamma_degree, bound)
     sol = solve_exact(field, columns, _coefficients(h))
     if sol is None:
         return None

@@ -648,16 +648,18 @@ def _invert_flat(u_flat: GradedMap) -> GradedMap:
         unknowns = []  # (a, b, monomial) for v[a][b]
         columns = []  # per unknown: (r, b, monomial) -> coefficient in (u v)[r][b]
         for a in range(k):
+            # the products u[r][a] * m do not depend on b: one per (r, a, m)
+            entries = [(r, u_flat.entries.get((idxs[r], idxs[a]))) for r in range(k)]
+            products = [
+                [(r, (e * unit).terms) for r, e in entries if e is not None]
+                for unit in cand_elems
+            ]
             for b in range(k):
-                for m, unit in zip(cand, cand_elems):
-                    col = {}
-                    for r in range(k):
-                        e = u_flat.entries.get((idxs[r], idxs[a]))
-                        if e is not None:
-                            for mono, c in (e * unit).terms.items():
-                                col[(r, b, mono)] = c
+                for m, images in zip(cand, products):
                     unknowns.append((a, b, m))
-                    columns.append(col)
+                    columns.append(
+                        {(r, b, mono): c for r, terms in images for mono, c in terms.items()}
+                    )
         rhs = {(a, a, one_mono): field.one for a in range(k)}
         sol = solve_exact(field, columns, rhs)
         if sol is None:

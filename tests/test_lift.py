@@ -3,12 +3,15 @@ import random
 import pytest
 
 from dgalift import QQ, Signature, derivative, diff
+from dgalift.algebra import AlgElem, component_monomials
 from dgalift.errors import SchemaError, VerificationError
 from dgalift.field import PrimeField
 from dgalift.jop import JOperator, WeakJOp
 from dgalift.lift import (
     HomotopyCertificate,
     _beta_sharp,
+    _coefficients,
+    _homotopy_columns,
     construct_lift_even,
     construct_lift_odd,
     decide_naive_lift,
@@ -33,6 +36,7 @@ from dgalift.module import (
 )
 from dgalift.randgen import (
     FixturePool,
+    rand_diff,
     rand_homogeneous,
     rand_map,
     rand_unit,
@@ -149,6 +153,17 @@ def test_solve_homotopy_not_found(N1, S3):
     mod1 = FreeModule(S3, [("e0", 0)])
     h = GradedMap(mod1, 1, {(0, 0): S3.parse("X")})
     assert solve_homotopy(mod1, Differential.free(mod1), h, 2) is None
+
+
+def test_solve_homotopy_rejects_foreign_module(N3, S3):
+    mod, d = N3
+    h = obstruction(mod, d, "X").h
+    other = FreeModule(S3, [("g0", 0), ("g1", 1), ("g2", 2)])
+    d_other = Differential(GradedMap(other, -1, dict(d.matrix.entries)))
+    h_other = GradedMap(other, h.degree, dict(h.entries))
+    for dd, hh in ((d_other, h), (d, h_other), (d_other, h_other)):
+        with pytest.raises(SchemaError, match="must act on the given module"):
+            solve_homotopy(mod, dd, hh, 0)
 
 
 def test_solve_homotopy_zero_obstruction(S1, S3):
@@ -542,3 +557,58 @@ def test_is_scalar_cycle_matches_unit_loop(N3, N1prime):
                 assert got == _is_scalar_cycle_by_units(f, d)
                 outcomes.append(got is not None)
     assert True in outcomes and False in outcomes
+
+
+def _homotopy_columns_by_bracket(mod, d, degree, bound):
+    """The unknowns and images as one ``bracket_diff`` per monomial matrix
+    unit computes them: the oracle for `_homotopy_columns`."""
+    sig = mod.sig
+    unknowns, columns = [], []
+    for r in range(mod.rank):
+        for c in range(mod.rank):
+            want = mod.degrees[c] + degree - mod.degrees[r]
+            for m in component_monomials(sig, want, bound):
+                unit = GradedMap(mod, degree, {(r, c): AlgElem(sig, {m: sig.field.one})})
+                unknowns.append((r, c, m))
+                columns.append(_coefficients(bracket_diff(d, unit)))
+    return unknowns, columns
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_homotopy_columns_match_bracket_diff(field):
+    """The closed-form images ``[d, m E_rc]`` of `solve_homotopy` equal one
+    ``bracket_diff`` per unknown: fixture, free and random differentials
+    (some not square-zero), odd and even top variables, rank 1, target
+    degrees -3..1 and bounds 0-2."""
+    pool = FixturePool(field)
+    rng = random.Random(41)
+    cases = [
+        (pool.N3, [pool.d3]),
+        (pool.N1, [pool.d1]),
+        (pool.NK, [pool.dK]),
+        (pool.Nodd, [pool.dodd]),
+        (pool.M2_S3, []),
+        (pool.M2_S1, []),
+        (pool.M2_odd, []),
+        (FreeModule(pool.Sodd3, [("g", 3)]), []),
+        (FreeModule(pool.S2, [("s0", 0), ("s1", 1), ("s2", 3)]), []),
+    ]
+    zero = field.zero
+    compared = not_square_zero = 0
+    for mod, fixtures in cases:
+        diffs = fixtures + [
+            Differential.free(mod),
+            rand_diff(mod, rng),
+            rand_diff(mod, rng, poly_bound=2),
+        ]
+        for d in diffs:
+            not_square_zero += not d.square_zero
+            for h_degree in range(-3, 2):
+                for bound in range(3):
+                    unknowns, columns = _homotopy_columns(mod, d, h_degree + 1, bound)
+                    want = _homotopy_columns_by_bracket(mod, d, h_degree + 1, bound)
+                    assert unknowns == want[0]
+                    for col, want_col in zip(columns, want[1]):
+                        assert {k: v for k, v in col.items() if v != zero} == want_col
+                    compared += sum(1 for col in columns if col)
+    assert compared > 1000 and not_square_zero > 0
