@@ -9,6 +9,7 @@ failed, 3 the search was inconclusive at the requested bound.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -47,7 +48,9 @@ class Inconclusive(DgaliftError):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="dgalift",
         description=(
@@ -305,8 +308,7 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _run(args)
     except VerificationError as ex:

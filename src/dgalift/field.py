@@ -1,9 +1,14 @@
 """Exact coefficient fields: the rationals and the prime fields.
 
 Scalars are plain Python values so that the hot arithmetic paths stay
-cheap: `Fraction` over the rationals, `int` residues in ``[0, p)`` over a
-prime field.  A `Field` object supplies the operations and owns
-formatting / parsing of scalar literals.  No floating point anywhere.
+cheap.  Over the rationals a scalar is an `int` when it is integral and a
+`Fraction` otherwise, never a `Fraction` with denominator 1: integral
+values, which are nearly all of them, then skip the gcd and the
+allocation of `Fraction` arithmetic.  Over a prime field a scalar is an
+`int` residue in ``[0, p)``.  A `Field` object supplies the operations and
+owns formatting / parsing of scalar literals, so no other module depends
+on how a scalar is stored.  An `int` and the `Fraction` of equal value
+agree in `==`, `hash` and `str`.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ class Field:
         raise NotImplementedError
 
     def sub(self, x, y):
-        return self.add(x, self.neg(y))
+        raise NotImplementedError
 
     def mul(self, x, y):
         raise NotImplementedError
@@ -90,29 +95,41 @@ class Field:
         return hash(self.key())
 
 
+def _rational(q):
+    """``q`` as an `int` when it is integral, else the `Fraction` itself."""
+    if type(q) is int or q.denominator != 1:
+        return q
+    return q.numerator
+
+
 class RationalField(Field):
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, x, y):
-        return x + y
+        return _rational(x + y)
 
     def neg(self, x):
         return -x
 
+    def sub(self, x, y):
+        return _rational(x - y)
+
     def mul(self, x, y):
-        return x * y
+        return _rational(x * y)
 
     def inv(self, x):
         if x == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / x
+        if x == 1 or x == -1:
+            return x
+        return _rational(1 / Fraction(x))
 
     def of_int(self, n: int):
-        return Fraction(n)
+        return n
 
     def of_fraction(self, num: int, den: int):
-        return Fraction(num, den)
+        return _rational(Fraction(num, den))
 
     def fmt(self, x) -> str:
         return str(x)
@@ -142,6 +159,9 @@ class PrimeField(Field):
 
     def neg(self, x):
         return (-x) % self.p
+
+    def sub(self, x, y):
+        return (x - y) % self.p
 
     def mul(self, x, y):
         return (x * y) % self.p

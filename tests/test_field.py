@@ -1,10 +1,54 @@
+import random
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dgalift
 from dgalift.errors import SchemaError
-from dgalift.field import QQ, PrimeField, field_from_doc, field_from_spec
+from dgalift.field import QQ, PrimeField, RationalField, field_from_doc, field_from_spec
+from dgalift.io import matrix_to_doc
+from dgalift.lift import construct_lift_even, construct_lift_odd, decide_naive_lift
+from dgalift.module import Differential, FreeModule, GradedMap, invert_unit
+from dgalift.randgen import FixturePool
+
+
+class FractionQ(RationalField):
+    """The all-`Fraction` rational field that `RationalField` replaced.
+
+    Same `key()`, so it is the same field; only the representation of an
+    integral scalar differs.
+    """
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def add(self, x, y):
+        return x + y
+
+    def sub(self, x, y):
+        return x - y
+
+    def mul(self, x, y):
+        return x * y
+
+    def inv(self, x):
+        if x == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return 1 / x
+
+    def of_int(self, n: int):
+        return Fraction(n)
+
+    def of_fraction(self, num: int, den: int):
+        return Fraction(num, den)
+
+
+def _canonical(x) -> bool:
+    """An `int`, or a `Fraction` that is not integral; never a float."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
 def test_rational_ops():
@@ -13,6 +57,86 @@ def test_rational_ops():
     assert QQ.inv(Fraction(-4)) == Fraction(-1, 4)
     assert QQ.of_fraction(6, 4) == Fraction(3, 2)
     assert QQ.fmt(Fraction(-1, 2)) == "-1/2"
+
+
+def _rational_samples(rng, count):
+    values = [0, 1, -1, 2, -4, 10**20 + 1]
+    values += [QQ.of_fraction(1, 2), QQ.of_fraction(-3, 2), QQ.of_fraction(7, 3 * 10**20)]
+    while len(values) < count:
+        if rng.random() < 0.5:
+            values.append(QQ.of_int(rng.randint(-30, 30)))
+        else:
+            values.append(QQ.of_fraction(rng.randint(-30, 30), rng.choice([2, 3, 4, 6, -9, 12])))
+    return values
+
+
+def test_rational_ops_match_fraction_arithmetic():
+    """Every `RationalField` operation equals plain `Fraction` arithmetic and
+    returns a canonical scalar: an `int` when integral, else a `Fraction`."""
+    rng = random.Random(6)
+    values = _rational_samples(rng, 40)
+    assert any(type(x) is int for x in values) and any(type(x) is Fraction for x in values)
+    assert _canonical(QQ.zero) and _canonical(QQ.one)
+    for x in values:
+        assert _canonical(x)
+        fx = Fraction(x)
+        assert QQ.neg(x) == -fx and _canonical(QQ.neg(x))
+        assert QQ.fmt(x) == str(fx)
+        if x != 0:
+            assert QQ.inv(x) == 1 / fx and _canonical(QQ.inv(x))
+        for y in values:
+            fy = Fraction(y)
+            for got, want in (
+                (QQ.add(x, y), fx + fy),
+                (QQ.sub(x, y), fx - fy),
+                (QQ.mul(x, y), fx * fy),
+            ):
+                assert got == want and _canonical(got), (x, y, got, want)
+            if y != 0:
+                assert QQ.div(x, y) == fx / fy and _canonical(QQ.div(x, y))
+    for _ in range(200):
+        n, m = rng.randint(-40, 40), rng.choice([1, -1, 2, 3, -4, 5, 6, 10])
+        assert QQ.of_fraction(n, m) == Fraction(n, m) and _canonical(QQ.of_fraction(n, m))
+        assert QQ.of_int(n) == n and type(QQ.of_int(n)) is int
+
+
+def test_rational_results_that_become_integral():
+    half, third = QQ.of_fraction(1, 2), QQ.of_fraction(1, 3)
+    cases = [
+        (QQ.add(half, half), 1),
+        (QQ.sub(QQ.of_fraction(3, 2), half), 1),
+        (QQ.mul(QQ.of_fraction(2, 3), QQ.of_fraction(3, 2)), 1),
+        (QQ.mul(third, 6), 2),
+        (QQ.of_fraction(6, 3), 2),
+        (QQ.of_fraction(6, -3), -2),
+        (QQ.inv(third), 3),
+        (QQ.div(half, half), 1),
+        (QQ.inv(1), 1),
+        (QQ.inv(-1), -1),
+    ]
+    for got, want in cases:
+        assert type(got) is int and got == want
+    assert QQ.inv(-4) == Fraction(-1, 4) and type(QQ.inv(-4)) is Fraction
+
+
+def test_int_and_integral_fraction_agree():
+    """`str`, `==` and `hash` agree between an `int` and the `Fraction` of
+    equal value, so transcripts and dict keys do not see the change."""
+    for n in list(range(-50, 51)) + [10**30, -(10**30) - 7]:
+        q = Fraction(n)
+        assert str(n) == str(q) and QQ.fmt(n) == QQ.fmt(q)
+        assert n == q and hash(n) == hash(q)
+        assert {n: 1} == {q: 1}
+
+
+def test_prime_field_sub_matches_add_neg():
+    for p in (2, 3, 5, 7, 2**31 - 1):
+        f = PrimeField(p)
+        rng = random.Random(p)
+        for _ in range(200):
+            x, y = f.of_int(rng.randint(-p, 2 * p)), f.of_int(rng.randint(-p, 2 * p))
+            assert f.sub(x, y) == f.add(x, f.neg(y))
+            assert 0 <= f.sub(x, y) < p
 
 
 def test_prime_field_ops():
@@ -42,6 +166,8 @@ def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
         QQ.inv(Fraction(0))
     with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    with pytest.raises(ZeroDivisionError):
         PrimeField(7).inv(0)
 
 
@@ -53,3 +179,78 @@ def test_field_docs_roundtrip():
     with pytest.raises(SchemaError):
         field_from_spec("float")
     assert PrimeField(5) != PrimeField(7)
+
+
+def _half_module(pool):
+    """The README module N3 with ``1/2`` coefficients, conjugated by a unit
+    with non-integral entries."""
+    sig = pool.S3
+    mod = FreeModule(sig, [("f0", 0), ("f1", 1), ("f2", 2)])
+    d = Differential(
+        GradedMap(
+            mod,
+            -1,
+            {
+                (0, 1): sig.parse("1/2*a"),
+                (1, 2): sig.parse("a"),
+                (0, 2): sig.parse("-1/2*a*X"),
+            },
+        )
+    )
+    u = GradedMap.identity(mod) + GradedMap(mod, 0, {(0, 1): sig.parse("1/3*X")})
+    return [(mod, d, "X"), (mod, d.conjugate(u, invert_unit(u)), "X")]
+
+
+def _pipeline_transcripts(field):
+    """Verdict, certificate, basis change and lifted matrix (as text) of
+    every lift the pipeline decides on the fixture instances over `field`."""
+    pool = FixturePool(field)
+    rng = random.Random(1997)
+    instances = [(pool.N3, pool.d3, "X")]
+    instances += [pool.square_zero_instance(rng) for _ in range(40)]
+    instances += _half_module(pool)
+    out = []
+    scalars = []
+    for mod, d, var in instances:
+        assert d.square_zero
+        for bound in (0, 1, 2):
+            dec = decide_naive_lift(mod, d, var, bound)
+            if not dec.vanishes:
+                out.append((bound, False))
+                continue
+            construct = construct_lift_odd if mod.sig.var(var).odd else construct_lift_even
+            lift = construct(mod, d, var, dec.certificate)
+            maps = [dec.certificate.gamma, lift.u, lift.u_inv, lift.lift_diff.matrix]
+            out.append((bound, True, *(matrix_to_doc(m) for m in maps)))
+            scalars += [c for m in maps for e in m.entries.values() for c in e.terms.values()]
+    return out, scalars
+
+
+def test_pipeline_matches_all_fraction_field():
+    """`decide_naive_lift` and `construct_lift_*` give the same verdicts,
+    certificates, basis changes and lifted matrices under the int-normalised
+    field as under the all-`Fraction` one."""
+    got, got_scalars = _pipeline_transcripts(QQ)
+    want, want_scalars = _pipeline_transcripts(FractionQ())
+    assert got == want
+    assert all(_canonical(c) for c in got_scalars)
+    assert all(type(c) is Fraction for c in want_scalars)
+    assert any(type(c) is Fraction for c in got_scalars), "no non-integral coefficient"
+    verdicts = [t[1] for t in got]
+    assert True in verdicts and False in verdicts
+
+
+def test_only_field_module_knows_the_rational_representation():
+    """No module but `field.py` names `Fraction` or reads a numerator or a
+    denominator: the representation of a rational scalar stays private."""
+    pattern = re.compile(r"\bFraction\b|\.numerator\b|\.denominator\b")
+    src = Path(dgalift.__file__).parent
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "field.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []
+    assert pattern.search((src / "field.py").read_text())
