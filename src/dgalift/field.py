@@ -199,9 +199,10 @@ def field_from_doc(doc: dict) -> Field:
     if doc["type"] == "Q":
         return QQ
     if doc["type"] == "Fp":
-        if "p" not in doc or not isinstance(doc["p"], int):
+        p = doc.get("p")
+        if isinstance(p, bool) or not isinstance(p, int):
             raise SchemaError("Fp field descriptor needs an integer 'p'")
-        return PrimeField(doc["p"])
+        return PrimeField(p)
     raise SchemaError(f"unknown field type {doc['type']!r}")
 
 

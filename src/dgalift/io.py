@@ -53,7 +53,7 @@ def signature_from_doc(doc: dict) -> Signature:
         for key in ("name", "degree", "d"):
             if key not in v:
                 _fail(loc, f"missing key {key!r}")
-        if not isinstance(v["degree"], int):
+        if isinstance(v["degree"], bool) or not isinstance(v["degree"], int):
             _fail(f"{loc}.degree", "must be an integer")
         if not isinstance(v["d"], str):
             _fail(f"{loc}.d", "must be an expression string")
@@ -88,7 +88,7 @@ def module_from_doc(doc: dict, sig: Signature):
         loc = f"basis[{i}]"
         if not isinstance(b, dict) or "name" not in b or "degree" not in b:
             _fail(loc, "must be an object with 'name' and 'degree'")
-        if not isinstance(b["degree"], int):
+        if isinstance(b["degree"], bool) or not isinstance(b["degree"], int):
             _fail(f"{loc}.degree", "must be an integer")
         pairs.append((b["name"], b["degree"]))
     try:

@@ -8,15 +8,17 @@ every element is finite, so nothing is materialized.
 
 A lift produced by the construction pipeline yields an explicit splitting:
 send each corrected basis column to itself tensor 1 and extend linearly.
-For an odd variable the kernel of the evaluation is also materialized as a
-finite free module, giving the whole short exact sequence with exactness
-checkable degreewise.
+`verify_splitting` checks it element by element; the command line derives
+the same verdict from the lift checks (see `cli`), and this check stays
+as their test oracle.  For an odd variable the kernel of the evaluation
+is also materialized as a finite free module, giving the whole short
+exact sequence, which `OddSequence.check` checks on the basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .algebra import AlgElem, diff
 from .errors import SchemaError
@@ -129,6 +131,7 @@ class NaiveTensor:
         self.var = sig.var(var_name)
         self.var_name = var_name
         self.sig = sig
+        self._d_slots: dict = {}  # (lam, i) -> d(e_lam X^(i)) (x) 1
 
     def zero(self) -> TensorElement:
         return TensorElement(self.module, self.var_name, {})
@@ -161,14 +164,21 @@ class NaiveTensor:
             out = out + ModuleElement(self.module, {lam: coeff})
         return out
 
+    def _d_slot(self, lam: int, i: int) -> TensorElement:
+        """``d(e_lam X^(i)) (x) 1``, split by powers once per slot."""
+        hit = self._d_slots.get((lam, i))
+        if hit is None:
+            base = self.module.basis_elem(lam).scale_right(
+                self.sig.gen_power(self.var_name, i)
+            )
+            hit = self._d_slots[lam, i] = self.of_module_elem(self.d.apply(base))
+        return hit
+
     def diff(self, t: TensorElement) -> TensorElement:
         """``d(n (x) b) = d(n) (x) b + (-1)^{|n|} n (x) d(b)`` on the slots."""
         out = self.zero()
         for (lam, i), b in t.terms.items():
-            base = self.module.basis_elem(lam).scale_right(
-                self.sig.gen_power(self.var_name, i)
-            )
-            out = out + self.of_module_elem(self.d.apply(base)).scale_right(b)
+            out = out + self._d_slot(lam, i).scale_right(b)
             db = diff(b)
             if not db.is_zero():
                 n_deg = self.module.degrees[lam] + i * self.var.degree
@@ -232,14 +242,9 @@ class OddSequence:
             out = out + nt.slot(lam, 1, b) - nt.slot(lam, 0, x_elem * b)
         return out
 
-    def retract(self, t: TensorElement) -> ModuleElement:
-        """Read a kernel element back off its power-1 slots."""
-        return ModuleElement(
-            self.kernel_module,
-            {lam: b for (lam, i), b in t.terms.items() if i == 1},
-        )
-
-    def check(self, samples: Optional[list] = None) -> CheckReport:
+    def check(self) -> CheckReport:
+        """On every basis line: ``pi o iota = 0``, both arrows commute with
+        the differentials, and ``pi`` hits the basis."""
         report = CheckReport(True)
         nt = self.nt
         names = self.kernel_module.names
@@ -257,21 +262,7 @@ class OddSequence:
                     report.note(f"pi fails to intertwine d on slot ({lam},{i})")
             if nt.pi(nt.slot(lam, 0)) != nt.module.basis_elem(lam):
                 report.note(f"pi misses basis element {nt.module.names[lam]}")
-        for t in samples or []:
-            z = t - self.section_of_pi(nt.pi(t))
-            if not nt.pi(z).is_zero():
-                report.note("kernel projection failed")
-                continue
-            if self.iota(self.retract(z)) != z:
-                report.note("a kernel element is not in the image of iota")
         return report
-
-    def section_of_pi(self, x: ModuleElement) -> TensorElement:
-        """A degreewise linear section of the evaluation (not a chain map)."""
-        out = self.nt.zero()
-        for lam, c in x.coeffs.items():
-            out = out + self.nt.slot(lam, 0, c)
-        return out
 
 
 def odd_ses(module: FreeModule, d: Differential, var_name: str) -> OddSequence:

@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
 from dgalift.cli import main
 from dgalift.errors import SchemaError
+from dgalift.field import QQ, PrimeField
 from dgalift.io import (
     matrix_to_doc,
     module_from_doc,
@@ -11,6 +13,10 @@ from dgalift.io import (
     signature_from_doc,
     signature_to_doc,
 )
+from dgalift.lift import construct_lift_even, construct_lift_odd, decide_naive_lift
+from dgalift.module import invert_unit
+from dgalift.randgen import FixturePool, rand_unit
+from dgalift.tensor import NaiveTensor, verify_splitting
 
 S1_DOC = {
     "field": {"type": "Q"},
@@ -268,6 +274,34 @@ def test_cli_lift_even_roundtrip(tmp_path, capsys, S1, N1prime):
     assert got == want
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+def test_cli_splitting_flag_matches_oracle(tmp_path, capsys, field):
+    """The ``splitting`` flag that ``lift`` derives from its lift checks
+    equals `verify_splitting` on the same lift: the README example's module
+    and seeded conjugated fixtures of both parities."""
+    pool = FixturePool(field)
+    rng = random.Random(19)
+    cases = [(pool.N3, pool.d3, 0)]
+    for mod, d0 in [(pool.N3, pool.d3), (pool.NK, pool.dK), (pool.Nodd, pool.dodd)]:
+        for _ in range(2):
+            u = rand_unit(mod, rng, poly_bound=2)
+            cases.append((mod, d0.conjugate(u, invert_unit(u)), 2))
+    parities = set()
+    for n, (mod, d, bound) in enumerate(cases):
+        sig = _write(tmp_path, f"sig{n}.json", signature_to_doc(mod.sig))
+        modf = _write(tmp_path, f"mod{n}.json", module_to_doc(mod, d))
+        assert main(["lift", "--sig", sig, "--mod", modf, "--bound", str(bound)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        var = mod.sig.top_variable.name
+        construct = construct_lift_odd if mod.sig.var(var).odd else construct_lift_even
+        lift = construct(mod, d, var, decide_naive_lift(mod, d, var, bound).certificate)
+        assert out["data"]["basis_change"] == matrix_to_doc(lift.u)
+        nt = NaiveTensor(lift.module, lift.ambient_diff, var)
+        assert out["data"]["verification"]["splitting"] is verify_splitting(nt, lift).passed
+        parities.add(lift.parity)
+    assert parities == {"odd", "even"}
+
+
 def test_cli_tate(tmp_path, capsys):
     base = {
         "field": {"type": "Q"},
@@ -331,6 +365,16 @@ def test_cli_selftest_single_field(capsys):
             dict(N3_DOC, basis=N3_DOC["basis"] + [{"name": [1], "degree": 0}]),
             ["lift", "--bound", "0"],
         ),
+        (dict(S3_DOC, field={"type": "Fp", "p": True}), N3_DOC, ["validate"]),
+        (dict(S3_DOC, variables=[{"name": "X", "degree": True, "d": "a"}]), N3_DOC, ["validate"]),
+        (
+            S3_DOC,
+            {
+                "basis": [{"name": "f0", "degree": False}, {"name": "f1", "degree": True}],
+                "differential": {"f1": {"f0": "a"}},
+            },
+            ["lift", "--bound", "0"],
+        ),
     ],
     ids=[
         "zero-denominator-in-F5",
@@ -342,6 +386,9 @@ def test_cli_selftest_single_field(capsys):
         "list-variable-name",
         "int-basis-name",
         "list-basis-name",
+        "bool-prime",
+        "bool-variable-degree",
+        "bool-basis-degree",
     ],
 )
 def test_cli_hostile_inputs_exit_1(tmp_path, capsys, sig_doc, mod_doc, argv):

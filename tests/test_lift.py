@@ -12,6 +12,7 @@ from dgalift.lift import (
     _beta_sharp,
     _coefficients,
     _homotopy_columns,
+    _series_plus,
     construct_lift_even,
     construct_lift_odd,
     decide_naive_lift,
@@ -28,7 +29,6 @@ from dgalift.module import (
     compose,
     idempotent,
     invert_unit,
-    is_scalar_cycle,
     left_mult,
     sharp_map,
     twofold_extension,
@@ -42,6 +42,7 @@ from dgalift.randgen import (
     rand_unit,
     unit_poly_degree,
 )
+from oracles import is_scalar_cycle
 
 
 def _doubled_derivation(mod, d, gamma, var="X"):
@@ -507,10 +508,9 @@ def test_certificate_transport_under_conjugation(N3, N1prime):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
 def test_square_check_matches_unit_loop(field):
-    """The O(r) square check of `construct_lift_odd` (``j(g) + g^2`` is left
-    multiplication by a cycle) agrees with ``Gamma^2 = 0`` on every matrix
-    unit and on d, for the certificate, gauge-shifted certificates and
-    perturbed ``g``."""
+    """The O(r) square check (``j(g) + g^2`` is left multiplication by a
+    cycle) agrees with ``Gamma^2 = 0`` on every matrix unit and on d, for
+    the certificate, gauge-shifted certificates and perturbed ``g``."""
     pool = FixturePool(field)
     rng = random.Random(field.key().__repr__())
     mod3, d3 = pool.N3, pool.d3
@@ -532,6 +532,76 @@ def test_square_check_matches_unit_loop(field):
                 assert new == old
                 verdicts.append(new)
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_construction_identities_hold_for_every_gamma(field):
+    """The identities the constructions do not check at run time, on
+    conjugated odd and even fixtures with certificates, gauge-shifted
+    certificates and random gamma.
+
+    Odd: ``Delta(alpha) = 0``, ``Gamma(l_X) = id`` and ``j#(g) + g^2`` a
+    scalar cycle for every gamma; ``Gamma(d#) = 0`` exactly when
+    ``Delta(d) = 0``, which implies ``[d, alpha] = 0``.  Even: each
+    corrected projection lies in ``ker Delta`` for every gamma; a module
+    of degree spread 4 makes the series take more than one step.
+    """
+    pool = FixturePool(field)
+    rng = random.Random(61)
+    t = pool.S1.parse("b*W1 - a*W2")
+    spread4 = FreeModule(pool.S1, [("m0", 0), ("m1", 2), ("m2", 4)])
+    fixtures = [
+        (pool.N3, pool.d3),
+        (pool.Nodd, pool.dodd),
+        (pool.NK, pool.dK),
+        (pool.N1, pool.d1),
+        (spread4, Differential(GradedMap(spread4, -1, {(0, 1): t, (1, 2): t}))),
+    ]
+    certified = []
+    multi_step = 0
+    for mod, d0 in fixtures:
+        var = mod.sig.top_variable.name
+        j = JOperator(mod, var)
+        units = [rand_unit(mod, rng, poly_bound=2) for _ in range(2)]
+        units += [  # units through the variable itself, where degrees allow one
+            GradedMap.identity(mod) + GradedMap(mod, 0, {(r, c): mod.sig.gen(var)})
+            for r in range(mod.rank)
+            for c in range(mod.rank)
+            if mod.degrees[c] - mod.degrees[r] == j.var.degree
+        ][:1]
+        for u in units:
+            d = d0.conjugate(u, invert_unit(u))
+            gammas = [rand_map(mod, j.degree, rng, poly_bound=2) for _ in range(4)]
+            dec = decide_naive_lift(mod, d, var, 2)
+            if dec.vanishes:
+                gamma = dec.certificate.gamma
+                for _ in range(2):
+                    gammas.append(gamma + bracket_diff(d, rand_map(mod, gamma.degree + 1, rng)))
+                gammas.append(gamma)
+            for gamma in gammas:
+                if not j.var.odd:
+                    delta = WeakJOp(j, +1, gamma)
+                    for lam in range(mod.rank):
+                        eps = idempotent(mod, lam)
+                        eps0 = eps - _series_plus(delta, eps, j.var)
+                        assert delta.of_map(eps0).is_zero()
+                        multi_step += not delta.of_map(delta.of_map(eps)).is_zero()
+                    continue
+                delta = WeakJOp(j, -1, gamma)
+                solves = delta.of_diff(d).is_zero()
+                alpha = compose(gamma, gamma) - j.of_map(gamma)
+                assert delta.of_map(alpha).is_zero()
+                d_sharp, j_sharp, g = _doubled_derivation(mod, d, gamma, var)
+                dbl = d_sharp.module
+                big_gamma = WeakJOp(j_sharp, +1, g)
+                lx = left_mult(dbl, mod.sig.gen(var))
+                assert big_gamma.of_map(lx) == GradedMap.identity(dbl)
+                assert is_scalar_cycle(j_sharp.of_map(g) + compose(g, g)) is not None
+                assert big_gamma.of_diff(d_sharp).is_zero() == solves
+                assert not solves or bracket_diff(d, alpha).is_zero()
+                certified.append(solves)
+    assert True in certified and False in certified
+    assert multi_step > 0
 
 
 def test_is_scalar_cycle_matches_unit_loop(N3, N1prime):

@@ -18,7 +18,6 @@ from dgalift.module import (
     dop_normalize,
     idempotent,
     invert_unit,
-    is_scalar_cycle,
     left_mult,
     sharp_map,
     shift,
@@ -26,6 +25,7 @@ from dgalift.module import (
     unit_elementary,
 )
 from dgalift.randgen import FixturePool, rand_diff, rand_map, rand_unit
+from oracles import is_scalar_cycle
 
 
 def test_apply_map_identity(S1):

@@ -1,10 +1,24 @@
+import dataclasses
 import random
 
 import pytest
 
+from dgalift.algebra import derivative
 from dgalift.errors import SchemaError
-from dgalift.lift import construct_lift_even, construct_lift_odd, decide_naive_lift
-from dgalift.module import Differential, FreeModule
+from dgalift.lift import (
+    construct_lift_even,
+    construct_lift_odd,
+    decide_naive_lift,
+    verify_lift,
+)
+from dgalift.module import (
+    Differential,
+    FreeModule,
+    GradedMap,
+    ModuleElement,
+    compose,
+    invert_unit,
+)
 from dgalift.randgen import rand_elem
 from dgalift.tensor import (
     NaiveTensor,
@@ -114,6 +128,21 @@ def test_even_tensor_slots_unbounded(N1prime):
     assert not nt.diff(t).is_zero()
 
 
+def _section_of_pi(ses, x):
+    """A degreewise linear section of the evaluation (not a chain map)."""
+    out = ses.nt.zero()
+    for lam, c in x.coeffs.items():
+        out = out + ses.nt.slot(lam, 0, c)
+    return out
+
+
+def _retract(ses, t):
+    """Read a kernel element back off its power-1 slots."""
+    return ModuleElement(
+        ses.kernel_module, {lam: b for (lam, i), b in t.terms.items() if i == 1}
+    )
+
+
 def test_odd_ses_checks(N3):
     mod, d = N3
     ses = odd_ses(mod, d, "X")
@@ -129,8 +158,13 @@ def test_odd_ses_checks(N3):
         if b.is_zero():
             continue
         samples.append(nt.slot(lam, i, b))
-    rep = ses.check(samples)
+    rep = ses.check()
     assert rep.passed, rep.failures
+    # exactness in the middle: what pi kills is in the image of iota
+    for t in samples:
+        z = t - _section_of_pi(ses, nt.pi(t))
+        assert nt.pi(z).is_zero()
+        assert ses.iota(_retract(ses, z)) == z
 
 
 def test_odd_ses_composite_zero(N3):
@@ -150,3 +184,52 @@ def test_naive_tensor_requires_top_variable(S1):
     mod = FreeModule(S1, [("e0", 0)])
     with pytest.raises(SchemaError):
         NaiveTensor(mod, Differential.free(mod), "W1")
+
+
+def _x_unit(lift):
+    """The lift in the basis ``u o (1 + X E_rc)``, for the first spot where
+    that puts the variable into the lifted matrix."""
+    mod = lift.module
+    x = mod.sig.gen(lift.var_name)
+    for r in range(mod.rank):
+        for c in range(mod.rank):
+            if mod.degrees[c] - mod.degrees[r] != x.degree():
+                continue
+            u = compose(lift.u, GradedMap.identity(mod) + GradedMap(mod, 0, {(r, c): x}))
+            u_inv = invert_unit(u)
+            lift_diff = lift.ambient_diff.conjugate(u_inv, u)
+            entries = lift_diff.matrix.entries.values()
+            if any(not derivative(e, lift.var_name).is_zero() for e in entries):
+                return dataclasses.replace(lift, u=u, u_inv=u_inv, lift_diff=lift_diff)
+    raise AssertionError("no basis change through the variable")
+
+
+def _wrong_inverse(lift):
+    """The lift with ``u_inv`` replaced by ``(1 + a E_00) u_inv``."""
+    mod = lift.module
+    w = GradedMap.identity(mod) + GradedMap(mod, 0, {(0, 0): mod.sig.parse("a")})
+    return dataclasses.replace(lift, u_inv=compose(w, lift.u_inv))
+
+
+@pytest.mark.parametrize(
+    "mutate", [_x_unit, _wrong_inverse], ids=["x-dependent-entry", "wrong-u-inv"]
+)
+def test_splitting_oracle_and_verify_lift_reject_mutated_lifts(N3, N1prime, mutate):
+    """A basis change whose lifted matrix depends on the variable, and a
+    wrong ``u_inv``: both `verify_splitting` and `verify_lift` reject each,
+    for an odd and an even lift."""
+    mod3, d3 = N3
+    mod1, d1, _, _ = N1prime
+    lifts = [
+        construct_lift_odd(mod3, d3, "X", decide_naive_lift(mod3, d3, "X", 0).certificate),
+        construct_lift_even(mod1, d1, "X", decide_naive_lift(mod1, d1, "X", 3).certificate),
+    ]
+    for lift in lifts:
+        nt = NaiveTensor(lift.module, lift.ambient_diff, "X")
+        assert verify_splitting(nt, lift).passed
+        bad = mutate(lift)
+        rep = verify_lift(bad.lift_diff, bad.u, bad.ambient_diff, "X", u_inv=bad.u_inv)
+        assert not rep.passed
+        if mutate is _x_unit:  # conjugation still holds: only X-freeness fails
+            assert all("depends on X" in f for f in rep.failures), rep.failures
+        assert not verify_splitting(nt, bad).passed
