@@ -22,6 +22,18 @@ Conventions:
   * the differential obeys ``d(xy) = d(x)y + (-1)^|x| x d(y)`` and
     ``d(X^(m)) = X^(m-1) * d(X)``.
 
+Every product goes through one kernel, `_mul_into`, which adds ``a * b``
+of two term maps into an output map in place: `AlgElem.__mul__`, the
+module `compose` and `GradedMap.apply` accumulate through it without an
+intermediate element, and `diff` builds each Leibniz term with it.  A
+`Signature` holds the odd and even variable positions, so the Koszul sign
+is a suffix count over the odd positions, and it memoises each band of
+`component_monomials` as a tuple.  Nothing is memoised per monomial or per
+pair of monomials: the fixture signatures of the identity suites live for
+a whole run, and in a trial such memos raised the peak RSS of that
+benchmark from 23.3 to 29.7 MB (pair products) and from 23.7 to 25.9 MB
+(``d(m)``), for a bound of 10%.
+
 Everything is immutable after construction and safe to share.
 """
 
@@ -29,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import add
 from typing import Iterable, Iterator, Optional
 
 from .errors import SchemaError, VerificationError
@@ -81,6 +94,9 @@ class Signature:
         self._poly_index = {n: i for i, n in enumerate(self.polygens)}
         self._var_index = {v.name: i for i, v in enumerate(self.variables)}
         self._var_degrees = tuple(v.degree for v in self.variables)
+        self._odd = tuple(i for i, v in enumerate(self.variables) if v.odd)
+        self._even = tuple(i for i, v in enumerate(self.variables) if not v.odd)
+        self._bands: dict = {}  # (degree, poly_bound) -> component_monomials
         self._key = (
             field.key(),
             self.polygens,
@@ -212,14 +228,10 @@ class Signature:
             new_vars.append(Variable(v.name, v.degree, _extend(v.diff)))
         new_vars.append(Variable(name, degree, _extend(t)))
         sig = Signature(self.field, self.polygens, tuple(new_vars))
-        # re-home the stored differentials to the extended signature
+        # re-home the stored differentials to the extended signature; the
+        # term maps are shared, so the key built above stays valid
         for v in sig.variables:
             object.__setattr__(v, "diff", AlgElem(sig, v.diff.terms))
-        sig._key = (
-            sig.field.key(),
-            sig.polygens,
-            tuple((v.name, v.degree, frozenset(v.diff.terms.items())) for v in sig.variables),
-        )
         return sig
 
 
@@ -318,49 +330,9 @@ class AlgElem:
         if not isinstance(other, AlgElem):
             return NotImplemented
         self._check(other)
-        sig = self.sig
-        field = sig.field
-        variables = sig.variables
         out: dict = {}
-        for (p1, v1), c1 in self.terms.items():
-            for (p2, v2), c2 in other.terms.items():
-                coeff = field.mul(c1, c2)
-                vprod = []
-                dead = False
-                flips = 0
-                for i, var in enumerate(variables):
-                    e1, e2 = v1[i], v2[i]
-                    if var.odd:
-                        if e1 + e2 > 1:
-                            dead = True
-                            break
-                        vprod.append(e1 + e2)
-                    else:
-                        if e1 and e2:
-                            b = field.of_int(comb(e1 + e2, e1))
-                            if b == field.zero:
-                                dead = True
-                                break
-                            coeff = field.mul(coeff, b)
-                        vprod.append(e1 + e2)
-                if dead:
-                    continue
-                # Koszul sign: odd factors of `other` move left past the odd
-                # factors of `self` that sit strictly later in signature order.
-                for j, varj in enumerate(variables):
-                    if v2[j] and varj.odd:
-                        for i in range(j + 1, len(variables)):
-                            if v1[i] and variables[i].odd:
-                                flips += v1[i]
-                if flips % 2:
-                    coeff = field.neg(coeff)
-                m = (tuple(a + b for a, b in zip(p1, p2)), tuple(vprod))
-                s = field.add(out.get(m, field.zero), coeff)
-                if s == field.zero:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return AlgElem(sig, out)
+        _mul_into(self.sig, out, self.terms, other.terms)
+        return AlgElem(self.sig, out)
 
     # -- comparisons -------------------------------------------------------------
 
@@ -384,51 +356,78 @@ class AlgElem:
 # -- monomial helpers ------------------------------------------------------------
 
 
-def _single_var_elem(sig: Signature, i: int, e: int) -> AlgElem:
-    p = (0,) * len(sig.polygens)
-    v = [0] * len(sig.variables)
-    v[i] = e
-    if e == 0:
-        return sig.one()
-    return AlgElem(sig, {(p, tuple(v)): sig.field.one})
+def _mul_into(sig: Signature, out: dict, a: dict, b: dict) -> None:
+    """Add the product ``a * b`` of two term maps into ``out``, in place.
 
-
-def _split_monomial(sig: Signature, m: Monomial, i: int):
-    """Split m as (left, e_i, right): factors before / after variable i.
-
-    The polygen part goes to the left factor.
+    Per pair of monomials: an odd variable in both kills the term; an even
+    variable in both contributes the binomial ``comb(e1 + e2, e1)`` reduced
+    in the field, and kills the term when that vanishes; the Koszul sign
+    counts, for each odd factor of the right monomial, the odd factors of
+    the left one at later positions.
     """
-    p, v = m
-    nvars = len(v)
-    left_v = tuple(v[j] if j < i else 0 for j in range(nvars))
-    right_v = tuple(v[j] if j > i else 0 for j in range(nvars))
-    left = (p, left_v)
-    right = ((0,) * len(p), right_v)
-    return left, v[i], right
+    field = sig.field
+    zero, mul, fadd = field.zero, field.mul, field.add
+    for (p1, v1), c1 in a.items():
+        later, count = [], 0  # (odd position j, odd factors of v1 after j)
+        for j in reversed(sig._odd):
+            later.append((j, count))
+            count += v1[j]
+        evens = [(i, v1[i]) for i in sig._even if v1[i]]
+        for (p2, v2), c2 in b.items():
+            coeff = mul(c1, c2)
+            flips = 0
+            for j, k in later:
+                if v2[j]:
+                    if v1[j]:
+                        break
+                    flips += k
+            else:
+                for i, e1 in evens:
+                    e2 = v2[i]
+                    if e2:
+                        coeff = mul(coeff, field.of_int(comb(e1 + e2, e1)))
+                        if coeff == zero:
+                            break
+                else:
+                    if flips % 2:
+                        coeff = field.neg(coeff)
+                    m = (tuple(map(add, p1, p2)), tuple(map(add, v1, v2)))
+                    s = out.get(m)
+                    if s is None:
+                        out[m] = coeff
+                    else:
+                        s = fadd(s, coeff)
+                        if s == zero:
+                            del out[m]
+                        else:
+                            out[m] = s
 
 
 def diff(elem: AlgElem) -> AlgElem:
-    """The differential of the algebra, extended by the Leibniz rule."""
+    """The differential of the algebra, extended by the Leibniz rule.
+
+    A monomial ``L X^(e) R``, with ``L`` its polygens and variables before
+    ``X`` and ``R`` the variables after, contributes
+    ``(-1)^{|L|} (L X^(e-1)) d(X) R``; ``X^(e-1)`` is even (or 1), so it
+    joins ``L`` without a sign.
+    """
     sig = elem.sig
-    field = sig.field
-    out = sig.zero()
-    for m, c in elem.terms.items():
-        p, v = m
+    one = sig.field.one
+    nvars = len(sig.variables)
+    no_poly = (0,) * len(sig.polygens)
+    out: dict = {}
+    for (p, v), c in elem.terms.items():
         left_deg = 0
         for i, var in enumerate(sig.variables):
             e = v[i]
             if e == 0:
                 continue
-            left, _, right = _split_monomial(sig, m, i)
-            if var.odd:
-                dfac = var.diff
-            else:
-                dfac = _single_var_elem(sig, i, e - 1) * var.diff
-            sign = -1 if left_deg % 2 else 1
-            term = AlgElem(sig, {left: c}) * dfac * AlgElem(sig, {right: field.one})
-            out = out + term.scale(sign)
+            left = (p, v[:i] + (e - 1,) + (0,) * (nvars - i - 1))
+            mid: dict = {}
+            _mul_into(sig, mid, {left: sig.field.neg(c) if left_deg % 2 else c}, var.diff.terms)
+            _mul_into(sig, out, mid, {(no_poly, (0,) * (i + 1) + v[i + 1 :]): one})
             left_deg += e * var.degree
-    return out
+    return AlgElem(sig, out)
 
 
 def derivative(elem: AlgElem, var_name: str) -> AlgElem:
@@ -516,17 +515,22 @@ def _var_tuples(sig: Signature, target: int) -> Iterator[tuple]:
     yield from rec(0, target)
 
 
-def component_monomials(sig: Signature, degree: int, poly_bound: int) -> list:
+def component_monomials(sig: Signature, degree: int, poly_bound: int) -> tuple:
     """All monomials of the given total degree with total polygen exponent
-    at most `poly_bound`, in the documented order."""
+    at most `poly_bound`, in the documented order.
+
+    Each band is built once per signature and the same tuple is returned
+    on every later call.
+    """
     if degree < 0 or poly_bound < 0:
-        return []
-    out = []
-    for v in _var_tuples(sig, degree):
-        for p in _poly_tuples(len(sig.polygens), poly_bound):
-            out.append((p, v))
-    out.sort(key=lambda m: monomial_sort_key(sig, m))
-    return out
+        return ()
+    band = sig._bands.get((degree, poly_bound))
+    if band is None:
+        polys = list(_poly_tuples(len(sig.polygens), poly_bound))
+        out = [(p, v) for v in _var_tuples(sig, degree) for p in polys]
+        out.sort(key=lambda m: monomial_sort_key(sig, m))
+        band = sig._bands[degree, poly_bound] = tuple(out)
+    return band
 
 
 def is_boundary_up_to(elem: AlgElem, poly_bound: int):

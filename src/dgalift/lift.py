@@ -150,7 +150,6 @@ def _homotopy_columns(module: FreeModule, d: Differential, degree: int, bound: i
         by_col.setdefault(b, []).append((a, e))
         by_row.setdefault(a, []).append((b, e))
     subtract = degree % 2 == 0
-    bands: dict = {}  # degree -> its monomials
     monos: dict = {}  # m -> (m as an element, coefficients of (d(m), -d(m)))
     lefts: dict = {}  # (r, m) -> [(a, coefficients of D[a, r] m)]
     rights: dict = {}  # (c, m) -> [(b, coefficients of -/+ m D[c, b])]
@@ -158,10 +157,7 @@ def _homotopy_columns(module: FreeModule, d: Differential, degree: int, bound: i
     columns = []  # per unknown: ((row, col), monomial) -> coefficient
     for r in range(module.rank):
         for c in range(module.rank):
-            want = degs[c] + degree - degs[r]
-            if want not in bands:
-                bands[want] = component_monomials(sig, want, bound)
-            for m in bands[want]:
+            for m in component_monomials(sig, degs[c] + degree - degs[r], bound):
                 if m not in monos:
                     unit = AlgElem(sig, {m: field.one})
                     dm = diff(unit)

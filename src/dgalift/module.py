@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from .algebra import AlgElem, Signature, component_monomials, diff
+from .algebra import AlgElem, Signature, _mul_into, component_monomials, diff
 from .errors import NotInvertibleError, SchemaError, VerificationError
 from .solver import solve_exact
 
@@ -252,21 +252,13 @@ class GradedMap:
     def apply(self, x: ModuleElement) -> ModuleElement:
         if x.module != self.module:
             raise SchemaError("element belongs to a different module")
+        sig = self.module.sig
         out: dict = {}
         for (r, c), e in self.entries.items():
             b = x.coeffs.get(c)
-            if b is None:
-                continue
-            t = e * b
-            if t.is_zero():
-                continue
-            s = out.get(r)
-            s = t if s is None else s + t
-            if s.is_zero():
-                out.pop(r, None)
-            else:
-                out[r] = s
-        return ModuleElement(self.module, out)
+            if b is not None:
+                _mul_into(sig, out.setdefault(r, {}), e.terms, b.terms)
+        return ModuleElement(self.module, {r: AlgElem(sig, t) for r, t in out.items()})
 
     def __eq__(self, other):
         return (
@@ -291,24 +283,17 @@ class GradedMap:
 def compose(f: GradedMap, g: GradedMap) -> GradedMap:
     """Matrix product ``f o g``; no extra signs in this convention."""
     f._check(g)
+    sig = f.module.sig
     out: dict = {}
     # index g's entries by column-of-f (= row of g)
     by_row: dict = {}
     for (r, c), v in g.entries.items():
-        by_row.setdefault(r, []).append((c, v))
+        by_row.setdefault(r, []).append((c, v.terms))
     for (r, m), fv in f.entries.items():
         for c, gv in by_row.get(m, ()):
-            t = fv * gv
-            if t.is_zero():
-                continue
-            k = (r, c)
-            s = out.get(k)
-            s = t if s is None else s + t
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-    return GradedMap(f.module, f.degree + g.degree, out, check=False)
+            _mul_into(sig, out.setdefault((r, c), {}), fv.terms, gv)
+    entries = {k: AlgElem(sig, t) for k, t in out.items()}
+    return GradedMap(f.module, f.degree + g.degree, entries, check=False)
 
 
 def derive_entries(f: GradedMap, delta: Callable, n: int) -> GradedMap:

@@ -39,9 +39,9 @@ def _tokenize(source: str):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", source[i:j], i))
             i = j

@@ -14,6 +14,7 @@ from dgalift import (
 )
 from dgalift.algebra import monomial_sort_key
 from dgalift.errors import SchemaError
+from dgalift.randgen import FixturePool
 
 
 def test_divided_power_product(S1):
@@ -206,3 +207,16 @@ def test_fp_signature_arithmetic():
     e = s.parse("3*X + 4*X")
     assert e == s.parse("2*X")
     assert diff(e) == s.parse("2*a")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=repr)
+def test_adjoin_key_matches_a_fresh_signature(field):
+    # re-homing the differentials in `adjoin` shares their term maps, so the
+    # key built by the constructor is already the key of the result
+    pool = FixturePool(field)
+    for sig in (pool.S3, pool.S1, pool.Sodd3, pool.S2):
+        step = Signature(field, sig.polygens)
+        for var in sig.variables:
+            step = step.adjoin(var.name, var.degree, str(var.diff))
+            assert step.key() == Signature(field, step.polygens, step.variables).key()
+        assert step == sig

@@ -72,3 +72,17 @@ def test_notation_restrictions(S1):
 def test_format_reparses(S1, text):
     e = parse_expr(text, S1)
     assert parse_expr(format_expr(e), S1) == e
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("a^²", 2), ("a^①", 2), ("²*a", 0), ("2²", 1)],
+    ids=["superscript-exponent", "circled-exponent", "superscript-scalar", "after-a-digit"],
+)
+def test_only_decimal_digits_are_integers(S1, text, position):
+    # superscript and circled digits pass str.isdigit but not str.isdecimal,
+    # and int() rejects them; an Arabic-Indic digit is decimal and reads as 3
+    assert parse_expr("a^٣", S1) == parse_expr("a^3", S1)
+    with pytest.raises(ExprSyntaxError, match="unexpected character") as exc:
+        parse_expr(text, S1)
+    assert exc.value.position == position
