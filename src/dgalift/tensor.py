@@ -8,11 +8,12 @@ every element is finite, so nothing is materialized.
 
 A lift produced by the construction pipeline yields an explicit splitting:
 send each corrected basis column to itself tensor 1 and extend linearly.
-`verify_splitting` checks it element by element; the command line derives
-the same verdict from the lift checks (see `cli`), and this check stays
-as their test oracle.  For an odd variable the kernel of the evaluation
-is also materialized as a finite free module, giving the whole short
-exact sequence, which `OddSequence.check` checks on the basis.
+`verify_splitting` checks it element by element.  For an odd variable the
+kernel of the evaluation is also materialized as a finite free module,
+giving the whole short exact sequence, which `OddSequence.check` checks
+on the basis.  The pipeline calls nothing here: the command line derives
+both the splitting and the sequence flag (proofs in `cli`), and these two
+checks are their test oracles.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable
 from .algebra import AlgElem, diff
 from .errors import SchemaError
 from .jop import CheckReport
-from .module import Differential, FreeModule, GradedMap, ModuleElement
+from .module import Differential, FreeModule, GradedMap, ModuleElement, fresh_suffix, shift
 from .lift import LiftResult
 
 
@@ -271,17 +272,12 @@ def odd_ses(module: FreeModule, d: Differential, var_name: str) -> OddSequence:
     var = nt.var
     if not var.odd:
         raise SchemaError("the finite-rank sequence exists only for an odd variable")
-    from .module import fresh_suffix
-
     sig = module.sig
-    suffix = fresh_suffix(module, "_k")
-    kernel = FreeModule(
-        sig,
-        [(n + suffix, deg + var.degree) for n, deg in zip(module.names, module.degrees)],
-    )
+    kernel = shift(module, -var.degree, fresh_suffix(module, "_k"))
     x_elem = sig.gen(var_name)
     entries = {}
     for (mu, lam), c in d.matrix.entries.items():
+        # D = a0 + X a1 gives the entry (-1)^|a0| a0 - a1 X (proof in `cli`)
         parts = split_by_powers(c, var_name)
         val = sig.zero()
         a0 = parts.get(0)
@@ -289,8 +285,7 @@ def odd_ses(module: FreeModule, d: Differential, var_name: str) -> OddSequence:
         if a0 is not None:
             val = val + (a0 if a0.degree() % 2 == 0 else -a0)
         if a1 is not None:
-            t = a1 * x_elem
-            val = val + (-t if a1.degree() % 2 == 0 else t)
+            val = val - a1 * x_elem
         if not val.is_zero():
             entries[(mu, lam)] = val
     kd = Differential(GradedMap(kernel, -1, entries))

@@ -1,10 +1,17 @@
-"""Reference checks that only the tests use."""
+"""Reference checks, and a fixture they need, that only the tests use."""
 
 from math import comb
 from typing import Optional
 
-from dgalift.algebra import AlgElem, _poly_tuples, _var_tuples, diff, monomial_sort_key
-from dgalift.module import GradedMap, ModuleElement, left_mult
+from dgalift.algebra import (
+    AlgElem,
+    Signature,
+    _poly_tuples,
+    _var_tuples,
+    diff,
+    monomial_sort_key,
+)
+from dgalift.module import Differential, FreeModule, GradedMap, ModuleElement, left_mult
 
 
 def is_scalar_cycle(f: GradedMap) -> Optional[AlgElem]:
@@ -131,3 +138,19 @@ def apply_reference(f: GradedMap, x: ModuleElement) -> ModuleElement:
         if c in x.coeffs:
             out[r] = out.get(r, f.module.sig.zero()) + mul_reference(e, x.coeffs[c])
     return ModuleElement(f.module, out)
+
+
+def odd_coefficient_module(field):
+    """A square-zero module over ``k[a, b]<W1, W2, X>``, all three odd of
+    degree 1 with ``dX = a``, whose one entry ``(X - W1)(a W2 - b W1)`` (a
+    product of two cycles) has an X-coefficient of odd degree.  The
+    `FixturePool` modules have none such.  Liftable at bound 0."""
+    sig = (
+        Signature(field, ["a", "b"])
+        .adjoin("W1", 1, "a")
+        .adjoin("W2", 1, "b")
+        .adjoin("X", 1, "a")
+    )
+    mod = FreeModule(sig, [("e0", 0), ("e1", 3)])
+    entry = (sig.gen("X") - sig.gen("W1")) * sig.parse("a*W2 - b*W1")
+    return mod, Differential(GradedMap(mod, -1, {(0, 1): entry}))

@@ -16,7 +16,8 @@ from dgalift.io import (
 from dgalift.lift import construct_lift_even, construct_lift_odd, decide_naive_lift
 from dgalift.module import invert_unit
 from dgalift.randgen import FixturePool, rand_unit
-from dgalift.tensor import NaiveTensor, verify_splitting
+from dgalift.tensor import NaiveTensor, odd_ses, verify_splitting
+from oracles import odd_coefficient_module
 
 S1_DOC = {
     "field": {"type": "Q"},
@@ -277,11 +278,13 @@ def test_cli_lift_even_roundtrip(tmp_path, capsys, S1, N1prime):
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
 def test_cli_splitting_flag_matches_oracle(tmp_path, capsys, field):
     """The ``splitting`` flag that ``lift`` derives from its lift checks
-    equals `verify_splitting` on the same lift: the README example's module
-    and seeded conjugated fixtures of both parities."""
+    equals `verify_splitting` on the same lift, and for an odd variable the
+    ``sequence`` flag equals `OddSequence.check`: the README example's
+    module, a module whose X-coefficient has odd degree, and seeded
+    conjugated fixtures of both parities."""
     pool = FixturePool(field)
     rng = random.Random(19)
-    cases = [(pool.N3, pool.d3, 0)]
+    cases = [(pool.N3, pool.d3, 0), (*odd_coefficient_module(field), 0)]
     for mod, d0 in [(pool.N3, pool.d3), (pool.NK, pool.dK), (pool.Nodd, pool.dodd)]:
         for _ in range(2):
             u = rand_unit(mod, rng, poly_bound=2)
@@ -298,6 +301,9 @@ def test_cli_splitting_flag_matches_oracle(tmp_path, capsys, field):
         assert out["data"]["basis_change"] == matrix_to_doc(lift.u)
         nt = NaiveTensor(lift.module, lift.ambient_diff, var)
         assert out["data"]["verification"]["splitting"] is verify_splitting(nt, lift).passed
+        if lift.parity == "odd":
+            ses = odd_ses(mod, d, var)
+            assert out["data"]["verification"]["sequence"] is ses.check().passed
         parities.add(lift.parity)
     assert parities == {"odd", "even"}
 
@@ -339,6 +345,90 @@ def test_cli_selftest_single_field(capsys):
     doc = json.loads(capsys.readouterr().out)
     fields = {json.dumps(r["field"], sort_keys=True) for r in doc["data"]["suites"]}
     assert fields == {json.dumps({"type": "Fp", "p": 5}, sort_keys=True)}
+
+
+NK_DOC = {
+    "basis": [
+        {"name": "k0", "degree": 0},
+        {"name": "k1", "degree": 1},
+        {"name": "k2", "degree": 1},
+        {"name": "k3", "degree": 2},
+    ],
+    "differential": {"k1": {"k0": "a"}, "k2": {"k0": "b"}, "k3": {"k1": "b", "k2": "-a"}},
+}
+NONZERO_SQUARE_DOC = {
+    "basis": [{"name": "e0", "degree": 0}, {"name": "e1", "degree": 2}],
+    "differential": {"e1": {"e0": "X"}},
+}
+
+
+@pytest.mark.parametrize(
+    "sig_doc, mod_doc, argv, verdict, code, keys, timed",
+    [
+        (S3_DOC, None, ["validate"], "pass", 0, {"inputs"}, True),
+        (S3_DOC, NONZERO_SQUARE_DOC, ["validate"], "fail", 1, {"inputs"}, False),
+        (S1_DOC, None, ["eval", "X^(2)*X^(3)"], "ok", 0, {"inputs"}, True),
+        (S1_DOC, None, ["diff", "X"], "ok", 0, {"inputs"}, True),
+        (S2_DOC, None, ["derive", "--var", "X1", "c*X1"], "ok", 0, {"inputs"}, True),
+        (
+            S3_DOC,
+            None,
+            ["tate", "--name", "Y", "--degree", "1", "--cycle", "a"],
+            "ok",
+            0,
+            {"inputs"},
+            True,
+        ),
+        (S3_DOC, N3_DOC, ["jop"], "ok", 0, {"inputs", "params"}, True),
+        (S3_DOC, N3_DOC, ["obstruct"], "ok", 0, {"inputs", "params"}, True),
+        (S3_DOC, N3_DOC, ["naive", "--bound", "0"], "vanishes", 0, {"inputs", "params"}, True),
+        (
+            S1_DOC,
+            N1_DOC,
+            ["naive", "--bound", "1"],
+            "inconclusive",
+            3,
+            {"inputs", "params"},
+            True,
+        ),
+        (S3_DOC, N3_DOC, ["lift", "--bound", "0"], "lifted", 0, {"inputs", "params"}, True),
+        (S1_DOC, NK_DOC, ["lift", "--bound", "0"], "lifted", 0, {"inputs", "params"}, True),
+        (None, None, ["selftest", "--seed", "0", "--iters", "2"], "pass", 0, {"params"}, False),
+    ],
+    ids=[
+        "validate-pass",
+        "validate-fail",
+        "eval",
+        "diff",
+        "derive",
+        "tate",
+        "jop",
+        "obstruct",
+        "naive-vanishes",
+        "naive-inconclusive",
+        "lift-odd",
+        "lift-even",
+        "selftest",
+    ],
+)
+def test_cli_transcript_shape(
+    tmp_path, capsys, sig_doc, mod_doc, argv, verdict, code, keys, timed
+):
+    """Every command and outcome: the top-level keys of the transcript, its
+    verdict, the exit code, and whether it carries ``timing_ms`` (never
+    for selftest, whose transcript is a function of the seed, nor for an
+    input that validate rejects)."""
+    extra = []
+    if sig_doc is not None:
+        extra += ["--sig", _write(tmp_path, "sig.json", sig_doc)]
+    if mod_doc is not None:
+        extra += ["--mod", _write(tmp_path, "mod.json", mod_doc)]
+    assert main([argv[0], *extra, *argv[1:]]) == code
+    out = json.loads(capsys.readouterr().out)
+    assert out["command"] == argv[0]
+    assert out["verdict"] == verdict
+    want = {"tool", "command", "verdict", "data"} | keys | ({"timing_ms"} if timed else set())
+    assert set(out) == want
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 
 from dgalift.algebra import derivative
 from dgalift.errors import SchemaError
+from dgalift.field import QQ, PrimeField
 from dgalift.lift import (
     construct_lift_even,
     construct_lift_odd,
@@ -19,9 +20,11 @@ from dgalift.module import (
     compose,
     invert_unit,
 )
-from dgalift.randgen import rand_elem
+from oracles import odd_coefficient_module
+from dgalift.randgen import FixturePool, rand_diff, rand_elem, rand_unit
 from dgalift.tensor import (
     NaiveTensor,
+    OddSequence,
     odd_ses,
     rho_from_lift,
     split_by_powers,
@@ -165,6 +168,47 @@ def test_odd_ses_checks(N3):
         z = t - _section_of_pi(ses, nt.pi(t))
         assert nt.pi(z).is_zero()
         assert ses.iota(_retract(ses, z)) == z
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr
+)
+def test_odd_sequence_holds_for_every_differential(field):
+    """`OddSequence.check` passes on every odd-top fixture module, with
+    square-zero differentials conjugated into general position and with
+    random ones that do not square to zero: the sequence exists for every
+    ``d``, which is why ``lift`` reports it without a check.  A kernel
+    differential with one nonzero entry negated is rejected (except over
+    F2, where the sign is invisible)."""
+    pool = FixturePool(field)
+    rng = random.Random(23)
+    odd_mod, odd_d = odd_coefficient_module(field)
+    spread = FreeModule(odd_mod.sig, [(f"e{i}", i) for i in range(4)])
+    settings = []
+    for mod, d0 in [(pool.N3, pool.d3), (pool.Nodd, pool.dodd), (odd_mod, odd_d)]:
+        settings.append((mod, d0))
+        for _ in range(3):
+            u = rand_unit(mod, rng, poly_bound=2)
+            settings.append((mod, d0.conjugate(u, invert_unit(u))))
+    for mod in (pool.N3, pool.M2_S3, pool.M2_odd, pool.Nodd, spread):
+        for _ in range(4):
+            settings.append((mod, rand_diff(mod, rng)))
+    assert any(d.square_zero for _, d in settings)
+    assert any(not d.square_zero for _, d in settings)
+    sees_sign = field.neg(field.one) != field.one
+    negated = 0
+    for mod, d in settings:
+        ses = odd_ses(mod, d, mod.sig.top_variable.name)
+        assert ses.check().passed, d
+        entries = dict(ses.kernel_diff.matrix.entries)
+        if not sees_sign or not entries:
+            continue
+        key = rng.choice(sorted(entries))
+        entries[key] = -entries[key]
+        bad = Differential(GradedMap(ses.kernel_module, -1, entries))
+        assert not OddSequence(ses.nt, ses.kernel_module, bad).check().passed, (d, key)
+        negated += 1
+    assert negated > 0 if sees_sign else negated == 0
 
 
 def test_odd_ses_composite_zero(N3):
