@@ -143,6 +143,8 @@ def _compute(args, transcript: dict):
     """Run one command: returns ``(verdict, data, exit code)`` and records
     the command's inputs and parameters in `transcript`."""
     if args.command == "selftest":
+        if args.iters < 1:
+            raise SchemaError("--iters must be a positive integer")
         transcript["params"] = {"seed": args.seed, "iters": args.iters}
         fields = [field_from_spec(args.field)] if args.field else None
         result = run_selftest(args.seed, args.iters, fields=fields)
@@ -204,10 +206,10 @@ def _compute(args, transcript: dict):
         return "ok", data, EXIT_OK
 
     if args.command == "obstruct":
-        obs = obstruction(module, d, var_name)
+        h = obstruction(module, d, var_name)
         data = {
-            "obstruction": matrix_to_doc(obs.h),
-            "degree": obs.h.degree,
+            "obstruction": matrix_to_doc(h),
+            "degree": h.degree,
             "cycle_verified": True,
         }
         return "ok", data, EXIT_OK
@@ -217,7 +219,7 @@ def _compute(args, transcript: dict):
     decision = decide_naive_lift(module, d, var_name, args.bound)
     if not decision.vanishes:
         return "inconclusive", {"bound": args.bound}, EXIT_INCONCLUSIVE
-    certificate = matrix_to_doc(decision.certificate.gamma)
+    certificate = matrix_to_doc(decision.certificate)
     odd = sig.var(var_name).degree % 2
     if args.command == "naive":
         data = {

@@ -1,18 +1,18 @@
 """Basis-relative derivations of the operator algebra of a free module.
 
-For a chosen adjoined variable X and a fixed basis, the operator defined
-here differentiates a matrix entrywise with respect to X, with the sign
+For a chosen adjoined variable X and a fixed basis, the operator ``j``
+differentiates a matrix entrywise with respect to X, with the sign
 ``(-1)^{|e_row| |X|}`` on each row.  It measures how much an operator
 depends on X in the given basis: it kills every matrix over the
 X-free subalgebra, sends left multiplication by X to the identity, and
 obeys the graded Leibniz rule with respect to composition (for the top
 variable of the signature).
 
-The wider family handled here consists of the maps ``j + s*[gamma, -]``
-for a sign s and a degree ``-|X|`` matrix gamma.  These are exactly the
-derivations the lifting pipelines need: a homotopy gamma turning the
-obstruction into a commutator yields a member of this family that kills
-the differential.
+`JOperator` is the whole family ``j + [gamma, -]`` for a degree ``-|X|``
+matrix gamma, zero by default.  Another basis shifts ``j`` by such a
+commutator (`base_change_defect`), and these are exactly the derivations
+the lifting pipelines need: a homotopy gamma turning the obstruction into
+a commutator yields a member of this family that kills the differential.
 """
 
 from __future__ import annotations
@@ -41,41 +41,64 @@ Target = Union[GradedMap, Differential, DOpPair]
 
 
 class JOperator:
-    """Entrywise derivative of matrices by one adjoined variable.
+    """``j + [gamma, -]``: the entrywise derivative by one adjoined variable
+    plus the commutator with a degree ``-|X|`` matrix ``gamma`` (zero by
+    default, and then skipped).
 
     The derivation property is only guaranteed when the variable is the
     top of the signature; `is_top` records this and instances for inner
     variables are allowed but carry no such promise.
     """
 
-    def __init__(self, module: FreeModule, var_name: str):
+    def __init__(self, module: FreeModule, var_name: str, gamma: Optional[GradedMap] = None):
         self.module = module
         self.sig = module.sig
         self.var = self.sig.var(var_name)
         self.var_name = var_name
         self.is_top = self.sig.is_top(var_name)
         self.degree = -self.var.degree
+        if gamma is None:
+            gamma = GradedMap.zero(module, self.degree)
+        elif gamma.module != module:
+            raise SchemaError("gamma acts on a different module")
+        elif not gamma.is_zero() and gamma.degree != self.degree:
+            raise SchemaError(f"gamma must have degree {self.degree}, found {gamma.degree}")
+        self.gamma = gamma
 
-    def of_map(self, alpha: GradedMap) -> GradedMap:
+    def _j(self, alpha: GradedMap) -> GradedMap:
         if alpha.module != self.module:
             raise SchemaError("map acts on a different module")
         return derive_entries(alpha, lambda e: derivative(e, self.var_name), self.degree)
 
+    def of_map(self, alpha: GradedMap) -> GradedMap:
+        out = self._j(alpha)
+        if self.gamma.is_zero():
+            return out
+        return out + bracket(self.gamma, alpha)
+
     def of_diff(self, d: Differential) -> GradedMap:
-        """Apply to a differential: only its matrix part contributes."""
-        return self.of_map(d.matrix)
+        """Apply to a differential: ``j`` sees only its matrix part, and
+        ``[gamma, d] = -(-1)^{|gamma|} [d, gamma]``."""
+        out = self._j(d.matrix)
+        if self.gamma.is_zero():
+            return out
+        br = bracket_diff(d, self.gamma)
+        return out + br if self.gamma.degree % 2 else out - br
 
     def of_dop(self, p: DOpPair) -> DOpPair:
         """Leibniz extension ``j(f + g o d) = j(f) + j(g) o d +
-        (-1)^{|X||g|} g o j(d)``; independent of the representation."""
-        jd = self.of_diff(p.partial)
-        e_part = self.of_map(p.f)
+        (-1)^{|X||g|} g o j(d)``, plus ``[gamma, -]``; representation-free."""
+        jd = self._j(p.partial.matrix)
+        e_part = self._j(p.f)
         if not p.g.is_zero() and not jd.is_zero():
             t = compose(p.g, jd)
             if (self.var.degree * p.g.degree) % 2:
                 t = -t
             e_part = e_part + t
-        return DOpPair(e_part, self.of_map(p.g), p.partial)
+        out = DOpPair(e_part, self._j(p.g), p.partial)
+        if self.gamma.is_zero():
+            return out
+        return out + DOpPair.of_map(self.gamma, p.partial).bracket(p)
 
     def __call__(self, target: Target):
         if isinstance(target, GradedMap):
@@ -87,67 +110,16 @@ class JOperator:
         raise SchemaError(f"cannot apply to {target!r}")
 
     def __repr__(self):
-        return f"JOperator({self.var_name} on {self.module!r})"
-
-
-class WeakJOp:
-    """A derivation of the form ``j + sign * [gamma, -]``.
-
-    ``gamma`` must be a matrix of degree ``-|X|`` so the whole map is
-    homogeneous of that degree.  Applying to a differential or a pair
-    returns the same kind of value, normalized.
-    """
-
-    def __init__(self, jop: JOperator, sign: int, gamma: GradedMap):
-        if sign not in (1, -1):
-            raise SchemaError("sign must be +1 or -1")
-        if gamma.module != jop.module:
-            raise SchemaError("gamma acts on a different module")
-        if not gamma.is_zero() and gamma.degree != jop.degree:
-            raise SchemaError(
-                f"gamma must have degree {jop.degree}, found {gamma.degree}"
-            )
-        self.jop = jop
-        self.sign = sign
-        self.gamma = gamma
-        self.degree = jop.degree
-
-    def of_map(self, f: GradedMap) -> GradedMap:
-        out = self.jop.of_map(f)
-        br = bracket(self.gamma, f)
-        return out + (br if self.sign > 0 else -br)
-
-    def of_diff(self, d: Differential) -> GradedMap:
-        out = self.jop.of_diff(d)
-        # [gamma, d] = -(-1)^{|gamma|} [d, gamma]
-        br = bracket_diff(d, self.gamma)
-        s = self.sign * (1 if self.gamma.degree % 2 else -1)
-        return out + (br if s > 0 else -br)
-
-    def of_dop(self, p: DOpPair) -> DOpPair:
-        out = self.jop.of_dop(p)
-        br = DOpPair.of_map(self.gamma, p.partial).bracket(p)
-        return out + (br if self.sign > 0 else -br)
-
-    def __call__(self, target: Target):
-        if isinstance(target, GradedMap):
-            return self.of_map(target)
-        if isinstance(target, Differential):
-            return self.of_diff(target)
-        if isinstance(target, DOpPair):
-            return self.of_dop(target)
-        raise SchemaError(f"cannot apply to {target!r}")
-
-    def __repr__(self):
-        s = "+" if self.sign > 0 else "-"
-        return f"WeakJOp(j_{self.jop.var_name} {s} ad(gamma))"
+        twist = "" if self.gamma.is_zero() else " + ad(gamma)"
+        return f"JOperator({self.var_name}{twist} on {self.module!r})"
 
 
 def base_change_defect(jop: JOperator, u: GradedMap, u_inv: Optional[GradedMap] = None) -> GradedMap:
     """The matrix ``alpha = j(u) u^{-1}`` measuring basis dependence.
 
     For the basis obtained by applying the unit ``u``, the operator in the
-    new basis differs from the old one by the commutator with this matrix.
+    new basis differs from the old one by the commutator with this matrix:
+    ``u j(u^{-1} f u) u^{-1} = JOperator(module, X, -alpha).of_map(f)``.
     Zero exactly when ``u`` has all entries free of the variable.
     """
     if u.degree != 0:

@@ -36,7 +36,7 @@ from typing import Optional
 
 from .algebra import AlgElem, component_monomials, derivative, diff
 from .errors import SchemaError, VerificationError
-from .jop import CheckReport, JOperator, WeakJOp
+from .jop import CheckReport, JOperator
 from .module import (
     Differential,
     FreeModule,
@@ -53,31 +53,12 @@ from .solver import solve_exact
 
 
 @dataclass
-class Obstruction:
-    """The derivative of the differential in the given basis.
-
-    ``h`` has degree ``-|X| - 1`` and has passed the exact check
-    ``[h, d] = 0``, which must hold whenever the differential squares to
-    zero.
-    """
-
-    h: GradedMap
-    var_name: str
-
-
-@dataclass
-class HomotopyCertificate:
-    """A matrix ``gamma`` with ``j(d) = [d, gamma]``, checked exactly."""
-
-    gamma: GradedMap
-
-
-@dataclass
 class LiftDecision:
-    """Outcome of the obstruction-vanishing search at one bound."""
+    """Outcome of the obstruction-vanishing search at one bound; the
+    certificate is a matrix ``gamma`` with ``j(d) = [d, gamma]``, checked."""
 
     vanishes: bool
-    certificate: Optional[HomotopyCertificate]
+    certificate: Optional[GradedMap]
     bound: int
 
 
@@ -93,12 +74,11 @@ class LiftResult:
     parity: str
     var_name: str
     module: FreeModule
-    base_module: FreeModule
     u: GradedMap
     u_inv: GradedMap
     lift_diff: Differential
     ambient_diff: Differential
-    certificate: HomotopyCertificate
+    certificate: GradedMap
     shift_k: Optional[int] = None
 
 
@@ -114,14 +94,13 @@ def _require_liftable_setting(module: FreeModule, d: Differential, var_name: str
         raise SchemaError("the differential must square to zero")
 
 
-def obstruction(module: FreeModule, d: Differential, var_name: str) -> Obstruction:
+def obstruction(module: FreeModule, d: Differential, var_name: str) -> GradedMap:
     """The obstruction matrix ``j(d)``, with its cycle property checked."""
     _require_liftable_setting(module, d, var_name)
-    jop = JOperator(module, var_name)
-    h = jop.of_diff(d)
+    h = JOperator(module, var_name).of_diff(d)
     if not bracket_diff(d, h).is_zero():
         raise VerificationError("obstruction failed the cycle check [j(d), d] = 0")
-    return Obstruction(h, var_name)
+    return h
 
 
 def _coefficients(f: GradedMap) -> dict:
@@ -178,7 +157,7 @@ def _homotopy_columns(module: FreeModule, d: Differential, degree: int, bound: i
 
 def solve_homotopy(
     module: FreeModule, d: Differential, h: GradedMap, bound: int
-) -> Optional[HomotopyCertificate]:
+) -> Optional[GradedMap]:
     """Search for gamma with ``[d, gamma] = h``, polygen degrees <= bound.
 
     Unknowns are the monomial coefficients of each matrix entry, ordered by
@@ -209,22 +188,21 @@ def solve_homotopy(
     gamma = GradedMap(module, gamma_degree, entries, check=False)
     if bracket_diff(d, gamma) != h:
         raise VerificationError("homotopy certificate failed its exact re-check")
-    return HomotopyCertificate(gamma)
+    return gamma
 
 
 def decide_naive_lift(
     module: FreeModule, d: Differential, var_name: str, bound: int
 ) -> LiftDecision:
     """Semi-decide obstruction vanishing at the given polygen-degree bound."""
-    obs = obstruction(module, d, var_name)
-    cert = solve_homotopy(module, d, obs.h, bound)
+    cert = solve_homotopy(module, d, obstruction(module, d, var_name), bound)
     return LiftDecision(cert is not None, cert, bound)
 
 
 # -- even-variable construction -----------------------------------------------------
 
 
-def _series_plus(delta: WeakJOp, f: GradedMap, var) -> GradedMap:
+def _series_plus(delta: JOperator, f: GradedMap, var) -> GradedMap:
     """The correction ``X Delta(f) - X^(2) Delta^2(f) + ...`` (finite)."""
     module = f.module
     sig = module.sig
@@ -244,12 +222,27 @@ def _series_plus(delta: WeakJOp, f: GradedMap, var) -> GradedMap:
     return out
 
 
+def _certified(
+    parity: str, module: FreeModule, d: Differential, var_name: str, gamma: GradedMap
+) -> JOperator:
+    """Setting and parity guards, then the certificate check ``Delta(d) = 0``
+    for ``Delta = JOperator(module, X, +-gamma)`` (+ even, - odd), returned."""
+    _require_liftable_setting(module, d, var_name)
+    odd = module.sig.var(var_name).odd
+    if parity != ("odd" if odd else "even"):
+        raise SchemaError(f"{parity} construction requires an {parity} variable")
+    delta = JOperator(module, var_name, -gamma if odd else gamma)
+    if not delta.of_diff(d).is_zero():
+        raise VerificationError("certificate does not solve j(d) = [d, gamma]")
+    return delta
+
+
 def construct_lift_even(
-    module: FreeModule, d: Differential, var_name: str, cert: HomotopyCertificate
+    module: FreeModule, d: Differential, var_name: str, gamma: GradedMap
 ) -> LiftResult:
     """Build a lift along an even top variable from a homotopy certificate.
 
-    With ``Delta = j + [gamma, -]``, each basis projection ``eps`` becomes
+    With ``Delta = JOperator(module, X, gamma)``, each projection ``eps`` becomes
     ``eps0 = eps - X Delta(eps) + X^(2) Delta^2(eps) - ...``, a series that
     stops at the first ``N`` with ``Delta^(N+1)(eps) = 0``.  ``eps0`` lies in
     ``ker Delta`` for every gamma, so that is not checked: ``gamma``
@@ -260,19 +253,12 @@ def construct_lift_even(
     The input enters through the certificate check ``Delta(d) = 0``;
     `verify_lift` checks the result.
     """
-    _require_liftable_setting(module, d, var_name)
-    var = module.sig.var(var_name)
-    if var.odd:
-        raise SchemaError("even construction requires an even variable")
-    jop = JOperator(module, var_name)
-    delta = WeakJOp(jop, +1, cert.gamma)
-    if not delta.of_diff(d).is_zero():
-        raise VerificationError("certificate does not solve j(d) = [d, gamma]")
+    delta = _certified("even", module, d, var_name, gamma)
     entries = {}
     for lam in range(module.rank):
         eps = idempotent(module, lam)
-        entries.update(_column(eps - _series_plus(delta, eps, var), lam))
-    return _conjugate_and_verify("even", var_name, module, module, d, entries, cert)
+        entries.update(_column(eps - _series_plus(delta, eps, delta.var), lam))
+    return _conjugate_and_verify("even", var_name, module, d, entries, gamma)
 
 
 # -- odd-variable construction -------------------------------------------------------
@@ -292,12 +278,12 @@ def _beta_sharp(doubled: FreeModule, base: FreeModule, alpha: GradedMap, k: int)
 
 
 def construct_lift_odd(
-    module: FreeModule, d: Differential, var_name: str, cert: HomotopyCertificate
+    module: FreeModule, d: Differential, var_name: str, gamma: GradedMap
 ) -> LiftResult:
     """Build a lift of the doubled module along an odd top variable.
 
     The lifted object is ``N + N(-|X|)`` with the block differential
-    ``diag(d, -d)``.  With ``Delta = j - [gamma, -]`` and
+    ``diag(d, -d)``.  With ``Delta = JOperator(module, X, -gamma)`` and
     ``alpha = gamma^2 - j(gamma)``, the derivation ``Gamma = j# + [g, -]``
     of the doubled module has ``g = [[-gamma, -1], [alpha, gamma]]``, and
     the corrected basis columns are ``Gamma(l_X eps_c)``.
@@ -319,27 +305,22 @@ def construct_lift_odd(
 
     `verify_lift` checks the result.
     """
-    _require_liftable_setting(module, d, var_name)
+    _certified("odd", module, d, var_name, gamma)
     sig = module.sig
     var = sig.var(var_name)
-    if not var.odd:
-        raise SchemaError("odd construction requires an odd variable")
     jop = JOperator(module, var_name)
-    gamma = cert.gamma
-    if not WeakJOp(jop, -1, gamma).of_diff(d).is_zero():
-        raise VerificationError("certificate does not solve j(d) = [d, gamma]")
     # square of (j - ad gamma): the derivative term enters negated
     alpha = compose(gamma, gamma) - jop.of_map(gamma)
 
     k = -var.degree
     doubled, d_sharp = twofold_extension(module, d, k)
     g = _beta_sharp(doubled, module, alpha, k) - sharp_map(gamma, doubled, k)
-    big_gamma = WeakJOp(JOperator(doubled, var_name), +1, g)
+    big_gamma = JOperator(doubled, var_name, g)
     lx = left_mult(doubled, sig.gen(var_name))
     entries = {}
     for c in range(doubled.rank):
         entries.update(_column(big_gamma.of_map(compose(lx, idempotent(doubled, c))), c))
-    return _conjugate_and_verify("odd", var_name, doubled, module, d_sharp, entries, cert, k)
+    return _conjugate_and_verify("odd", var_name, doubled, d_sharp, entries, gamma, k)
 
 
 def _column(f: GradedMap, c: int) -> dict:
@@ -348,7 +329,7 @@ def _column(f: GradedMap, c: int) -> dict:
 
 
 def _conjugate_and_verify(
-    parity, var_name, module, base_module, d, u_entries, cert, shift_k=None
+    parity, var_name, module, d, u_entries, gamma, shift_k=None
 ) -> LiftResult:
     """Conjugate ``d`` into the basis whose columns are ``u_entries`` and
     return the lift once `verify_lift` has passed on it."""
@@ -360,9 +341,7 @@ def _conjugate_and_verify(
         raise VerificationError(
             f"{parity} lift failed verification: " + "; ".join(report.failures)
         )
-    return LiftResult(
-        parity, var_name, module, base_module, u, u_inv, lift_diff, d, cert, shift_k
-    )
+    return LiftResult(parity, var_name, module, u, u_inv, lift_diff, d, gamma, shift_k)
 
 
 def verify_lift(

@@ -11,7 +11,18 @@ from dgalift.algebra import (
     diff,
     monomial_sort_key,
 )
-from dgalift.module import Differential, FreeModule, GradedMap, ModuleElement, left_mult
+from dgalift.errors import SchemaError
+from dgalift.jop import JOperator
+from dgalift.module import (
+    Differential,
+    DOpPair,
+    FreeModule,
+    GradedMap,
+    ModuleElement,
+    bracket,
+    bracket_diff,
+    left_mult,
+)
 
 
 def is_scalar_cycle(f: GradedMap) -> Optional[AlgElem]:
@@ -154,3 +165,38 @@ def odd_coefficient_module(field):
     mod = FreeModule(sig, [("e0", 0), ("e1", 3)])
     entry = (sig.gen("X") - sig.gen("W1")) * sig.parse("a*W2 - b*W1")
     return mod, Differential(GradedMap(mod, -1, {(0, 1): entry}))
+
+
+# -- the j-operator family before the merged constructor ----------------------
+
+
+class WeakJOp:
+    """``j + sign * [gamma, -]`` on top of a bare `JOperator`: the two-class
+    family with its sign knob, each method adding the signed commutator to
+    ``j`` unconditionally."""
+
+    def __init__(self, jop: JOperator, sign: int, gamma: GradedMap):
+        if sign not in (1, -1):
+            raise SchemaError("sign must be +1 or -1")
+        if gamma.module != jop.module:
+            raise SchemaError("gamma acts on a different module")
+        if not gamma.is_zero() and gamma.degree != jop.degree:
+            raise SchemaError(f"gamma must have degree {jop.degree}, found {gamma.degree}")
+        self.jop = jop
+        self.sign = sign
+        self.gamma = gamma
+        self.degree = jop.degree
+
+    def of_map(self, f: GradedMap) -> GradedMap:
+        br = bracket(self.gamma, f)
+        return self.jop.of_map(f) + (br if self.sign > 0 else -br)
+
+    def of_diff(self, d: Differential) -> GradedMap:
+        # [gamma, d] = -(-1)^{|gamma|} [d, gamma]
+        br = bracket_diff(d, self.gamma)
+        s = self.sign * (1 if self.gamma.degree % 2 else -1)
+        return self.jop.of_diff(d) + (br if s > 0 else -br)
+
+    def of_dop(self, p: DOpPair) -> DOpPair:
+        br = DOpPair.of_map(self.gamma, p.partial).bracket(p)
+        return self.jop.of_dop(p) + (br if self.sign > 0 else -br)

@@ -100,9 +100,9 @@ def test_a4_even_non_lift(N1):
     start = time.perf_counter()
     mod, d = N1
     sig = mod.sig
-    obs = obstruction(mod, d, "X")
+    h = obstruction(mod, d, "X")
     one_mono = ((0, 0), (0, 0, 0))
-    assert obs.h.entry("e0", "e1") == sig.one()
+    assert h.entry("e0", "e1") == sig.one()
 
     # oracle by enumeration: no candidate unknown can reach the constant term
     gamma_degree = -2
@@ -119,7 +119,7 @@ def test_a4_even_non_lift(N1):
                 img = bracket_diff(d, unit).entry("e0", "e1")
                 assert one_mono not in img.terms, "oracle contradiction"
 
-    assert solve_homotopy(mod, d, obs.h, 3) is None
+    assert solve_homotopy(mod, d, h, 3) is None
     assert not decide_naive_lift(mod, d, "X", 3).vanishes
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -161,7 +161,7 @@ def test_a6_obstruction_invariance(N3, N1prime):
             bound = base_bound + 2 * unit_poly_degree(u)
             dec = decide_naive_lift(mod, d2, "X", bound)
             assert dec.vanishes, (label, u)
-            gamma = dec.certificate.gamma
+            gamma = dec.certificate
             assert bracket_diff(d2, gamma) == jop.of_diff(d2)
             checked += 1
     _report("A6 obstruction invariance", f"{checked} conjugated instances, certificates exact")

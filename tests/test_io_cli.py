@@ -449,6 +449,8 @@ def test_cli_transcript_shape(
         ),
         (S3_DOC, N3_DOC, ["naive", "--bound", "-1"], "--bound must be a non-negative integer"),
         (S3_DOC, N3_DOC, ["lift", "--bound", "-1"], "--bound must be a non-negative integer"),
+        (None, None, ["selftest", "--iters", "-2"], "--iters must be a positive integer"),
+        (None, None, ["selftest", "--iters", "0"], "--iters must be a positive integer"),
         (
             dict(S3_DOC, variables=[{"name": 5, "degree": 1, "d": "a"}]),
             N3_DOC,
@@ -507,6 +509,8 @@ def test_cli_transcript_shape(
         "p-too-large",
         "naive-bound",
         "lift-bound",
+        "selftest-negative-iters",
+        "selftest-zero-iters",
         "int-variable-name",
         "list-variable-name",
         "int-basis-name",
@@ -518,10 +522,12 @@ def test_cli_transcript_shape(
     ],
 )
 def test_cli_hostile_inputs_exit_1(tmp_path, capsys, sig_doc, mod_doc, argv, message):
-    sig = _write(tmp_path, "sig.json", sig_doc)
-    mod = _write(tmp_path, "mod.json", mod_doc)
-    extra = ["--mod", mod] if argv[0] in ("naive", "lift") else []
-    assert main([argv[0], "--sig", sig, *extra, *argv[1:]]) == 1
+    extra = []
+    if sig_doc is not None:
+        extra += ["--sig", _write(tmp_path, "sig.json", sig_doc)]
+    if argv[0] in ("naive", "lift"):
+        extra += ["--mod", _write(tmp_path, "mod.json", mod_doc)]
+    assert main([argv[0], *extra, *argv[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

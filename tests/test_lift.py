@@ -6,9 +6,8 @@ from dgalift import QQ, Signature, derivative, diff
 from dgalift.algebra import AlgElem, component_monomials
 from dgalift.errors import SchemaError, VerificationError
 from dgalift.field import PrimeField
-from dgalift.jop import JOperator, WeakJOp
+from dgalift.jop import JOperator
 from dgalift.lift import (
-    HomotopyCertificate,
     _beta_sharp,
     _coefficients,
     _homotopy_columns,
@@ -89,10 +88,10 @@ def _is_scalar_cycle_by_units(f, d):
 def _assert_corrected_projections(mod, d, lift, var="X"):
     """The projections ``Gamma(l_X eps_i)`` behind an odd lift are orthogonal
     idempotents summing to the identity, and give the columns of ``u``."""
-    d_sharp, j_sharp, g = _doubled_derivation(mod, d, lift.certificate.gamma, var)
+    d_sharp, _, g = _doubled_derivation(mod, d, lift.certificate, var)
     assert d_sharp == lift.ambient_diff
     dbl = lift.module
-    big_gamma = WeakJOp(j_sharp, +1, g)
+    big_gamma = JOperator(dbl, var, g)
     lx = left_mult(dbl, dbl.sig.gen(var))
     ps = [big_gamma.of_map(compose(lx, idempotent(dbl, i))) for i in range(dbl.rank)]
     total = GradedMap.zero(dbl, 0)
@@ -108,18 +107,18 @@ def _assert_corrected_projections(mod, d, lift, var="X"):
 
 def test_obstruction_values(N3, N1):
     mod3, d3 = N3
-    obs = obstruction(mod3, d3, "X")
-    assert bracket_diff(d3, obs.h).is_zero()
-    assert obs.h == GradedMap.single(mod3, "f0", "f2", -mod3.sig.parse("a"), degree=-2)
+    h = obstruction(mod3, d3, "X")
+    assert bracket_diff(d3, h).is_zero()
+    assert h == GradedMap.single(mod3, "f0", "f2", -mod3.sig.parse("a"), degree=-2)
     mod1, d1 = N1
-    obs1 = obstruction(mod1, d1, "X")
-    assert obs1.h == GradedMap.single(mod1, "e0", "e1", mod1.sig.one(), degree=-3)
+    want1 = GradedMap.single(mod1, "e0", "e1", mod1.sig.one(), degree=-3)
+    assert obstruction(mod1, d1, "X") == want1
 
 
 def test_obstruction_of_flat_differential(S1):
     mod = FreeModule(S1, [("e0", 0), ("e1", 1)])
     d = Differential(GradedMap(mod, -1, {(0, 1): S1.parse("a")}))
-    assert obstruction(mod, d, "X").h.is_zero()
+    assert obstruction(mod, d, "X").is_zero()
 
 
 def test_obstruction_preconditions(S3, S1):
@@ -138,18 +137,17 @@ def test_obstruction_preconditions(S3, S1):
 
 def test_solve_homotopy_fixture(N3):
     mod, d = N3
-    obs = obstruction(mod, d, "X")
-    cert = solve_homotopy(mod, d, obs.h, 0)
-    assert cert is not None
+    h = obstruction(mod, d, "X")
+    gamma = solve_homotopy(mod, d, h, 0)
+    assert gamma is not None
     # deterministic first solution of the documented unknown order
-    assert cert.gamma == GradedMap.single(mod, "f0", "f1", -mod.sig.one(), degree=-1)
-    assert bracket_diff(d, cert.gamma) == obs.h
+    assert gamma == GradedMap.single(mod, "f0", "f1", -mod.sig.one(), degree=-1)
+    assert bracket_diff(d, gamma) == h
 
 
 def test_solve_homotopy_not_found(N1, S3):
     mod, d = N1
-    obs = obstruction(mod, d, "X")
-    assert solve_homotopy(mod, d, obs.h, 3) is None
+    assert solve_homotopy(mod, d, obstruction(mod, d, "X"), 3) is None
     # X is odd, so no monomial has degree 2 and the system has no unknowns
     mod1 = FreeModule(S3, [("e0", 0)])
     h = GradedMap(mod1, 1, {(0, 0): S3.parse("X")})
@@ -158,7 +156,7 @@ def test_solve_homotopy_not_found(N1, S3):
 
 def test_solve_homotopy_rejects_foreign_module(N3, S3):
     mod, d = N3
-    h = obstruction(mod, d, "X").h
+    h = obstruction(mod, d, "X")
     other = FreeModule(S3, [("g0", 0), ("g1", 1), ("g2", 2)])
     d_other = Differential(GradedMap(other, -1, dict(d.matrix.entries)))
     h_other = GradedMap(other, h.degree, dict(h.entries))
@@ -170,12 +168,12 @@ def test_solve_homotopy_rejects_foreign_module(N3, S3):
 def test_solve_homotopy_zero_obstruction(S1, S3):
     mod = FreeModule(S1, [("e0", 0), ("e1", 1)])
     d = Differential(GradedMap(mod, -1, {(0, 1): S1.parse("a")}))
-    cert = solve_homotopy(mod, d, obstruction(mod, d, "X").h, 0)
-    assert cert is not None and cert.gamma.is_zero()
+    gamma = solve_homotopy(mod, d, obstruction(mod, d, "X"), 0)
+    assert gamma is not None and gamma.is_zero()
     # rank 1: gamma has degree -|X| < 0, so the system has no unknowns
     mod1 = FreeModule(S3, [("e0", 0)])
     dec = decide_naive_lift(mod1, Differential.free(mod1), "X", 2)
-    assert dec.vanishes and dec.certificate.gamma == GradedMap.zero(mod1, -1)
+    assert dec.vanishes and dec.certificate == GradedMap.zero(mod1, -1)
 
 
 def test_decide_naive_lift(N3, N1):
@@ -212,7 +210,7 @@ def test_even_lift_roundtrip(N1prime):
 
 def test_even_lift_rejects_bad_certificate(N1):
     mod, d = N1
-    bogus = HomotopyCertificate(GradedMap.zero(mod, -2))
+    bogus = GradedMap.zero(mod, -2)
     with pytest.raises(VerificationError):
         construct_lift_even(mod, d, "X", bogus)
 
@@ -235,7 +233,7 @@ def test_odd_lift_flat_input(S3):
     mod = FreeModule(S3, [("e0", 0), ("e1", 1)])
     d = Differential(GradedMap(mod, -1, {(0, 1): S3.parse("a")}))
     cert = decide_naive_lift(mod, d, "X", 0).certificate
-    assert cert.gamma.is_zero()
+    assert cert.is_zero()
     result = construct_lift_odd(mod, d, "X", cert)
     for e in result.lift_diff.matrix.entries.values():
         assert derivative(e, "X").is_zero()
@@ -292,7 +290,7 @@ def test_flat_differentials_always_vanish(S1, S3):
         if not d.square_zero:
             continue  # only square-zero instances are in scope
         dec = decide_naive_lift(mod, d, var, 0)
-        assert dec.vanishes and dec.certificate.gamma.is_zero()
+        assert dec.vanishes and dec.certificate.is_zero()
 
 
 def test_verify_lift_trivial_flat(S1):
@@ -309,8 +307,8 @@ def test_doubled_derivation_squares_to_zero_on_random_pairs(N3):
     mod, d = N3
     rng = random.Random(31)
     cert = decide_naive_lift(mod, d, "X", 0).certificate
-    d_sharp, j_sharp, g = _doubled_derivation(mod, d, cert.gamma)
-    big_gamma = WeakJOp(j_sharp, +1, g)
+    d_sharp, _, g = _doubled_derivation(mod, d, cert)
+    big_gamma = JOperator(d_sharp.module, "X", g)
     for _ in range(20):
         t = rand_dop(d_sharp.module, d_sharp, rng)
         assert big_gamma.of_dop(big_gamma.of_dop(t)).is_zero()
@@ -352,7 +350,6 @@ def test_even_lift_multi_step_series(S1):
     derivation acts nontrivially on some basis projection; the construction
     must succeed for any valid certificate.
     """
-    from dgalift.jop import WeakJOp
     from dgalift.module import compose as mcompose, idempotent
     from dgalift.randgen import rand_map
     from dgalift.tensor import NaiveTensor, verify_splitting
@@ -371,14 +368,14 @@ def test_even_lift_multi_step_series(S1):
     assert dec.vanishes
     j = JOperator(mod, "X")
     rng = random.Random(99)
-    gamma = dec.certificate.gamma
+    gamma = dec.certificate
     for _ in range(60):
         gauge = bracket_diff(d, rand_map(mod, -1, rng, poly_bound=1))
         if gauge.is_zero():
             continue
         gamma2 = gamma + gauge
         assert bracket_diff(d, gamma2) == j.of_diff(d)
-        delta = WeakJOp(j, +1, gamma2)
+        delta = JOperator(mod, "X", gamma2)
         if any(
             not delta.of_map(delta.of_map(idempotent(mod, i))).is_zero()
             for i in range(mod.rank)
@@ -386,7 +383,7 @@ def test_even_lift_multi_step_series(S1):
             break
     else:
         pytest.fail("no gauge produced a multi-step series")
-    lift = construct_lift_even(mod, d, "X", HomotopyCertificate(gamma2))
+    lift = construct_lift_even(mod, d, "X", gamma2)
     rep = verify_lift(lift.lift_diff, lift.u, d, "X", u_inv=lift.u_inv)
     assert rep.passed, rep.failures
     assert verify_splitting(NaiveTensor(mod, d, "X"), lift).passed
@@ -425,7 +422,7 @@ def test_corrected_basis_realizes_the_derivation(N3, N1prime):
     dec = decide_naive_lift(mod, d, "X", 3)
     lift = construct_lift_even(mod, d, "X", dec.certificate)
     j = JOperator(mod, "X")
-    delta = WeakJOp(j, +1, dec.certificate.gamma)
+    delta = JOperator(mod, "X", dec.certificate)
     u, ui = lift.u, lift.u_inv
     for _ in range(25):
         f = rand_map(mod, rng.randint(-2, 2), rng)
@@ -436,8 +433,8 @@ def test_corrected_basis_realizes_the_derivation(N3, N1prime):
     dec3 = decide_naive_lift(mod3, d3, "X", 0)
     lift3 = construct_lift_odd(mod3, d3, "X", dec3.certificate)
     dbl = lift3.module
-    _, j_sh, g = _doubled_derivation(mod3, d3, dec3.certificate.gamma)
-    big_gamma = WeakJOp(j_sh, +1, g)
+    _, j_sh, g = _doubled_derivation(mod3, d3, dec3.certificate)
+    big_gamma = JOperator(dbl, "X", g)
     u, ui = lift3.u, lift3.u_inv
     for _ in range(25):
         f = rand_map(dbl, rng.randint(-2, 2), rng)
@@ -500,7 +497,7 @@ def test_certificate_transport_under_conjugation(N3, N1prime):
             dec = decide_naive_lift(mod, d2, "X", bound)
             assert dec.vanishes
             defect = compose(j.of_map(u), ui)
-            transported = compose(compose(u, base.certificate.gamma), ui) + (
+            transported = compose(compose(u, base.certificate), ui) + (
                 defect if sign > 0 else -defect
             )
             assert bracket_diff(d2, transported) == j.of_diff(d2)
@@ -517,7 +514,7 @@ def test_square_check_matches_unit_loop(field):
     settings = [(mod3, d3, 0), (*twofold_extension(mod3, d3, 2), 1)]
     verdicts = []
     for mod, d, bound in settings:
-        gamma = decide_naive_lift(mod, d, "X", bound).certificate.gamma
+        gamma = decide_naive_lift(mod, d, "X", bound).certificate
         gammas = [gamma]
         for _ in range(2):
             gammas.append(gamma + bracket_diff(d, rand_map(mod, gamma.degree + 1, rng)))
@@ -528,7 +525,7 @@ def test_square_check_matches_unit_loop(field):
             ]
             for h in candidates:
                 new = is_scalar_cycle(j_sharp.of_map(h) + compose(h, h)) is not None
-                old = _squares_to_zero_on_units(WeakJOp(j_sharp, +1, h), d_sharp)
+                old = _squares_to_zero_on_units(JOperator(d_sharp.module, "X", h), d_sharp)
                 assert new == old
                 verdicts.append(new)
     assert True in verdicts and False in verdicts
@@ -574,26 +571,26 @@ def test_construction_identities_hold_for_every_gamma(field):
             gammas = [rand_map(mod, j.degree, rng, poly_bound=2) for _ in range(4)]
             dec = decide_naive_lift(mod, d, var, 2)
             if dec.vanishes:
-                gamma = dec.certificate.gamma
+                gamma = dec.certificate
                 for _ in range(2):
                     gammas.append(gamma + bracket_diff(d, rand_map(mod, gamma.degree + 1, rng)))
                 gammas.append(gamma)
             for gamma in gammas:
                 if not j.var.odd:
-                    delta = WeakJOp(j, +1, gamma)
+                    delta = JOperator(mod, var, gamma)
                     for lam in range(mod.rank):
                         eps = idempotent(mod, lam)
                         eps0 = eps - _series_plus(delta, eps, j.var)
                         assert delta.of_map(eps0).is_zero()
                         multi_step += not delta.of_map(delta.of_map(eps)).is_zero()
                     continue
-                delta = WeakJOp(j, -1, gamma)
+                delta = JOperator(mod, var, -gamma)
                 solves = delta.of_diff(d).is_zero()
                 alpha = compose(gamma, gamma) - j.of_map(gamma)
                 assert delta.of_map(alpha).is_zero()
                 d_sharp, j_sharp, g = _doubled_derivation(mod, d, gamma, var)
                 dbl = d_sharp.module
-                big_gamma = WeakJOp(j_sharp, +1, g)
+                big_gamma = JOperator(dbl, var, g)
                 lx = left_mult(dbl, mod.sig.gen(var))
                 assert big_gamma.of_map(lx) == GradedMap.identity(dbl)
                 assert is_scalar_cycle(j_sharp.of_map(g) + compose(g, g)) is not None
