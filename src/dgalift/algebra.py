@@ -23,16 +23,17 @@ Conventions:
     ``d(X^(m)) = X^(m-1) * d(X)``.
 
 Every product goes through one kernel, `_mul_into`, which adds ``a * b``
-of two term maps into an output map in place: `AlgElem.__mul__`, the
-module `compose` and `GradedMap.apply` accumulate through it without an
-intermediate element, and `diff` builds each Leibniz term with it.  A
-`Signature` holds the odd and even variable positions, so the Koszul sign
-is a suffix count over the odd positions, and it memoises each band of
-`component_monomials` as a tuple.  Nothing is memoised per monomial or per
-pair of monomials: the fixture signatures of the identity suites live for
-a whole run, and in a trial such memos raised the peak RSS of that
-benchmark from 23.3 to 29.7 MB (pair products) and from 23.7 to 25.9 MB
-(``d(m)``), for a bound of 10%.
+of two term maps into an output map in place; its ``neg`` flag adds
+``-(a * b)`` by seeding the Koszul flip count, at no cost.
+`AlgElem.__mul__`, `diff`, `GradedMap.apply` and the module accumulator
+(`module._product_into`: `compose`, brackets, ``d o f``, j-operators) add
+through it without an intermediate element.  A `Signature` holds the odd
+and even variable positions, so the Koszul sign is a suffix count over the
+odd positions, and it memoises each band of `component_monomials` as a
+tuple.  Nothing is memoised per monomial or per pair of monomials: the
+fixture signatures of the identity suites live for a whole run, and in a
+trial such memos raised the peak RSS of that benchmark from 23.3 to 29.7 MB
+(pair products) and from 23.7 to 25.9 MB (``d(m)``), for a bound of 10%.
 
 Everything is immutable after construction and safe to share.
 """
@@ -214,7 +215,7 @@ class Signature:
             t = self.parse(t)
         if t.sig != self:
             raise SchemaError("cycle lives in a different signature")
-        if not t.is_zero() and t.degree() != degree - 1:
+        if {self.monomial_degree(m) for m in t.terms} - {degree - 1}:
             raise SchemaError(
                 f"differential of {name} must be homogeneous of degree {degree - 1}"
             )
@@ -282,14 +283,8 @@ class AlgElem:
 
     def __add__(self, other: "AlgElem") -> "AlgElem":
         self._check(other)
-        field = self.sig.field
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = field.add(out.get(m, field.zero), c)
-            if s == field.zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
+        _add_into(self.sig.field, out, other.terms)
         return AlgElem(self.sig, out)
 
     def __neg__(self) -> "AlgElem":
@@ -347,17 +342,30 @@ class AlgElem:
 # -- monomial helpers ------------------------------------------------------------
 
 
-def _mul_into(sig: Signature, out: dict, a: dict, b: dict) -> None:
-    """Add the product ``a * b`` of two term maps into ``out``, in place.
+def _add_into(field: Field, out: dict, a: dict, neg: bool = False) -> None:
+    """Add the term map ``a`` (``-a`` when `neg`) into ``out``, in place."""
+    zero, fadd = field.zero, field.add
+    for m, c in a.items():
+        s = fadd(out.get(m, zero), field.neg(c) if neg else c)
+        if s == zero:
+            out.pop(m, None)
+        else:
+            out[m] = s
+
+
+def _mul_into(sig: Signature, out: dict, a: dict, b: dict, neg: bool = False) -> None:
+    """Add the product ``a * b`` of two term maps (``-(a * b)`` when `neg`)
+    into ``out``, in place; a coefficient that cancels is deleted.
 
     Per pair of monomials: an odd variable in both kills the term; an even
     variable in both contributes the binomial ``comb(e1 + e2, e1)`` reduced
     in the field, and kills the term when that vanishes; the Koszul sign
     counts, for each odd factor of the right monomial, the odd factors of
-    the left one at later positions.
+    the left one at later positions, starting from 1 when `neg`.
     """
     field = sig.field
     zero, mul, fadd = field.zero, field.mul, field.add
+    seed = 1 if neg else 0
     for (p1, v1), c1 in a.items():
         later, count = [], 0  # (odd position j, odd factors of v1 after j)
         for j in reversed(sig._odd):
@@ -366,7 +374,7 @@ def _mul_into(sig: Signature, out: dict, a: dict, b: dict) -> None:
         evens = [(i, v1[i]) for i in sig._even if v1[i]]
         for (p2, v2), c2 in b.items():
             coeff = mul(c1, c2)
-            flips = 0
+            flips = seed
             for j, k in later:
                 if v2[j]:
                     if v1[j]:
@@ -415,7 +423,7 @@ def diff(elem: AlgElem) -> AlgElem:
                 continue
             left = (p, v[:i] + (e - 1,) + (0,) * (nvars - i - 1))
             mid: dict = {}
-            _mul_into(sig, mid, {left: sig.field.neg(c) if left_deg % 2 else c}, var.diff.terms)
+            _mul_into(sig, mid, {left: c}, var.diff.terms, left_deg % 2)
             _mul_into(sig, out, mid, {(no_poly, (0,) * (i + 1) + v[i + 1 :]): one})
             left_deg += e * var.degree
     return AlgElem(sig, out)
@@ -428,7 +436,8 @@ def derivative(elem: AlgElem, var_name: str) -> AlgElem:
     without the variable die).  For an odd variable the factor is removed
     after moving it to the leftmost position, which contributes the Koszul
     sign of that move.  The result is zero exactly when the element lies in
-    the subalgebra generated without the variable.
+    the subalgebra generated without the variable.  Lowering one exponent
+    is injective on the monomials with the variable: no two terms meet.
     """
     sig = elem.sig
     field = sig.field
@@ -446,12 +455,7 @@ def derivative(elem: AlgElem, var_name: str) -> AlgElem:
             )
             if left_deg % 2:
                 c = field.neg(c)
-        m = (p, new_v)
-        s = field.add(out.get(m, field.zero), c)
-        if s == field.zero:
-            out.pop(m, None)
-        else:
-            out[m] = s
+        out[p, new_v] = c
     return AlgElem(sig, out)
 
 

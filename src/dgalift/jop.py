@@ -18,7 +18,7 @@ a commutator yields a member of this family that kills the differential.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .algebra import derivative
 from .errors import SchemaError
@@ -27,14 +27,13 @@ from .module import (
     DOpPair,
     FreeModule,
     GradedMap,
-    bracket,
-    bracket_diff,
+    _bracket_diff_into,
+    _bracket_into,
+    _derive_into,
+    _finish,
+    _product_into,
     compose,
-    derive_entries,
-    idempotent,
     invert_unit,
-    left_mult,
-    unit_elementary,
 )
 
 Target = Union[GradedMap, Differential, DOpPair]
@@ -65,40 +64,44 @@ class JOperator:
             raise SchemaError(f"gamma must have degree {self.degree}, found {gamma.degree}")
         self.gamma = gamma
 
-    def _j(self, alpha: GradedMap) -> GradedMap:
+    def _j_into(self, out: dict, alpha: GradedMap) -> None:
+        """Add ``j(alpha)`` into a `module` accumulator."""
         if alpha.module != self.module:
             raise SchemaError("map acts on a different module")
-        return derive_entries(alpha, lambda e: derivative(e, self.var_name), self.degree)
+        _derive_into(out, alpha, lambda e: derivative(e, self.var_name), self.degree)
 
     def of_map(self, alpha: GradedMap) -> GradedMap:
-        out = self._j(alpha)
-        if self.gamma.is_zero():
-            return out
-        return out + bracket(self.gamma, alpha)
+        out: dict = {}
+        self._j_into(out, alpha)
+        if not self.gamma.is_zero():
+            _bracket_into(out, self.gamma, alpha)
+        return _finish(self.module, alpha.degree + self.degree, out)
 
     def of_diff(self, d: Differential) -> GradedMap:
         """Apply to a differential: ``j`` sees only its matrix part, and
         ``[gamma, d] = -(-1)^{|gamma|} [d, gamma]``."""
-        out = self._j(d.matrix)
-        if self.gamma.is_zero():
-            return out
-        br = bracket_diff(d, self.gamma)
-        return out + br if self.gamma.degree % 2 else out - br
+        out: dict = {}
+        self._j_into(out, d.matrix)
+        if not self.gamma.is_zero():
+            _bracket_diff_into(out, d, self.gamma, not self.gamma.degree % 2)
+        return _finish(self.module, self.degree - 1, out)
 
     def of_dop(self, p: DOpPair) -> DOpPair:
         """Leibniz extension ``j(f + g o d) = j(f) + j(g) o d +
         (-1)^{|X||g|} g o j(d)``, plus ``[gamma, -]``; representation-free."""
-        jd = self._j(p.partial.matrix)
-        e_part = self._j(p.f)
-        if not p.g.is_zero() and not jd.is_zero():
-            t = compose(p.g, jd)
-            if (self.var.degree * p.g.degree) % 2:
-                t = -t
-            e_part = e_part + t
-        out = DOpPair(e_part, self._j(p.g), p.partial)
-        if self.gamma.is_zero():
-            return out
-        return out + DOpPair.of_map(self.gamma, p.partial).bracket(p)
+        jd, e, c = {}, {}, {}
+        self._j_into(jd, p.partial.matrix)
+        self._j_into(c, p.g)
+        self._j_into(e, p.f)
+        jd_map = _finish(self.module, self.degree - 1, jd)
+        _product_into(e, p.g, jd_map, bool((self.var.degree * p.g.degree) % 2))
+        if not self.gamma.is_zero():
+            DOpPair.of_map(self.gamma, p.partial)._bracket_into(e, c, p)
+        return DOpPair(
+            _finish(self.module, p.f.degree + self.degree, e),
+            _finish(self.module, p.g.degree + self.degree, c),
+            p.partial,
+        )
 
     def __call__(self, target: Target):
         if isinstance(target, GradedMap):
@@ -139,55 +142,3 @@ class CheckReport:
     def note(self, msg: str):
         self.passed = False
         self.failures.append(msg)
-
-
-def characterization_check(delta: Callable, jop: JOperator) -> CheckReport:
-    """Decide whether a candidate derivation is the basis operator.
-
-    ``delta`` is any callable on GradedMap / Differential values.  The
-    check evaluates the two defining conditions (action on the variable
-    powers, vanishing on the basis idempotents) and then compares against
-    the operator on all matrix units and on the free differential.
-    Divided powers are checked up to the index bound the module's degree
-    spread makes meaningful.
-    """
-    module = jop.module
-    sig = module.sig
-    var = jop.var
-    report = CheckReport(True)
-    ident = GradedMap.identity(module)
-
-    if var.odd:
-        got = delta(left_mult(module, sig.gen(var.name)))
-        if got != ident:
-            report.note(f"delta(l_{var.name}) != identity")
-    else:
-        n_max = max(1, module.spread() // var.degree + 1)
-        for n in range(1, n_max + 1):
-            got = delta(left_mult(module, sig.gen_power(var.name, n)))
-            want = (
-                ident
-                if n == 1
-                else left_mult(module, sig.gen_power(var.name, n - 1))
-            )
-            if got != want:
-                report.note(f"delta(l_{var.name}^({n})) is wrong")
-    for lam in range(module.rank):
-        got = delta(idempotent(module, lam))
-        if not got.is_zero():
-            report.note(f"delta(eps_{module.names[lam]}) != 0")
-    if not report.passed:
-        return report
-
-    for lam in range(module.rank):
-        for mu in range(module.rank):
-            unit = unit_elementary(module, lam, mu)
-            if delta(unit) != jop.of_map(unit):
-                report.note(
-                    f"disagrees with the basis operator on the matrix unit "
-                    f"({module.names[lam]},{module.names[mu]})"
-                )
-    free = Differential.free(module)
-    if delta(free) != jop.of_diff(free):
-        report.note("disagrees with the basis operator on the free differential")
-    return report

@@ -41,6 +41,8 @@ from .module import (
     Differential,
     FreeModule,
     GradedMap,
+    _finish,
+    _product_into,
     bracket_diff,
     compose,
     idempotent,
@@ -171,21 +173,17 @@ def solve_homotopy(
     """
     if d.module != module or h.module != module:
         raise SchemaError("differential and target must act on the given module")
-    sig = module.sig
-    field = sig.field
+    field = module.sig.field
     gamma_degree = h.degree + 1
     unknowns, columns = _homotopy_columns(module, d, gamma_degree, bound)
     sol = solve_exact(field, columns, _coefficients(h))
     if sol is None:
         return None
-    entries: dict = {}
+    entries: dict = {}  # an accumulator: each (r, c, m) is one unknown
     for (r, c, m), cval in zip(unknowns, sol):
-        if cval == field.zero:
-            continue
-        key = (r, c)
-        add = AlgElem(sig, {m: cval})
-        entries[key] = entries[key] + add if key in entries else add
-    gamma = GradedMap(module, gamma_degree, entries, check=False)
+        if cval != field.zero:
+            entries.setdefault((r, c), {})[m] = cval
+    gamma = _finish(module, gamma_degree, entries)
     if bracket_diff(d, gamma) != h:
         raise VerificationError("homotopy certificate failed its exact re-check")
     return gamma
@@ -206,20 +204,17 @@ def _series_plus(delta: JOperator, f: GradedMap, var) -> GradedMap:
     """The correction ``X Delta(f) - X^(2) Delta^2(f) + ...`` (finite)."""
     module = f.module
     sig = module.sig
-    out = GradedMap.zero(module, f.degree)
+    out: dict = {}
     cur = delta.of_map(f)
     n = 1
-    sign = 1
     cap = module.spread() // var.degree + 2
     while not cur.is_zero():
-        term = compose(left_mult(module, sig.gen_power(var.name, n)), cur)
-        out = out + (term if sign > 0 else -term)
+        _product_into(out, left_mult(module, sig.gen_power(var.name, n)), cur, n % 2 == 0)
         cur = delta.of_map(cur)
         n += 1
-        sign = -sign
         if n > cap + 1:
             raise VerificationError("idempotent correction series failed to terminate")
-    return out
+    return _finish(module, f.degree, out)
 
 
 def _certified(

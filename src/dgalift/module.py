@@ -10,17 +10,22 @@ A `Differential` holds the matrix ``D`` of its values on basis elements; the
 action on a general element adds the termwise Leibniz part
 ``(-1)^{|e|} e * d(coeff)``.  On matrices this is one rule,
 ``d o f = D f + d(f)``, with ``d(f)`` the algebra differential of every
-entry under the row sign ``(-1)^{|e_row|}`` (`derive_entries`, the loop the
-basis operator ``j`` of `jop` uses with ``d/dX``); ``[d, f]``, ``d o d`` and
+entry under the row sign ``(-1)^{|e_row|}``; ``[d, f]``, ``d o d`` and
 ``u o d o u^{-1}`` follow in closed form.  Composites mixing matrices with
 one reference differential normalize into `DOpPair` values ``f + g o d``.
+
+Every sum of such terms adds into one accumulator, a dict ``(row, col) ->
+term map``: `_product_into` adds ``f o g`` and `_derive_into` an entrywise
+derivation (``d(f)`` here, ``j(f)`` in `jop`), each negated by a ``neg``
+flag, and `_finish` wraps every entry once.  No term becomes a map of its
+own in `compose`, the brackets, ``d o f`` or the `DOpPair` products.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from .algebra import AlgElem, Signature, _mul_into, component_monomials, diff
+from .algebra import AlgElem, Signature, _add_into, _mul_into, component_monomials, diff
 from .errors import NotInvertibleError, SchemaError, VerificationError
 from .solver import solve_exact
 
@@ -175,7 +180,7 @@ class GradedMap:
                 if e.sig != module.sig:
                     raise SchemaError("entry from a different signature")
                 want = degs[c] + degree - degs[r]
-                if e.degree() != want:
+                if {e.sig.monomial_degree(m) for m in e.terms} != {want}:
                     raise SchemaError(
                         f"entry ({module.names[r]},{module.names[c]}) must be "
                         f"homogeneous of degree {want}"
@@ -201,6 +206,8 @@ class GradedMap:
         if degree is None:
             if value.is_zero():
                 raise SchemaError("degree required for a zero single entry")
+            if not value.is_homogeneous():
+                raise SchemaError("a single entry must be homogeneous")
             degree = module.degrees[r] + value.degree() - module.degrees[c]
         return GradedMap(module, degree, {(r, c): value})
 
@@ -280,45 +287,62 @@ class GradedMap:
         return f"GradedMap(deg {self.degree}: {body})"
 
 
-def compose(f: GradedMap, g: GradedMap) -> GradedMap:
-    """Matrix product ``f o g``; no extra signs in this convention."""
-    f._check(g)
+# -- the accumulator: one term map per entry ----------------------------------
+
+
+def _product_into(out: dict, f: GradedMap, g: GradedMap, neg: bool = False) -> None:
+    """Add ``f o g`` (``-(f o g)`` when `neg`) into the accumulator ``out``."""
+    if not (f.entries and g.entries):
+        return
     sig = f.module.sig
-    out: dict = {}
-    # index g's entries by column-of-f (= row of g)
-    by_row: dict = {}
+    by_row: dict = {}  # g's entries by row (= column of f)
     for (r, c), v in g.entries.items():
         by_row.setdefault(r, []).append((c, v.terms))
     for (r, m), fv in f.entries.items():
         for c, gv in by_row.get(m, ()):
-            _mul_into(sig, out.setdefault((r, c), {}), fv.terms, gv)
-    entries = {k: AlgElem(sig, t) for k, t in out.items()}
-    return GradedMap(f.module, f.degree + g.degree, entries, check=False)
+            _mul_into(sig, out.setdefault((r, c), {}), fv.terms, gv, neg)
 
 
-def derive_entries(f: GradedMap, delta: Callable, n: int) -> GradedMap:
-    """Apply a degree-``n`` derivation of the algebra to every entry.
-
-    Row ``r`` carries the sign ``(-1)^{n |e_r|}``, the Koszul sign of moving
-    the derivation past the basis element ``e_r``.
+def _derive_into(out: dict, f: GradedMap, delta: Callable, n: int, neg: bool = False) -> None:
+    """Add a degree-``n`` derivation ``delta`` of the algebra, applied to
+    every entry of ``f`` (negated when `neg`), into ``out``.  Row ``r``
+    carries ``(-1)^{n |e_r|}``, the Koszul sign of moving ``delta`` past ``e_r``.
     """
+    field = f.module.sig.field
     degs = f.module.degrees
-    entries = {}
     for (r, c), e in f.entries.items():
-        de = delta(e)
-        if de.is_zero():
-            continue
-        entries[(r, c)] = -de if (n * degs[r]) % 2 else de
-    return GradedMap(f.module, f.degree + n, entries, check=False)
+        negate = neg ^ bool((n * degs[r]) % 2)
+        _add_into(field, out.setdefault((r, c), {}), delta(e).terms, negate)
+
+
+def _bracket_into(out: dict, f: GradedMap, g: GradedMap, neg: bool = False) -> None:
+    """Add ``[f, g] = f o g - (-1)^(|f||g|) g o f`` (negated when `neg`)."""
+    _product_into(out, f, g, neg)
+    _product_into(out, g, f, neg ^ (not (f.degree * g.degree) % 2))
+
+
+def _finish(module: FreeModule, degree: int, out: dict) -> GradedMap:
+    """The map of an accumulator; entries that cancelled are left out."""
+    m = object.__new__(GradedMap)
+    m.module, m.degree = module, degree
+    m.entries = {k: AlgElem(module.sig, t) for k, t in out.items() if t}
+    return m
+
+
+def compose(f: GradedMap, g: GradedMap) -> GradedMap:
+    """Matrix product ``f o g``; no extra signs in this convention."""
+    f._check(g)
+    out: dict = {}
+    _product_into(out, f, g)
+    return _finish(f.module, f.degree + g.degree, out)
 
 
 def bracket(f: GradedMap, g: GradedMap) -> GradedMap:
     """Graded commutator ``[f, g] = f o g - (-1)^(|f||g|) g o f``."""
-    fg = compose(f, g)
-    gf = compose(g, f)
-    if (f.degree * g.degree) % 2:
-        return fg + gf
-    return fg - gf
+    f._check(g)
+    out: dict = {}
+    _bracket_into(out, f, g)
+    return _finish(f.module, f.degree + g.degree, out)
 
 
 def left_mult(module: FreeModule, b: AlgElem) -> GradedMap:
@@ -327,9 +351,9 @@ def left_mult(module: FreeModule, b: AlgElem) -> GradedMap:
         raise SchemaError("element from a different signature")
     if b.is_zero():
         return GradedMap.zero(module, 0)
-    n = b.degree()
-    if n is None or not b.is_homogeneous():
+    if not b.is_homogeneous():
         raise SchemaError("left multiplication needs a homogeneous element")
+    n = b.degree()
     entries = {}
     for i, d in enumerate(module.degrees):
         entries[(i, i)] = b.scale(-1) if (n * d) % 2 else b
@@ -382,18 +406,17 @@ class Differential:
         module = self.module
         extra: dict = {}
         for i, c in x.coeffs.items():
-            dc = diff(c)
-            if dc.is_zero():
-                continue
-            if module.degrees[i] % 2:
-                dc = -dc
-            prev = extra.get(i)
-            extra[i] = dc if prev is None else prev + dc
+            dc = diff(c)  # a zero one is dropped by ModuleElement
+            extra[i] = -dc if module.degrees[i] % 2 else dc
         return out + ModuleElement(module, extra)
 
     def after(self, f: GradedMap) -> GradedMap:
         """The composite ``d o f`` as a matrix, ``D f + d(f)``."""
-        return compose(self.matrix, f) + derive_entries(f, diff, -1)
+        self.matrix._check(f)
+        out: dict = {}
+        _product_into(out, self.matrix, f)
+        _derive_into(out, f, diff, -1)
+        return _finish(f.module, f.degree - 1, out)
 
     def square(self) -> GradedMap:
         """The composite ``d o d`` as a matrix."""
@@ -423,15 +446,27 @@ class Differential:
 
 def bracket_diff(d: Differential, f: GradedMap) -> GradedMap:
     """``[d, f] = d o f - (-1)^{|f|} f o d`` (it is linear over the algebra)."""
-    t = compose(f, d.matrix)
-    df = d.after(f)
-    return df + t if f.degree % 2 else df - t
+    d.matrix._check(f)
+    out: dict = {}
+    _bracket_diff_into(out, d, f)
+    return _finish(f.module, f.degree - 1, out)
+
+
+def _bracket_diff_into(out: dict, d: Differential, f: GradedMap, neg: bool = False) -> None:
+    """Add ``[d, f] = D f + d(f) - (-1)^{|f|} f D`` (negated when `neg`)."""
+    _product_into(out, d.matrix, f, neg)
+    _derive_into(out, f, diff, -1, neg)
+    _product_into(out, f, d.matrix, neg ^ (not f.degree % 2))
 
 
 def bracket_diff2(d: Differential, d2: Differential) -> GradedMap:
     """``[d, d'] = d o d' + d' o d``: the bracket of ``d`` with the matrix of
     ``d'`` plus the Leibniz part ``d'`` adds on ``D``."""
-    return bracket_diff(d, d2.matrix) + derive_entries(d.matrix, diff, -1)
+    d.matrix._check(d2.matrix)
+    out: dict = {}
+    _bracket_diff_into(out, d, d2.matrix)
+    _derive_into(out, d.matrix, diff, -1)
+    return _finish(d.module, -2, out)
 
 
 class DOpPair:
@@ -499,31 +534,47 @@ class DOpPair:
 
     def compose(self, other: "DOpPair") -> "DOpPair":
         """Normalized composite ``self o other``."""
-        self._check(other)
+        return self._sum(other, self._compose_into)
+
+    def bracket(self, other: "DOpPair") -> "DOpPair":
+        """``[self, other] = self o other - (-1)^(|self||other|) other o self``."""
+        return self._sum(other, self._bracket_into)
+
+    def _compose_into(self, e: dict, c: dict, other: "DOpPair", neg: bool = False) -> None:
+        """Add ``self o other`` (negated when `neg`) into the accumulators
+        ``e`` of its map part and ``c`` of its coefficient of ``d``:
+        ``(f1 + g1 d)(f2 + g2 d) = f1 f2 + g1 [d, f2] + (-1)^{|g2|} g1 g2 d^2
+        + (f1 g2 + (-1)^{|f2|} g1 f2 + g1 [d, g2]) d``."""
         d = self.partial
         f1, g1 = self.f, self.g
         f2, g2 = other.f, other.g
-        e_part = compose(f1, f2)
-        c_part = compose(f1, g2)
+        _product_into(e, f1, f2, neg)
+        _product_into(c, f1, g2, neg)
         if not g1.is_zero():
             if not f2.is_zero():
-                e_part = e_part + compose(g1, bracket_diff(d, f2))
-                t = compose(g1, f2)
-                c_part = c_part + (-t if f2.degree % 2 else t)
+                _product_into(e, g1, bracket_diff(d, f2), neg)
+                _product_into(c, g1, f2, neg ^ bool(f2.degree % 2))
             if not g2.is_zero():
-                c_part = c_part + compose(g1, bracket_diff(d, g2))
+                _product_into(c, g1, bracket_diff(d, g2), neg)
                 sq = d.square()
                 if not sq.is_zero():
-                    t = compose(compose(g1, g2), sq)
-                    e_part = e_part + (-t if g2.degree % 2 else t)
-        return DOpPair(e_part, c_part, d)
+                    _product_into(e, compose(g1, g2), sq, neg ^ bool(g2.degree % 2))
 
-    def bracket(self, other: "DOpPair") -> "DOpPair":
-        ab = self.compose(other)
-        ba = other.compose(self)
-        if (self.degree * other.degree) % 2:
-            return ab + ba
-        return ab - ba
+    def _bracket_into(self, e: dict, c: dict, other: "DOpPair") -> None:
+        self._compose_into(e, c, other)
+        other._compose_into(e, c, self, not (self.degree * other.degree) % 2)
+
+    def _sum(self, other: "DOpPair", add_into: Callable) -> "DOpPair":
+        """The pair ``add_into(e, c, other)`` accumulates: ``self o other``
+        or a bracket, of the same degree."""
+        self._check(other)
+        e, c = {}, {}
+        add_into(e, c, other)
+        return DOpPair(
+            _finish(self.module, self.f.degree + other.f.degree, e),
+            _finish(self.module, self.f.degree + other.g.degree, c),
+            self.partial,
+        )
 
     def __eq__(self, other):
         return (
@@ -590,20 +641,18 @@ def invert_unit(u: GradedMap) -> GradedMap:
 
     v = _invert_flat(u_flat)
     w = compose(v, u_rest)
-    # geometric series in the nilpotent w: (1 + w)^{-1} = 1 - w + w^2 - ...
-    series = one
-    power = w
-    sign = -1
+    # geometric series in the nilpotent w: u^{-1} = (1 - w + w^2 - ...) v
+    series: dict = {}
+    power = one
     steps = 0
     cap = module.spread() + 2
     while not power.is_zero():
-        series = series + power.scale(sign)
+        _product_into(series, power, v, steps % 2 == 1)
         power = compose(power, w)
-        sign = -sign
         steps += 1
-        if steps > cap:
+        if steps > cap + 1:
             raise VerificationError("nilpotent correction failed to terminate")
-    inv = compose(series, v)
+    inv = _finish(module, 0, series)
     if compose(u, inv) != one or compose(inv, u) != one:
         raise VerificationError("unit inverse failed verification")
     return inv
@@ -627,7 +676,7 @@ def _invert_flat(u_flat: GradedMap) -> GradedMap:
     cand_elems = [AlgElem(sig, {m: field.one}) for m in cand]
     one_mono = ((0,) * len(sig.polygens), (0,) * len(sig.variables))
 
-    inv_entries: dict = {}
+    inv_entries: dict = {}  # an accumulator: each (a, b, m) is met once
     for idxs in blocks.values():
         k = len(idxs)
         unknowns = []  # (a, b, monomial) for v[a][b]
@@ -651,10 +700,8 @@ def _invert_flat(u_flat: GradedMap) -> GradedMap:
             raise NotInvertibleError("degree-level part of the unit is singular")
         for (a, b, m), cval in zip(unknowns, sol):
             if cval != field.zero:
-                key = (idxs[a], idxs[b])
-                prev = inv_entries.get(key, sig.zero())
-                inv_entries[key] = prev + AlgElem(sig, {m: cval})
-    return GradedMap(module, 0, inv_entries, check=False)
+                inv_entries.setdefault((idxs[a], idxs[b]), {})[m] = cval
+    return _finish(module, 0, inv_entries)
 
 
 # -- builders ----------------------------------------------------------------

@@ -1,27 +1,29 @@
 """Reference checks, and a fixture they need, that only the tests use."""
 
 from math import comb
-from typing import Optional
+from typing import Callable, Optional
 
 from dgalift.algebra import (
     AlgElem,
     Signature,
     _poly_tuples,
     _var_tuples,
+    derivative,
     diff,
     monomial_sort_key,
 )
 from dgalift.errors import SchemaError
-from dgalift.jop import JOperator
+from dgalift.jop import CheckReport, JOperator
 from dgalift.module import (
     Differential,
     DOpPair,
     FreeModule,
     GradedMap,
     ModuleElement,
-    bracket,
-    bracket_diff,
+    compose,
+    idempotent,
     left_mult,
+    unit_elementary,
 )
 
 
@@ -188,15 +190,169 @@ class WeakJOp:
         self.degree = jop.degree
 
     def of_map(self, f: GradedMap) -> GradedMap:
-        br = bracket(self.gamma, f)
-        return self.jop.of_map(f) + (br if self.sign > 0 else -br)
+        br = bracket_reference(self.gamma, f)
+        return j_reference(self.jop, f) + (br if self.sign > 0 else -br)
 
     def of_diff(self, d: Differential) -> GradedMap:
         # [gamma, d] = -(-1)^{|gamma|} [d, gamma]
-        br = bracket_diff(d, self.gamma)
+        br = bracket_diff_reference(d, self.gamma)
         s = self.sign * (1 if self.gamma.degree % 2 else -1)
-        return self.jop.of_diff(d) + (br if s > 0 else -br)
+        return j_reference(self.jop, d.matrix) + (br if s > 0 else -br)
 
     def of_dop(self, p: DOpPair) -> DOpPair:
-        br = DOpPair.of_map(self.gamma, p.partial).bracket(p)
-        return self.jop.of_dop(p) + (br if self.sign > 0 else -br)
+        br = dop_bracket_reference(DOpPair.of_map(self.gamma, p.partial), p)
+        return of_dop_reference(self.jop, p) + (br if self.sign > 0 else -br)
+
+
+# -- sums of products before the shared accumulator ---------------------------
+#
+# Each term below is a map of its own, added or subtracted with the map
+# arithmetic; the accumulator in `dgalift.module` must agree entry for entry.
+
+
+def derive_entries_reference(f: GradedMap, delta: Callable, n: int) -> GradedMap:
+    """A degree-``n`` derivation on every entry, row ``r`` signed by
+    ``(-1)^{n |e_r|}``."""
+    degs = f.module.degrees
+    entries = {}
+    for (r, c), e in f.entries.items():
+        de = delta(e)
+        if not de.is_zero():
+            entries[(r, c)] = -de if (n * degs[r]) % 2 else de
+    return GradedMap(f.module, f.degree + n, entries, check=False)
+
+
+def bracket_reference(f: GradedMap, g: GradedMap) -> GradedMap:
+    fg = compose(f, g)
+    gf = compose(g, f)
+    if (f.degree * g.degree) % 2:
+        return fg + gf
+    return fg - gf
+
+
+def after_reference(d: Differential, f: GradedMap) -> GradedMap:
+    """``d o f = D f + d(f)``."""
+    return compose(d.matrix, f) + derive_entries_reference(f, diff, -1)
+
+
+def bracket_diff_reference(d: Differential, f: GradedMap) -> GradedMap:
+    t = compose(f, d.matrix)
+    df = after_reference(d, f)
+    return df + t if f.degree % 2 else df - t
+
+
+def dop_compose_reference(a: DOpPair, b: DOpPair) -> DOpPair:
+    d = a.partial
+    f1, g1 = a.f, a.g
+    f2, g2 = b.f, b.g
+    e_part = compose(f1, f2)
+    c_part = compose(f1, g2)
+    if not g1.is_zero():
+        if not f2.is_zero():
+            e_part = e_part + compose(g1, bracket_diff_reference(d, f2))
+            t = compose(g1, f2)
+            c_part = c_part + (-t if f2.degree % 2 else t)
+        if not g2.is_zero():
+            c_part = c_part + compose(g1, bracket_diff_reference(d, g2))
+            sq = after_reference(d, d.matrix)
+            if not sq.is_zero():
+                t = compose(compose(g1, g2), sq)
+                e_part = e_part + (-t if g2.degree % 2 else t)
+    return DOpPair(e_part, c_part, d)
+
+
+def dop_bracket_reference(a: DOpPair, b: DOpPair) -> DOpPair:
+    ab = dop_compose_reference(a, b)
+    ba = dop_compose_reference(b, a)
+    if (a.degree * b.degree) % 2:
+        return ab + ba
+    return ab - ba
+
+
+def j_reference(jop: JOperator, alpha: GradedMap) -> GradedMap:
+    """The bare ``j`` (``gamma`` ignored)."""
+    return derive_entries_reference(alpha, lambda e: derivative(e, jop.var_name), jop.degree)
+
+
+def of_map_reference(jop: JOperator, alpha: GradedMap) -> GradedMap:
+    out = j_reference(jop, alpha)
+    if jop.gamma.is_zero():
+        return out
+    return out + bracket_reference(jop.gamma, alpha)
+
+
+def of_diff_reference(jop: JOperator, d: Differential) -> GradedMap:
+    out = j_reference(jop, d.matrix)
+    if jop.gamma.is_zero():
+        return out
+    br = bracket_diff_reference(d, jop.gamma)
+    return out + br if jop.gamma.degree % 2 else out - br
+
+
+def of_dop_reference(jop: JOperator, p: DOpPair) -> DOpPair:
+    jd = j_reference(jop, p.partial.matrix)
+    e_part = j_reference(jop, p.f)
+    if not p.g.is_zero() and not jd.is_zero():
+        t = compose(p.g, jd)
+        if (jop.var.degree * p.g.degree) % 2:
+            t = -t
+        e_part = e_part + t
+    out = DOpPair(e_part, j_reference(jop, p.g), p.partial)
+    if jop.gamma.is_zero():
+        return out
+    return out + dop_bracket_reference(DOpPair.of_map(jop.gamma, p.partial), p)
+
+
+# -- the characterisation of j ------------------------------------------------
+
+
+def characterization_check(delta: Callable, jop: JOperator) -> CheckReport:
+    """Decide whether a candidate derivation is the basis operator.
+
+    ``delta`` is any callable on GradedMap / Differential values.  The
+    check evaluates the two defining conditions (action on the variable
+    powers, vanishing on the basis idempotents) and then compares against
+    the operator on all matrix units and on the free differential.
+    Divided powers are checked up to the index bound the module's degree
+    spread makes meaningful.
+    """
+    module = jop.module
+    sig = module.sig
+    var = jop.var
+    report = CheckReport(True)
+    ident = GradedMap.identity(module)
+
+    if var.odd:
+        got = delta(left_mult(module, sig.gen(var.name)))
+        if got != ident:
+            report.note(f"delta(l_{var.name}) != identity")
+    else:
+        n_max = max(1, module.spread() // var.degree + 1)
+        for n in range(1, n_max + 1):
+            got = delta(left_mult(module, sig.gen_power(var.name, n)))
+            want = (
+                ident
+                if n == 1
+                else left_mult(module, sig.gen_power(var.name, n - 1))
+            )
+            if got != want:
+                report.note(f"delta(l_{var.name}^({n})) is wrong")
+    for lam in range(module.rank):
+        got = delta(idempotent(module, lam))
+        if not got.is_zero():
+            report.note(f"delta(eps_{module.names[lam]}) != 0")
+    if not report.passed:
+        return report
+
+    for lam in range(module.rank):
+        for mu in range(module.rank):
+            unit = unit_elementary(module, lam, mu)
+            if delta(unit) != jop.of_map(unit):
+                report.note(
+                    f"disagrees with the basis operator on the matrix unit "
+                    f"({module.names[lam]},{module.names[mu]})"
+                )
+    free = Differential.free(module)
+    if delta(free) != jop.of_diff(free):
+        report.note("disagrees with the basis operator on the free differential")
+    return report

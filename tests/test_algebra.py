@@ -188,6 +188,8 @@ def test_tate_adjoin_errors(S3):
             S3.adjoin(name, 1, "a")
     with pytest.raises(SchemaError):
         S3.adjoin("Z", 3, "a")  # wrong degree for the cycle
+    with pytest.raises(SchemaError, match="homogeneous"):
+        S3.adjoin("Z", 1, "a + X")  # inhomogeneous
 
 
 def test_degenerate_flag():

@@ -1,0 +1,158 @@
+"""Seeded in-process fuzzing of the CLI with hostile documents.
+
+Each case mutates the README example documents (`bench/data/s3.json` and
+`bench/data/n3.json`, read only) once or twice and runs one module command
+through `cli.main`.  The contract: a JSON transcript with exit 0, 2 or 3,
+or exit 1 with a single line on standard error; no exception escapes, and
+each run stays within a time cap.
+"""
+
+import copy
+import json
+import random
+import signal
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
+import pytest
+
+from dgalift.cli import main
+
+DATA = Path(__file__).resolve().parent.parent / "bench" / "data"
+CASES = 200
+CAP_S = 10.0
+
+JUNK = [None, True, False, 0, 1, -1, 2.5, 10**30, "", "x", "1/0", [], [1], {}, {"a": 1}]
+BAD_NAMES = ["", "1a", "a b", "a-b", "é", "X", "a", "f0", "_", "n" * 300, 7, None]
+BAD_DEGREES = [-3, -1, 0, 1, 2, 3, 99, 10**6, True, 1.5, "1", None]
+BAD_EXPRS = [
+    "a + X",          # inhomogeneous
+    "a*X",            # wrong sign: d no longer squares to zero
+    "X",
+    "a^2",
+    "a +* X",
+    "a^",
+    "a^²",
+    "(a",
+    "1/0",
+    "1/2*a",
+    "a^99999999",
+    "X^(3)",
+    "Y",
+    "0",
+    "",
+    "a*a*a*a - a^4",
+]
+BAD_FIELDS = [
+    {"type": "Fp", "p": 4},
+    {"type": "Fp", "p": 1},
+    {"type": "Fp", "p": -5},
+    {"type": "Fp", "p": "5"},
+    {"type": "Fp"},
+    {"type": "Fp", "p": 2},
+    {"type": "Fp", "p": 5},
+    {"type": "R"},
+    {},
+    "Q",
+]
+
+
+def _paths(doc, prefix=()):
+    """Every (path to a container, key) in a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix, key
+        yield from _paths(value, prefix + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutate(sig, mod, rng):
+    """One or two hostile edits of (sig, mod), in place: a targeted one,
+    a structural one (a key dropped or a value of the wrong JSON type), or
+    the first then the second."""
+    kind = rng.randrange(8)
+    if kind == 0:
+        rng.choice(sig["variables"] + mod["basis"])["name"] = rng.choice(BAD_NAMES)
+    elif kind == 1:
+        rng.choice(sig["variables"] + mod["basis"])["degree"] = rng.choice(BAD_DEGREES)
+    elif kind == 2:
+        column = rng.choice(["f0", "f1", "f2", "g"])
+        row = rng.choice(["f0", "f1", "f2", "g"])
+        mod["differential"].setdefault(column, {})[row] = rng.choice(BAD_EXPRS)
+    elif kind == 3:
+        sig["variables"][0]["d"] = rng.choice(BAD_EXPRS)
+    elif kind == 4:
+        sig["field"] = copy.deepcopy(rng.choice(BAD_FIELDS))
+    if kind < 5 and rng.random() < 0.7:
+        return
+    doc = rng.choice([sig, mod])
+    path, key = rng.choice(list(_paths(doc)))
+    parent = _at(doc, path)
+    if rng.random() < 0.5:
+        del parent[key]
+    else:
+        parent[key] = copy.deepcopy(rng.choice(JUNK))
+
+
+@contextmanager
+def _time_cap(seconds):
+    """Turn a run longer than `seconds` into a test failure."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"a CLI run exceeded {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+def test_cli_fuzz_hostile_documents(tmp_path, capsys):
+    base_sig = json.loads((DATA / "s3.json").read_text())
+    base_mod = json.loads((DATA / "n3.json").read_text())
+    rng = random.Random(2020)
+    codes: dict = {}
+    start = time.perf_counter()
+    for case in range(CASES):
+        sig, mod = copy.deepcopy(base_sig), copy.deepcopy(base_mod)
+        _mutate(sig, mod, rng)
+        texts = [json.dumps(sig), json.dumps(mod)]
+        if rng.random() < 0.05:  # not JSON at all: cut short
+            i = rng.randrange(2)
+            texts[i] = texts[i][: rng.randrange(len(texts[i]))]
+        sig_path, mod_path = tmp_path / f"s{case}.json", tmp_path / f"n{case}.json"
+        sig_path.write_text(texts[0], encoding="utf-8")
+        mod_path.write_text(texts[1], encoding="utf-8")
+        command = rng.choice(["lift", "naive", "obstruct", "jop"])
+        argv = [command, "--sig", str(sig_path), "--mod", str(mod_path)]
+        if command in ("lift", "naive"):
+            argv += ["--bound", str(rng.choice([0, 1]))]
+        with _time_cap(CAP_S):
+            code = main(argv)
+        out, err = capsys.readouterr()
+        where = f"case {case}: {command} on {texts[0]} / {texts[1]}"
+        if code == 1:
+            assert out == "", where
+            assert err.count("\n") == 1 and err.endswith("\n"), where
+        else:
+            assert code in (0, 2, 3), where
+            assert isinstance(json.loads(out)["verdict"], str), where
+        codes[code] = codes.get(code, 0) + 1
+    assert time.perf_counter() - start < 60
+    # the mutations must reach past the parser as well as fail in it
+    assert codes.get(1, 0) > CASES // 4 and codes.get(0, 0) + codes.get(3, 0) > 10, codes

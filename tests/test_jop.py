@@ -4,7 +4,7 @@ import pytest
 
 from dgalift.errors import SchemaError
 from dgalift.field import QQ, PrimeField
-from dgalift.jop import JOperator, base_change_defect, characterization_check
+from dgalift.jop import JOperator, base_change_defect
 from dgalift.lift import decide_naive_lift
 from dgalift.module import (
     Differential,
@@ -18,7 +18,7 @@ from dgalift.module import (
     left_mult,
 )
 from dgalift.randgen import FixturePool, rand_diff, rand_dop, rand_map, rand_unit
-from oracles import WeakJOp
+from oracles import WeakJOp, characterization_check
 
 
 def test_j_of_left_mult_variable(N3):

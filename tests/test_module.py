@@ -328,3 +328,21 @@ def test_closed_forms_match_basis_readback(field):
             for f in maps + [d.matrix for d in diffs]:
                 assert _same(jop.of_map(f), _j_by_row_sign(jop, f))
     assert not_square_zero > 0
+
+
+@pytest.mark.parametrize("build", ["checked map", "single", "left_mult"])
+def test_inhomogeneous_entry_raises_schema_error(N3, build):
+    """An entry mixing degrees is a schema error (it was a bare ValueError
+    from ``AlgElem.degree``, and `left_mult`'s own check never ran)."""
+    mod, _ = N3
+    mixed = mod.sig.parse("a + X")
+    if build == "checked map":
+        with pytest.raises(SchemaError, match=r"entry \(f0,f1\) must be homogeneous of degree 1"):
+            GradedMap(mod, 0, {(0, 1): mixed})
+    elif build == "single":
+        with pytest.raises(SchemaError, match="single entry must be homogeneous"):
+            GradedMap.single(mod, "f0", "f1", mixed)
+    else:
+        with pytest.raises(SchemaError, match="left multiplication needs a homogeneous element"):
+            left_mult(mod, mixed)
+
