@@ -30,10 +30,12 @@ of two term maps into an output map in place; its ``neg`` flag adds
 through it without an intermediate element.  A `Signature` holds the odd
 and even variable positions, so the Koszul sign is a suffix count over the
 odd positions, and it memoises each band of `component_monomials` as a
-tuple.  Nothing is memoised per monomial or per pair of monomials: the
-fixture signatures of the identity suites live for a whole run, and in a
-trial such memos raised the peak RSS of that benchmark from 23.3 to 29.7 MB
-(pair products) and from 23.7 to 25.9 MB (``d(m)``), for a bound of 10%.
+tuple, and each band of one weight (`weight_monomials`; polygens weigh 1,
+variables ``var_weights``) likewise.  Nothing is memoised per monomial or
+per pair of monomials: the fixture signatures of the identity suites live
+for a whole run, and in a trial such memos raised the peak RSS of that
+benchmark from 23.3 to 29.7 MB (pair products) and from 23.7 to 25.9 MB
+(``d(m)``), for a bound of 10%.
 
 Everything is immutable after construction and safe to share.
 """
@@ -41,8 +43,9 @@ Everything is immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, Optional
 
 from .errors import SchemaError, VerificationError
@@ -98,6 +101,7 @@ class Signature:
         self._odd = tuple(i for i, v in enumerate(self.variables) if v.odd)
         self._even = tuple(i for i, v in enumerate(self.variables) if not v.odd)
         self._bands: dict = {}  # (degree, poly_bound) -> component_monomials
+        self._weight_bands: dict = {}  # (degree, weight, poly_bound) -> weight_monomials
         self._key = (
             field.key(),
             self.polygens,
@@ -151,6 +155,23 @@ class Signature:
 
     def is_top(self, name: str) -> bool:
         return bool(self.variables) and self.variables[-1].name == name
+
+    @cached_property
+    def var_weights(self) -> Optional[tuple]:
+        """The weights of the adjoined variables when every polygen weighs 1.
+
+        A variable weighs what each term of its differential weighs, and 0
+        when its differential is zero; the differential then preserves
+        weight.  None when some differential has terms of two weights.
+        """
+        weights: list = []
+        for var in self.variables:
+            # a differential only mentions earlier variables: zip stops there
+            found = {sum(p) + sum(map(mul, v, weights)) for p, v in var.diff.terms}
+            if len(found) > 1:
+                return None
+            weights.append(found.pop() if found else 0)
+        return tuple(weights)
 
     def monomial_degree(self, m: Monomial) -> int:
         v = m[1]
@@ -471,15 +492,18 @@ def is_cycle(elem: AlgElem) -> bool:
 def monomial_sort_key(sig: Signature, m: Monomial):
     """Documented total order on monomials.
 
-    Key: total polygen degree, then the polygen word (generator indices
+    Order: total polygen degree, then the polygen word (generator indices
     with multiplicity, lexicographic), then the number of variable
     factors, then the variable word.  Deterministic and
     signature-independent given the generator order.
+
+    Words are only compared at equal length, and there the word order is
+    the descending order of the exponent tuples, so the key holds the
+    negated exponents instead of the words: its size does not grow with
+    the exponents.
     """
     p, v = m
-    poly_word = tuple(i for i, e in enumerate(p) for _ in range(e))
-    var_word = tuple(i for i, e in enumerate(v) for _ in range(e))
-    return (sum(p), poly_word, len(var_word), var_word)
+    return (sum(p), tuple(-e for e in p), sum(v), tuple(-e for e in v))
 
 
 def _poly_tuples(ngens: int, max_total: int) -> Iterator[tuple]:
@@ -525,6 +549,38 @@ def component_monomials(sig: Signature, degree: int, poly_bound: int) -> tuple:
         out = [(p, v) for v in _var_tuples(sig, degree) for p in polys]
         out.sort(key=lambda m: monomial_sort_key(sig, m))
         band = sig._bands[degree, poly_bound] = tuple(out)
+    return band
+
+
+def monomial_weight(sig: Signature, m: Monomial) -> int:
+    """Total polygen exponent plus the weights of the variable factors;
+    needs ``sig.var_weights``."""
+    return sum(m[0]) + sum(map(mul, m[1], sig.var_weights))
+
+
+def weight_monomials(sig: Signature, degree: int, weight: int, poly_bound: int) -> tuple:
+    """The monomials of ``component_monomials(sig, degree, poly_bound)`` of
+    the given weight, in the same order; needs ``sig.var_weights``.
+
+    The weight fixes the polygen degree of each variable part, so only
+    those polygen exponents are enumerated, whatever the bound.  Memoised
+    per signature like the bands.
+    """
+    key = (degree, weight, poly_bound)
+    band = sig._weight_bands.get(key)
+    if band is None:
+        ngens = len(sig.polygens)
+        out = []
+        for v in _var_tuples(sig, degree):
+            n = weight - sum(map(mul, v, sig.var_weights))
+            if not 0 <= n <= poly_bound:
+                continue
+            if ngens:  # the exponent tuples adding up to n: the last one is fixed
+                out += [(rest + (n - sum(rest),), v) for rest in _poly_tuples(ngens - 1, n)]
+            elif n == 0:
+                out.append(((), v))
+        out.sort(key=lambda m: monomial_sort_key(sig, m))
+        band = sig._weight_bands[key] = tuple(out)
     return band
 
 

@@ -12,6 +12,15 @@ The solver half is a semi-decision: a homotopy ``gamma`` with
 explicit bound.  Certificates are exact and re-verified; a miss is only
 conclusive up to the bound.
 
+Polygens are degree-0 cycles, so a second grading can split the search.
+Give each polygen weight 1 and each variable the weight of its
+differential; when every term of ``D`` then has one weight as a map
+(`_weights`), ``[d, -]`` preserves weight and only the unknowns of the
+weight of ``j(d)`` can carry the certificate.  `solve_homotopy` assembles
+and solves that one block, whose polygen degrees the weight fixes, and
+gets the certificate of the full system bit for bit.  Inputs without such
+a grading fall back to the full system, which stays the test oracle.
+
 The construction half is deterministic once a certificate exists.  For an
 even variable the corrected idempotents come from the alternating series
 ``f - X Delta(f) + X^(2) Delta^2(f) - ...`` applied to each basis
@@ -34,7 +43,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import AlgElem, component_monomials, derivative, diff
+from .algebra import (
+    AlgElem,
+    component_monomials,
+    derivative,
+    diff,
+    monomial_weight,
+    weight_monomials,
+)
 from .errors import SchemaError, VerificationError
 from .jop import CheckReport, JOperator
 from .module import (
@@ -110,9 +126,57 @@ def _coefficients(f: GradedMap) -> dict:
     return {(key, m): c for key, e in f.entries.items() for m, c in e.terms.items()}
 
 
-def _homotopy_columns(module: FreeModule, d: Differential, degree: int, bound: int):
+def _weights(module: FreeModule, d: Differential) -> Optional[list]:
+    """Basis weights that make every term of ``D`` weigh 0 as a map, or None.
+
+    Polygens weigh 1 and variables ``sig.var_weights``.  Each term ``t`` of
+    an entry ``D[a, b]`` asks for ``w(e_b) = w(e_a) + w(t)``; the weights
+    are propagated along these terms from weight 0 at the first basis
+    element of each connected component, one free offset per component.
+    None when a variable differential or an entry of ``D`` has no single
+    weight, or when two terms ask for different weights.
+    """
+    sig = module.sig
+    if sig.var_weights is None:
+        return None
+    links: list = [[] for _ in range(module.rank)]  # a -> [(b, w(e_b) - w(e_a))]
+    for (a, b), e in d.matrix.entries.items():
+        found = {monomial_weight(sig, m) for m in e.terms}
+        if len(found) > 1:
+            return None
+        for w in found:
+            links[a].append((b, w))
+            links[b].append((a, -w))
+    weights: list = [None] * module.rank
+    for start in range(module.rank):
+        if weights[start] is not None:
+            continue
+        weights[start] = 0
+        todo = [start]
+        while todo:
+            a = todo.pop()
+            for b, w in links[a]:
+                want = weights[a] + w
+                if weights[b] is None:
+                    weights[b] = want
+                    todo.append(b)
+                elif weights[b] != want:
+                    return None
+    return weights
+
+
+def _homotopy_columns(
+    module: FreeModule, d: Differential, degree: int, bound: int, block=None
+):
     """The unknowns ``(r, c, m)`` of ``[d, gamma]`` for a degree-``degree``
     ``gamma`` and the coefficients of each unknown's image.
+
+    With no `block` the unknowns are every monomial of polygen degree at
+    most `bound` in every entry.  A block ``(weights, w)`` keeps those of
+    weight ``w`` as maps: at ``(r, c)`` the monomials ``m`` with
+    ``w(m) = weights[c] - weights[r] + w``, enumerated directly by
+    `weight_monomials`.  Either way they come in (row, column, monomial)
+    order.
 
     The image of ``m E_rc`` is ``D[:, r] m`` in column ``c``, plus
     ``(-1)^{|e_r|} d(m)`` at ``(r, c)``, minus ``(-1)^{degree} m D[c, :]`` in
@@ -136,9 +200,20 @@ def _homotopy_columns(module: FreeModule, d: Differential, degree: int, bound: i
     rights: dict = {}  # (c, m) -> [(b, coefficients of -/+ m D[c, b])]
     unknowns = []  # (row, col, monomial)
     columns = []  # per unknown: ((row, col), monomial) -> coefficient
+    weights, w = block or ((0,) * module.rank, None)
+    bands: dict = {}  # (degs[c] - degs[r], weights[c] - weights[r]) -> monomials
     for r in range(module.rank):
         for c in range(module.rank):
-            for m in component_monomials(sig, degs[c] + degree - degs[r], bound):
+            key = (degs[c] - degs[r], weights[c] - weights[r])
+            band = bands.get(key)
+            if band is None:
+                want = key[0] + degree
+                if w is None:
+                    band = component_monomials(sig, want, bound)
+                else:
+                    band = weight_monomials(sig, want, key[1] + w, bound)
+                bands[key] = band
+            for m in band:
                 if m not in monos:
                     unit = AlgElem(sig, {m: field.one})
                     dm = diff(unit)
@@ -170,12 +245,35 @@ def solve_homotopy(
     its degree band.  The solution with every free unknown zero is
     returned and re-verified by ``[d, gamma] = h``.  None means no
     certificate exists within the bound.
+
+    When `_weights` grades the input and every term of ``h`` has one
+    weight ``w(h)`` as a map, only the unknowns of weight ``w(h)`` enter
+    the system (`_homotopy_columns` with a block).  ``[d, -]`` preserves
+    weight, so the columns of each weight touch only rows of that weight,
+    and the right-hand side lies in the rows of weight ``w(h)``.  The
+    solution with every free unknown zero, whose pivots the column order
+    fixes, is therefore zero off the block and on it equals the block
+    system's solution: the certificate is the one the full system gives,
+    and a homogeneous search costs the same at any bound past the polygen
+    degree its block needs.  Without a grading, or when ``h`` has terms of
+    two weights, every unknown enters, as the bound allows.
     """
     if d.module != module or h.module != module:
         raise SchemaError("differential and target must act on the given module")
-    field = module.sig.field
+    sig = module.sig
+    field = sig.field
     gamma_degree = h.degree + 1
-    unknowns, columns = _homotopy_columns(module, d, gamma_degree, bound)
+    block = None
+    weights = _weights(module, d)
+    if weights is not None:
+        found = {
+            weights[r] + monomial_weight(sig, m) - weights[c]
+            for (r, c), e in h.entries.items()
+            for m in e.terms
+        }
+        if len(found) <= 1:  # a zero h takes any block: its solution is zero
+            block = weights, found.pop() if found else 0
+    unknowns, columns = _homotopy_columns(module, d, gamma_degree, bound, block)
     sol = solve_exact(field, columns, _coefficients(h))
     if sol is None:
         return None

@@ -10,10 +10,10 @@ from dgalift.algebra import (
     _var_tuples,
     derivative,
     diff,
-    monomial_sort_key,
 )
 from dgalift.errors import SchemaError
 from dgalift.jop import CheckReport, JOperator
+from dgalift.lift import _coefficients, _homotopy_columns
 from dgalift.module import (
     Differential,
     DOpPair,
@@ -25,6 +25,7 @@ from dgalift.module import (
     left_mult,
     unit_elementary,
 )
+from dgalift.solver import solve_exact
 
 
 def is_scalar_cycle(f: GradedMap) -> Optional[AlgElem]:
@@ -122,15 +123,27 @@ def diff_reference(elem: AlgElem) -> AlgElem:
     return out
 
 
+def monomial_sort_key_reference(sig, m):
+    """The monomial order as first written: total polygen degree, the
+    polygen word (generator indices with multiplicity), the number of
+    variable factors, the variable word.  Each word is as long as its
+    exponents add up to, so only small exponents may be passed."""
+    p, v = m
+    poly_word = tuple(i for i, e in enumerate(p) for _ in range(e))
+    var_word = tuple(i for i, e in enumerate(v) for _ in range(e))
+    return (sum(p), poly_word, len(var_word), var_word)
+
+
 def component_monomials_reference(sig, degree: int, poly_bound: int) -> list:
-    """The band enumerated and sorted afresh on every call."""
+    """The band enumerated and sorted afresh, by the word order, on every
+    call."""
     if degree < 0 or poly_bound < 0:
         return []
     out = []
     for v in _var_tuples(sig, degree):
         for p in _poly_tuples(len(sig.polygens), poly_bound):
             out.append((p, v))
-    out.sort(key=lambda m: monomial_sort_key(sig, m))
+    out.sort(key=lambda m: monomial_sort_key_reference(sig, m))
     return out
 
 
@@ -356,3 +369,25 @@ def characterization_check(delta: Callable, jop: JOperator) -> CheckReport:
     if delta(free) != jop.of_diff(free):
         report.note("disagrees with the basis operator on the free differential")
     return report
+
+
+# -- the homotopy search before weight blocks ----------------------------------------
+
+
+def solve_homotopy_reference(
+    module: FreeModule, d: Differential, h: GradedMap, bound: int
+) -> Optional[GradedMap]:
+    """`solve_homotopy` on the full system: every unknown of polygen degree
+    at most `bound` in every entry, whatever its weight, and no re-check."""
+    sig = module.sig
+    unknowns, columns = _homotopy_columns(module, d, h.degree + 1, bound)
+    sol = solve_exact(sig.field, columns, _coefficients(h))
+    if sol is None:
+        return None
+    entries: dict = {}
+    for (r, c, m), x in zip(unknowns, sol):
+        if x != sig.field.zero:
+            entries.setdefault((r, c), {})[m] = x
+    return GradedMap(
+        module, h.degree + 1, {key: AlgElem(sig, t) for key, t in entries.items()}
+    )

@@ -156,3 +156,33 @@ def test_cli_fuzz_hostile_documents(tmp_path, capsys):
     assert time.perf_counter() - start < 60
     # the mutations must reach past the parser as well as fail in it
     assert codes.get(1, 0) > CASES // 4 and codes.get(0, 0) + codes.get(3, 0) > 10, codes
+
+
+HUGE = "a^99999999999"
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+@pytest.mark.parametrize("command", ["eval", "naive", "lift"])
+def test_cli_huge_exponents_finish(tmp_path, capsys, command):
+    """A polygen exponent of 10^11, typed or in a module entry, costs what a
+    small one does: each run prints its transcript well within the cap.
+    The entry sits in the README module (``f2 -> a^N f1 - a^N X f0``), which
+    keeps it square-zero and liftable at bound 0, so that `lift` prints it."""
+    sig_path = str(DATA / "s3.json")
+    mod = json.loads((DATA / "n3.json").read_text())
+    mod["differential"]["f2"] = {"f1": HUGE, "f0": f"- {HUGE}*X"}
+    mod_path = tmp_path / "n3-huge.json"
+    mod_path.write_text(json.dumps(mod), encoding="utf-8")
+    if command == "eval":
+        argv = ["eval", "--sig", sig_path, HUGE]
+    else:
+        argv = [command, "--sig", sig_path, "--mod", str(mod_path), "--bound", "0"]
+    with _time_cap(CAP_S):
+        code = main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["verdict"] == {"eval": "ok", "naive": "vanishes", "lift": "lifted"}[command]
+    if command == "naive":
+        assert doc["data"]["certificate"] == {"f1": {"f0": "-1"}}
+    else:
+        assert HUGE in json.dumps(doc["data"])

@@ -1,12 +1,13 @@
-"""The product kernel, `diff` and the band memo of `dgalift.algebra`,
-differential-tested against the reference versions in `oracles` on every
-`FixturePool` signature over Q, F2, F3 and F5."""
+"""The product kernel, `diff`, the monomial order and the band memos of
+`dgalift.algebra`, differential-tested against the reference versions in
+`oracles` on every `FixturePool` signature over Q, F2, F3 and F5."""
 
 import random
 
 import pytest
 
 from dgalift import QQ, PrimeField, component_monomials, diff
+from dgalift.algebra import monomial_sort_key, monomial_weight, weight_monomials
 from dgalift.module import GradedMap, ModuleElement, compose
 from dgalift.randgen import FixturePool, rand_elem, rand_map, rand_scalar
 
@@ -15,6 +16,7 @@ from oracles import (
     component_monomials_reference,
     compose_reference,
     diff_reference,
+    monomial_sort_key_reference,
     mul_reference,
 )
 
@@ -135,3 +137,36 @@ def test_band_memo(field):
                 assert band == ()
             else:
                 assert component_monomials(sig, degree, bound) is band
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_sort_key_matches_word_order(field):
+    """The exponent key orders monomials as the word key does: random
+    monomials with exponents 0-4 (and repeats) on every signature."""
+    rng = random.Random(12)
+    for sig in _signatures(_POOLS[field.key()]):
+        for _ in range(40):
+            monos = [
+                (
+                    tuple(rng.randint(0, 4) for _ in sig.polygens),
+                    tuple(rng.randint(0, 4) for _ in sig.variables),
+                )
+                for _ in range(12)
+            ]
+            monos += monos[:3]
+            by_exponents = sorted(monos, key=lambda m: monomial_sort_key(sig, m))
+            assert by_exponents == sorted(monos, key=lambda m: monomial_sort_key_reference(sig, m))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_weight_bands_filter_the_bands(field):
+    """`weight_monomials` enumerates exactly the monomials of one weight of
+    a band, in band order, and memoises them per signature."""
+    for sig in _signatures(_POOLS[field.key()]):
+        assert sig.var_weights is not None
+        for degree, bound in _GRID:
+            band = component_monomials(sig, degree, bound)
+            for weight in range(-1, 9):
+                got = weight_monomials(sig, degree, weight, bound)
+                assert list(got) == [m for m in band if monomial_weight(sig, m) == weight]
+                assert weight_monomials(sig, degree, weight, bound) is got

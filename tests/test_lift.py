@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -6,12 +8,14 @@ from dgalift import QQ, Signature, derivative, diff
 from dgalift.algebra import AlgElem, component_monomials
 from dgalift.errors import SchemaError, VerificationError
 from dgalift.field import PrimeField
+from dgalift.io import matrix_to_doc
 from dgalift.jop import JOperator
 from dgalift.lift import (
     _beta_sharp,
     _coefficients,
     _homotopy_columns,
     _series_plus,
+    _weights,
     construct_lift_even,
     construct_lift_odd,
     decide_naive_lift,
@@ -41,7 +45,7 @@ from dgalift.randgen import (
     rand_unit,
     unit_poly_degree,
 )
-from oracles import is_scalar_cycle
+from oracles import is_scalar_cycle, solve_homotopy_reference
 
 
 def _doubled_derivation(mod, d, gamma, var="X"):
@@ -679,3 +683,138 @@ def test_homotopy_columns_match_bracket_diff(field):
                         assert {k: v for k, v in col.items() if v != zero} == want_col
                     compared += sum(1 for col in columns if col)
     assert compared > 1000 and not_square_zero > 0
+
+
+def _koszul(sig, gens):
+    """The Koszul complex on the degree-0 cycles `gens`, of rank
+    ``2^len(gens)``: square-zero and free of the variables."""
+    n = len(gens)
+    subsets = sorted(range(1 << n), key=lambda s: (bin(s).count("1"), s))
+    mod = FreeModule(sig, [(f"k{s}", bin(s).count("1")) for s in subsets])
+    pos = {s: k for k, s in enumerate(subsets)}
+    entries = {}
+    for s in subsets:
+        sign = 1
+        for i, g in enumerate(gens):
+            if s >> i & 1:
+                entries[pos[s & ~(1 << i)], pos[s]] = g.scale(sign)
+                sign = -sign
+    return mod, Differential(GradedMap(mod, -1, entries))
+
+
+def _s2_koszul(pool):
+    """``K(a, ab, c)`` over ``S2``, where ``dX1 = a*b`` gives ``X1`` weight 2
+    and degree 1, and ``Y`` weight 3 and degree 2."""
+    sig = pool.S2
+    return _koszul(sig, [sig.parse(t) for t in ("a", "a*b", "c")])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_weight_block_search_matches_full_search(field):
+    """`solve_homotopy`, which solves only the weight block of ``h`` when the
+    input is graded, gives the certificate of the full system
+    (`solve_homotopy_reference`) or None with it: the `FixturePool` lifting
+    modules and a Koszul complex over ``S2``, plain and conjugated by random
+    units (graded or not), at bounds 0-3.  Each catches a fault of its own:
+    a block weight not read from ``h``, variables weighted by degree
+    (``S2``), a term of ``D`` left out of the grading, the bound not
+    capping the block."""
+    pool = FixturePool(field)
+    rng = random.Random(53)
+    fixtures = [
+        (pool.N3, pool.d3),
+        (pool.N1, pool.d1),
+        (pool.NK, pool.dK),
+        (pool.Nodd, pool.dodd),
+        _s2_koszul(pool),
+    ]
+    graded = ungraded = found = 0
+    for mod, d in fixtures:
+        var = mod.sig.top_variable.name
+        units = [rand_unit(mod, rng, strict_raising=k % 2 == 0) for k in range(4)]
+        # units with the top variable in one entry put it into the differential
+        x = mod.sig.gen(var)
+        top = mod.sig.variables[-1].degree
+        for r, c in itertools.product(range(mod.rank), repeat=2):
+            if mod.degrees[c] - mod.degrees[r] == top:
+                for t in (x, x * mod.sig.parse("a"), x * rand_homogeneous(mod.sig, rng, 0)):
+                    units.append(GradedMap.identity(mod) + GradedMap(mod, 0, {(r, c): t}))
+        cases = [d] + [d.conjugate(u, invert_unit(u)) for u in units]
+        for dd in cases:
+            h = obstruction(mod, dd, var)
+            if _weights(mod, dd) is None:
+                ungraded += 1
+            else:
+                graded += 1
+            # plus a boundary, most often of several weights: the full system
+            mixed = h + bracket_diff(dd, rand_map(mod, h.degree + 1, rng))
+            for target, bound in itertools.product((h, mixed), range(4)):
+                got = solve_homotopy(mod, dd, target, bound)
+                want = solve_homotopy_reference(mod, dd, target, bound)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert matrix_to_doc(got) == matrix_to_doc(want)
+                    found += 1
+    assert graded > 0 and ungraded > 0 and found > 0
+
+
+def test_weights():
+    """Basis weights: degrees on the Koszul rungs the benchmark draws, other
+    values over ``S2``, None for a unit entry of the wrong weight, one
+    offset per connected component, and variables with zero differential."""
+    for parity in ("odd", "even"):
+        sig = Signature(QQ, [f"a{i}" for i in range(4)])
+        if parity == "odd":
+            sig = sig.adjoin("X", 1, "a0")
+        else:
+            sig = sig.adjoin("W0", 1, "a0").adjoin("W1", 1, "a1").adjoin("X", 2, "a1*W0 - a0*W1")
+        assert sig.var_weights == tuple(v.degree for v in sig.variables)
+        mod, d = _koszul(sig, [sig.parse(f"a{i}") for i in range(4)])
+        top = sig.top_variable.degree
+        u = GradedMap.identity(mod)
+        for r, c in [(0, 4), (1, 5), (11, 15)] if parity == "odd" else [(0, 5), (1, 11), (5, 15)]:
+            assert mod.degrees[c] - mod.degrees[r] == top
+            u = u + GradedMap(mod, 0, {(r, c): sig.parse("2*X")})
+        rung = d.conjugate(u, invert_unit(u))
+        assert not obstruction(mod, rung, "X").is_zero()
+        assert _weights(mod, rung) == list(mod.degrees)
+
+    pool = FixturePool(QQ)
+    assert pool.S2.var_weights == (2, 2, 3)
+    assert _weights(*_s2_koszul(pool)) == [0, 1, 2, 1, 3, 2, 3, 4]
+    # k1 and k2 both weigh 1, so a unit entry `a` between them weighs 1, not 0
+    u = GradedMap.identity(pool.NK) + GradedMap(pool.NK, 0, {(1, 2): pool.S1.parse("a")})
+    assert _weights(pool.NK, pool.dK) == [0, 1, 1, 2]
+    assert _weights(pool.NK, pool.dK.conjugate(u, invert_unit(u))) is None
+
+    # two components: N3 and g0 <- g1 by a^2, each starting from weight 0
+    S3 = pool.S3
+    mod = FreeModule(S3, [("f0", 0), ("f1", 1), ("f2", 2), ("g0", 0), ("g1", 1)])
+    entries = dict(pool.d3.matrix.entries)
+    entries[3, 4] = S3.parse("a^2")
+    d = Differential(GradedMap(mod, -1, entries))
+    assert _weights(mod, d) == [0, 1, 2, 0, 2]
+
+    # T has zero differential and weighs 0
+    sig = Signature(QQ, ["a"]).adjoin("T", 2, "0").adjoin("X", 1, "a")
+    assert sig.var_weights == (0, 1)
+    mod = FreeModule(sig, [("f0", 0), ("f1", 1), ("f2", 2), ("f3", 3)])
+    texts = {(0, 1): "a", (1, 2): "a", (0, 2): "-a*X", (0, 3): "a*T"}
+    d = Differential(GradedMap(mod, -1, {key: sig.parse(t) for key, t in texts.items()}))
+    assert _weights(mod, d) == [0, 1, 2, 1]
+    h = obstruction(mod, d, "X")
+    for bound in range(3):
+        got = solve_homotopy(mod, d, h, bound)
+        assert got is not None
+        assert matrix_to_doc(got) == matrix_to_doc(solve_homotopy_reference(mod, d, h, bound))
+
+
+def test_homogeneous_search_costs_the_same_at_any_bound(N3):
+    """The README example needs polygen degree 0; its weight block is the
+    same at bound 10**6, where the full system would be out of reach."""
+    mod, d = N3
+    start = time.perf_counter()
+    far = decide_naive_lift(mod, d, "X", 10**6)
+    assert time.perf_counter() - start < 1.0
+    assert far.bound == 10**6
+    assert far.certificate == decide_naive_lift(mod, d, "X", 0).certificate
