@@ -47,13 +47,11 @@ from .module import (
     compose,
     direct_sum,
     dop_normalize,
-    idempotent,
     invert_unit,
     left_mult,
     sharp_map,
     shift,
     twofold_extension,
-    unit_elementary,
 )
 from .parser import parse_expr
 from .tensor import NaiveTensor, odd_ses, rho_from_lift, split_by_powers, verify_splitting
@@ -89,8 +87,6 @@ __all__ = [
     "bracket_diff",
     "bracket_diff2",
     "left_mult",
-    "idempotent",
-    "unit_elementary",
     "invert_unit",
     "dop_normalize",
     "shift",

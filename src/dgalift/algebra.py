@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 from operator import add, mul
 from typing import Iterable, Iterator, Optional
 
@@ -379,10 +378,11 @@ def _mul_into(sig: Signature, out: dict, a: dict, b: dict, neg: bool = False) ->
     into ``out``, in place; a coefficient that cancels is deleted.
 
     Per pair of monomials: an odd variable in both kills the term; an even
-    variable in both contributes the binomial ``comb(e1 + e2, e1)`` reduced
-    in the field, and kills the term when that vanishes; the Koszul sign
-    counts, for each odd factor of the right monomial, the odd factors of
-    the left one at later positions, starting from 1 when `neg`.
+    variable in both contributes the binomial ``C(e1 + e2, e1)``, computed
+    in the field (`Field.binomial`), and kills the term when that vanishes;
+    the Koszul sign counts, for each odd factor of the right monomial, the
+    odd factors of the left one at later positions, starting from 1 when
+    `neg`.
     """
     field = sig.field
     zero, mul, fadd = field.zero, field.mul, field.add
@@ -405,7 +405,7 @@ def _mul_into(sig: Signature, out: dict, a: dict, b: dict, neg: bool = False) ->
                 for i, e1 in evens:
                     e2 = v2[i]
                     if e2:
-                        coeff = mul(coeff, field.of_int(comb(e1 + e2, e1)))
+                        coeff = mul(coeff, field.binomial(e1 + e2, e1))
                         if coeff == zero:
                             break
                 else:

@@ -217,7 +217,7 @@ def _compute(args, transcript: dict):
     # naive and lift
     transcript["params"]["bound"] = args.bound
     decision = decide_naive_lift(module, d, var_name, args.bound)
-    if not decision.vanishes:
+    if decision.certificate is None:
         return "inconclusive", {"bound": args.bound}, EXIT_INCONCLUSIVE
     certificate = matrix_to_doc(decision.certificate)
     odd = sig.var(var_name).degree % 2

@@ -14,6 +14,7 @@ agree in `==`, `hash` and `str`.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .errors import SchemaError
 
@@ -74,6 +75,10 @@ class Field:
 
     def of_int(self, n: int):
         raise NotImplementedError
+
+    def binomial(self, n: int, k: int):
+        """The binomial coefficient ``C(n, k)`` as a scalar."""
+        return self.of_int(comb(n, k))
 
     def of_fraction(self, num: int, den: int):
         raise NotImplementedError
@@ -173,6 +178,18 @@ class PrimeField(Field):
 
     def of_int(self, n: int):
         return n % self.p
+
+    def binomial(self, n: int, k: int):
+        """``C(n, k) mod p`` by Lucas' theorem: the product of the binomials
+        of the base-``p`` digits, one ``comb`` per digit (one in all when
+        ``n < p``)."""
+        p = self.p
+        out = 1
+        while k and out:
+            n, a = divmod(n, p)
+            k, b = divmod(k, p)
+            out = out * comb(a, b) % p
+        return out
 
     def of_fraction(self, num: int, den: int):
         return self.mul(self.of_int(num), self.inv(self.of_int(den)))

@@ -21,18 +21,18 @@ and solves that one block, whose polygen degrees the weight fixes, and
 gets the certificate of the full system bit for bit.  Inputs without such
 a grading fall back to the full system, which stays the test oracle.
 
-The construction half is deterministic once a certificate exists.  For an
-even variable the corrected idempotents come from the alternating series
-``f - X Delta(f) + X^(2) Delta^2(f) - ...`` applied to each basis
-projection; for an odd variable the module is doubled first and the
-corrected idempotents are the images ``Gamma(X . eps)`` for the derivation
-``Gamma`` built from the certificate and the obstruction square.  Either
-way the output is a basis change ``u`` and a differential matrix with all
-entries free of the variable.
+The construction half is deterministic once a certificate exists.  One
+closed form, `_basis_change`, gives the basis change of both parities:
+``u = sum_n (-1)^n X^(n) A_n`` with ``A_0 = 1`` and ``A_(n+1) = j(A_n) + g A_n``,
+for ``g = gamma`` (even variable) or, on the doubled module, for
+``g = [[-gamma, -1], [alpha, gamma]]`` (odd variable, where ``u = 1 - X g``).
+Column ``c`` of ``u`` is column ``c`` of the corrected idempotent of ``eps_c``
+for every gamma, because a map of negative degree has no diagonal entries.
+The output is ``u`` and a differential matrix free of the variable.
 
 A construction runs one check per input identity: the setting and parity
 guards, the certificate check ``Delta(d) = 0``, the termination cap of the
-even series, the two-sided check of `invert_unit`, and `verify_lift` on
+basis change, the two-sided check of `invert_unit`, and `verify_lift` on
 the result.  Every other identity the constructions rely on holds for
 every degree ``-|X|`` matrix ``gamma`` or follows from ``Delta(d) = 0``;
 `construct_lift_even` and `construct_lift_odd` give the proofs.
@@ -61,7 +61,6 @@ from .module import (
     _product_into,
     bracket_diff,
     compose,
-    idempotent,
     invert_unit,
     left_mult,
     sharp_map,
@@ -72,12 +71,15 @@ from .solver import solve_exact
 
 @dataclass
 class LiftDecision:
-    """Outcome of the obstruction-vanishing search at one bound; the
-    certificate is a matrix ``gamma`` with ``j(d) = [d, gamma]``, checked."""
+    """Outcome of the obstruction-vanishing search at one bound: a checked
+    certificate ``gamma`` with ``j(d) = [d, gamma]``, or None (`vanishes`)."""
 
-    vanishes: bool
     certificate: Optional[GradedMap]
     bound: int
+
+    @property
+    def vanishes(self) -> bool:
+        return self.certificate is not None
 
 
 @dataclass
@@ -292,34 +294,47 @@ def decide_naive_lift(
 ) -> LiftDecision:
     """Semi-decide obstruction vanishing at the given polygen-degree bound."""
     cert = solve_homotopy(module, d, obstruction(module, d, var_name), bound)
-    return LiftDecision(cert is not None, cert, bound)
+    return LiftDecision(cert, bound)
 
 
-# -- even-variable construction -----------------------------------------------------
+# -- constructions: one basis change for both parities -----------------------------
 
 
-def _series_plus(delta: JOperator, f: GradedMap, var) -> GradedMap:
-    """The correction ``X Delta(f) - X^(2) Delta^2(f) + ...`` (finite)."""
-    module = f.module
+def _basis_change(module: FreeModule, var_name: str, g: GradedMap) -> GradedMap:
+    """``u = sum_n (-1)^n X^(n) A_n`` with ``A_0 = 1`` and
+    ``A_(n+1) = j(A_n) + g A_n``, for a degree ``-|X|`` matrix ``g``.
+
+    The sum stops at the first zero ``A_n`` or at the first ``X^(n) = 0``,
+    and ``A_(n+1)`` is not built once ``X^(n+1)`` is zero: for an odd
+    variable ``u = 1 - X g``.  ``A_n`` has degree ``-n |X|`` and vanishes
+    once ``n |X|`` exceeds the spread of the basis degrees; the cap on the
+    number of steps guards this.
+    """
     sig = module.sig
+    jop = JOperator(module, var_name)
+    cap = module.spread() // jop.var.degree + 2
     out: dict = {}
-    cur = delta.of_map(f)
-    n = 1
-    cap = module.spread() // var.degree + 2
-    while not cur.is_zero():
-        _product_into(out, left_mult(module, sig.gen_power(var.name, n)), cur, n % 2 == 0)
-        cur = delta.of_map(cur)
+    a, n, power = GradedMap.identity(module), 0, sig.one()
+    while True:
+        _product_into(out, left_mult(module, power), a, n % 2 == 1)
         n += 1
-        if n > cap + 1:
+        power = sig.gen_power(var_name, n)
+        if power.is_zero():
+            break
+        step: dict = {}
+        jop._j_into(step, a)
+        _product_into(step, g, a)
+        a = _finish(module, n * jop.degree, step)
+        if a.is_zero():
+            break
+        if n > cap:
             raise VerificationError("idempotent correction series failed to terminate")
-    return _finish(module, f.degree, out)
+    return _finish(module, 0, out)
 
 
-def _certified(
-    parity: str, module: FreeModule, d: Differential, var_name: str, gamma: GradedMap
-) -> JOperator:
+def _certified(parity, module, d, var_name, gamma) -> None:
     """Setting and parity guards, then the certificate check ``Delta(d) = 0``
-    for ``Delta = JOperator(module, X, +-gamma)`` (+ even, - odd), returned."""
+    for ``Delta = JOperator(module, X, +-gamma)`` (+ even, - odd)."""
     _require_liftable_setting(module, d, var_name)
     odd = module.sig.var(var_name).odd
     if parity != ("odd" if odd else "even"):
@@ -327,7 +342,6 @@ def _certified(
     delta = JOperator(module, var_name, -gamma if odd else gamma)
     if not delta.of_diff(d).is_zero():
         raise VerificationError("certificate does not solve j(d) = [d, gamma]")
-    return delta
 
 
 def construct_lift_even(
@@ -335,26 +349,28 @@ def construct_lift_even(
 ) -> LiftResult:
     """Build a lift along an even top variable from a homotopy certificate.
 
-    With ``Delta = JOperator(module, X, gamma)``, each projection ``eps`` becomes
-    ``eps0 = eps - X Delta(eps) + X^(2) Delta^2(eps) - ...``, a series that
-    stops at the first ``N`` with ``Delta^(N+1)(eps) = 0``.  ``eps0`` lies in
-    ``ker Delta`` for every gamma, so that is not checked: ``gamma``
-    graded-commutes with ``l_{X^(n)}``, left multiplication by ``X^(n)``,
-    and ``j(l_{X^(n)}) = l_{X^(n-1)}``, so
+    With ``Delta = JOperator(module, X, gamma)``, each projection ``eps`` has
+    the corrected idempotent ``eps0 = eps - X Delta(eps) + X^(2) Delta^2(eps)
+    - ...``, which lies in ``ker Delta`` for every gamma: ``gamma``
+    graded-commutes with ``l_{X^(n)}`` and ``j(l_{X^(n)}) = l_{X^(n-1)}``, so
     ``Delta(X^(n) f) = X^(n-1) f + X^(n) Delta(f)`` and ``Delta(eps0)``
     telescopes to ``(-1)^N X^(N) Delta^(N+1)(eps) = 0``.
+
+    Column ``lam`` of ``u`` is column ``lam`` of ``eps0`` for ``eps_lam``, and
+    `_basis_change` gives all columns at once for every gamma of degree
+    ``-|X|``.  ``Delta(eps_lam) = gamma eps_lam - eps_lam gamma`` and, as
+    ``|A_n|`` is even, ``Delta(A_n) + A_n gamma = j(A_n) + gamma A_n``, so
+    ``Delta(A_n eps_lam) = A_(n+1) eps_lam - A_n eps_lam gamma``.  By the
+    Leibniz rule ``Delta^n(eps_lam) = A_n eps_lam + sum C eps_lam D`` with
+    each ``D`` of negative degree, hence without diagonal entries, and
+    column ``lam`` of ``C eps_lam D`` is ``C e_lam D[lam, lam] = 0``.
+
     The input enters through the certificate check ``Delta(d) = 0``;
     `verify_lift` checks the result.
     """
-    delta = _certified("even", module, d, var_name, gamma)
-    entries = {}
-    for lam in range(module.rank):
-        eps = idempotent(module, lam)
-        entries.update(_column(eps - _series_plus(delta, eps, delta.var), lam))
-    return _conjugate_and_verify("even", var_name, module, d, entries, gamma)
-
-
-# -- odd-variable construction -------------------------------------------------------
+    _certified("even", module, d, var_name, gamma)
+    u = _basis_change(module, var_name, gamma)
+    return _conjugate_and_verify("even", var_name, module, d, u, gamma)
 
 
 def _beta_sharp(doubled: FreeModule, base: FreeModule, alpha: GradedMap, k: int) -> GradedMap:
@@ -378,8 +394,7 @@ def construct_lift_odd(
     The lifted object is ``N + N(-|X|)`` with the block differential
     ``diag(d, -d)``.  With ``Delta = JOperator(module, X, -gamma)`` and
     ``alpha = gamma^2 - j(gamma)``, the derivation ``Gamma = j# + [g, -]``
-    of the doubled module has ``g = [[-gamma, -1], [alpha, gamma]]``, and
-    the corrected basis columns are ``Gamma(l_X eps_c)``.
+    of the doubled module has ``g = [[-gamma, -1], [alpha, gamma]]``.
 
     Only the certificate check ``Delta(d) = 0`` depends on the input.  The
     rest holds for every gamma of degree ``-|X|``, since ``j`` is a
@@ -387,8 +402,8 @@ def construct_lift_odd(
     ``j(gamma^2) = j(gamma) gamma - gamma j(gamma)``:
 
     * ``j#(g) + g^2 = 0`` block by block, so ``Gamma^2 = 0`` and each
-      column ``Gamma(l_X eps_c)`` lies in ``ker Gamma``;
-    * ``l_X`` graded-commutes with ``g``, so the columns sum to
+      ``Gamma(l_X eps_c)`` lies in ``ker Gamma``;
+    * ``l_X`` graded-commutes with ``g``, so the ``Gamma(l_X eps_c)`` sum to
       ``Gamma(l_X) = j#(l_X) = id``;
     * ``Delta(alpha) = j(alpha) - [gamma, alpha] = 0``;
     * ``Gamma(d#)`` has ``Delta(d)`` in both diagonal blocks and
@@ -396,37 +411,29 @@ def construct_lift_odd(
       ``[d, alpha]`` vanish with ``Delta(d)``: ``Gamma(d#) = 0`` exactly
       when ``Delta(d) = 0``.
 
+    Column ``c`` of ``u`` is column ``c`` of ``Gamma(l_X eps_c)``, and
+    `_basis_change` gives ``u = 1 - X g = 1 + g l_X``: ``g`` has odd degree,
+    so ``Gamma(l_X eps_c) = eps_c + g l_X eps_c + l_X eps_c g``, and column
+    ``c`` of the last term is ``X e_c g[c, c] = 0`` (``g`` has negative
+    degree, hence no diagonal entries).
+
     `verify_lift` checks the result.
     """
     _certified("odd", module, d, var_name, gamma)
-    sig = module.sig
-    var = sig.var(var_name)
     jop = JOperator(module, var_name)
     # square of (j - ad gamma): the derivative term enters negated
     alpha = compose(gamma, gamma) - jop.of_map(gamma)
 
-    k = -var.degree
+    k = -jop.var.degree
     doubled, d_sharp = twofold_extension(module, d, k)
     g = _beta_sharp(doubled, module, alpha, k) - sharp_map(gamma, doubled, k)
-    big_gamma = JOperator(doubled, var_name, g)
-    lx = left_mult(doubled, sig.gen(var_name))
-    entries = {}
-    for c in range(doubled.rank):
-        entries.update(_column(big_gamma.of_map(compose(lx, idempotent(doubled, c))), c))
-    return _conjugate_and_verify("odd", var_name, doubled, d_sharp, entries, gamma, k)
+    u = _basis_change(doubled, var_name, g)
+    return _conjugate_and_verify("odd", var_name, doubled, d_sharp, u, gamma, k)
 
 
-def _column(f: GradedMap, c: int) -> dict:
-    """The entries of column ``c`` of a map: its value on ``e_c``."""
-    return {key: v for key, v in f.entries.items() if key[1] == c}
-
-
-def _conjugate_and_verify(
-    parity, var_name, module, d, u_entries, gamma, shift_k=None
-) -> LiftResult:
-    """Conjugate ``d`` into the basis whose columns are ``u_entries`` and
+def _conjugate_and_verify(parity, var_name, module, d, u, gamma, shift_k=None) -> LiftResult:
+    """Conjugate ``d`` into the basis whose columns are those of ``u`` and
     return the lift once `verify_lift` has passed on it."""
-    u = GradedMap(module, 0, u_entries)
     u_inv = invert_unit(u)
     lift_diff = d.conjugate(u_inv, u)
     report = verify_lift(lift_diff, u, d, var_name, u_inv=u_inv)

@@ -360,20 +360,6 @@ def left_mult(module: FreeModule, b: AlgElem) -> GradedMap:
     return GradedMap(module, n, entries, check=False)
 
 
-def idempotent(module: FreeModule, lam) -> GradedMap:
-    """The projection onto one basis line."""
-    i = lam if isinstance(lam, int) else module.index(lam)
-    return GradedMap(module, 0, {(i, i): module.sig.one()}, check=False)
-
-
-def unit_elementary(module: FreeModule, lam, mu) -> GradedMap:
-    """Matrix unit sending ``e_mu`` to ``e_lam`` and other basis lines to 0."""
-    r = lam if isinstance(lam, int) else module.index(lam)
-    c = mu if isinstance(mu, int) else module.index(mu)
-    deg = module.degrees[r] - module.degrees[c]
-    return GradedMap(module, deg, {(r, c): module.sig.one()}, check=False)
-
-
 class Differential:
     """A map obeying the module Leibniz rule, stored by its basis matrix.
 

@@ -122,10 +122,6 @@ def rand_unit(
     return one
 
 
-def unit_poly_degree(u: GradedMap) -> int:
-    return max((v.poly_degree() for v in u.entries.values()), default=0)
-
-
 class FixturePool:
     """Shared signatures, modules, and square-zero differentials per field."""
 

@@ -442,11 +442,8 @@ CORE_IDENTITY_SUITES = [
 ]
 
 
-def run_suite(
-    name: str, field: Field, seed: int, iters: int, pool: FixturePool | None = None
-) -> dict:
+def run_suite(name: str, field: Field, seed: int, iters: int, pool: FixturePool) -> dict:
     check = SUITE_MAP[name]
-    pool = pool or FixturePool(field)
     rng = random.Random((seed, name, field.key().__repr__()).__repr__())
     failures = 0
     for _ in range(iters):
@@ -460,16 +457,14 @@ def run_suite(
     }
 
 
-def run_selftest(seed: int, iters: int, fields=None, names=None) -> dict:
+def run_selftest(seed: int, iters: int, fields=None) -> dict:
     """Run the suites over the requested fields; deterministic per seed."""
     if fields is None:
         fields = [QQ, PrimeField(5)]
-    if names is None:
-        names = [name for name, _ in SUITES]
     results = []
     for field in fields:
         pool = FixturePool(field)
-        for name in names:
+        for name, _ in SUITES:
             results.append(run_suite(name, field, seed, iters, pool))
     return {
         "seed": seed,

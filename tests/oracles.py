@@ -11,7 +11,7 @@ from dgalift.algebra import (
     derivative,
     diff,
 )
-from dgalift.errors import SchemaError
+from dgalift.errors import SchemaError, VerificationError
 from dgalift.jop import CheckReport, JOperator
 from dgalift.lift import _coefficients, _homotopy_columns
 from dgalift.module import (
@@ -21,11 +21,28 @@ from dgalift.module import (
     GradedMap,
     ModuleElement,
     compose,
-    idempotent,
     left_mult,
-    unit_elementary,
 )
 from dgalift.solver import solve_exact
+
+
+def idempotent(module: FreeModule, lam) -> GradedMap:
+    """The projection onto one basis line."""
+    i = lam if isinstance(lam, int) else module.index(lam)
+    return GradedMap(module, 0, {(i, i): module.sig.one()}, check=False)
+
+
+def unit_elementary(module: FreeModule, lam, mu) -> GradedMap:
+    """Matrix unit sending ``e_mu`` to ``e_lam`` and other basis lines to 0."""
+    r = lam if isinstance(lam, int) else module.index(lam)
+    c = mu if isinstance(mu, int) else module.index(mu)
+    deg = module.degrees[r] - module.degrees[c]
+    return GradedMap(module, deg, {(r, c): module.sig.one()}, check=False)
+
+
+def unit_poly_degree(u: GradedMap) -> int:
+    """The largest polygen degree of an entry of ``u``."""
+    return max((v.poly_degree() for v in u.entries.values()), default=0)
 
 
 def is_scalar_cycle(f: GradedMap) -> Optional[AlgElem]:
@@ -391,3 +408,46 @@ def solve_homotopy_reference(
     return GradedMap(
         module, h.degree + 1, {key: AlgElem(sig, t) for key, t in entries.items()}
     )
+
+
+# -- the basis change one basis element at a time ------------------------------------
+
+
+def series_plus_reference(delta: JOperator, f: GradedMap) -> GradedMap:
+    """The correction ``X Delta(f) - X^(2) Delta^2(f) + ...`` (finite)."""
+    module = f.module
+    sig = module.sig
+    total = GradedMap.zero(module, f.degree)
+    cur = delta.of_map(f)
+    n = 1
+    cap = module.spread() // delta.var.degree + 2
+    while not cur.is_zero():
+        term = compose(left_mult(module, sig.gen_power(delta.var_name, n)), cur)
+        total = total + term if n % 2 else total - term
+        cur = delta.of_map(cur)
+        n += 1
+        if n > cap + 1:
+            raise VerificationError("idempotent correction series failed to terminate")
+    return total
+
+
+def basis_change_reference(module: FreeModule, var_name: str, g: GradedMap) -> GradedMap:
+    """`lift._basis_change` one basis element at a time, as the constructions
+    built it before its closed form.
+
+    With ``Delta = JOperator(module, X, g)``, column ``c`` of ``u`` is column
+    ``c`` of ``eps_c - X Delta(eps_c) + X^(2) Delta^2(eps_c) - ...`` for an
+    even variable, and of ``Delta(l_X eps_c)`` for an odd one (there
+    ``module`` is the doubled module and ``Delta`` the derivation ``Gamma``).
+    """
+    delta = JOperator(module, var_name, g)
+    lx = left_mult(module, module.sig.gen(var_name))
+    entries = {}
+    for c in range(module.rank):
+        eps = idempotent(module, c)
+        if delta.var.odd:
+            col = delta.of_map(compose(lx, eps))
+        else:
+            col = eps - series_plus_reference(delta, eps)
+        entries.update({key: v for key, v in col.entries.items() if key[1] == c})
+    return GradedMap(module, 0, entries)

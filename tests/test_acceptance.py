@@ -29,9 +29,10 @@ from dgalift.module import (
     left_mult,
     twofold_extension,
 )
-from dgalift.randgen import FixturePool, rand_unit, unit_poly_degree
+from dgalift.randgen import FixturePool, rand_unit
 from dgalift.selftest import CORE_IDENTITY_SUITES, run_suite
 from dgalift.tensor import NaiveTensor, verify_splitting
+from oracles import unit_poly_degree
 
 FIELDS = [QQ, PrimeField(5)]
 

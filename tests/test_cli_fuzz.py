@@ -159,21 +159,42 @@ def test_cli_fuzz_hostile_documents(tmp_path, capsys):
 
 
 HUGE = "a^99999999999"
+HUGE_DIVIDED = "X^(99999999999)*X^(99999999999)"
+EVEN_F5 = {
+    "field": {"type": "Fp", "p": 5},
+    "polygens": ["a", "b"],
+    "variables": [
+        {"name": "W1", "degree": 1, "d": "a"},
+        {"name": "W2", "degree": 1, "d": "b"},
+        {"name": "X", "degree": 2, "d": "b*W1 - a*W2"},
+    ],
+}
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
-@pytest.mark.parametrize("command", ["eval", "naive", "lift"])
-def test_cli_huge_exponents_finish(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, expr",
+    [("eval", HUGE), ("naive", HUGE), ("lift", HUGE), ("eval", HUGE_DIVIDED)],
+    ids=["eval", "naive", "lift", "eval-divided-F5"],
+)
+def test_cli_huge_exponents_finish(tmp_path, capsys, command, expr):
     """A polygen exponent of 10^11, typed or in a module entry, costs what a
     small one does: each run prints its transcript well within the cap.
     The entry sits in the README module (``f2 -> a^N f1 - a^N X f0``), which
-    keeps it square-zero and liftable at bound 0, so that `lift` prints it."""
+    keeps it square-zero and liftable at bound 0, so that `lift` prints it.
+    So does a product of two divided powers ``X^(N)`` over F5 (README's even
+    signature), whose binomial ``C(2N, N)`` is taken in the field: it is 0,
+    because ``N + N`` carries in base 5."""
     sig_path = str(DATA / "s3.json")
     mod = json.loads((DATA / "n3.json").read_text())
     mod["differential"]["f2"] = {"f1": HUGE, "f0": f"- {HUGE}*X"}
     mod_path = tmp_path / "n3-huge.json"
     mod_path.write_text(json.dumps(mod), encoding="utf-8")
-    if command == "eval":
+    if expr == HUGE_DIVIDED:
+        sig_path = tmp_path / "s1-f5.json"
+        sig_path.write_text(json.dumps(EVEN_F5), encoding="utf-8")
+        argv = ["eval", "--sig", str(sig_path), expr]
+    elif command == "eval":
         argv = ["eval", "--sig", sig_path, HUGE]
     else:
         argv = [command, "--sig", sig_path, "--mod", str(mod_path), "--bound", "0"]
@@ -182,7 +203,9 @@ def test_cli_huge_exponents_finish(tmp_path, capsys, command):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["verdict"] == {"eval": "ok", "naive": "vanishes", "lift": "lifted"}[command]
-    if command == "naive":
+    if expr == HUGE_DIVIDED:
+        assert doc["data"]["result"] == "0"
+    elif command == "naive":
         assert doc["data"]["certificate"] == {"f1": {"f0": "-1"}}
     else:
         assert HUGE in json.dumps(doc["data"])

@@ -2,6 +2,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,18 @@ def test_prime_field_ops():
     assert f5.inv(2) == 3
     assert f5.of_fraction(1, 2) == 3
     assert f5.of_int(-1) == 4
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)], ids=repr
+)
+def test_binomial_matches_comb(field):
+    """`Field.binomial` equals ``comb(n, k)`` taken into the field for every
+    ``0 <= k <= n < 200``: over a prime field by Lucas' theorem, whose digit
+    loop runs from ``n = p`` on."""
+    for n in range(200):
+        for k in range(n + 1):
+            assert field.binomial(n, k) == field.of_int(comb(n, k))
 
 
 def test_prime_validation():

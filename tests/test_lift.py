@@ -11,10 +11,10 @@ from dgalift.field import PrimeField
 from dgalift.io import matrix_to_doc
 from dgalift.jop import JOperator
 from dgalift.lift import (
+    _basis_change,
     _beta_sharp,
     _coefficients,
     _homotopy_columns,
-    _series_plus,
     _weights,
     construct_lift_even,
     construct_lift_odd,
@@ -30,12 +30,10 @@ from dgalift.module import (
     bracket,
     bracket_diff,
     compose,
-    idempotent,
     invert_unit,
     left_mult,
     sharp_map,
     twofold_extension,
-    unit_elementary,
 )
 from dgalift.randgen import (
     FixturePool,
@@ -43,9 +41,16 @@ from dgalift.randgen import (
     rand_homogeneous,
     rand_map,
     rand_unit,
+)
+from oracles import (
+    basis_change_reference,
+    idempotent,
+    is_scalar_cycle,
+    series_plus_reference,
+    solve_homotopy_reference,
+    unit_elementary,
     unit_poly_degree,
 )
-from oracles import is_scalar_cycle, solve_homotopy_reference
 
 
 def _doubled_derivation(mod, d, gamma, var="X"):
@@ -354,7 +359,7 @@ def test_even_lift_multi_step_series(S1):
     derivation acts nontrivially on some basis projection; the construction
     must succeed for any valid certificate.
     """
-    from dgalift.module import compose as mcompose, idempotent
+    from dgalift.module import compose as mcompose
     from dgalift.randgen import rand_map
     from dgalift.tensor import NaiveTensor, verify_splitting
 
@@ -584,7 +589,7 @@ def test_construction_identities_hold_for_every_gamma(field):
                     delta = JOperator(mod, var, gamma)
                     for lam in range(mod.rank):
                         eps = idempotent(mod, lam)
-                        eps0 = eps - _series_plus(delta, eps, j.var)
+                        eps0 = eps - series_plus_reference(delta, eps)
                         assert delta.of_map(eps0).is_zero()
                         multi_step += not delta.of_map(delta.of_map(eps)).is_zero()
                     continue
@@ -603,6 +608,86 @@ def test_construction_identities_hold_for_every_gamma(field):
                 certified.append(solves)
     assert True in certified and False in certified
     assert multi_step > 0
+
+
+def _koszul_rung(sig, n, rng):
+    """The Koszul complex on ``a0..a_{n-1}``, conjugated by a unit with the
+    top variable in two entries, as the benchmark's rungs are."""
+    mod, d = _koszul(sig, [sig.parse(f"a{i}") for i in range(n)])
+    x = sig.gen(sig.top_variable.name)
+    spots = [
+        (r, c)
+        for r, c in itertools.product(range(mod.rank), repeat=2)
+        if mod.degrees[c] - mod.degrees[r] == sig.top_variable.degree
+    ]
+    u = GradedMap.identity(mod)
+    for r, c in rng.sample(spots, 2):
+        u = u + GradedMap(mod, 0, {(r, c): x})
+    return mod, d.conjugate(u, invert_unit(u))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_basis_change_matches_per_column_oracle(field):
+    """The closed form ``u = sum_n (-1)^n X^(n) A_n``, ``A_0 = 1``,
+    ``A_(n+1) = j(A_n) + g A_n``, equals the basis change built one basis
+    element at a time (`basis_change_reference`), for every ``g``.
+
+    Certificates go through `construct_lift_even` and `construct_lift_odd`,
+    whose ``u`` is compared with the oracle on a ``g`` built here; random
+    gamma, which solve nothing, go through `_basis_change`.  The modules are
+    the `FixturePool` lifting modules, plain and conjugated by `rand_unit`,
+    Koszul rungs of both parities, and chains of degree spread 4 and 6 over
+    an even variable of degree 2, where the even series takes two and three
+    steps.  The test asserts that it reached a nonzero ``A_2``, an ``A_3``
+    that tells ``g A_2`` from ``A_2 g``, and a ``j(A_n)`` that is not zero.
+    """
+    pool = FixturePool(field)
+    rng = random.Random(71)
+    t = pool.S1.parse("b*W1 - a*W2")
+    fixtures = []
+    for top in (2, 3):
+        mod = FreeModule(pool.S1, [(f"m{i}", 2 * i) for i in range(top + 1)])
+        fixtures.append((mod, Differential(GradedMap(mod, -1, {(i, i + 1): t for i in range(top)}))))
+    for parity in ("odd", "even"):
+        sig = Signature(field, [f"a{i}" for i in range(3)])
+        if parity == "odd":
+            sig = sig.adjoin("X", 1, "a0")
+        else:
+            sig = sig.adjoin("W0", 1, "a0").adjoin("W1", 1, "a1").adjoin("X", 2, "a1*W0 - a0*W1")
+        fixtures.append(_koszul_rung(sig, 3, rng))
+    for mod, d in [(pool.N3, pool.d3), (pool.N1, pool.d1), (pool.NK, pool.dK), (pool.Nodd, pool.dodd)]:
+        fixtures.append((mod, d))
+        u = rand_unit(mod, rng, poly_bound=1)
+        fixtures.append((mod, d.conjugate(u, invert_unit(u))))
+    lifted = {"odd": 0, "even": 0}
+    reached = {"A_2": 0, "g A_2 != A_2 g": 0, "j(A_n)": 0}
+    for mod, d in fixtures:
+        var = mod.sig.top_variable.name
+        j = JOperator(mod, var)
+        odd = j.var.odd
+        gammas = [rand_map(mod, j.degree, rng, poly_bound=2, density=1.0) for _ in range(6)]
+        dec = decide_naive_lift(mod, d, var, 2)
+        if dec.certificate is not None:
+            gammas.append(dec.certificate)
+        for gamma in gammas:
+            if odd:
+                d_sharp, j_sharp, g = _doubled_derivation(mod, d, gamma, var)
+                dbl = d_sharp.module
+            else:
+                dbl, j_sharp, g = mod, j, gamma
+                a2 = j.of_map(g) + compose(g, g)
+                a3 = j.of_map(a2) + compose(g, a2)
+                reached["A_2"] += not a2.is_zero()
+                reached["g A_2 != A_2 g"] += not a3.is_zero() and compose(g, a2) != compose(a2, g)
+                reached["j(A_n)"] += not (j.of_map(g).is_zero() and j.of_map(a2).is_zero())
+            want = basis_change_reference(dbl, var, g)
+            assert _basis_change(dbl, var, g) == want
+            if gamma is dec.certificate:
+                construct = construct_lift_odd if odd else construct_lift_even
+                assert construct(mod, d, var, gamma).u == want
+                lifted["odd" if odd else "even"] += 1
+    assert all(lifted.values()), lifted
+    assert all(reached.values()), reached
 
 
 def test_is_scalar_cycle_matches_unit_loop(N3, N1prime):

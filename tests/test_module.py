@@ -16,16 +16,14 @@ from dgalift.module import (
     compose,
     direct_sum,
     dop_normalize,
-    idempotent,
     invert_unit,
     left_mult,
     sharp_map,
     shift,
     twofold_extension,
-    unit_elementary,
 )
 from dgalift.randgen import FixturePool, rand_diff, rand_map, rand_unit
-from oracles import is_scalar_cycle
+from oracles import idempotent, is_scalar_cycle, unit_elementary
 
 
 def test_apply_map_identity(S1):
