@@ -8,13 +8,14 @@ allocation of `Fraction` arithmetic.  Over a prime field a scalar is an
 `int` residue in ``[0, p)``.  A `Field` object supplies the operations and
 owns formatting / parsing of scalar literals, so no other module depends
 on how a scalar is stored.  An `int` and the `Fraction` of equal value
-agree in `==`, `hash` and `str`.  No floating point anywhere.
+agree in `==`, `hash` and `str`.  No scalar is ever a float.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import comb
+from math import comb, lgamma, log, log10
 
 from .errors import SchemaError
 
@@ -107,6 +108,10 @@ def _rational(q):
     return q.numerator
 
 
+# ``C(n, k) < 2^n`` prints under any integer-to-string digit limit up to this n.
+_PRINTABLE_N = int(sys.int_info.str_digits_check_threshold / log10(2)) - 1
+
+
 class RationalField(Field):
     zero = 0
     one = 1
@@ -132,6 +137,18 @@ class RationalField(Field):
 
     def of_int(self, n: int):
         return n
+
+    def binomial(self, n: int, k: int):
+        """``comb(n, k)``, refused unprinted and uncomputed (``comb`` of a
+        large ``n`` runs for minutes) past Python's integer-to-string digit
+        limit, if any.  Below `_PRINTABLE_N` this is one comparison."""
+        if n > _PRINTABLE_N:
+            limit = sys.get_int_max_str_digits()
+            digits = int((lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(10)) + 1
+            if limit and digits > limit:
+                raise ValueError(f"divided-power coefficient C({n}, {k}) has about "
+                                 f"{digits} digits, more than the limit of {limit}")
+        return comb(n, k)
 
     def of_fraction(self, num: int, den: int):
         return _rational(Fraction(num, den))

@@ -51,7 +51,7 @@ from .algebra import (
     monomial_weight,
     weight_monomials,
 )
-from .errors import SchemaError, VerificationError
+from .errors import NotInvertibleError, SchemaError, VerificationError
 from .jop import CheckReport, JOperator
 from .module import (
     Differential,
@@ -451,11 +451,15 @@ def verify_lift(
     var_name: str,
     u_inv: Optional[GradedMap] = None,
 ) -> CheckReport:
-    """Exact check of a claimed lift.
+    """Exact check of a claimed lift: every entry of ``D'`` is free of the
+    variable, ``d'`` squares to zero, and ``u (D' u^{-1} + d(u^{-1})) = D``,
+    i.e. ``compose(u, lift_diff.after(u_inv)) == d.matrix``.
 
-    Verifies that every matrix entry is free of the variable, that the
-    lifted differential squares to zero, and that conjugating it by ``u``
-    reproduces the ambient differential on every basis column.
+    Column ``lam`` of that identity is ``u d' u^{-1} (e_lam) = d(e_lam)``:
+    ``u^{-1} e_lam`` is column ``lam`` of ``u^{-1}``, ``d'`` adds
+    ``(-1)^{|e_r|} d(x_r)`` to ``D' x`` in row ``r`` as ``after`` does, and
+    ``d(e_lam)`` is column ``lam`` of ``D`` (``d(1) = 0``).  Each failing
+    column is named, in basis order.
     """
     report = CheckReport(True)
     module = lift_diff.module
@@ -469,13 +473,13 @@ def verify_lift(
     try:
         if u_inv is None:
             u_inv = invert_unit(u)
-    except Exception as ex:  # noqa: BLE001 - verdict-valued check
+    except (NotInvertibleError, VerificationError) as ex:
         report.note(f"basis change is not invertible: {ex}")
         return report
-    for lam in range(module.rank):
-        e = module.basis_elem(lam)
-        got = u.apply(lift_diff.apply(u_inv.apply(e)))
-        want = d.apply(e)
-        if got != want:
-            report.note(f"conjugation identity fails on column {module.names[lam]}")
+    got = compose(u, lift_diff.after(u_inv))
+    want = d.matrix
+    if got != want:
+        keys = got.entries.keys() | want.entries.keys()
+        for c in sorted({c for r, c in keys if got.entry(r, c) != want.entry(r, c)}):
+            report.note(f"conjugation identity fails on column {module.names[c]}")
     return report

@@ -131,18 +131,6 @@ class ModuleElement:
         """Right action ``x * b``."""
         return ModuleElement(self.module, {i: c * b for i, c in self.coeffs.items()})
 
-    def homogeneous_degree(self) -> Optional[int]:
-        """Common degree of all terms; None for zero; ValueError if mixed."""
-        degs = set()
-        for i, c in self.coeffs.items():
-            d = c.degree()  # raises if the coefficient itself is mixed
-            degs.add(d + self.module.degrees[i])
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("module element is not homogeneous")
-        return degs.pop()
-
     def __eq__(self, other):
         return (
             isinstance(other, ModuleElement)
@@ -612,9 +600,13 @@ def invert_unit(u: GradedMap) -> GradedMap:
 
     Splits ``u`` into the part at equal basis degrees (entries in the
     polynomial subring) and the strictly degree-raising rest; the first is
-    inverted by exact linear algebra on polygen coefficients, the second is
-    nilpotent and handled by a terminating geometric series.  The result is
-    verified against the identity on both sides.
+    inverted by exact linear algebra on polygen coefficients (``v``), the
+    second is nilpotent: ``u^{-1} = (1 - w + w^2 - ...) v``, ``w = v u_rest``.
+    When the flat part is the identity, as in every unit `lift._basis_change`
+    builds (``X^(n) A_n``, ``n >= 1``, joins basis elements of different
+    degrees), nothing is solved and the powers of ``w = u_rest`` add into the
+    sum with no product by ``v = 1``.  The result is verified against the
+    identity on both sides.
     """
     if u.degree != 0:
         raise NotInvertibleError("only degree-0 maps can be inverted")
@@ -622,21 +614,21 @@ def invert_unit(u: GradedMap) -> GradedMap:
     one = GradedMap.identity(module)
     flat = {k: v for k, v in u.entries.items() if module.degrees[k[0]] == module.degrees[k[1]]}
     rest = {k: v for k, v in u.entries.items() if module.degrees[k[0]] != module.degrees[k[1]]}
-    u_flat = GradedMap(module, 0, flat, check=False)
-    u_rest = GradedMap(module, 0, rest, check=False)
-
-    v = _invert_flat(u_flat)
-    w = compose(v, u_rest)
-    # geometric series in the nilpotent w: u^{-1} = (1 - w + w^2 - ...) v
+    v = None if flat == one.entries else _invert_flat(GradedMap(module, 0, flat, check=False))
+    w = GradedMap(module, 0, rest, check=False)
+    if v is not None:
+        w = compose(v, w)
     series: dict = {}
-    power = one
-    steps = 0
-    cap = module.spread() + 2
+    power, steps = one, 0
     while not power.is_zero():
-        _product_into(series, power, v, steps % 2 == 1)
-        power = compose(power, w)
+        if v is None:
+            for key, e in power.entries.items():
+                _add_into(module.sig.field, series.setdefault(key, {}), e.terms, steps % 2 == 1)
+        else:
+            _product_into(series, power, v, steps % 2 == 1)
+        power = w if power is one else compose(power, w)
         steps += 1
-        if steps > cap + 1:
+        if steps > module.spread() + 3:
             raise VerificationError("nilpotent correction failed to terminate")
     inv = _finish(module, 0, series)
     if compose(u, inv) != one or compose(inv, u) != one:
@@ -649,9 +641,6 @@ def _invert_flat(u_flat: GradedMap) -> GradedMap:
     module = u_flat.module
     sig = module.sig
     field = sig.field
-    one = GradedMap.identity(module)
-    if u_flat == one:
-        return one
     max_poly = max((v.poly_degree() for v in u_flat.entries.values()), default=0)
     blocks: dict = {}
     for i, d in enumerate(module.degrees):

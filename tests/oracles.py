@@ -11,7 +11,7 @@ from dgalift.algebra import (
     derivative,
     diff,
 )
-from dgalift.errors import SchemaError, VerificationError
+from dgalift.errors import NotInvertibleError, SchemaError, VerificationError
 from dgalift.jop import CheckReport, JOperator
 from dgalift.lift import _coefficients, _homotopy_columns
 from dgalift.module import (
@@ -20,7 +20,9 @@ from dgalift.module import (
     FreeModule,
     GradedMap,
     ModuleElement,
+    _invert_flat,
     compose,
+    invert_unit,
     left_mult,
 )
 from dgalift.solver import solve_exact
@@ -451,3 +453,64 @@ def basis_change_reference(module: FreeModule, var_name: str, g: GradedMap) -> G
             col = eps - series_plus_reference(delta, eps)
         entries.update({key: v for key, v in col.entries.items() if key[1] == c})
     return GradedMap(module, 0, entries)
+
+
+# -- the lift checks before their matrix forms ---------------------------------------
+
+
+def invert_unit_reference(u: GradedMap) -> GradedMap:
+    """`invert_unit` with the flat inverse ``v`` always in the products:
+    ``u^{-1} = (1 - w + w^2 - ...) v`` with ``w = v u_rest``, one term map
+    per power, and no two-sided check."""
+    if u.degree != 0:
+        raise NotInvertibleError("only degree-0 maps can be inverted")
+    module = u.module
+    one = GradedMap.identity(module)
+    degs = module.degrees
+    flat = {k: x for k, x in u.entries.items() if degs[k[0]] == degs[k[1]]}
+    rest = {k: x for k, x in u.entries.items() if degs[k[0]] != degs[k[1]]}
+    u_flat = GradedMap(module, 0, flat, check=False)
+    v = one if u_flat == one else _invert_flat(u_flat)
+    w = compose(v, GradedMap(module, 0, rest, check=False))
+    total = GradedMap.zero(module, 0)
+    power, steps = one, 0
+    while not power.is_zero():
+        term = compose(power, v)
+        total = total - term if steps % 2 else total + term
+        power = compose(power, w)
+        steps += 1
+        if steps > module.spread() + 3:
+            raise VerificationError("nilpotent correction failed to terminate")
+    return total
+
+
+def verify_lift_reference(
+    lift_diff: Differential,
+    u: GradedMap,
+    d: Differential,
+    var_name: str,
+    u_inv: Optional[GradedMap] = None,
+) -> CheckReport:
+    """`verify_lift` with the conjugation identity checked one basis column
+    at a time: ``u (d' (u^{-1} e_lam)) = d(e_lam)`` through the module
+    actions."""
+    report = CheckReport(True)
+    module = lift_diff.module
+    for (r, c), e in lift_diff.matrix.entries.items():
+        if not derivative(e, var_name).is_zero():
+            report.note(
+                f"entry ({module.names[r]},{module.names[c]}) depends on {var_name}"
+            )
+    if not lift_diff.square_zero:
+        report.note("lifted differential does not square to zero")
+    try:
+        if u_inv is None:
+            u_inv = invert_unit(u)
+    except (NotInvertibleError, VerificationError) as ex:
+        report.note(f"basis change is not invertible: {ex}")
+        return report
+    for lam in range(module.rank):
+        e = module.basis_elem(lam)
+        if u.apply(lift_diff.apply(u_inv.apply(e))) != d.apply(e):
+            report.note(f"conjugation identity fails on column {module.names[lam]}")
+    return report

@@ -13,6 +13,7 @@ import random
 import signal
 import time
 from contextlib import contextmanager
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,7 @@ def test_cli_fuzz_hostile_documents(tmp_path, capsys):
 
 HUGE = "a^99999999999"
 HUGE_DIVIDED = "X^(99999999999)*X^(99999999999)"
+HUGE_DIVIDED_Q = "X^(1000000)*X^(1000000)"
 EVEN_F5 = {
     "field": {"type": "Fp", "p": 5},
     "polygens": ["a", "b"],
@@ -169,13 +171,14 @@ EVEN_F5 = {
         {"name": "X", "degree": 2, "d": "b*W1 - a*W2"},
     ],
 }
+EVEN_Q = dict(EVEN_F5, field={"type": "Q"})
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
 @pytest.mark.parametrize(
     "command, expr",
-    [("eval", HUGE), ("naive", HUGE), ("lift", HUGE), ("eval", HUGE_DIVIDED)],
-    ids=["eval", "naive", "lift", "eval-divided-F5"],
+    [("eval", HUGE), ("naive", HUGE), ("lift", HUGE), ("eval", HUGE_DIVIDED), ("eval", HUGE_DIVIDED_Q)],
+    ids=["eval", "naive", "lift", "eval-divided-F5", "eval-divided-Q"],
 )
 def test_cli_huge_exponents_finish(tmp_path, capsys, command, expr):
     """A polygen exponent of 10^11, typed or in a module entry, costs what a
@@ -184,15 +187,18 @@ def test_cli_huge_exponents_finish(tmp_path, capsys, command, expr):
     keeps it square-zero and liftable at bound 0, so that `lift` prints it.
     So does a product of two divided powers ``X^(N)`` over F5 (README's even
     signature), whose binomial ``C(2N, N)`` is taken in the field: it is 0,
-    because ``N + N`` carries in base 5."""
+    because ``N + N`` carries in base 5.  Over Q the binomial
+    ``C(2 10^6, 10^6)`` has some 600000 digits, more than Python prints
+    (`sys.get_int_max_str_digits`): it is refused before it is computed,
+    with exit 1 and one line on standard error."""
     sig_path = str(DATA / "s3.json")
     mod = json.loads((DATA / "n3.json").read_text())
     mod["differential"]["f2"] = {"f1": HUGE, "f0": f"- {HUGE}*X"}
     mod_path = tmp_path / "n3-huge.json"
     mod_path.write_text(json.dumps(mod), encoding="utf-8")
-    if expr == HUGE_DIVIDED:
-        sig_path = tmp_path / "s1-f5.json"
-        sig_path.write_text(json.dumps(EVEN_F5), encoding="utf-8")
+    if expr in (HUGE_DIVIDED, HUGE_DIVIDED_Q):
+        sig_path = tmp_path / "s1.json"
+        sig_path.write_text(json.dumps(EVEN_F5 if expr == HUGE_DIVIDED else EVEN_Q), encoding="utf-8")
         argv = ["eval", "--sig", str(sig_path), expr]
     elif command == "eval":
         argv = ["eval", "--sig", sig_path, HUGE]
@@ -200,7 +206,13 @@ def test_cli_huge_exponents_finish(tmp_path, capsys, command, expr):
         argv = [command, "--sig", sig_path, "--mod", str(mod_path), "--bound", "0"]
     with _time_cap(CAP_S):
         code = main(argv)
-    doc = json.loads(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    if expr == HUGE_DIVIDED_Q:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: divided-power coefficient C(2000000, 1000000)")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        return
+    doc = json.loads(out)
     assert code == 0
     assert doc["verdict"] == {"eval": "ok", "naive": "vanishes", "lift": "lifted"}[command]
     if expr == HUGE_DIVIDED:
@@ -209,3 +221,13 @@ def test_cli_huge_exponents_finish(tmp_path, capsys, command, expr):
         assert doc["data"]["certificate"] == {"f1": {"f0": "-1"}}
     else:
         assert HUGE in json.dumps(doc["data"])
+
+
+def test_cli_divided_powers_over_q_print_exact_binomials(tmp_path, capsys):
+    """Below the digit limit the Q binomial is exact: ``X^(100) X^(100)`` is
+    ``C(200, 100) X^(200)``."""
+    sig_path = tmp_path / "s1-q.json"
+    sig_path.write_text(json.dumps(EVEN_Q), encoding="utf-8")
+    assert main(["eval", "--sig", str(sig_path), "X^(100)*X^(100)"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["data"]["result"] == f"{comb(200, 100)}*X^(200)"

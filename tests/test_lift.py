@@ -45,11 +45,13 @@ from dgalift.randgen import (
 from oracles import (
     basis_change_reference,
     idempotent,
+    invert_unit_reference,
     is_scalar_cycle,
     series_plus_reference,
     solve_homotopy_reference,
     unit_elementary,
     unit_poly_degree,
+    verify_lift_reference,
 )
 
 
@@ -903,3 +905,152 @@ def test_homogeneous_search_costs_the_same_at_any_bound(N3):
     assert time.perf_counter() - start < 1.0
     assert far.bound == 10**6
     assert far.certificate == decide_naive_lift(mod, d, "X", 0).certificate
+
+
+def _pool_lifts(field, rng):
+    """Lifts of the `FixturePool` lifting modules, plain and conjugated by
+    `rand_unit`, and of Koszul rungs; both parities occur."""
+    pool = FixturePool(field)
+    fixtures = []
+    for mod, d in [(pool.N3, pool.d3), (pool.NK, pool.dK), (pool.Nodd, pool.dodd)]:
+        fixtures.append((mod, d))
+        u = rand_unit(mod, rng, poly_bound=1)
+        fixtures.append((mod, d.conjugate(u, invert_unit(u))))
+    for parity in ("odd", "even"):
+        sig = Signature(field, [f"a{i}" for i in range(3)])
+        if parity == "odd":
+            sig = sig.adjoin("X", 1, "a0")
+        else:
+            sig = sig.adjoin("W0", 1, "a0").adjoin("W1", 1, "a1").adjoin("X", 2, "a1*W0 - a0*W1")
+        fixtures.append(_koszul_rung(sig, 3, rng))
+    lifts, parities = [], {"odd": 0, "even": 0}
+    for mod, d in fixtures:
+        var = mod.sig.top_variable.name
+        cert = decide_naive_lift(mod, d, var, 2).certificate
+        assert cert is not None
+        odd = mod.sig.var(var).odd
+        lifts.append((construct_lift_odd if odd else construct_lift_even)(mod, d, var, cert))
+        parities["odd" if odd else "even"] += 1
+    assert all(parities.values()), parities
+    return lifts
+
+
+def _mutate_entry(f: GradedMap, rng, double: bool) -> GradedMap:
+    """``f`` with one entry, drawn by `rng`, dropped or doubled."""
+    entries = dict(f.entries)
+    key = rng.choice(sorted(entries))
+    entries[key] = entries[key] + entries[key] if double else f.module.sig.zero()
+    return GradedMap(f.module, f.degree, entries, check=False)
+
+
+def _x_dependent_entry(mod, var):
+    """A degree -1 entry ``(r, c)`` with a monomial in which ``var`` occurs,
+    or None when no slot of the module takes one."""
+    sig = mod.sig
+    pos = sig.var_pos(var)
+    for r, c in itertools.product(range(mod.rank), repeat=2):
+        for m in component_monomials(sig, mod.degrees[c] - 1 - mod.degrees[r], 1):
+            if m[1][pos]:
+                return (r, c), AlgElem(sig, {m: sig.field.one})
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_verify_lift_matches_column_oracle(field):
+    """The one matrix identity ``u (D' u^{-1} + d(u^{-1})) = D`` gives the
+    report of the per-column check (`verify_lift_reference`), the same
+    verdict and the same failures in the same order: on lifts of both
+    parities, and on each with one entry of ``lift_diff``, ``u`` or
+    ``u_inv`` dropped or doubled, with an entry in the variable added to
+    ``lift_diff``, and with the ``u_inv`` of another lift of the module.  A
+    mutated ``u`` is also checked with no ``u_inv``, so that `invert_unit`
+    runs on it.  The test asserts that some reports name some columns but
+    not all, that some name two or more (their order is compared), that
+    some name an entry in the variable, and that some basis changes are
+    refused as not invertible."""
+    rng = random.Random(83)
+    lifts = _pool_lifts(field, rng)
+    seen = {"passed": 0, "some columns": 0, "two columns": 0, "entry": 0, "not invertible": 0}
+    for lift in lifts:
+        var, d = lift.var_name, lift.ambient_diff
+        dl, u, ui = lift.lift_diff.matrix, lift.u, lift.u_inv
+        cases = [(dl, u, ui), (dl, u, None)]
+        for double in (False, True):
+            cases += [
+                (_mutate_entry(dl, rng, double), u, ui),
+                (dl, _mutate_entry(u, rng, double), ui),
+                (dl, u, _mutate_entry(ui, rng, double)),
+                (dl, _mutate_entry(u, rng, double), None),
+            ]
+        slot = _x_dependent_entry(lift.module, var)
+        if slot is not None:
+            key, x = slot
+            cases.append((dl + GradedMap(lift.module, -1, {key: x}, check=False), u, ui))
+        cases += [(dl, u, other.u_inv) for other in lifts
+                  if other.module == lift.module and other.u_inv != ui]
+        for m, uu, vv in cases:
+            args = (Differential(m), uu, d, var)
+            want = verify_lift_reference(*args, u_inv=vv)
+            got = verify_lift(*args, u_inv=vv)
+            assert (got.passed, got.failures) == (want.passed, want.failures)
+            columns = [f for f in want.failures if "column" in f]
+            seen["passed"] += want.passed
+            seen["some columns"] += 0 < len(columns) < lift.module.rank
+            seen["two columns"] += len(columns) >= 2
+            seen["entry"] += any("depends on" in f for f in want.failures)
+            seen["not invertible"] += any("invertible" in f for f in want.failures)
+    assert all(seen.values()), seen
+
+
+def test_verify_lift_reports_a_singular_basis_change(N3, monkeypatch):
+    """A basis change whose flat part is singular (``a`` on the diagonal)
+    is reported as not invertible; an error of any other kind inside
+    `invert_unit` is a fault and propagates."""
+    mod, d = N3
+    lift = construct_lift_odd(mod, d, "X", decide_naive_lift(mod, d, "X", 0).certificate)
+    dbl, dl, d = lift.module, lift.lift_diff, lift.ambient_diff
+    u = lift.u + GradedMap(dbl, 0, {(1, 1): dbl.sig.parse("a")})
+    assert verify_lift(dl, lift.u, d, "X").passed
+    rep = verify_lift(dl, u, d, "X")
+    assert not rep.passed
+    assert rep.failures == [
+        "basis change is not invertible: degree-level part of the unit is singular"
+    ]
+
+    def broken(_):
+        raise TypeError("a fault")
+
+    monkeypatch.setattr("dgalift.lift.invert_unit", broken)
+    with pytest.raises(TypeError):
+        verify_lift(dl, lift.u, d, "X")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_invert_unit_matches_series_oracle(field, monkeypatch):
+    """`invert_unit` equals the series with the flat inverse in every
+    product (`invert_unit_reference`): on `rand_unit` units with and
+    without equal-degree entries, and on the basis changes of odd and even
+    lifts.  Every lift unit has the identity as its flat part, so that it
+    takes the path that solves nothing; some random units do not."""
+    import dgalift.module as module
+
+    solved = []
+    invert_flat = module._invert_flat
+    monkeypatch.setattr(
+        module, "_invert_flat", lambda f: solved.append(f) or invert_flat(f)
+    )
+    rng = random.Random(89)
+    pool = FixturePool(field)
+    units = []
+    for mod in (pool.N3, pool.NK, pool.Nodd, pool.N1, pool.M2_S1):
+        for k in range(8):
+            unit = rand_unit(mod, rng, poly_bound=2, strict_raising=k % 2 == 0)
+            units.append(unit + (rand_unit(mod, rng, poly_bound=1) - GradedMap.identity(mod)))
+    for u in units:
+        assert invert_unit(u) == invert_unit_reference(u)
+    assert solved
+    solved.clear()
+    lifts = _pool_lifts(field, rng)
+    for lift in lifts:
+        assert invert_unit(lift.u) == invert_unit_reference(lift.u) == lift.u_inv
+    assert not solved
