@@ -476,8 +476,8 @@ def verify_lift(
     except (NotInvertibleError, VerificationError) as ex:
         report.note(f"basis change is not invertible: {ex}")
         return report
-    got = compose(u, lift_diff.after(u_inv))
-    want = d.matrix
+    got, want = compose(u, lift_diff.after(u_inv)), d.matrix
+    got._check(want)  # a differential on another module is an error, not a verdict
     if got != want:
         keys = got.entries.keys() | want.entries.keys()
         for c in sorted({c for r, c in keys if got.entry(r, c) != want.entry(r, c)}):
