@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import comb, lgamma, log, log10
+from math import comb, log10
 
 from .errors import SchemaError
 
@@ -108,8 +108,8 @@ def _rational(q):
     return q.numerator
 
 
-# ``C(n, k) < 2^n`` prints under any integer-to-string digit limit up to this n.
-_PRINTABLE_N = int(sys.int_info.str_digits_check_threshold / log10(2)) - 1
+# ``C(n, k) < 2^n`` prints under any digit limit (none before 3.10.7) up to this n.
+_PRINTABLE_N = int(getattr(sys.int_info, "str_digits_check_threshold", 640) / log10(2)) - 1
 
 
 class RationalField(Field):
@@ -139,15 +139,17 @@ class RationalField(Field):
         return n
 
     def binomial(self, n: int, k: int):
-        """``comb(n, k)``, refused unprinted and uncomputed (``comb`` of a
-        large ``n`` runs for minutes) past Python's integer-to-string digit
-        limit, if any.  Below `_PRINTABLE_N` this is one comparison."""
+        """``comb(n, k)``, refused uncomputed (``comb`` of a large ``n`` runs
+        for minutes), even where it would cancel, when its lower bound
+        ``(n/m)^m``, ``m = min(k, n - k)``, has more digits than Python prints.
+        Below `_PRINTABLE_N` this is one comparison; ``m > limit / log10(2)``
+        bounds it by ``2^m`` without a float of a big ``m``."""
         if n > _PRINTABLE_N:
-            limit = sys.get_int_max_str_digits()
-            digits = int((lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(10)) + 1
-            if limit and digits > limit:
-                raise ValueError(f"divided-power coefficient C({n}, {k}) has about "
-                                 f"{digits} digits, more than the limit of {limit}")
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            m = min(k, n - k)
+            if limit and m and (m > limit / log10(2) or m * (log10(n) - log10(m)) > limit):
+                raise ValueError(f"divided-power coefficient C({n}, {k}) has more "
+                                 f"than {limit} digits, the limit")
         return comb(n, k)
 
     def of_fraction(self, num: int, den: int):

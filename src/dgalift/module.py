@@ -602,11 +602,11 @@ def invert_unit(u: GradedMap) -> GradedMap:
     polynomial subring) and the strictly degree-raising rest; the first is
     inverted by exact linear algebra on polygen coefficients (``v``), the
     second is nilpotent: ``u^{-1} = (1 - w + w^2 - ...) v``, ``w = v u_rest``.
-    When the flat part is the identity, as in every unit `lift._basis_change`
-    builds (``X^(n) A_n``, ``n >= 1``, joins basis elements of different
-    degrees), nothing is solved and the powers of ``w = u_rest`` add into the
-    sum with no product by ``v = 1``.  The result is verified against the
-    identity on both sides.
+    The powers of ``w`` add into one sum, multiplied by ``v`` once at the
+    end.  When the flat part is the identity, as in every unit
+    `lift._basis_change` builds (``X^(n) A_n``, ``n >= 1``, joins basis
+    elements of different degrees), nothing is solved and ``v = 1`` is never
+    multiplied by.  The result is verified against the identity on both sides.
     """
     if u.degree != 0:
         raise NotInvertibleError("only degree-0 maps can be inverted")
@@ -618,19 +618,17 @@ def invert_unit(u: GradedMap) -> GradedMap:
     w = GradedMap(module, 0, rest, check=False)
     if v is not None:
         w = compose(v, w)
-    series: dict = {}
-    power, steps = one, 0
+    series = {key: dict(e.terms) for key, e in one.entries.items()}  # (-w)^0
+    power, steps = w, 1
     while not power.is_zero():
-        if v is None:
-            for key, e in power.entries.items():
-                _add_into(module.sig.field, series.setdefault(key, {}), e.terms, steps % 2 == 1)
-        else:
-            _product_into(series, power, v, steps % 2 == 1)
-        power = w if power is one else compose(power, w)
-        steps += 1
+        for key, e in power.entries.items():
+            _add_into(module.sig.field, series.setdefault(key, {}), e.terms, steps % 2 == 1)
+        power, steps = compose(power, w), steps + 1
         if steps > module.spread() + 3:
             raise VerificationError("nilpotent correction failed to terminate")
     inv = _finish(module, 0, series)
+    if v is not None:
+        inv = compose(inv, v)
     if compose(u, inv) != one or compose(inv, u) != one:
         raise VerificationError("unit inverse failed verification")
     return inv

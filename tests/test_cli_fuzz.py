@@ -162,6 +162,8 @@ def test_cli_fuzz_hostile_documents(tmp_path, capsys):
 HUGE = "a^99999999999"
 HUGE_DIVIDED = "X^(99999999999)*X^(99999999999)"
 HUGE_DIVIDED_Q = "X^(1000000)*X^(1000000)"
+WIDE = 10**400
+WIDE_DIVIDED_Q = f"X^({WIDE})*X"
 EVEN_F5 = {
     "field": {"type": "Fp", "p": 5},
     "polygens": ["a", "b"],
@@ -177,8 +179,9 @@ EVEN_Q = dict(EVEN_F5, field={"type": "Q"})
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
 @pytest.mark.parametrize(
     "command, expr",
-    [("eval", HUGE), ("naive", HUGE), ("lift", HUGE), ("eval", HUGE_DIVIDED), ("eval", HUGE_DIVIDED_Q)],
-    ids=["eval", "naive", "lift", "eval-divided-F5", "eval-divided-Q"],
+    [("eval", HUGE), ("naive", HUGE), ("lift", HUGE), ("eval", HUGE_DIVIDED), ("eval", HUGE_DIVIDED_Q),
+     ("eval", WIDE_DIVIDED_Q)],
+    ids=["eval", "naive", "lift", "eval-divided-F5", "eval-divided-Q", "eval-divided-Q-wide"],
 )
 def test_cli_huge_exponents_finish(tmp_path, capsys, command, expr):
     """A polygen exponent of 10^11, typed or in a module entry, costs what a
@@ -190,13 +193,14 @@ def test_cli_huge_exponents_finish(tmp_path, capsys, command, expr):
     because ``N + N`` carries in base 5.  Over Q the binomial
     ``C(2 10^6, 10^6)`` has some 600000 digits, more than Python prints
     (`sys.get_int_max_str_digits`): it is refused before it is computed,
-    with exit 1 and one line on standard error."""
+    with exit 1 and one line on standard error.  A 401-digit exponent over
+    Q is no such case: ``X^(10^400) X`` has the coefficient ``10^400 + 1``."""
     sig_path = str(DATA / "s3.json")
     mod = json.loads((DATA / "n3.json").read_text())
     mod["differential"]["f2"] = {"f1": HUGE, "f0": f"- {HUGE}*X"}
     mod_path = tmp_path / "n3-huge.json"
     mod_path.write_text(json.dumps(mod), encoding="utf-8")
-    if expr in (HUGE_DIVIDED, HUGE_DIVIDED_Q):
+    if expr in (HUGE_DIVIDED, HUGE_DIVIDED_Q, WIDE_DIVIDED_Q):
         sig_path = tmp_path / "s1.json"
         sig_path.write_text(json.dumps(EVEN_F5 if expr == HUGE_DIVIDED else EVEN_Q), encoding="utf-8")
         argv = ["eval", "--sig", str(sig_path), expr]
@@ -217,6 +221,8 @@ def test_cli_huge_exponents_finish(tmp_path, capsys, command, expr):
     assert doc["verdict"] == {"eval": "ok", "naive": "vanishes", "lift": "lifted"}[command]
     if expr == HUGE_DIVIDED:
         assert doc["data"]["result"] == "0"
+    elif expr == WIDE_DIVIDED_Q:
+        assert doc["data"]["result"] == f"{WIDE + 1}*X^({WIDE + 1})"
     elif command == "naive":
         assert doc["data"]["certificate"] == {"f1": {"f0": "-1"}}
     else:
@@ -231,3 +237,7 @@ def test_cli_divided_powers_over_q_print_exact_binomials(tmp_path, capsys):
     assert main(["eval", "--sig", str(sig_path), "X^(100)*X^(100)"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["data"]["result"] == f"{comb(200, 100)}*X^(200)"
+    # C(20000, 10000) has 6019 digits, but it cancels and is cheap to compute
+    expr = "X^(10000)*X^(10000) - X^(10000)*X^(10000)"
+    assert main(["eval", "--sig", str(sig_path), expr]) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["result"] == "0"

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from math import comb
@@ -160,6 +161,23 @@ def test_binomial_matches_comb(field):
     for n in range(200):
         for k in range(n + 1):
             assert field.binomial(n, k) == field.of_int(comb(n, k))
+
+
+def test_q_binomial_refuses_only_unprintable_coefficients():
+    """Over Q a binomial is refused only when it has more digits than Python
+    prints: around the 4300-digit default limit, and for a 401-digit ``n``."""
+    limit = sys.get_int_max_str_digits()
+    for n in range(14270, 14340, 3):
+        for k in (1, 2500, n // 3, n // 2):
+            try:
+                QQ.binomial(n, k)
+            except ValueError:
+                assert comb(n, k) >= 10**limit, (n, k)
+    assert QQ.binomial(10**400 + 1, 1) == 10**400 + 1
+    assert QQ.binomial(10**400, 0) == 1
+    for n, k in ((2 * 10**6, 10**6), (10**400, 20000), (10**400, 10**200)):
+        with pytest.raises(ValueError, match="divided-power coefficient"):
+            QQ.binomial(n, k)
 
 
 def test_prime_validation():
