@@ -23,21 +23,23 @@ Conventions:
     ``d(X^(m)) = X^(m-1) * d(X)``.
 
 Every product goes through one kernel, `_mul_into`, which adds ``a * b``
-of two term maps into an output map in place; its ``neg`` flag adds
-``-(a * b)`` by seeding the Koszul flip count, at no cost.
-`AlgElem.__mul__`, `diff`, `GradedMap.apply` and the module accumulator
-(`module._product_into`: `compose`, brackets, ``d o f``, j-operators) add
-through it without an intermediate element.  A `Signature` holds the odd
-and even variable positions, so the Koszul sign is a suffix count over the
-odd positions, and it memoises each band of `component_monomials` as a
-tuple, and each band of one weight (`weight_monomials`; polygens weigh 1,
-variables ``var_weights``) likewise.  Nothing is memoised per monomial or
-per pair of monomials: the fixture signatures of the identity suites live
-for a whole run, and in a trial such memos raised the peak RSS of that
-benchmark from 23.3 to 29.7 MB (pair products) and from 23.7 to 25.9 MB
-(``d(m)``), for a bound of 10%.
+of two term maps into an output map in place (``-(a * b)`` with its
+``neg`` flag); `AlgElem.__mul__`, `diff`, `GradedMap.apply` and the module
+accumulator (`module._product_into`: `compose`, brackets, ``d o f``,
+j-operators) add through it without an intermediate element.  Polygens
+have degree 0, commute with everything and are cycles, so
+``x^v1 * x^v2 = f(v1, v2) * x^(v1+v2)`` and ``d(p x^v) = p d(x^v)``: a
+`Signature` works out each ``f(v1, v2)`` and each ``d(x^v)`` once, in
+tables keyed by variable exponent vectors only (``_var_products``,
+``_var_diffs``; at most 191 entries per signature over an `identities`
+benchmark batch).  It memoises each band of `component_monomials`, and of
+`weight_monomials` (polygens weigh 1, variables ``var_weights``), as a
+tuple.  Memos keyed by whole monomials were tried and dropped: they raised
+the peak RSS of that benchmark from 23.3 to 29.7 MB (pair products) and
+from 23.7 to 25.9 MB (``d(m)``), for a bound of 10%.
 
-Everything is immutable after construction and safe to share.
+Everything is immutable after construction, apart from these memos, which
+only gain entries, and safe to share.
 """
 
 from __future__ import annotations
@@ -59,8 +61,11 @@ Monomial = tuple
 class Variable:
     """An adjoined variable: name, positive degree, and its differential.
 
-    ``diff`` is an element of the full owning signature whose monomials
-    only mention strictly earlier generators.
+    ``diff`` is an element of the stage the variable was adjoined over: the
+    signature of the generators before it, where it is a cycle.  It never
+    refers to a signature that holds the variable, so a signature is freed,
+    memos and all, as soon as it is unreachable, without waiting for the
+    cycle collector.
     """
 
     name: str
@@ -101,6 +106,8 @@ class Signature:
         self._even = tuple(i for i, v in enumerate(self.variables) if not v.odd)
         self._bands: dict = {}  # (degree, poly_bound) -> component_monomials
         self._weight_bands: dict = {}  # (degree, weight, poly_bound) -> weight_monomials
+        self._var_products: dict = {}  # (v1, v2) -> (v1 + v2, factor) or None
+        self._var_diffs: dict = {}  # v -> the terms of d(x^v)
         self._key = (
             field.key(),
             self.polygens,
@@ -241,22 +248,8 @@ class Signature:
             )
         if not diff(t).is_zero():
             raise SchemaError(f"differential of {name} is not a cycle")
-        new_vars = []
-        for v in self.variables:
-            new_vars.append(Variable(v.name, v.degree, _extend(v.diff)))
-        new_vars.append(Variable(name, degree, _extend(t)))
-        sig = Signature(self.field, self.polygens, tuple(new_vars))
-        # re-home the stored differentials to the extended signature; the
-        # term maps are shared, so the key built above stays valid
-        for v in sig.variables:
-            object.__setattr__(v, "diff", AlgElem(sig, v.diff.terms))
-        return sig
-
-
-def _extend(elem: "AlgElem") -> "AlgElem":
-    """Append a zero exponent slot for a freshly adjoined variable."""
-    terms = {(p, v + (0,)): c for (p, v), c in elem.terms.items()}
-    return AlgElem(elem.sig, terms)  # signature fixed up by the caller
+        new_var = Variable(name, degree, AlgElem(self, t.terms))
+        return Signature(self.field, self.polygens, self.variables + (new_var,))
 
 
 class AlgElem:
@@ -373,80 +366,139 @@ def _add_into(field: Field, out: dict, a: dict, neg: bool = False) -> None:
             out[m] = s
 
 
+def _var_product(sig: Signature, v1: tuple, v2: tuple):
+    """The table entry of ``x^v1 * x^v2``: ``(v1 + v2, f)`` with the factor
+    ``f`` of ``x^v1 x^v2 = f x^(v1+v2)``, or None when the product vanishes.
+
+    An odd variable in both kills the product; an even variable in both
+    contributes the binomial ``C(e1 + e2, e1)``, computed in the field
+    (`Field.binomial`), and kills the product when that vanishes; the
+    Koszul sign counts, for each odd factor of ``x^v2``, the odd factors of
+    ``x^v1`` at later positions.  A binomial the field refuses raises
+    `ValueError` and stores nothing.
+    """
+    field = sig.field
+    f, flips, later = field.one, 0, 0  # later: odd factors of v1 after j
+    entry = None
+    for j in reversed(sig._odd):
+        if v2[j]:
+            if v1[j]:
+                break
+            flips += later
+        later += v1[j]
+    else:
+        for i in sig._even:
+            if v1[i] and v2[i]:
+                f = field.mul(f, field.binomial(v1[i] + v2[i], v1[i]))
+                if f == field.zero:
+                    break
+        else:
+            entry = (tuple(map(add, v1, v2)), field.neg(f) if flips % 2 else f)
+    sig._var_products[v1, v2] = entry
+    return entry
+
+
 def _mul_into(sig: Signature, out: dict, a: dict, b: dict, neg: bool = False) -> None:
     """Add the product ``a * b`` of two term maps (``-(a * b)`` when `neg`)
     into ``out``, in place; a coefficient that cancels is deleted.
 
-    Per pair of monomials: an odd variable in both kills the term; an even
-    variable in both contributes the binomial ``C(e1 + e2, e1)``, computed
-    in the field (`Field.binomial`), and kills the term when that vanishes;
-    the Koszul sign counts, for each odd factor of the right monomial, the
-    odd factors of the left one at later positions, starting from 1 when
-    `neg`.
+    Polygens have degree 0 and commute with everything, so a product of
+    monomials factors as ``(p1 x^v1)(p2 x^v2) = f(v1, v2) p1 p2 x^(v1+v2)``
+    where the sign and binomials ``f(v1, v2)`` depend on the variable parts
+    only.  Each pair of variable parts is worked out once per signature by
+    `_var_product` and kept in ``sig._var_products`` (a table per signature
+    object, like ``_bands``, holding None for a product that vanishes);
+    a pair of terms then costs one lookup, the polygen sum and the
+    coefficient product.
     """
     field = sig.field
-    zero, mul, fadd = field.zero, field.mul, field.add
-    seed = 1 if neg else 0
+    zero, one, mul, fadd = field.zero, field.one, field.mul, field.add
+    table = sig._var_products
     for (p1, v1), c1 in a.items():
-        later, count = [], 0  # (odd position j, odd factors of v1 after j)
-        for j in reversed(sig._odd):
-            later.append((j, count))
-            count += v1[j]
-        evens = [(i, v1[i]) for i in sig._even if v1[i]]
+        if neg:
+            c1 = field.neg(c1)
         for (p2, v2), c2 in b.items():
-            coeff = mul(c1, c2)
-            flips = seed
-            for j, k in later:
-                if v2[j]:
-                    if v1[j]:
-                        break
-                    flips += k
+            try:
+                entry = table[v1, v2]
+            except KeyError:
+                entry = _var_product(sig, v1, v2)
+            if entry is None:
+                continue
+            v, f = entry
+            coeff = mul(c1, c2) if f == one else mul(mul(c1, c2), f)
+            m = (tuple(map(add, p1, p2)), v)
+            s = out.get(m)
+            if s is None:
+                out[m] = coeff
             else:
-                for i, e1 in evens:
-                    e2 = v2[i]
-                    if e2:
-                        coeff = mul(coeff, field.binomial(e1 + e2, e1))
-                        if coeff == zero:
-                            break
+                s = fadd(s, coeff)
+                if s == zero:
+                    del out[m]
                 else:
-                    if flips % 2:
-                        coeff = field.neg(coeff)
-                    m = (tuple(map(add, p1, p2)), tuple(map(add, v1, v2)))
-                    s = out.get(m)
-                    if s is None:
-                        out[m] = coeff
-                    else:
-                        s = fadd(s, coeff)
-                        if s == zero:
-                            del out[m]
-                        else:
-                            out[m] = s
+                    out[m] = s
+
+
+def _var_diff(sig: Signature, v: tuple) -> dict:
+    """The terms of ``d(x^v)``, stored in ``sig._var_diffs``.
+
+    A monomial ``L X^(e) R``, with ``L`` its variables before ``X`` and
+    ``R`` the variables after, contributes ``(-1)^{|L|} (L X^(e-1)) d(X) R``;
+    ``X^(e-1)`` is even (or 1), so it joins ``L`` without a sign.
+    ``d(X)`` lives in the stage before ``X``, so its exponents are padded
+    with zeros; ``(L X^(e-1)) d(X)`` only has variables up to ``X``, and
+    ``R`` only after it, so their product is the concatenation of the
+    exponents, with no sign and no binomial.
+    """
+    one = sig.field.one
+    nvars = len(sig.variables)
+    no_poly = (0,) * len(sig.polygens)
+    out: dict = {}
+    left_deg = 0
+    for i, var in enumerate(sig.variables):
+        e = v[i]
+        if e == 0:
+            continue
+        pad = (0,) * (nvars - i)
+        dx = {(q, w + pad): c for (q, w), c in var.diff.terms.items()}
+        mid: dict = {}
+        left = {(no_poly, v[:i] + (e - 1,) + pad[1:]): one}
+        _mul_into(sig, mid, left, dx, left_deg % 2)
+        _add_into(sig.field, out, {(q, w[: i + 1] + v[i + 1 :]): c for (q, w), c in mid.items()})
+        left_deg += e * var.degree
+    sig._var_diffs[v] = out
+    return out
 
 
 def diff(elem: AlgElem) -> AlgElem:
     """The differential of the algebra, extended by the Leibniz rule.
 
-    A monomial ``L X^(e) R``, with ``L`` its polygens and variables before
-    ``X`` and ``R`` the variables after, contributes
-    ``(-1)^{|L|} (L X^(e-1)) d(X) R``; ``X^(e-1)`` is even (or 1), so it
-    joins ``L`` without a sign.
+    Polygens are cycles of degree 0, so ``d(p x^v) = p d(x^v)``: the terms
+    of ``d(x^v)`` are worked out once per signature by `_var_diff` and kept
+    in ``sig._var_diffs`` (a table per signature object, like ``_bands``),
+    and each term of `elem` costs one lookup plus a polygen sum and a
+    coefficient product per term of its ``d(x^v)``.
     """
     sig = elem.sig
-    one = sig.field.one
-    nvars = len(sig.variables)
-    no_poly = (0,) * len(sig.polygens)
+    field = sig.field
+    zero, mul, fadd = field.zero, field.mul, field.add
+    table = sig._var_diffs
     out: dict = {}
     for (p, v), c in elem.terms.items():
-        left_deg = 0
-        for i, var in enumerate(sig.variables):
-            e = v[i]
-            if e == 0:
-                continue
-            left = (p, v[:i] + (e - 1,) + (0,) * (nvars - i - 1))
-            mid: dict = {}
-            _mul_into(sig, mid, {left: c}, var.diff.terms, left_deg % 2)
-            _mul_into(sig, out, mid, {(no_poly, (0,) * (i + 1) + v[i + 1 :]): one})
-            left_deg += e * var.degree
+        dv = table.get(v)
+        if dv is None:
+            dv = _var_diff(sig, v)
+        for (q, w), e in dv.items():
+            m = (tuple(map(add, p, q)), w)
+            coeff = mul(c, e)
+            s = out.get(m)
+            if s is None:
+                out[m] = coeff
+            else:
+                s = fadd(s, coeff)
+                if s == zero:
+                    del out[m]
+                else:
+                    out[m] = s
     return AlgElem(sig, out)
 
 

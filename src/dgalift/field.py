@@ -108,6 +108,10 @@ def _rational(q):
     return q.numerator
 
 
+# The most factors `PrimeField.binomial` multiplies before it refuses (under
+# a second of product formula).
+_BINOMIAL_STEPS = 10**6
+
 # ``C(n, k) < 2^n`` prints under any digit limit (none before 3.10.7) up to this n.
 _PRINTABLE_N = int(getattr(sys.int_info, "str_digits_check_threshold", 640) / log10(2)) - 1
 
@@ -200,15 +204,30 @@ class PrimeField(Field):
 
     def binomial(self, n: int, k: int):
         """``C(n, k) mod p`` by Lucas' theorem: the product of the binomials
-        of the base-``p`` digits, one ``comb`` per digit (one in all when
-        ``n < p``)."""
+        of the base-``p`` digits, 0 when a digit of ``k`` exceeds that of
+        ``n``.  Each digit binomial ``C(a, b)`` is the product formula
+        ``a (a-1) ... (a-m+1) / m!``, ``m = min(b, a - b)``, taken mod ``p``
+        with one inverse at the end, never ``comb`` in full (which runs for
+        seconds from ``a`` of some 10^5 on).  More than `_BINOMIAL_STEPS`
+        factors over all digits is refused uncomputed, as over Q."""
         p = self.p
-        out = 1
-        while k and out:
-            n, a = divmod(n, p)
-            k, b = divmod(k, p)
-            out = out * comb(a, b) % p
-        return out
+        digits = []
+        rest_n, rest_k = n, k
+        while rest_k:
+            rest_n, a = divmod(rest_n, p)
+            rest_k, b = divmod(rest_k, p)
+            if b > a:
+                return 0
+            digits.append((a, min(b, a - b)))
+        if sum(m for _, m in digits) > _BINOMIAL_STEPS:
+            raise ValueError(f"divided-power coefficient C({n}, {k}) mod {p} needs more "
+                             f"than {_BINOMIAL_STEPS} steps, the limit")
+        num = den = 1
+        for a, m in digits:
+            for t in range(m):
+                num = num * (a - t) % p
+                den = den * (t + 1) % p
+        return num * pow(den, -1, p) % p
 
     def of_fraction(self, num: int, den: int):
         return self.mul(self.of_int(num), self.inv(self.of_int(den)))

@@ -1,6 +1,7 @@
 """Reference checks, and a fixture they need, that only the tests use."""
 
 from math import comb
+from operator import add
 from typing import Callable, Optional
 
 from dgalift.algebra import (
@@ -118,6 +119,49 @@ def mul_reference(x: AlgElem, y: AlgElem) -> AlgElem:
     return AlgElem(sig, out)
 
 
+def mul_into_reference(sig: Signature, out: dict, a: dict, b: dict, neg: bool = False) -> None:
+    """The product kernel before the per-signature tables: add ``a * b``
+    (``-(a * b)`` when `neg`) into ``out``, working out the Koszul sign and
+    the divided-power binomials of every pair of terms afresh."""
+    field = sig.field
+    zero, mul, fadd = field.zero, field.mul, field.add
+    seed = 1 if neg else 0
+    for (p1, v1), c1 in a.items():
+        later, count = [], 0  # (odd position j, odd factors of v1 after j)
+        for j in reversed(sig._odd):
+            later.append((j, count))
+            count += v1[j]
+        evens = [(i, v1[i]) for i in sig._even if v1[i]]
+        for (p2, v2), c2 in b.items():
+            coeff = mul(c1, c2)
+            flips = seed
+            for j, k in later:
+                if v2[j]:
+                    if v1[j]:
+                        break
+                    flips += k
+            else:
+                for i, e1 in evens:
+                    e2 = v2[i]
+                    if e2:
+                        coeff = mul(coeff, field.binomial(e1 + e2, e1))
+                        if coeff == zero:
+                            break
+                else:
+                    if flips % 2:
+                        coeff = field.neg(coeff)
+                    m = (tuple(map(add, p1, p2)), tuple(map(add, v1, v2)))
+                    s = out.get(m)
+                    if s is None:
+                        out[m] = coeff
+                    else:
+                        s = fadd(s, coeff)
+                        if s == zero:
+                            del out[m]
+                        else:
+                            out[m] = s
+
+
 def diff_reference(elem: AlgElem) -> AlgElem:
     """Leibniz rule as ``sign * left * d(X^(e)) * right``, term by term."""
     sig = elem.sig
@@ -131,7 +175,8 @@ def diff_reference(elem: AlgElem) -> AlgElem:
                 continue
             left = (p, tuple(v[j] if j < i else 0 for j in range(len(v))))
             right = ((0,) * len(p), tuple(v[j] if j > i else 0 for j in range(len(v))))
-            dfac = var.diff
+            # d(X) is an element of the stage before X: pad its exponents
+            dfac = AlgElem(sig, {(q, w + (0,) * (len(v) - i)): c for (q, w), c in var.diff.terms.items()})
             if not var.odd:
                 power = tuple(e - 1 if j == i else 0 for j in range(len(v)))
                 dfac = mul_reference(AlgElem(sig, {((0,) * len(p), power): field.one}), dfac)

@@ -213,8 +213,9 @@ def test_fp_signature_arithmetic():
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=repr)
 def test_adjoin_key_matches_a_fresh_signature(field):
-    # re-homing the differentials in `adjoin` shares their term maps, so the
-    # key built by the constructor is already the key of the result
+    # `adjoin` keeps the earlier variables, each with its differential in
+    # its own stage, so the key built by the constructor is that of a fresh
+    # signature on the same variables
     pool = FixturePool(field)
     for sig in (pool.S3, pool.S1, pool.Sodd3, pool.S2):
         step = Signature(field, sig.polygens)

@@ -174,14 +174,19 @@ EVEN_F5 = {
     ],
 }
 EVEN_Q = dict(EVEN_F5, field={"type": "Q"})
+BIG_P = 10**18 + 3
+EVEN_FBIG = dict(EVEN_F5, field={"type": "Fp", "p": BIG_P})
+MID_DIVIDED = "X^(300000)*X^(300000)"
+HUGE_DIVIDED_FBIG = "X^(99999999999) * X^(99999999999)"
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
 @pytest.mark.parametrize(
     "command, expr",
     [("eval", HUGE), ("naive", HUGE), ("lift", HUGE), ("eval", HUGE_DIVIDED), ("eval", HUGE_DIVIDED_Q),
-     ("eval", WIDE_DIVIDED_Q)],
-    ids=["eval", "naive", "lift", "eval-divided-F5", "eval-divided-Q", "eval-divided-Q-wide"],
+     ("eval", WIDE_DIVIDED_Q), ("eval", MID_DIVIDED), ("eval", HUGE_DIVIDED_FBIG)],
+    ids=["eval", "naive", "lift", "eval-divided-F5", "eval-divided-Q", "eval-divided-Q-wide",
+         "eval-divided-Fbig", "eval-divided-Fbig-refused"],
 )
 def test_cli_huge_exponents_finish(tmp_path, capsys, command, expr):
     """A polygen exponent of 10^11, typed or in a module entry, costs what a
@@ -194,15 +199,22 @@ def test_cli_huge_exponents_finish(tmp_path, capsys, command, expr):
     ``C(2 10^6, 10^6)`` has some 600000 digits, more than Python prints
     (`sys.get_int_max_str_digits`): it is refused before it is computed,
     with exit 1 and one line on standard error.  A 401-digit exponent over
-    Q is no such case: ``X^(10^400) X`` has the coefficient ``10^400 + 1``."""
+    Q is no such case: ``X^(10^400) X`` has the coefficient ``10^400 + 1``.
+    Over ``F_p``, ``p = 10^18 + 3``, ``C(2N, N)`` has one base-``p`` digit:
+    ``N = 300000`` is taken mod ``p`` by the product formula (``comb``
+    itself runs for seconds), ``N = 10^11`` is past the step limit and is
+    refused like the Q case (the blanks around ``*`` tell the two
+    expressions apart)."""
     sig_path = str(DATA / "s3.json")
     mod = json.loads((DATA / "n3.json").read_text())
     mod["differential"]["f2"] = {"f1": HUGE, "f0": f"- {HUGE}*X"}
     mod_path = tmp_path / "n3-huge.json"
     mod_path.write_text(json.dumps(mod), encoding="utf-8")
-    if expr in (HUGE_DIVIDED, HUGE_DIVIDED_Q, WIDE_DIVIDED_Q):
+    divided = {HUGE_DIVIDED: EVEN_F5, HUGE_DIVIDED_Q: EVEN_Q, WIDE_DIVIDED_Q: EVEN_Q,
+               MID_DIVIDED: EVEN_FBIG, HUGE_DIVIDED_FBIG: EVEN_FBIG}
+    if expr in divided:
         sig_path = tmp_path / "s1.json"
-        sig_path.write_text(json.dumps(EVEN_F5 if expr == HUGE_DIVIDED else EVEN_Q), encoding="utf-8")
+        sig_path.write_text(json.dumps(divided[expr]), encoding="utf-8")
         argv = ["eval", "--sig", str(sig_path), expr]
     elif command == "eval":
         argv = ["eval", "--sig", sig_path, HUGE]
@@ -211,9 +223,10 @@ def test_cli_huge_exponents_finish(tmp_path, capsys, command, expr):
     with _time_cap(CAP_S):
         code = main(argv)
     out, err = capsys.readouterr()
-    if expr == HUGE_DIVIDED_Q:
+    if expr in (HUGE_DIVIDED_Q, HUGE_DIVIDED_FBIG):
         assert (code, out) == (1, "")
-        assert err.startswith("error: divided-power coefficient C(2000000, 1000000)")
+        n = 2000000 if expr == HUGE_DIVIDED_Q else 199999999998
+        assert err.startswith(f"error: divided-power coefficient C({n}, {n // 2})")
         assert err.count("\n") == 1 and err.endswith("\n")
         return
     doc = json.loads(out)
@@ -223,6 +236,9 @@ def test_cli_huge_exponents_finish(tmp_path, capsys, command, expr):
         assert doc["data"]["result"] == "0"
     elif expr == WIDE_DIVIDED_Q:
         assert doc["data"]["result"] == f"{WIDE + 1}*X^({WIDE + 1})"
+    elif expr == MID_DIVIDED:
+        coeff, mono = doc["data"]["result"].split("*")
+        assert mono == "X^(600000)" and 0 < int(coeff) < BIG_P
     elif command == "naive":
         assert doc["data"]["certificate"] == {"f1": {"f0": "-1"}}
     else:

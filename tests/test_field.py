@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import dgalift
+from dgalift import field as field_module
 from dgalift.errors import SchemaError
 from dgalift.field import QQ, PrimeField, RationalField, field_from_doc, field_from_spec
 from dgalift.io import matrix_to_doc
@@ -161,6 +162,32 @@ def test_binomial_matches_comb(field):
     for n in range(200):
         for k in range(n + 1):
             assert field.binomial(n, k) == field.of_int(comb(n, k))
+
+
+def test_large_prime_binomial_matches_comb(monkeypatch):
+    """Over ``p = 10^18 + 3`` the product formula of each Lucas digit equals
+    ``comb(n, k) % p``, for ``n < p`` and for two-digit ``n`` and ``k``; a
+    digit of ``k`` above that of ``n`` gives 0 uncomputed; more than the
+    step limit is refused, at the limit exactly."""
+    p = 10**18 + 3
+    fp = PrimeField(p)
+    rng = random.Random(5)
+    cases = [(n, k) for n in (0, 1, 2, 7, 150, 3001) for k in (0, 1, n // 3, n // 2, n - 1, n) if 0 <= k <= n]
+    cases += [(rng.randrange(10**18), rng.randrange(30)) for _ in range(20)]
+    cases += [(p + 7, 3), (p + 7, p + 2), (3 * p + 40, 12), (2 * p + 5, 2 * p + 1)]
+    for n, k in cases:
+        assert fp.binomial(n, k) == comb(n, k) % p, (n, k)
+    # the digits are (10^11, 2 10^11) and (1, 0): Lucas gives 0
+    assert fp.binomial(p + 10**11, 2 * 10**11) == 0
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="divided-power coefficient"):
+        fp.binomial(2 * 99999999999, 99999999999)
+    assert time.perf_counter() - start < 0.1
+    monkeypatch.setattr(field_module, "_BINOMIAL_STEPS", 10)
+    assert fp.binomial(20, 10) == comb(20, 10) and fp.binomial(p + 20, p + 10) == comb(20, 10)
+    for n, k in ((22, 11), (p + 22, p + 11)):
+        with pytest.raises(ValueError, match="needs more than 10 steps"):
+            fp.binomial(n, k)
 
 
 def test_q_binomial_refuses_only_unprintable_coefficients():

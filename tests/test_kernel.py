@@ -1,13 +1,21 @@
-"""The product kernel, `diff`, the monomial order and the band memos of
-`dgalift.algebra`, differential-tested against the reference versions in
-`oracles` on every `FixturePool` signature over Q, F2, F3 and F5."""
+"""The product kernel, `diff`, their per-signature tables, the monomial
+order and the band memos of `dgalift.algebra`, differential-tested against
+the reference versions in `oracles` on every `FixturePool` signature over
+Q, F2, F3 and F5."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from dgalift import QQ, PrimeField, component_monomials, diff
-from dgalift.algebra import monomial_sort_key, monomial_weight, weight_monomials
+from dgalift.algebra import (
+    _mul_into,
+    monomial_sort_key,
+    monomial_weight,
+    weight_monomials,
+)
 from dgalift.module import GradedMap, ModuleElement, compose
 from dgalift.randgen import FixturePool, rand_elem, rand_map, rand_scalar
 
@@ -17,6 +25,7 @@ from oracles import (
     compose_reference,
     diff_reference,
     monomial_sort_key_reference,
+    mul_into_reference,
     mul_reference,
 )
 
@@ -53,6 +62,28 @@ def test_diff_matches_reference(field):
     for sig in _signatures(_POOLS[field.key()]):
         for x in _elements(sig, rng, 120):
             assert diff(x) == diff_reference(x), (sig, x)
+
+
+@pytest.mark.parametrize("neg", [False, True])
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_table_kernel_matches_per_pair_kernel(field, neg):
+    """`_mul_into` adds what the per-pair kernel adds, into an empty
+    accumulator, into one holding another element, and into one holding
+    the negated product as well, where every term of the product cancels."""
+    rng = random.Random(13 + neg)
+    for sig in _signatures(_POOLS[field.key()]):
+        elems = _elements(sig, rng, 12)
+        for x in elems:
+            for y in elems:
+                product = mul_reference(x, y)
+                cancel = product if neg else -product
+                z = rand_elem(sig, rng.randint(0, 5), rng, 2, max_terms=4)
+                for start, total in (({}, None), (z.terms, None), ((cancel + z).terms, z.terms)):
+                    got, want = dict(start), dict(start)
+                    _mul_into(sig, got, x.terms, y.terms, neg)
+                    mul_into_reference(sig, want, x.terms, y.terms, neg)
+                    assert got == want, (sig, x, y, start)
+                    assert total is None or got == total
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -170,3 +201,83 @@ def test_weight_bands_filter_the_bands(field):
                 got = weight_monomials(sig, degree, weight, bound)
                 assert list(got) == [m for m in band if monomial_weight(sig, m) == weight]
                 assert weight_monomials(sig, degree, weight, bound) is got
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_tables_belong_to_one_signature_object(field):
+    """Twin signatures and signatures with the same names over Q and over F2
+    keep their own tables: ``X*X`` is ``2*X^(2)`` over Q and 0 over F2 with
+    every table warm."""
+    sig, twin = _POOLS[field.key()].S1, FixturePool(field).S1
+    other = FixturePool(QQ if field.key() == ("Fp", 2) else PrimeField(2)).S1
+    assert sig == twin and sig._var_products is not twin._var_products
+    assert sig._var_diffs is not twin._var_diffs
+    for _ in range(2):
+        for s in (sig, twin, other):
+            x = s.parse("X")
+            want = "0" if s.field.key() == ("Fp", 2) else "2*X^(2)"
+            assert x * x == mul_reference(x, x) == s.parse(want), s.field
+            assert diff(x * x) == diff_reference(x * x)
+    v = sig.parse("X").terms.popitem()[0][1]
+    assert sig._var_products[v, v] == twin._var_products[v, v]
+    assert (sig._var_products[v, v] is None) == (field.key() == ("Fp", 2))
+    assert (other._var_products[v, v] is None) != (field.key() == ("Fp", 2))
+
+
+def test_refused_binomial_leaves_no_table_entry():
+    """A Q binomial the field refuses raises on every call, in a product and
+    in `diff`, and stores neither the product nor the differential."""
+    n = 10**6
+    sig = FixturePool(QQ).S1
+    x = sig.parse(f"X^({n})")
+    v = next(iter(x.terms))[1]
+    # d(Y) = d(X^(n) W1) holds X^(n), so d(X^(n) Y) needs C(2n, n)
+    ext = sig.adjoin("Y", 2 * n + 1, diff(x * sig.parse("W1")))
+    y = ext.parse(f"X^({n})*Y")
+    w = next(iter(y.terms))[1]
+    xx = (0, 0, n, 0)  # X^(n) in the extension
+    for _ in range(2):
+        with pytest.raises(ValueError, match="divided-power coefficient"):
+            x * x
+        assert (v, v) not in sig._var_products
+        with pytest.raises(ValueError, match="divided-power coefficient"):
+            diff(y)
+        assert w not in ext._var_diffs and (xx, xx) not in ext._var_products
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_diff_on_an_extension_after_the_base_tables_are_warm(field):
+    """`adjoin` builds a signature with tables of its own: `diff` and the
+    product on it match the references after its base's tables were filled."""
+    rng = random.Random(14)
+    base = FixturePool(field).S1
+    for x in _elements(base, rng, 30):
+        assert diff(x) == diff_reference(x)
+        assert x * x == mul_reference(x, x)
+    assert base._var_products and base._var_diffs
+    odd = base.adjoin("Z", 3, diff(base.parse("X*W1")))
+    even = base.adjoin("Y", 2, "b*W1 - a*W2")
+    assert not (odd._var_products or odd._var_diffs or even._var_products or even._var_diffs)
+    top = even.adjoin("T", 4, diff(even.parse("Y*X")))
+    assert not (top._var_products or top._var_diffs)
+    for sig in (odd, even, top):
+        for x in _elements(sig, rng, 60):
+            assert diff(x) == diff_reference(x), (sig, x)
+            y = rand_elem(sig, rng.randint(0, 5), rng, 1, max_terms=3)
+            assert x * y == mul_reference(x, y), (sig, x, y)
+
+
+def test_signatures_are_freed_without_the_cycle_collector():
+    """No signature refers to itself through its variables, so a pool's
+    signatures and their tables go as soon as the pool does."""
+    gc.disable()
+    try:
+        pool = FixturePool(QQ)
+        for sig in _signatures(pool):
+            x = sig.parse(str(sig.top_variable.diff))
+            assert diff(x * x) == diff_reference(x * x)
+        refs = [weakref.ref(sig) for sig in _signatures(pool)]
+        del pool, sig, x
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

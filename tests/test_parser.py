@@ -11,8 +11,10 @@ def test_basic_terms(S1):
 
 
 def test_paper_element(S2):
-    dy = parse_expr("c*X1 - b*X2", S2)
-    assert dy == S2.var("Y").diff
+    # d(Y) is an element of the stage Y was adjoined over
+    dy = S2.var("Y").diff
+    assert dy == parse_expr("c*X1 - b*X2", dy.sig)
+    assert dy.sig.variables == S2.variables[:2]
 
 
 def test_odd_square_collapses(S1):
