@@ -154,6 +154,8 @@ def load_json(path: str) -> dict:
         raise SchemaError(f"cannot read {path}: {ex}") from ex
     except json.JSONDecodeError as ex:
         raise SchemaError(f"{path} is not valid JSON: {ex}") from ex
+    except RecursionError as ex:  # the decoder recurses once per nesting level
+        raise SchemaError(f"{path} is nested too deeply to read") from ex
 
 
 def file_digest(path: str) -> str:

@@ -45,6 +45,7 @@ from typing import Optional
 
 from .algebra import (
     AlgElem,
+    _mul_into,
     component_monomials,
     derivative,
     diff,
@@ -186,20 +187,23 @@ def _homotopy_columns(
     has no diagonal entries (they would have degree -1).  ``D`` is indexed
     by column and by row once, and ``d(m)``, ``D[:, r] m`` and ``m D[c, :]``
     are computed once per monomial, per ``(r, m)`` and per ``(c, m)``: each
-    is shared by every unknown of its degree band.
+    is shared by every unknown of its degree band.  The products are taken
+    on term maps by `_mul_into`, the sign of ``m D[c, :]`` as its `neg`
+    flag, and each column is filled by plain loops over them.
     """
     sig = module.sig
     field = sig.field
+    one = field.one
     degs = module.degrees
-    by_col: dict = {}  # r -> [(a, D[a, r])]
-    by_row: dict = {}  # c -> [(b, D[c, b])]
+    by_col: dict = {}  # r -> [(a, terms of D[a, r])]
+    by_row: dict = {}  # c -> [(b, terms of D[c, b])]
     for (a, b), e in d.matrix.entries.items():
-        by_col.setdefault(b, []).append((a, e))
-        by_row.setdefault(a, []).append((b, e))
+        by_col.setdefault(b, []).append((a, e.terms))
+        by_row.setdefault(a, []).append((b, e.terms))
     subtract = degree % 2 == 0
-    monos: dict = {}  # m -> (m as an element, coefficients of (d(m), -d(m)))
-    lefts: dict = {}  # (r, m) -> [(a, coefficients of D[a, r] m)]
-    rights: dict = {}  # (c, m) -> [(b, coefficients of -/+ m D[c, b])]
+    monos: dict = {}  # m -> ({m: 1}, (d(m), -d(m)))
+    lefts: dict = {}  # (r, m) -> [(a, D[a, r] m)]
+    rights: dict = {}  # (c, m) -> [(b, -/+ m D[c, b])]
     unknowns = []  # (row, col, monomial)
     columns = []  # per unknown: ((row, col), monomial) -> coefficient
     weights, w = block or ((0,) * module.rank, None)
@@ -215,22 +219,42 @@ def _homotopy_columns(
                 else:
                     band = weight_monomials(sig, want, key[1] + w, bound)
                 bands[key] = band
+            row_odd = degs[r] % 2
             for m in band:
-                if m not in monos:
-                    unit = AlgElem(sig, {m: field.one})
-                    dm = diff(unit)
-                    monos[m] = unit, (dm.terms, (-dm).terms)
-                unit, dms = monos[m]
-                if (r, m) not in lefts:
-                    lefts[r, m] = [(a, (e * unit).terms) for a, e in by_col.get(r, ())]
-                if (c, m) not in rights:
-                    products = [(b, unit * e) for b, e in by_row.get(c, ())]
-                    rights[c, m] = [(b, (-p if subtract else p).terms) for b, p in products]
-                parts = [((a, c), t) for a, t in lefts[r, m]]
-                parts.append(((r, c), dms[degs[r] % 2]))
-                parts += [((r, b), t) for b, t in rights[c, m]]
+                cached = monos.get(m)
+                if cached is None:
+                    unit = {m: one}
+                    dm = diff(AlgElem(sig, unit)).terms
+                    cached = monos[m] = unit, (dm, {t: field.neg(x) for t, x in dm.items()})
+                unit, dms = cached
+                left = lefts.get((r, m))
+                if left is None:
+                    left = lefts[r, m] = []
+                    for a, e in by_col.get(r, ()):
+                        out: dict = {}
+                        _mul_into(sig, out, e, unit)
+                        left.append((a, out))
+                right = rights.get((c, m))
+                if right is None:
+                    right = rights[c, m] = []
+                    for b, e in by_row.get(c, ()):
+                        out = {}
+                        _mul_into(sig, out, unit, e, subtract)
+                        right.append((b, out))
+                column: dict = {}
+                for a, t in left:
+                    entry = (a, c)
+                    for mono, x in t.items():
+                        column[entry, mono] = x
+                entry = (r, c)
+                for mono, x in dms[row_odd].items():
+                    column[entry, mono] = x
+                for b, t in right:
+                    entry = (r, b)
+                    for mono, x in t.items():
+                        column[entry, mono] = x
                 unknowns.append((r, c, m))
-                columns.append({(key, mono): x for key, t in parts for mono, x in t.items()})
+                columns.append(column)
     return unknowns, columns
 
 

@@ -17,7 +17,7 @@ position.
 
 from __future__ import annotations
 
-from .algebra import AlgElem, Signature
+from .algebra import AlgElem, Signature, _add_into
 from .errors import ExprSyntaxError
 
 
@@ -89,15 +89,16 @@ class _Parser:
         return result
 
     def expr(self) -> AlgElem:
-        sign = 1
-        if self.peek().kind in ("+", "-"):
-            sign = -1 if self.take().kind == "-" else 1
-        total = self.term().scale(sign)
+        """The sum of the terms, added in place into one term map, so that a
+        long sum costs time linear in its length."""
+        field = self.sig.field
+        total: dict = {}
+        neg = self.peek().kind in ("+", "-") and self.take().kind == "-"
+        _add_into(field, total, self.term().terms, neg)
         while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            t = self.term()
-            total = total + (t.scale(-1) if op == "-" else t)
-        return total
+            neg = self.take().kind == "-"
+            _add_into(field, total, self.term().terms, neg)
+        return AlgElem(self.sig, total)
 
     def term(self) -> AlgElem:
         sig = self.sig

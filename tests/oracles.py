@@ -1,5 +1,6 @@
 """Reference checks, and a fixture they need, that only the tests use."""
 
+from heapq import heapify, heappop, heappush
 from math import comb
 from operator import add
 from typing import Callable, Optional
@@ -9,8 +10,10 @@ from dgalift.algebra import (
     Signature,
     _poly_tuples,
     _var_tuples,
+    component_monomials,
     derivative,
     diff,
+    weight_monomials,
 )
 from dgalift.errors import NotInvertibleError, SchemaError, VerificationError
 from dgalift.jop import CheckReport, JOperator
@@ -246,6 +249,23 @@ def odd_coefficient_module(field):
     return mod, Differential(GradedMap(mod, -1, {(0, 1): entry}))
 
 
+def koszul(sig, gens):
+    """The Koszul complex on the degree-0 cycles `gens`, of rank
+    ``2^len(gens)``: square-zero and free of the variables."""
+    n = len(gens)
+    subsets = sorted(range(1 << n), key=lambda s: (bin(s).count("1"), s))
+    mod = FreeModule(sig, [(f"k{s}", bin(s).count("1")) for s in subsets])
+    pos = {s: k for k, s in enumerate(subsets)}
+    entries = {}
+    for s in subsets:
+        sign = 1
+        for i, g in enumerate(gens):
+            if s >> i & 1:
+                entries[pos[s & ~(1 << i)], pos[s]] = g.scale(sign)
+                sign = -sign
+    return mod, Differential(GradedMap(mod, -1, entries))
+
+
 # -- the j-operator family before the merged constructor ----------------------
 
 
@@ -433,6 +453,109 @@ def characterization_check(delta: Callable, jop: JOperator) -> CheckReport:
     if delta(free) != jop.of_diff(free):
         report.note("disagrees with the basis operator on the free differential")
     return report
+
+
+# -- the homotopy system on elements, and the solver in first-seen row order --------
+
+
+def homotopy_columns_reference(
+    module: FreeModule, d: Differential, degree: int, bound: int, block=None
+):
+    """`_homotopy_columns` with every product and sign taken on `AlgElem`s:
+    ``D[a, r] * m``, ``m * D[c, b]`` negated as an element, and ``d(m)`` and
+    ``-d(m)`` as elements.  The same unknowns, order and coefficients."""
+    sig = module.sig
+    field = sig.field
+    degs = module.degrees
+    by_col: dict = {}
+    by_row: dict = {}
+    for (a, b), e in d.matrix.entries.items():
+        by_col.setdefault(b, []).append((a, e))
+        by_row.setdefault(a, []).append((b, e))
+    subtract = degree % 2 == 0
+    monos: dict = {}
+    lefts: dict = {}
+    rights: dict = {}
+    unknowns = []
+    columns = []
+    weights, w = block or ((0,) * module.rank, None)
+    bands: dict = {}
+    for r in range(module.rank):
+        for c in range(module.rank):
+            key = (degs[c] - degs[r], weights[c] - weights[r])
+            band = bands.get(key)
+            if band is None:
+                want = key[0] + degree
+                if w is None:
+                    band = component_monomials(sig, want, bound)
+                else:
+                    band = weight_monomials(sig, want, key[1] + w, bound)
+                bands[key] = band
+            for m in band:
+                if m not in monos:
+                    unit = AlgElem(sig, {m: field.one})
+                    dm = diff(unit)
+                    monos[m] = unit, (dm.terms, (-dm).terms)
+                unit, dms = monos[m]
+                if (r, m) not in lefts:
+                    lefts[r, m] = [(a, (e * unit).terms) for a, e in by_col.get(r, ())]
+                if (c, m) not in rights:
+                    products = [(b, unit * e) for b, e in by_row.get(c, ())]
+                    rights[c, m] = [(b, (-p if subtract else p).terms) for b, p in products]
+                parts = [((a, c), t) for a, t in lefts[r, m]]
+                parts.append(((r, c), dms[degs[r] % 2]))
+                parts += [((r, b), t) for b, t in rights[c, m]]
+                unknowns.append((r, c, m))
+                columns.append({(key, mono): x for key, t in parts for mono, x in t.items()})
+    return unknowns, columns
+
+
+def solve_exact_reference(field, columns: list, rhs: dict) -> Optional[list]:
+    """`solve_exact` with the rows eliminated in the order they are first
+    seen (column by column, then the right-hand side), not by size."""
+    zero = field.zero
+    rows: dict = {}
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            if c != zero:
+                rows.setdefault(key, {})[j] = c
+    for key in rhs:
+        rows.setdefault(key, {})
+    pivots: dict = {}
+    for key, row in rows.items():
+        b = rhs.get(key, zero)
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            col = heappop(heap)
+            if col not in row or col not in pivots:
+                continue
+            factor = row.pop(col)
+            rest, pb = pivots[col]
+            for k, v in rest.items():
+                x = field.sub(row.get(k, zero), field.mul(factor, v))
+                if x == zero:
+                    row.pop(k, None)
+                    continue
+                if k not in row:
+                    heappush(heap, k)
+                row[k] = x
+            b = field.sub(b, field.mul(factor, pb))
+        if not row:
+            if b != zero:
+                return None
+            continue
+        lead = min(row)
+        inv = field.inv(row.pop(lead))
+        pivots[lead] = ({k: field.mul(inv, v) for k, v in row.items()}, field.mul(inv, b))
+    x = [zero] * len(columns)
+    for lead in sorted(pivots, reverse=True):
+        rest, b = pivots[lead]
+        for k, v in rest.items():
+            if x[k] != zero:
+                b = field.sub(b, field.mul(v, x[k]))
+        x[lead] = b
+    return x
 
 
 # -- the homotopy search before weight blocks ----------------------------------------

@@ -61,8 +61,9 @@ N1_DOC = {
 
 
 def _write(tmp_path, name, doc):
+    """Write `doc` as JSON, or as it is when it is already text."""
     p = tmp_path / name
-    p.write_text(json.dumps(doc))
+    p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(p)
 
 
@@ -431,6 +432,11 @@ def test_cli_transcript_shape(
     assert set(out) == want
 
 
+# JSON text nested 10^5 deep, past the decoder's recursion limit
+_DEEP_LIST = "[" * 10**5 + "]" * 10**5
+_DEEP_OBJECT = '{"a":' * 10**5 + "0" + "}" * 10**5
+
+
 @pytest.mark.parametrize(
     "sig_doc, mod_doc, argv, message",
     [
@@ -502,6 +508,10 @@ def test_cli_transcript_shape(
             ["validate"],
             "variables[0]: unexpected character '²' (at position 2)",
         ),
+        (_DEEP_LIST, N3_DOC, ["validate"], "{tmp}/sig.json is nested too deeply to read"),
+        (_DEEP_OBJECT, N3_DOC, ["validate"], "{tmp}/sig.json is nested too deeply to read"),
+        (S3_DOC, _DEEP_LIST, ["naive"], "{tmp}/mod.json is nested too deeply to read"),
+        (S3_DOC, _DEEP_OBJECT, ["lift"], "{tmp}/mod.json is nested too deeply to read"),
     ],
     ids=[
         "zero-denominator-in-F5",
@@ -519,6 +529,10 @@ def test_cli_transcript_shape(
         "bool-variable-degree",
         "bool-basis-degree",
         "superscript-digit",
+        "deep-list-sig",
+        "deep-object-sig",
+        "deep-list-mod",
+        "deep-object-mod",
     ],
 )
 def test_cli_hostile_inputs_exit_1(tmp_path, capsys, sig_doc, mod_doc, argv, message):
@@ -530,4 +544,4 @@ def test_cli_hostile_inputs_exit_1(tmp_path, capsys, sig_doc, mod_doc, argv, mes
     assert main([argv[0], *extra, *argv[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"

@@ -44,9 +44,11 @@ from dgalift.randgen import (
 )
 from oracles import (
     basis_change_reference,
+    homotopy_columns_reference,
     idempotent,
     invert_unit_reference,
     is_scalar_cycle,
+    koszul,
     series_plus_reference,
     solve_homotopy_reference,
     unit_elementary,
@@ -615,7 +617,7 @@ def test_construction_identities_hold_for_every_gamma(field):
 def _koszul_rung(sig, n, rng):
     """The Koszul complex on ``a0..a_{n-1}``, conjugated by a unit with the
     top variable in two entries, as the benchmark's rungs are."""
-    mod, d = _koszul(sig, [sig.parse(f"a{i}") for i in range(n)])
+    mod, d = koszul(sig, [sig.parse(f"a{i}") for i in range(n)])
     x = sig.gen(sig.top_variable.name)
     spots = [
         (r, c)
@@ -732,12 +734,10 @@ def _homotopy_columns_by_bracket(mod, d, degree, bound):
     return unknowns, columns
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
-def test_homotopy_columns_match_bracket_diff(field):
-    """The closed-form images ``[d, m E_rc]`` of `solve_homotopy` equal one
-    ``bracket_diff`` per unknown: fixture, free and random differentials
-    (some not square-zero), odd and even top variables, rank 1, target
-    degrees -3..1 and bounds 0-2."""
+def _column_cases(field):
+    """``(module, differential)`` pairs for the homotopy-system tests:
+    fixture, free and random differentials (some not square-zero), odd and
+    even top variables, rank 1."""
     pool = FixturePool(field)
     rng = random.Random(41)
     cases = [
@@ -751,49 +751,71 @@ def test_homotopy_columns_match_bracket_diff(field):
         (FreeModule(pool.Sodd3, [("g", 3)]), []),
         (FreeModule(pool.S2, [("s0", 0), ("s1", 1), ("s2", 3)]), []),
     ]
-    zero = field.zero
-    compared = not_square_zero = 0
+    out = []
     for mod, fixtures in cases:
         diffs = fixtures + [
             Differential.free(mod),
             rand_diff(mod, rng),
             rand_diff(mod, rng, poly_bound=2),
         ]
-        for d in diffs:
-            not_square_zero += not d.square_zero
-            for h_degree in range(-3, 2):
-                for bound in range(3):
-                    unknowns, columns = _homotopy_columns(mod, d, h_degree + 1, bound)
-                    want = _homotopy_columns_by_bracket(mod, d, h_degree + 1, bound)
-                    assert unknowns == want[0]
-                    for col, want_col in zip(columns, want[1]):
-                        assert {k: v for k, v in col.items() if v != zero} == want_col
-                    compared += sum(1 for col in columns if col)
+        out += [(mod, d) for d in diffs]
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_homotopy_columns_match_bracket_diff(field):
+    """The closed-form images ``[d, m E_rc]`` of `solve_homotopy` equal one
+    ``bracket_diff`` per unknown on `_column_cases`, target degrees -3..1
+    and bounds 0-2."""
+    zero = field.zero
+    compared = not_square_zero = 0
+    for mod, d in _column_cases(field):
+        not_square_zero += not d.square_zero
+        for h_degree in range(-3, 2):
+            for bound in range(3):
+                unknowns, columns = _homotopy_columns(mod, d, h_degree + 1, bound)
+                want = _homotopy_columns_by_bracket(mod, d, h_degree + 1, bound)
+                assert unknowns == want[0]
+                for col, want_col in zip(columns, want[1]):
+                    assert {k: v for k, v in col.items() if v != zero} == want_col
+                compared += sum(1 for col in columns if col)
     assert compared > 1000 and not_square_zero > 0
 
 
-def _koszul(sig, gens):
-    """The Koszul complex on the degree-0 cycles `gens`, of rank
-    ``2^len(gens)``: square-zero and free of the variables."""
-    n = len(gens)
-    subsets = sorted(range(1 << n), key=lambda s: (bin(s).count("1"), s))
-    mod = FreeModule(sig, [(f"k{s}", bin(s).count("1")) for s in subsets])
-    pos = {s: k for k, s in enumerate(subsets)}
-    entries = {}
-    for s in subsets:
-        sign = 1
-        for i, g in enumerate(gens):
-            if s >> i & 1:
-                entries[pos[s & ~(1 << i)], pos[s]] = g.scale(sign)
-                sign = -sign
-    return mod, Differential(GradedMap(mod, -1, entries))
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_homotopy_columns_match_element_reference(field):
+    """`_homotopy_columns`, whose products are taken on term maps, gives the
+    unknowns and columns of `homotopy_columns_reference`, which takes them
+    on elements: equal lists, and each column with the same items in the
+    same order.  The instances of the ``bracket_diff`` test, on the full
+    system and, where `_weights` grades the input, on the blocks of
+    weights -1..2."""
+    compared = blocks = 0
+    for mod, d in _column_cases(field):
+        weights = _weights(mod, d)
+        shapes = [None]
+        if weights is not None:
+            shapes += [(weights, w) for w in range(-1, 3)]
+        for h_degree in range(-3, 2):
+            for bound in range(3):
+                for block in shapes:
+                    args = (mod, d, h_degree + 1, bound, block)
+                    unknowns, columns = _homotopy_columns(*args)
+                    want_unknowns, want_columns = homotopy_columns_reference(*args)
+                    assert unknowns == want_unknowns
+                    assert [list(col.items()) for col in columns] == [
+                        list(col.items()) for col in want_columns
+                    ]
+                    compared += sum(1 for col in columns if col)
+                    blocks += block is not None and bool(columns)
+    assert compared > 1000 and blocks > 0
 
 
 def _s2_koszul(pool):
     """``K(a, ab, c)`` over ``S2``, where ``dX1 = a*b`` gives ``X1`` weight 2
     and degree 1, and ``Y`` weight 3 and degree 2."""
     sig = pool.S2
-    return _koszul(sig, [sig.parse(t) for t in ("a", "a*b", "c")])
+    return koszul(sig, [sig.parse(t) for t in ("a", "a*b", "c")])
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
@@ -856,7 +878,7 @@ def test_weights():
         else:
             sig = sig.adjoin("W0", 1, "a0").adjoin("W1", 1, "a1").adjoin("X", 2, "a1*W0 - a0*W1")
         assert sig.var_weights == tuple(v.degree for v in sig.variables)
-        mod, d = _koszul(sig, [sig.parse(f"a{i}") for i in range(4)])
+        mod, d = koszul(sig, [sig.parse(f"a{i}") for i in range(4)])
         top = sig.top_variable.degree
         u = GradedMap.identity(mod)
         for r, c in [(0, 4), (1, 5), (11, 15)] if parity == "odd" else [(0, 5), (1, 11), (5, 15)]:

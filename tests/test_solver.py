@@ -1,14 +1,20 @@
-"""Differential test of the sparse column-form solver against dense
-Gauss-Jordan elimination, which it replaced and which stays here as the
-oracle."""
+"""Differential tests of the sparse column-form solver: against dense
+Gauss-Jordan elimination, which it replaced, and against the same
+elimination in first-seen row order (`solve_exact_reference`), which the
+row order by size replaced.  Both stay here as oracles."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from dgalift.algebra import Signature
 from dgalift.field import QQ, PrimeField
+from dgalift.lift import _coefficients, _homotopy_columns, obstruction
+from dgalift.module import Differential, FreeModule, GradedMap, invert_unit
+from dgalift.randgen import FixturePool, rand_unit
 from dgalift.solver import solve_exact
+from oracles import koszul, solve_exact_reference
 
 
 def _solve_dense(field, matrix, rhs, ncols):
@@ -139,3 +145,86 @@ def test_sparse_solver_edge_cases(field):
     assert solve_exact(field, cols, {"a": one, "b": one}) == [zero, one]
     # inconsistent: x0 = 1 and x0 = 2 on two rows
     assert solve_exact(field, [{"a": one, "b": one}], {"a": one, "b": two}) is None
+
+
+def _bench_rung(field, parity, n, rng, miss=False):
+    """A Koszul rung shaped as the benchmark draws them: ``K(a0..a_{n-1})``
+    over ``F[a..]<X | dX = a0>`` (odd) or ``F[a..]<W0, W1, X | dX = a1*W0 -
+    a0*W1>`` (even), conjugated by ``u = 1 + sum c*X*E_rc`` with one slot
+    per degree band; a miss rung adds the block ``d(z1) = z0*(X + W0*W1)``,
+    whose obstruction never bounds."""
+    sig = Signature(field, [f"a{i}" for i in range(n)])
+    if parity == "odd":
+        sig = sig.adjoin("X", 1, "a0")
+    else:
+        sig = sig.adjoin("W0", 1, "a0").adjoin("W1", 1, "a1").adjoin("X", 2, "a1*W0 - a0*W1")
+    kmod, kd = koszul(sig, [sig.gen(f"a{i}") for i in range(n)])
+    basis = list(zip(kmod.names, kmod.degrees))
+    entries = dict(kd.matrix.entries)
+    if miss:
+        basis += [("z0", 0), ("z1", 3)]
+        entries[kmod.rank, kmod.rank + 1] = sig.parse("X + W0*W1")
+    mod = FreeModule(sig, basis)
+    d = Differential(GradedMap(mod, -1, entries))
+    x, top = sig.gen("X"), sig.top_variable.degree
+    degs = kmod.degrees
+    u = GradedMap.identity(mod)
+    for band in range(n + 1 - top):
+        r = rng.choice([k for k in range(kmod.rank) if degs[k] == band])
+        c = rng.choice([k for k in range(kmod.rank) if degs[k] == band + top])
+        u = u + GradedMap(mod, 0, {(r, c): x.scale(rng.choice((1, 2, 3, -1, -2)))})
+    return mod, d.conjugate(u, invert_unit(u))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=["Q", "F2", "F5"])
+def test_row_order_matches_first_seen_reference_on_random_systems(field):
+    """Rows taken by size give the solution, or the None, of rows taken in
+    first-seen order on the random systems of the dense-oracle test."""
+    rng = random.Random(f"row-order-{field!r}")
+    outcomes = []
+    for _ in range(400):
+        matrix, rhs, ncols = _random_dense(field, rng)
+        columns, sparse_rhs = _column_form(field, matrix, rhs, ncols, rng)
+        got = solve_exact(field, columns, sparse_rhs)
+        assert got == solve_exact_reference(field, columns, sparse_rhs)
+        outcomes.append(got is not None)
+    assert outcomes.count(False) > 50 and outcomes.count(True) > 50
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_row_order_matches_first_seen_reference_on_homotopy_systems(field):
+    """The same on the full systems `solve_homotopy` assembles: the
+    `FixturePool` lifting modules, plain and conjugated by random units,
+    and bench-shaped Koszul rungs of rank 8 and 16 (odd, even, even plus
+    the miss block) at bounds 0-2.  Each target is the obstruction ``j(d)``, and
+    ``j(d)`` with one coefficient moved off it, which is most often
+    inconsistent."""
+    pool = FixturePool(field)
+    rng = random.Random(61)
+    cases = []
+    for mod, d in [(pool.N3, pool.d3), (pool.N1, pool.d1), (pool.NK, pool.dK), (pool.Nodd, pool.dodd)]:
+        cases.append((mod, d))
+        for _ in range(2):
+            u = rand_unit(mod, rng)
+            cases.append((mod, d.conjugate(u, invert_unit(u))))
+    for n in (3, 4):
+        cases += [
+            _bench_rung(field, "odd", n, rng),
+            _bench_rung(field, "even", n, rng),
+            _bench_rung(field, "even", n, rng, miss=True),
+        ]
+    one = field.one
+    verdicts = []
+    for mod, d in cases:
+        h = obstruction(mod, d, mod.sig.top_variable.name)
+        rhs = _coefficients(h)
+        moved = dict(rhs)
+        key = next(iter(moved), ((0, 0), None))
+        moved[key] = field.add(moved.get(key, field.zero), one)
+        for bound in range(3):
+            _, columns = _homotopy_columns(mod, d, h.degree + 1, bound)
+            for target in (rhs, moved):
+                got = solve_exact(field, columns, target)
+                assert got == solve_exact_reference(field, columns, target)
+                verdicts.append(got is not None)
+    assert verdicts.count(True) > 10 and verdicts.count(False) > 10
