@@ -54,7 +54,6 @@ from .module import (
     twofold_extension,
 )
 from .parser import parse_expr
-from .tensor import NaiveTensor, odd_ses, rho_from_lift, split_by_powers, verify_splitting
 
 __all__ = [
     "AlgElem",
@@ -103,9 +102,4 @@ __all__ = [
     "construct_lift_even",
     "construct_lift_odd",
     "verify_lift",
-    "NaiveTensor",
-    "odd_ses",
-    "rho_from_lift",
-    "split_by_powers",
-    "verify_splitting",
 ]

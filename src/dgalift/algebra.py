@@ -32,11 +32,12 @@ have degree 0, commute with everything and are cycles, so
 `Signature` works out each ``f(v1, v2)`` and each ``d(x^v)`` once, in
 tables keyed by variable exponent vectors only (``_var_products``,
 ``_var_diffs``; at most 191 entries per signature over an `identities`
-benchmark batch).  It memoises each band of `component_monomials`, and of
-`weight_monomials` (polygens weigh 1, variables ``var_weights``), as a
-tuple.  Memos keyed by whole monomials were tried and dropped: they raised
-the peak RSS of that benchmark from 23.3 to 29.7 MB (pair products) and
-from 23.7 to 25.9 MB (``d(m)``), for a bound of 10%.
+benchmark batch).  It memoises each band of `component_monomials`, whole
+or the part of one weight (polygens weigh 1, variables ``var_weights``),
+as a tuple in ``_bands``, keyed by degree, polygen bound and weight.
+Memos keyed by whole monomials were tried and dropped: they raised the
+peak RSS of that benchmark from 23.3 to 29.7 MB (pair products) and from
+23.7 to 25.9 MB (``d(m)``), for a bound of 10%.
 
 Everything is immutable after construction, apart from these memos, which
 only gain entries, and safe to share.
@@ -104,8 +105,7 @@ class Signature:
         self._var_degrees = tuple(v.degree for v in self.variables)
         self._odd = tuple(i for i, v in enumerate(self.variables) if v.odd)
         self._even = tuple(i for i, v in enumerate(self.variables) if not v.odd)
-        self._bands: dict = {}  # (degree, poly_bound) -> component_monomials
-        self._weight_bands: dict = {}  # (degree, weight, poly_bound) -> weight_monomials
+        self._bands: dict = {}  # (degree, poly_bound, weight) -> component_monomials
         self._var_products: dict = {}  # (v1, v2) -> (v1 + v2, factor) or None
         self._var_diffs: dict = {}  # v -> the terms of d(x^v)
         self._key = (
@@ -558,49 +558,81 @@ def monomial_sort_key(sig: Signature, m: Monomial):
     return (sum(p), tuple(-e for e in p), sum(v), tuple(-e for e in v))
 
 
-def _poly_tuples(ngens: int, max_total: int) -> Iterator[tuple]:
+def _poly_tuples(ngens: int, total: int) -> Iterator[tuple]:
+    """The polygen exponent tuples adding up to `total`."""
     if ngens == 0:
-        yield ()
+        if total == 0:
+            yield ()
         return
     if ngens == 1:
-        for e in range(max_total + 1):
-            yield (e,)
+        yield (total,)
         return
-    for e in range(max_total + 1):
-        for rest in _poly_tuples(ngens - 1, max_total - e):
+    for e in range(total + 1):
+        for rest in _poly_tuples(ngens - 1, total - e):
             yield (e,) + rest
 
 
 def _var_tuples(sig: Signature, target: int) -> Iterator[tuple]:
+    """The variable exponent tuples of total degree `target`.
+
+    An exponent is tried only when the variables after it can make up the
+    rest of the degree: past the last even variable only odd ones are
+    left, each worth its degree at most once, so the exponents of that
+    even variable start where they can.  With one even variable the tries
+    then follow the tuples found, whatever the degree (one per exponent of
+    ``X`` was 5 * 10^11 tries for a band of degree 10^12); each even
+    variable before the last still tries all of its exponents.
+    """
+    variables = sig.variables
+    # reach[i]: the most degree the variables from i on add up to, None
+    # when an even one is among them
+    reach: list = [0] * (len(variables) + 1)
+    for i in reversed(range(len(variables))):
+        more = reach[i + 1]
+        reach[i] = more + variables[i].degree if variables[i].odd and more is not None else None
+
     def rec(i: int, remaining: int):
-        if i == len(sig.variables):
+        if i == len(variables):
             if remaining == 0:
                 yield ()
             return
-        var = sig.variables[i]
-        top = 1 if var.odd else remaining // var.degree
-        for e in range(min(top, remaining // var.degree) + 1):
-            for rest in rec(i + 1, remaining - e * var.degree):
+        deg, more = variables[i].degree, reach[i + 1]
+        top = min(1, remaining // deg) if variables[i].odd else remaining // deg
+        low = 0 if more is None else max(0, -((more - remaining) // deg))  # ceil
+        for e in range(low, top + 1):
+            for rest in rec(i + 1, remaining - e * deg):
                 yield (e,) + rest
 
     yield from rec(0, target)
 
 
-def component_monomials(sig: Signature, degree: int, poly_bound: int) -> tuple:
+def component_monomials(
+    sig: Signature, degree: int, poly_bound: int, weight: Optional[int] = None
+) -> tuple:
     """All monomials of the given total degree with total polygen exponent
-    at most `poly_bound`, in the documented order.
+    at most `poly_bound`, in the documented order; with a `weight`, only
+    those of that weight (`monomial_weight`, which needs ``sig.var_weights``).
 
+    The weight fixes the polygen degree that goes with each variable part,
+    so only those polygen exponents are enumerated, whatever the bound.
     Each band is built once per signature and the same tuple is returned
     on every later call.
     """
     if degree < 0 or poly_bound < 0:
         return ()
-    band = sig._bands.get((degree, poly_bound))
+    key = (degree, poly_bound, weight)
+    band = sig._bands.get(key)
     if band is None:
-        polys = list(_poly_tuples(len(sig.polygens), poly_bound))
-        out = [(p, v) for v in _var_tuples(sig, degree) for p in polys]
+        out = []
+        for v in _var_tuples(sig, degree):
+            if weight is None:
+                totals = range(poly_bound + 1)
+            else:
+                n = weight - sum(map(mul, v, sig.var_weights))
+                totals = (n,) if 0 <= n <= poly_bound else ()
+            out += [(p, v) for n in totals for p in _poly_tuples(len(sig.polygens), n)]
         out.sort(key=lambda m: monomial_sort_key(sig, m))
-        band = sig._bands[degree, poly_bound] = tuple(out)
+        band = sig._bands[key] = tuple(out)
     return band
 
 
@@ -608,32 +640,6 @@ def monomial_weight(sig: Signature, m: Monomial) -> int:
     """Total polygen exponent plus the weights of the variable factors;
     needs ``sig.var_weights``."""
     return sum(m[0]) + sum(map(mul, m[1], sig.var_weights))
-
-
-def weight_monomials(sig: Signature, degree: int, weight: int, poly_bound: int) -> tuple:
-    """The monomials of ``component_monomials(sig, degree, poly_bound)`` of
-    the given weight, in the same order; needs ``sig.var_weights``.
-
-    The weight fixes the polygen degree of each variable part, so only
-    those polygen exponents are enumerated, whatever the bound.  Memoised
-    per signature like the bands.
-    """
-    key = (degree, weight, poly_bound)
-    band = sig._weight_bands.get(key)
-    if band is None:
-        ngens = len(sig.polygens)
-        out = []
-        for v in _var_tuples(sig, degree):
-            n = weight - sum(map(mul, v, sig.var_weights))
-            if not 0 <= n <= poly_bound:
-                continue
-            if ngens:  # the exponent tuples adding up to n: the last one is fixed
-                out += [(rest + (n - sum(rest),), v) for rest in _poly_tuples(ngens - 1, n)]
-            elif n == 0:
-                out.append(((), v))
-        out.sort(key=lambda m: monomial_sort_key(sig, m))
-        band = sig._weight_bands[key] = tuple(out)
-    return band
 
 
 def is_boundary_up_to(elem: AlgElem, poly_bound: int):

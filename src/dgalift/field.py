@@ -71,15 +71,8 @@ class Field:
     def inv(self, x):
         raise NotImplementedError
 
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
-
     def of_int(self, n: int):
         raise NotImplementedError
-
-    def binomial(self, n: int, k: int):
-        """The binomial coefficient ``C(n, k)`` as a scalar."""
-        return self.of_int(comb(n, k))
 
     def of_fraction(self, num: int, den: int):
         raise NotImplementedError

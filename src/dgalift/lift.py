@@ -50,7 +50,6 @@ from .algebra import (
     derivative,
     diff,
     monomial_weight,
-    weight_monomials,
 )
 from .errors import NotInvertibleError, SchemaError, VerificationError
 from .jop import CheckReport, JOperator
@@ -174,12 +173,12 @@ def _homotopy_columns(
     """The unknowns ``(r, c, m)`` of ``[d, gamma]`` for a degree-``degree``
     ``gamma`` and the coefficients of each unknown's image.
 
-    With no `block` the unknowns are every monomial of polygen degree at
-    most `bound` in every entry.  A block ``(weights, w)`` keeps those of
-    weight ``w`` as maps: at ``(r, c)`` the monomials ``m`` with
-    ``w(m) = weights[c] - weights[r] + w``, enumerated directly by
-    `weight_monomials`.  Either way they come in (row, column, monomial)
-    order.
+    The unknowns at ``(r, c)`` are the monomials of polygen degree at most
+    `bound` in the band of that entry, all of them with no `block`.  A
+    block ``(weights, w)`` keeps those of weight ``w`` as maps: the
+    monomials ``m`` with ``w(m) = weights[c] - weights[r] + w``.  One
+    `component_monomials` call gives each band, with that weight or with
+    None, and the unknowns come in (row, column, monomial) order.
 
     The image of ``m E_rc`` is ``D[:, r] m`` in column ``c``, plus
     ``(-1)^{|e_r|} d(m)`` at ``(r, c)``, minus ``(-1)^{degree} m D[c, :]`` in
@@ -206,19 +205,14 @@ def _homotopy_columns(
     rights: dict = {}  # (c, m) -> [(b, -/+ m D[c, b])]
     unknowns = []  # (row, col, monomial)
     columns = []  # per unknown: ((row, col), monomial) -> coefficient
-    weights, w = block or ((0,) * module.rank, None)
-    bands: dict = {}  # (degs[c] - degs[r], weights[c] - weights[r]) -> monomials
+    weights, w = block or (None, None)
+    bands: dict = {}  # (band degree, band weight or None) -> monomials
     for r in range(module.rank):
         for c in range(module.rank):
-            key = (degs[c] - degs[r], weights[c] - weights[r])
+            key = (degs[c] - degs[r] + degree, None if w is None else weights[c] - weights[r] + w)
             band = bands.get(key)
             if band is None:
-                want = key[0] + degree
-                if w is None:
-                    band = component_monomials(sig, want, bound)
-                else:
-                    band = weight_monomials(sig, want, key[1] + w, bound)
-                bands[key] = band
+                band = bands[key] = component_monomials(sig, key[0], bound, key[1])
             row_odd = degs[r] % 2
             for m in band:
                 cached = monos.get(m)
@@ -274,7 +268,9 @@ def solve_homotopy(
 
     When `_weights` grades the input and every term of ``h`` has one
     weight ``w(h)`` as a map, only the unknowns of weight ``w(h)`` enter
-    the system (`_homotopy_columns` with a block).  ``[d, -]`` preserves
+    the system (`_homotopy_columns` with a block: `component_monomials`
+    enumerates each band at its weight, and only the polygen exponents
+    that weight leaves).  ``[d, -]`` preserves
     weight, so the columns of each weight touch only rows of that weight,
     and the right-hand side lies in the rows of weight ``w(h)``.  The
     solution with every free unknown zero, whose pivots the column order
@@ -282,7 +278,8 @@ def solve_homotopy(
     system's solution: the certificate is the one the full system gives,
     and a homogeneous search costs the same at any bound past the polygen
     degree its block needs.  Without a grading, or when ``h`` has terms of
-    two weights, every unknown enters, as the bound allows.
+    two weights, every unknown enters, as the bound allows (the bands are
+    taken with no weight).
     """
     if d.module != module or h.module != module:
         raise SchemaError("differential and target must act on the given module")

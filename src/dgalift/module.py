@@ -111,21 +111,14 @@ class ModuleElement:
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         self._check(other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            s = out.get(i)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = s
-        return ModuleElement(self.module, out)
+        return ModuleElement(self.module, _sum_entries(self.module.sig, self.coeffs, other.coeffs))
 
     def __neg__(self) -> "ModuleElement":
         return ModuleElement(self.module, {i: -c for i, c in self.coeffs.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __sub__(self, other: "ModuleElement") -> "ModuleElement":
+        self._check(other)
+        return ModuleElement(self.module, _sum_entries(self.module.sig, self.coeffs, other.coeffs, True))
 
     def scale_right(self, b: AlgElem) -> "ModuleElement":
         """Right action ``x * b``."""
@@ -214,27 +207,24 @@ class GradedMap:
             raise SchemaError("maps act on different modules")
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
-        self._check(other)
-        if not self.is_zero() and not other.is_zero() and self.degree != other.degree:
-            raise SchemaError("cannot add maps of different degrees")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        deg = self.degree if not self.is_zero() else other.degree
-        return GradedMap(self.module, deg, out, check=False)
+        return self._plus(other, False)
 
     def __neg__(self) -> "GradedMap":
         return GradedMap(
             self.module, self.degree, {k: -v for k, v in self.entries.items()}, check=False
         )
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __sub__(self, other: "GradedMap") -> "GradedMap":
+        return self._plus(other, True)
+
+    def _plus(self, other: "GradedMap", neg: bool) -> "GradedMap":
+        """``self + other``, or ``self - other`` when `neg`."""
+        self._check(other)
+        if not self.is_zero() and not other.is_zero() and self.degree != other.degree:
+            raise SchemaError("cannot add maps of different degrees")
+        entries = _sum_entries(self.module.sig, self.entries, other.entries, neg)
+        degree = self.degree if self.entries else other.degree
+        return GradedMap(self.module, degree, entries, check=False)
 
     def scale(self, c) -> "GradedMap":
         return GradedMap(
@@ -276,6 +266,19 @@ class GradedMap:
 
 
 # -- the accumulator: one term map per entry ----------------------------------
+
+
+def _sum_entries(sig: Signature, a: dict, b: dict, neg: bool = False) -> dict:
+    """``a + b`` (``a - b`` when `neg`) for two dicts of elements under the
+    same keys; each entry of ``b`` adds into a copy of its entry of ``a``
+    through `_add_into`.  An entry that cancels is the zero element, which
+    the constructors of maps and vectors drop."""
+    out = dict(a)
+    for k, e in b.items():
+        terms = dict(out[k].terms) if k in out else {}
+        _add_into(sig.field, terms, e.terms, neg)
+        out[k] = AlgElem(sig, terms)
+    return out
 
 
 def _product_into(out: dict, f: GradedMap, g: GradedMap, neg: bool = False) -> None:
@@ -500,8 +503,9 @@ class DOpPair:
     def __neg__(self) -> "DOpPair":
         return DOpPair(-self.f, -self.g, self.partial)
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __sub__(self, other: "DOpPair") -> "DOpPair":
+        self._check(other)
+        return DOpPair(self.f - other.f, self.g - other.g, self.partial)
 
     def scale(self, c) -> "DOpPair":
         return DOpPair(self.f.scale(c), self.g.scale(c), self.partial)

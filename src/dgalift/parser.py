@@ -17,6 +17,8 @@ position.
 
 from __future__ import annotations
 
+import re
+
 from .algebra import AlgElem, Signature, _add_into
 from .errors import ExprSyntaxError
 
@@ -30,35 +32,23 @@ class _Token:
         self.pos = pos
 
 
+# Integers, names and operators; any other character that is not white
+# space falls to the last group and is refused.  ``\d``, ``\w`` and ``\s``
+# are ``isdecimal()``, ``isalnum()`` or ``_``, and ``isspace()``.  A name
+# must start with ``isalpha()`` or ``_``, which ``\w`` outside ``\d`` is
+# not: it also holds numeric characters such as ``'²'``, checked after.
+_TOKENS = re.compile(r"(\d+)|(\w+)|[-+*/^()]|(\S)")
+_KINDS = (None, "int", "name")  # by group; an operator is its own kind
+
+
 def _tokenize(source: str):
     tokens = []
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdecimal():
-            j = i
-            while j < n and source[j].isdecimal():
-                j += 1
-            tokens.append(_Token("int", source[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", source[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^()":
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
+    for match in _TOKENS.finditer(source):
+        text, group = match.group(), match.lastindex
+        if group == 3 or (group == 2 and not (text[0].isalpha() or text[0] == "_")):
+            raise ExprSyntaxError(f"unexpected character {text[0]!r}", match.start())
+        tokens.append(_Token(_KINDS[group] if group else text, text, match.start()))
+    tokens.append(_Token("end", "", len(source)))
     return tokens
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .algebra import AlgElem, Signature, component_monomials
+from .algebra import AlgElem, Signature, _add_into, component_monomials
 from .field import Field
 from .module import Differential, DOpPair, FreeModule, GradedMap, invert_unit
 
@@ -33,18 +33,10 @@ def rand_elem(
     monos = component_monomials(sig, degree, poly_bound)
     if not monos:
         return sig.zero()
-    out = {}
-    k = rng.randint(1, max_terms)
-    for _ in range(k):
+    out: dict = {}
+    for _ in range(rng.randint(1, max_terms)):
         m = monos[rng.randrange(len(monos))]
-        c = rand_scalar(sig.field, rng)
-        if c == sig.field.zero:
-            continue
-        s = sig.field.add(out.get(m, sig.field.zero), c)
-        if s == sig.field.zero:
-            out.pop(m, None)
-        else:
-            out[m] = s
+        _add_into(sig.field, out, {m: rand_scalar(sig.field, rng)})
     return AlgElem(sig, out)
 
 

@@ -11,9 +11,9 @@ send each corrected basis column to itself tensor 1 and extend linearly.
 `verify_splitting` checks it element by element.  For an odd variable the
 kernel of the evaluation is also materialized as a finite free module,
 giving the whole short exact sequence, which `OddSequence.check` checks
-on the basis.  The pipeline calls nothing here: the command line derives
-both the splitting and the sequence flag (proofs in `cli`), and these two
-checks are their test oracles.
+on the basis.  No other module imports this one, and the package does not
+export it: the command line derives both the splitting and the sequence
+flag (proofs in `cli`), and these two checks are their test oracles.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable
 from .algebra import AlgElem, diff
 from .errors import SchemaError
 from .jop import CheckReport
-from .module import Differential, FreeModule, GradedMap, ModuleElement, fresh_suffix, shift
+from .module import Differential, FreeModule, GradedMap, ModuleElement, _sum_entries, fresh_suffix, shift
 from .lift import LiftResult
 
 
@@ -33,29 +33,21 @@ def split_by_powers(elem: AlgElem, var_name: str) -> dict:
 
     Returns {i: a_i}; moving an odd X out to the left crosses exactly the
     factors that precede it in canonical order, which contributes the
-    usual sign.
+    usual sign.  A term and its power ``i`` give back its monomial, so no
+    two terms meet and no ``a_i`` is zero.
     """
     sig = elem.sig
-    field = sig.field
     pos = sig.var_pos(var_name)
     var = sig.variables[pos]
     out: dict = {}
     for (p, v), c in elem.terms.items():
         e = v[pos]
-        rest = (p, v[:pos] + (0,) + v[pos + 1 :])
         if e and var.degree % 2:
             left_deg = sum(v[j] * sig.variables[j].degree for j in range(pos))
             if left_deg % 2:
-                c = field.neg(c)
-        bucket = out.setdefault(e, {})
-        s = field.add(bucket.get(rest, field.zero), c)
-        if s == field.zero:
-            bucket.pop(rest, None)
-        else:
-            bucket[rest] = s
-    return {
-        i: AlgElem(sig, terms) for i, terms in out.items() if terms
-    }
+                c = sig.field.neg(c)
+        out.setdefault(e, {})[p, v[:pos] + (0,) + v[pos + 1 :]] = c
+    return {i: AlgElem(sig, terms) for i, terms in out.items()}
 
 
 class TensorElement:
@@ -77,23 +69,18 @@ class TensorElement:
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
         self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return TensorElement(self.module, self.var_name, out)
+        terms = _sum_entries(self.module.sig, self.terms, other.terms)
+        return TensorElement(self.module, self.var_name, terms)
 
     def __neg__(self):
         return TensorElement(
             self.module, self.var_name, {k: -v for k, v in self.terms.items()}
         )
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __sub__(self, other: "TensorElement") -> "TensorElement":
+        self._check(other)
+        terms = _sum_entries(self.module.sig, self.terms, other.terms, True)
+        return TensorElement(self.module, self.var_name, terms)
 
     def scale_right(self, b: AlgElem) -> "TensorElement":
         return TensorElement(
@@ -149,12 +136,11 @@ class NaiveTensor:
 
     def of_module_elem(self, x: ModuleElement) -> TensorElement:
         """``x (x) 1``: split each coefficient by variable powers."""
-        out: dict = {}
-        for lam, c in x.coeffs.items():
-            for i, a in split_by_powers(c, self.var_name).items():
-                key = (lam, i)
-                prev = out.get(key)
-                out[key] = a if prev is None else prev + a
+        out = {
+            (lam, i): a
+            for lam, c in x.coeffs.items()
+            for i, a in split_by_powers(c, self.var_name).items()
+        }
         return TensorElement(self.module, self.var_name, out)
 
     def pi(self, t: TensorElement) -> ModuleElement:

@@ -1,6 +1,7 @@
 """Reference checks, and a fixture they need, that only the tests use."""
 
 from heapq import heapify, heappop, heappush
+from itertools import product
 from math import comb
 from operator import add
 from typing import Callable, Optional
@@ -8,14 +9,12 @@ from typing import Callable, Optional
 from dgalift.algebra import (
     AlgElem,
     Signature,
-    _poly_tuples,
-    _var_tuples,
     component_monomials,
     derivative,
     diff,
-    weight_monomials,
+    monomial_weight,
 )
-from dgalift.errors import NotInvertibleError, SchemaError, VerificationError
+from dgalift.errors import ExprSyntaxError, NotInvertibleError, SchemaError, VerificationError
 from dgalift.jop import CheckReport, JOperator
 from dgalift.lift import _coefficients, _homotopy_columns
 from dgalift.module import (
@@ -29,6 +28,7 @@ from dgalift.module import (
     invert_unit,
     left_mult,
 )
+from dgalift.parser import _Token
 from dgalift.solver import solve_exact
 
 
@@ -201,15 +201,22 @@ def monomial_sort_key_reference(sig, m):
     return (sum(p), poly_word, len(var_word), var_word)
 
 
-def component_monomials_reference(sig, degree: int, poly_bound: int) -> list:
-    """The band enumerated and sorted afresh, by the word order, on every
-    call."""
+def component_monomials_reference(sig, degree: int, poly_bound: int, weight=None) -> list:
+    """The band found by trying every exponent tuple in a box, kept when its
+    degree, polygen degree and weight (when given) fit, and sorted afresh,
+    by the word order, on every call."""
     if degree < 0 or poly_bound < 0:
         return []
-    out = []
-    for v in _var_tuples(sig, degree):
-        for p in _poly_tuples(len(sig.polygens), poly_bound):
-            out.append((p, v))
+    var_ranges = [range(2 if var.odd else degree // var.degree + 1) for var in sig.variables]
+    polys = [p for p in product(range(poly_bound + 1), repeat=len(sig.polygens)) if sum(p) <= poly_bound]
+    out = [
+        (p, v)
+        for v in product(*var_ranges)
+        if sum(e * var.degree for e, var in zip(v, sig.variables)) == degree
+        for p in polys
+    ]
+    if weight is not None:
+        out = [m for m in out if monomial_weight(sig, m) == weight]
     out.sort(key=lambda m: monomial_sort_key_reference(sig, m))
     return out
 
@@ -485,12 +492,8 @@ def homotopy_columns_reference(
             key = (degs[c] - degs[r], weights[c] - weights[r])
             band = bands.get(key)
             if band is None:
-                want = key[0] + degree
-                if w is None:
-                    band = component_monomials(sig, want, bound)
-                else:
-                    band = weight_monomials(sig, want, key[1] + w, bound)
-                bands[key] = band
+                weight = None if w is None else key[1] + w
+                band = bands[key] = component_monomials(sig, key[0] + degree, bound, weight)
             for m in band:
                 if m not in monos:
                     unit = AlgElem(sig, {m: field.one})
@@ -682,3 +685,40 @@ def verify_lift_reference(
         if u.apply(lift_diff.apply(u_inv.apply(e))) != d.apply(e):
             report.note(f"conjugation identity fails on column {module.names[lam]}")
     return report
+
+
+# -- the expression tokenizer, one step per character --------------------------------
+
+
+def tokenize_reference(source: str):
+    """`parser._tokenize` by a loop over the characters and their
+    `str` predicates."""
+    tokens = []
+    i = 0
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdecimal():
+            j = i
+            while j < n and source[j].isdecimal():
+                j += 1
+            tokens.append(_Token("int", source[i:j], i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(_Token("name", source[i:j], i))
+            i = j
+            continue
+        if c in "+-*/^()":
+            tokens.append(_Token(c, c, i))
+            i += 1
+            continue
+        raise ExprSyntaxError(f"unexpected character {c!r}", i)
+    tokens.append(_Token("end", "", n))
+    return tokens

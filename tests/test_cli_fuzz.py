@@ -257,3 +257,31 @@ def test_cli_divided_powers_over_q_print_exact_binomials(tmp_path, capsys):
     expr = "X^(10000)*X^(10000) - X^(10000)*X^(10000)"
     assert main(["eval", "--sig", str(sig_path), expr]) == 0
     assert json.loads(capsys.readouterr().out)["data"]["result"] == "0"
+
+
+HUGE_DEGREES = {"basis": [{"name": "e0", "degree": 0}, {"name": "e1", "degree": 10**12}],
+                "differential": {}}
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+@pytest.mark.parametrize("command", ["naive", "lift"])
+@pytest.mark.parametrize("sig", ["even", "odd"])
+def test_cli_huge_basis_degrees_finish(tmp_path, capsys, sig, command):
+    """Basis degrees 0 and 10^12 with no differential: the search has
+    bands of degree about 10^12, which hold a few monomials each, so `naive`
+    and `lift` finish at once with the zero certificate.  Over README's
+    even signature the band enumeration used to try every exponent of the
+    even variable ``X`` (5 * 10^11 of them)."""
+    sig_path = DATA / "s3.json"
+    if sig == "even":
+        sig_path = tmp_path / "even-q.json"
+        sig_path.write_text(json.dumps(EVEN_Q), encoding="utf-8")
+    mod_path = tmp_path / "huge-degrees.json"
+    mod_path.write_text(json.dumps(HUGE_DEGREES), encoding="utf-8")
+    argv = [command, "--sig", str(sig_path), "--mod", str(mod_path), "--bound", "0"]
+    with _time_cap(CAP_S):
+        code = main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["verdict"] == {"naive": "vanishes", "lift": "lifted"}[command]
+    assert doc["data"]["certificate"] == {}

@@ -1,0 +1,83 @@
+"""The transcript corpus: the same inputs give the same transcripts.
+
+`naive` and `lift` run on every `decide-large` and `lift-small` input of
+benchmark seeds 0-3 (generated by `bench/gen.py`, imported by path) and on
+the README example.  The digest of each run covers the exit code and the
+transcript's `verdict`, `data` and `params`, not `timing_ms` or the input
+paths, and must equal the one recorded in `corpus.json`.
+
+Re-record after a change that is meant to move a transcript, and say in
+CHANGES.md which ones moved and why:
+
+    PYTHONPATH=src python tests/test_corpus.py --write
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+from dgalift.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = Path(__file__).resolve().parent / "corpus.json"
+SEEDS = range(4)
+COMMANDS = ("naive", "lift")
+
+
+def _gen():
+    spec = importlib.util.spec_from_file_location("_bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # dataclasses look their module up there
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def _inputs(workdir: str):
+    """``(key, sig path, mod path, bound)`` for every input of the corpus."""
+    gen = _gen()
+    ops = [("readme", gen.readme_op())]
+    for seed in SEEDS:
+        ops += [(f"{seed}:{op.name}", op) for op in gen.decide_large(seed, workdir)]
+        ops += [(f"{seed}:{op.name}", op) for op in gen.lift_small(seed, workdir)[1:]]
+    for key, op in ops:
+        args = dict(zip(op.argv[1::2], op.argv[2::2]))
+        yield key, args["--sig"], args["--mod"], args["--bound"]
+
+
+def _digest(argv: list) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    transcript = json.loads(out.getvalue())
+    kept = {k: transcript.get(k) for k in ("verdict", "data", "params")}
+    kept["exit"] = code
+    return hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()
+
+
+def record(workdir: str) -> dict:
+    return {
+        f"{key}:{command}": _digest([command, "--sig", sig, "--mod", mod, "--bound", bound])
+        for key, sig, mod, bound in _inputs(workdir)
+        for command in COMMANDS
+    }
+
+
+def test_transcripts_match_the_corpus(tmp_path):
+    want = json.loads(CORPUS.read_text(encoding="utf-8"))
+    got = record(str(tmp_path))
+    assert len(got) == 426
+    assert got.keys() == want.keys()
+    assert [k for k in got if got[k] != want[k]] == []
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_corpus.py --write")
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        CORPUS.write_text(json.dumps(record(tmp), indent=1, sort_keys=True) + "\n", encoding="utf-8")

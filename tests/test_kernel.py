@@ -5,17 +5,13 @@ Q, F2, F3 and F5."""
 
 import gc
 import random
+import signal
 import weakref
 
 import pytest
 
 from dgalift import QQ, PrimeField, component_monomials, diff
-from dgalift.algebra import (
-    _mul_into,
-    monomial_sort_key,
-    monomial_weight,
-    weight_monomials,
-)
+from dgalift.algebra import _mul_into, monomial_sort_key, monomial_weight
 from dgalift.module import GradedMap, ModuleElement, compose
 from dgalift.randgen import FixturePool, rand_elem, rand_map, rand_scalar
 
@@ -28,6 +24,7 @@ from oracles import (
     mul_into_reference,
     mul_reference,
 )
+from test_cli_fuzz import CAP_S, _time_cap
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5)]
 _POOLS = {f.key(): FixturePool(f) for f in FIELDS}
@@ -191,16 +188,50 @@ def test_sort_key_matches_word_order(field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_weight_bands_filter_the_bands(field):
-    """`weight_monomials` enumerates exactly the monomials of one weight of
-    a band, in band order, and memoises them per signature."""
+    """`component_monomials` with a weight enumerates exactly the monomials
+    of that weight of a band, in band order, and memoises them per
+    signature apart from the whole band."""
     for sig in _signatures(_POOLS[field.key()]):
         assert sig.var_weights is not None
         for degree, bound in _GRID:
             band = component_monomials(sig, degree, bound)
             for weight in range(-1, 9):
-                got = weight_monomials(sig, degree, weight, bound)
+                got = component_monomials(sig, degree, bound, weight)
                 assert list(got) == [m for m in band if monomial_weight(sig, m) == weight]
-                assert weight_monomials(sig, degree, weight, bound) is got
+                assert list(got) == component_monomials_reference(sig, degree, bound, weight)
+                assert component_monomials(sig, degree, bound, weight) is got
+            assert component_monomials(sig, degree, bound) is band
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_bands_of_higher_degrees_match_the_box_search(field):
+    """The exponents of the last even variable start where the odd
+    variables after it can make up the rest; up to degree 14 every band
+    equals the search over the whole box."""
+    for sig in _signatures(FixturePool(field)):
+        for degree in range(15):
+            assert list(component_monomials(sig, degree, 1)) == component_monomials_reference(
+                sig, degree, 1
+            )
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+def test_bands_of_a_huge_degree_cost_what_their_monomials_do():
+    """A band of degree 10^12 with one even variable holds a few monomials
+    and is found as fast: the exponents of the even variable are not tried
+    one by one."""
+    pool = FixturePool(QQ)  # no band memo of another test
+    n = 10**12
+    with _time_cap(CAP_S):
+        component_monomials(pool.S1, n, 0)
+        component_monomials(pool.Sodd3, n, 0)
+    assert [v for _, v in component_monomials(pool.S1, n, 0)] == [
+        (0, 0, n // 2), (1, 1, n // 2 - 1)
+    ]
+    assert component_monomials(pool.S1, n + 1, 0, n) == ()
+    got = {v for _, v in component_monomials(pool.Sodd3, n, 0)}
+    assert got == {(0, 0, n // 2, 0), (1, 1, n // 2 - 1, 0), (1, 0, n // 2 - 2, 1), (0, 1, n // 2 - 2, 1)}
+    assert component_monomials(pool.S3, n, 5) == ()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

@@ -1,9 +1,17 @@
+import copy
+import json
+import random
+import re
 import time
 
 import pytest
 
 from dgalift import QQ, Signature, format_expr, parse_expr
 from dgalift.errors import ExprSyntaxError
+from dgalift.parser import _tokenize
+
+from oracles import tokenize_reference
+from test_cli_fuzz import BAD_EXPRS, BAD_NAMES, CASES, DATA, _mutate
 
 
 def test_basic_terms(S1):
@@ -133,3 +141,82 @@ def test_long_sum_parses_in_linear_time():
     assert len(e.terms) == n
     assert e.terms[((n,), (0,))] == n
     assert elapsed < 5.0, f"a {n}-term sum took {elapsed:.1f}s"
+
+
+def _outcome(tokenize, source):
+    try:
+        return [(t.kind, t.text, t.pos) for t in tokenize(source)]
+    except ExprSyntaxError as ex:
+        return str(ex), ex.position
+
+
+_OPS = "+-*/^()"
+_ALL = "".join(map(chr, range(0x110000)))  # every code point, 4.4 MB
+
+
+def test_scanner_classes_are_the_str_predicates():
+    r"""On every code point, the scanner's classes ``\s``, ``\d`` and ``\w`` match
+    where `tokenize_reference` tests ``isspace()``, ``isdecimal()`` and
+    ``isalnum()`` or ``_``.  ``\w`` outside ``\d`` is wider than
+    ``isalpha()`` or ``_`` (``'²'``), so the scanner's name branch is
+    narrowed after the match."""
+    for pattern, holds in (
+        (r"\s", str.isspace),
+        (r"\d", str.isdecimal),
+        (r"\w", lambda c: c.isalnum() or c == "_"),
+    ):
+        assert re.findall(pattern, _ALL) == [c for c in _ALL if holds(c)], pattern
+
+
+def test_tokenizer_matches_the_character_loop():
+    """Both tokenizers give the same tokens, or the same error at the same
+    position: on every code point that starts no error, joined by blanks,
+    after a name and after an integer; on every numeric code point that is
+    no decimal (each starts an error: ``'²'``) and on each refused code
+    point whose number is a multiple of 997, alone and in context; and on
+    every string of the seeded hostile documents of `test_cli_fuzz`."""
+    kept, numeric, refused = [], [], []
+    for cp, c in enumerate(_ALL):
+        if c.isspace() or c.isdecimal() or c.isalpha() or c == "_" or c in _OPS:
+            kept.append(c)
+        elif c.isalnum():
+            numeric.append(c)
+        elif cp % 997 == 0:
+            refused.append(c)
+    assert len(numeric) > 1000
+    for chunk in range(0, len(kept), 4096):
+        part = kept[chunk : chunk + 4096]
+        for text in (" ".join(part), " ".join("a" + c for c in part), " ".join("7" + c for c in part)):
+            assert _outcome(_tokenize, text) == _outcome(tokenize_reference, text)
+    assert _outcome(_tokenize, " ".join("a" + c for c in numeric)) == _outcome(
+        tokenize_reference, " ".join("a" + c for c in numeric)
+    )
+    for c in numeric + refused:
+        for text in (c, "a + " + c, "7" + c, "X^(" + c):
+            assert _outcome(_tokenize, text) == _outcome(tokenize_reference, text)
+
+    base_sig = json.loads((DATA / "s3.json").read_text())
+    base_mod = json.loads((DATA / "n3.json").read_text())
+    rng = random.Random(2020)
+    texts = BAD_EXPRS + [n for n in BAD_NAMES if isinstance(n, str)]
+    for _ in range(CASES):
+        sig, mod = copy.deepcopy(base_sig), copy.deepcopy(base_mod)
+        _mutate(sig, mod, rng)
+        for doc in (sig, mod):
+            texts += _strings(doc)
+    assert len(texts) > 1000
+    for text in texts:
+        assert _outcome(_tokenize, text) == _outcome(tokenize_reference, text), text
+
+
+def _strings(doc):
+    """Every string key and value of a JSON document."""
+    if isinstance(doc, str):
+        yield doc
+    elif isinstance(doc, dict):
+        for key, value in doc.items():
+            yield key
+            yield from _strings(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _strings(value)
