@@ -11,9 +11,10 @@ send each corrected basis column to itself tensor 1 and extend linearly.
 `verify_splitting` checks it element by element.  For an odd variable the
 kernel of the evaluation is also materialized as a finite free module,
 giving the whole short exact sequence, which `OddSequence.check` checks
-on the basis.  No other module imports this one, and the package does not
-export it: the command line derives both the splitting and the sequence
-flag (proofs in `cli`), and these two checks are their test oracles.
+on the basis.  No other module of the package imports this one, and the
+package does not export it: the command line derives both the splitting
+and the sequence flag (proofs in `cli`), and these two checks are their
+test oracles.
 """
 
 from __future__ import annotations
