@@ -611,7 +611,8 @@ def component_monomials(
 ) -> tuple:
     """All monomials of the given total degree with total polygen exponent
     at most `poly_bound`, in the documented order; with a `weight`, only
-    those of that weight (`monomial_weight`, which needs ``sig.var_weights``).
+    those of that weight: polygen degree plus the ``sig.var_weights`` of the
+    variable factors.
 
     The weight fixes the polygen degree that goes with each variable part,
     so only those polygen exponents are enumerated, whatever the bound.
@@ -634,12 +635,6 @@ def component_monomials(
         out.sort(key=lambda m: monomial_sort_key(sig, m))
         band = sig._bands[key] = tuple(out)
     return band
-
-
-def monomial_weight(sig: Signature, m: Monomial) -> int:
-    """Total polygen exponent plus the weights of the variable factors;
-    needs ``sig.var_weights``."""
-    return sum(m[0]) + sum(map(mul, m[1], sig.var_weights))
 
 
 def is_boundary_up_to(elem: AlgElem, poly_bound: int):

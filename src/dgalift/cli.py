@@ -73,7 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--bound", type=int, default=3, help="polygen-degree search bound"
             )
         if expr:
-            p.add_argument("expr", help="expression text over the signature")
+            p.add_argument(
+                "expr", help="expression text over the signature ('-' reads it from stdin)"
+            )
         return p
 
     add("validate", "check signature and optional module invariants", mod=True)
@@ -168,7 +170,10 @@ def _compute(args, transcript: dict):
         return "pass", data, EXIT_OK
 
     if args.command in ("eval", "diff", "derive"):
-        e = sig.parse(args.expr)
+        text = args.expr
+        if text == "-":  # for an expression past the size of one argument
+            text = sys.stdin.read().rstrip("\r\n")
+        e = sig.parse(text)
         if args.command == "diff":
             out = diff(e)
         elif args.command == "derive":
@@ -176,7 +181,7 @@ def _compute(args, transcript: dict):
         else:
             out = e
         data = {
-            "input": args.expr,
+            "input": text,
             "result": format_expr(out),
             "homogeneous": out.is_homogeneous(),
         }

@@ -96,6 +96,9 @@ def module_from_doc(doc: dict, sig: Signature):
     except DgaliftError as ex:
         _fail("basis", str(ex))
     entries = {}
+    # each distinct text is parsed once; entries may share an element, as
+    # nothing changes an element's terms in place
+    parsed: dict = {}  # text -> element
     dmat = doc.get("differential", {})
     if not isinstance(dmat, dict):
         _fail("differential", "must be an object keyed by column names")
@@ -111,10 +114,12 @@ def module_from_doc(doc: dict, sig: Signature):
                 _fail(loc, "unknown row basis name")
             if not isinstance(text, str):
                 _fail(loc, "must be an expression string")
-            try:
-                e = sig.parse(text)
-            except DgaliftError as ex:
-                _fail(loc, str(ex))
+            e = parsed.get(text)
+            if e is None:
+                try:
+                    e = parsed[text] = sig.parse(text)
+                except DgaliftError as ex:
+                    _fail(loc, str(ex))
             if e.is_zero():
                 continue
             entries[(module.index(row_name), module.index(col_name))] = e

@@ -13,13 +13,18 @@ explicit bound.  Certificates are exact and re-verified; a miss is only
 conclusive up to the bound.
 
 Polygens are degree-0 cycles, so a second grading can split the search.
-Give each polygen weight 1 and each variable the weight of its
-differential; when every term of ``D`` then has one weight as a map
-(`_weights`), ``[d, -]`` preserves weight and only the unknowns of the
-weight of ``j(d)`` can carry the certificate.  `solve_homotopy` assembles
-and solves that one block, whose polygen degrees the weight fixes, and
-gets the certificate of the full system bit for bit.  Inputs without such
-a grading fall back to the full system, which stays the test oracle.
+`_grading` finds the finest one by integer polygen weights: polygens
+start as unit vectors, each variable weighs what its differential
+weighs, and the weights are propagated along the terms of ``D``; every
+mismatch is a conflict, and the polygen weights are then taken in the
+kernel of the conflicts.  Every term of ``D`` then has class 0 as a map,
+``[d, -]`` preserves class, and only the unknowns of the class of
+``j(d)`` can carry the certificate.  `solve_homotopy` assembles and
+solves that one block and gets the certificate of the full system bit
+for bit.  Where the all-ones grading (every polygen weighs 1) holds as
+well, the weight fixes the polygen degree of each unknown, so a bound
+past it costs nothing.  Inputs with no grading but the trivial one fall
+back to the full system, which stays the test oracle.
 
 The construction half is deterministic once a certificate exists.  One
 closed form, `_basis_change`, gives the basis change of both parities:
@@ -41,6 +46,8 @@ every degree ``-|X|`` matrix ``gamma`` or follows from ``Delta(d) = 0``;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
+from operator import mul
 from typing import Optional
 
 from .algebra import (
@@ -49,7 +56,6 @@ from .algebra import (
     component_monomials,
     derivative,
     diff,
-    monomial_weight,
 )
 from .errors import NotInvertibleError, SchemaError, VerificationError
 from .jop import CheckReport, JOperator
@@ -128,43 +134,197 @@ def _coefficients(f: GradedMap) -> dict:
     return {(key, m): c for key, e in f.entries.items() for m, c in e.terms.items()}
 
 
-def _weights(module: FreeModule, d: Differential) -> Optional[list]:
-    """Basis weights that make every term of ``D`` weigh 0 as a map, or None.
+def _propagate(module: FreeModule, d: Differential, poly: list):
+    """Weights from the polygen weights `poly`, one int each: those of the
+    variables, those of the basis elements, and the conflicts met.
 
-    Polygens weigh 1 and variables ``sig.var_weights``.  Each term ``t`` of
-    an entry ``D[a, b]`` asks for ``w(e_b) = w(e_a) + w(t)``; the weights
-    are propagated along these terms from weight 0 at the first basis
-    element of each connected component, one free offset per component.
-    None when a variable differential or an entry of ``D`` has no single
-    weight, or when two terms ask for different weights.
+    A variable weighs what the first term of its differential weighs (0
+    for a zero differential).  Each term ``t`` of an entry ``D[a, b]`` asks
+    for ``w(e_b) = w(e_a) + w(t)``; the basis weights are propagated along
+    these terms from weight 0 at the first basis element of each connected
+    component, one free offset per component.  Where a term of a variable
+    differential or of ``D`` asks for another weight than the one set, the
+    difference is a conflict: the grading holds once it weighs 0.  The
+    conflicts come as absolute values, so each counts once up to sign.
     """
-    sig = module.sig
-    if sig.var_weights is None:
-        return None
+    var: list = []
+    conflicts: set = set()
+    for v in module.sig.variables:
+        # a variable differential only mentions earlier variables: map stops there
+        found = [sum(map(mul, p, poly)) + sum(map(mul, e, var)) for p, e in v.diff.terms]
+        var.append(found[0] if found else 0)
+        conflicts.update(abs(w - found[0]) for w in found[1:])
+    weights: dict = {}  # monomial -> weight
     links: list = [[] for _ in range(module.rank)]  # a -> [(b, w(e_b) - w(e_a))]
     for (a, b), e in d.matrix.entries.items():
-        found = {monomial_weight(sig, m) for m in e.terms}
-        if len(found) > 1:
-            return None
-        for w in found:
+        for m in e.terms:
+            w = weights.get(m)
+            if w is None:
+                w = weights[m] = sum(map(mul, m[0], poly)) + sum(map(mul, m[1], var))
             links[a].append((b, w))
             links[b].append((a, -w))
-    weights: list = [None] * module.rank
+    basis: list = [None] * module.rank
     for start in range(module.rank):
-        if weights[start] is not None:
+        if basis[start] is not None:
             continue
-        weights[start] = 0
+        basis[start] = 0
         todo = [start]
         while todo:
             a = todo.pop()
             for b, w in links[a]:
-                want = weights[a] + w
-                if weights[b] is None:
-                    weights[b] = want
+                want = basis[a] + w
+                if basis[b] is None:
+                    basis[b] = want
                     todo.append(b)
-                elif weights[b] != want:
-                    return None
-    return weights
+                elif basis[b] != want:
+                    conflicts.add(abs(basis[b] - want))
+    conflicts.discard(0)
+    return basis, var, conflicts
+
+
+def _cancel(row: list, pivot: list, col: int) -> list:
+    """`row` with its entry at `col` cancelled against `pivot`, divided by
+    the gcd of its entries."""
+    f, g = row[col], pivot[col]
+    out = [g * x - f * y for x, y in zip(row, pivot)]
+    k = gcd(*out)
+    return [x // k for x in out] if k else out
+
+
+def _kernel(rows: list, n: int) -> list:
+    """A basis of the integer vectors of length `n` orthogonal to every row.
+
+    Integer elimination: each pivot row is zero at the pivot columns of
+    the others, so each free column ``f`` gives the kernel vector that is
+    ``L`` at ``f``, 0 at the other free columns and ``-L row[f] / row[p]``
+    at the pivot column ``p`` of each row, ``L`` the lcm of the pivots.
+    """
+    pivots: dict = {}  # pivot column -> row
+    for row in rows:
+        for col, pivot in pivots.items():
+            if row[col]:
+                row = _cancel(row, pivot, col)
+        col = next((i for i, x in enumerate(row) if x), None)
+        if col is None:
+            continue
+        for c, pivot in pivots.items():
+            if pivot[col]:
+                pivots[c] = _cancel(pivot, row, col)
+        pivots[col] = row
+    scale = lcm(*(row[col] for col, row in pivots.items()))
+    out = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [0] * n
+        v[f] = scale
+        for col, row in pivots.items():
+            v[col] = -row[f] * (scale // row[col])
+        k = gcd(*v)
+        out.append([x // k for x in v])
+    return out
+
+
+def _unpack(x: int, bits: int, n: int) -> list:
+    """The `n` signed coordinates of ``x = sum v_i 2^(bits i)``."""
+    half = 1 << (bits - 1)
+    out = []
+    for _ in range(n):
+        low = ((x + half) & ((half << 1) - 1)) - half
+        out.append(low)
+        x = (x - low) >> bits
+    return out
+
+
+@dataclass(frozen=True)
+class _Grading:
+    """The finest grading of a module's differential by polygen weights.
+
+    Each polygen, variable and basis element has a class: an int that
+    packs a vector of integer weights as ``sum v_i 2^(bits i)``, so that
+    classes add as ints.  A monomial has class `weight`, and a term
+    ``m E_rc`` of a map the class ``basis[r] + weight(m) - basis[c]``;
+    every term of ``D`` has class 0 and every term of each ``dX`` the
+    class of ``X``, so ``[d, -]`` preserves class.  When `ones` is true,
+    coordinate 0 of every class is its all-ones weight (polygens weigh 1,
+    variables ``sig.var_weights``), and unless `finer` is true too, that
+    weight is all a class holds.
+    """
+
+    sig: object
+    basis: list
+    poly: list
+    var: list
+    bits: int
+    ones: bool
+    finer: bool
+
+    def weight(self, m) -> int:
+        return sum(map(mul, m[0], self.poly)) + sum(map(mul, m[1], self.var))
+
+    def band(self, degree: int, bound: int, cls: int):
+        """The monomials of class `cls` in the band of `degree` with polygen
+        degree at most `bound`.  With `ones`, `component_monomials`
+        enumerates only those of the all-ones weight of `cls`."""
+        if not self.ones:
+            band = component_monomials(self.sig, degree, bound)
+        else:
+            band = component_monomials(self.sig, degree, bound, _unpack(cls, self.bits, 1)[0])
+            if not self.finer:
+                return band
+        return [m for m in band if self.weight(m) == cls]
+
+
+def _grading(module: FreeModule, d: Differential, h: GradedMap, bound: int):
+    """The finest grading of ``d`` (`_Grading`), or None when only the
+    trivial one holds.
+
+    `_propagate` starts from polygen weights whose coordinate 0 is 1 and
+    whose other coordinates make unit vectors, and collects the
+    conflicts.  Without any, that is the grading.  Otherwise the polygen
+    weights are the integer vectors in the kernel of the conflicts
+    (`_kernel`), after the all-ones vector when every conflict sums to 0,
+    and a second propagation with them meets no conflict.  Either way two
+    monomials get the same class exactly when their exponent vectors
+    differ by a rational combination of the conflicts.
+
+    The packing is injective on every vector the search compares:
+    `bits` bounds each coordinate by the L1 sizes of the terms of ``D``
+    and ``h``, of the variable differentials and of the monomials of
+    polygen degree up to `bound` in the bands of ``gamma``.
+    """
+    sig = module.sig
+    n = len(sig.polygens)
+    if n == 0:
+        return None
+    norms: list = []  # an L1 bound on each variable's weight vector
+    for v in sig.variables:
+        norms.append(max((sum(p) + sum(map(mul, e, norms)) for p, e in v.diff.terms), default=0))
+    terms = [m for f in (d.matrix, h) for x in f.entries.values() for m in x.terms]
+    top = max((sum(p) + sum(map(mul, e, norms)) for p, e in set(terms)), default=0)
+    # a basis weight adds up at most every term once, a target four basis
+    # weights and a term of h; a band monomial weighs at most the second bound
+    reach = max(
+        4 * (len(terms) + 1) * max(top, *norms, 0),
+        bound + max(module.spread() + h.degree + 1, 0) * max(norms, default=0),
+    )
+    bits = (reach + 1).bit_length() + 1
+    poly = [1 + (1 << bits * (i + 1)) for i in range(n)]
+    basis, var, conflicts = _propagate(module, d, poly)
+    if not conflicts:
+        return _Grading(sig, basis, poly, var, bits, True, n > 1)
+    rows = [_unpack(x, bits, n + 1) for x in sorted(conflicts)]
+    coords = _kernel([row[1:] for row in rows], n)
+    ones = all(row[0] == 0 for row in rows)
+    finer = len(coords) > ones  # with ones, a kernel of dimension 1 is all-ones
+    if ones:
+        coords = [[1] * n] + (coords if finer else [])
+    if not coords:
+        return None
+    bits = ((reach + 1) * max(abs(x) for v in coords for x in v)).bit_length() + 1
+    poly = [sum(v[i] << bits * j for j, v in enumerate(coords)) for i in range(n)]
+    basis, var, _ = _propagate(module, d, poly)
+    return _Grading(sig, basis, poly, var, bits, ones, finer)
 
 
 def _homotopy_columns(
@@ -175,10 +335,10 @@ def _homotopy_columns(
 
     The unknowns at ``(r, c)`` are the monomials of polygen degree at most
     `bound` in the band of that entry, all of them with no `block`.  A
-    block ``(weights, w)`` keeps those of weight ``w`` as maps: the
-    monomials ``m`` with ``w(m) = weights[c] - weights[r] + w``.  One
-    `component_monomials` call gives each band, with that weight or with
-    None, and the unknowns come in (row, column, monomial) order.
+    block ``(grading, w)`` keeps those of class ``w`` as maps: the
+    monomials ``m`` with ``weight(m) = basis[c] - basis[r] + w``
+    (`_Grading.band`, once per band degree and class).  The unknowns come
+    in (row, column, monomial) order.
 
     The image of ``m E_rc`` is ``D[:, r] m`` in column ``c``, plus
     ``(-1)^{|e_r|} d(m)`` at ``(r, c)``, minus ``(-1)^{degree} m D[c, :]`` in
@@ -205,14 +365,18 @@ def _homotopy_columns(
     rights: dict = {}  # (c, m) -> [(b, -/+ m D[c, b])]
     unknowns = []  # (row, col, monomial)
     columns = []  # per unknown: ((row, col), monomial) -> coefficient
-    weights, w = block or (None, None)
-    bands: dict = {}  # (band degree, band weight or None) -> monomials
+    grading, w = block or (None, None)
+    bands: dict = {}  # (band degree, band class or None) -> monomials
     for r in range(module.rank):
         for c in range(module.rank):
-            key = (degs[c] - degs[r] + degree, None if w is None else weights[c] - weights[r] + w)
+            cls = None if grading is None else grading.basis[c] - grading.basis[r] + w
+            key = (degs[c] - degs[r] + degree, cls)
             band = bands.get(key)
             if band is None:
-                band = bands[key] = component_monomials(sig, key[0], bound, key[1])
+                if grading is None:
+                    band = bands[key] = component_monomials(sig, key[0], bound)
+                else:
+                    band = bands[key] = grading.band(key[0], bound, cls)
             row_odd = degs[r] % 2
             for m in band:
                 cached = monos.get(m)
@@ -266,20 +430,21 @@ def solve_homotopy(
     returned and re-verified by ``[d, gamma] = h``.  None means no
     certificate exists within the bound.
 
-    When `_weights` grades the input and every term of ``h`` has one
-    weight ``w(h)`` as a map, only the unknowns of weight ``w(h)`` enter
-    the system (`_homotopy_columns` with a block: `component_monomials`
-    enumerates each band at its weight, and only the polygen exponents
-    that weight leaves).  ``[d, -]`` preserves
-    weight, so the columns of each weight touch only rows of that weight,
-    and the right-hand side lies in the rows of weight ``w(h)``.  The
-    solution with every free unknown zero, whose pivots the column order
-    fixes, is therefore zero off the block and on it equals the block
-    system's solution: the certificate is the one the full system gives,
-    and a homogeneous search costs the same at any bound past the polygen
-    degree its block needs.  Without a grading, or when ``h`` has terms of
-    two weights, every unknown enters, as the bound allows (the bands are
-    taken with no weight).
+    When `_grading` finds a grading of the input and every term of ``h``
+    has one class ``w(h)`` as a map, only the unknowns of class ``w(h)``
+    enter the system (`_homotopy_columns` with a block).  ``[d, -]``
+    preserves every such grading, so the columns of each class touch only
+    rows of that class, and the right-hand side lies in the rows of class
+    ``w(h)``.  The solution with every free unknown zero, whose pivots the
+    column order fixes, is therefore zero off the block and on it equals
+    the block system's solution: the certificate is the one the full
+    system gives.  Where the all-ones grading holds, its weight is a
+    coordinate of the class and `component_monomials` enumerates each band
+    at that weight, so a search costs the same at any bound past the
+    polygen degree its block needs; where only a finer grading holds, each
+    band is enumerated up to the bound and filtered by class.  Without a
+    grading, or when ``h`` has terms of two classes, every unknown enters,
+    as the bound allows.
     """
     if d.module != module or h.module != module:
         raise SchemaError("differential and target must act on the given module")
@@ -287,15 +452,15 @@ def solve_homotopy(
     field = sig.field
     gamma_degree = h.degree + 1
     block = None
-    weights = _weights(module, d)
-    if weights is not None:
+    grading = _grading(module, d, h, bound)
+    if grading is not None:
         found = {
-            weights[r] + monomial_weight(sig, m) - weights[c]
+            grading.basis[r] + grading.weight(m) - grading.basis[c]
             for (r, c), e in h.entries.items()
             for m in e.terms
         }
         if len(found) <= 1:  # a zero h takes any block: its solution is zero
-            block = weights, found.pop() if found else 0
+            block = grading, found.pop() if found else 0
     unknowns, columns = _homotopy_columns(module, d, gamma_degree, bound, block)
     sol = solve_exact(field, columns, _coefficients(h))
     if sol is None:

@@ -3,7 +3,7 @@
 from heapq import heapify, heappop, heappush
 from itertools import product
 from math import comb
-from operator import add
+from operator import add, mul
 from typing import Callable, Optional
 
 from dgalift.algebra import (
@@ -12,7 +12,6 @@ from dgalift.algebra import (
     component_monomials,
     derivative,
     diff,
-    monomial_weight,
 )
 from dgalift.errors import ExprSyntaxError, NotInvertibleError, SchemaError, VerificationError
 from dgalift.jop import CheckReport, JOperator
@@ -199,6 +198,12 @@ def monomial_sort_key_reference(sig, m):
     poly_word = tuple(i for i, e in enumerate(p) for _ in range(e))
     var_word = tuple(i for i, e in enumerate(v) for _ in range(e))
     return (sum(p), poly_word, len(var_word), var_word)
+
+
+def monomial_weight(sig: Signature, m) -> int:
+    """Total polygen exponent plus the weights of the variable factors;
+    needs ``sig.var_weights``."""
+    return sum(m[0]) + sum(map(mul, m[1], sig.var_weights))
 
 
 def component_monomials_reference(sig, degree: int, poly_bound: int, weight=None) -> list:
@@ -466,11 +471,14 @@ def characterization_check(delta: Callable, jop: JOperator) -> CheckReport:
 
 
 def homotopy_columns_reference(
-    module: FreeModule, d: Differential, degree: int, bound: int, block=None
+    module: FreeModule, d: Differential, degree: int, bound: int, keep=None
 ):
     """`_homotopy_columns` with every product and sign taken on `AlgElem`s:
     ``D[a, r] * m``, ``m * D[c, b]`` negated as an element, and ``d(m)`` and
-    ``-d(m)`` as elements.  The same unknowns, order and coefficients."""
+    ``-d(m)`` as elements.  Each band is enumerated whole, up to `bound`,
+    and an unknown ``(r, c, m)`` enters when ``keep(r, c, m)`` holds (every
+    unknown without `keep`): for the block of a `_grading` the same
+    unknowns, order and coefficients."""
     sig = module.sig
     field = sig.field
     degs = module.degrees
@@ -485,16 +493,11 @@ def homotopy_columns_reference(
     rights: dict = {}
     unknowns = []
     columns = []
-    weights, w = block or ((0,) * module.rank, None)
-    bands: dict = {}
     for r in range(module.rank):
         for c in range(module.rank):
-            key = (degs[c] - degs[r], weights[c] - weights[r])
-            band = bands.get(key)
-            if band is None:
-                weight = None if w is None else key[1] + w
-                band = bands[key] = component_monomials(sig, key[0] + degree, bound, weight)
-            for m in band:
+            for m in component_monomials(sig, degs[c] - degs[r] + degree, bound):
+                if keep is not None and not keep(r, c, m):
+                    continue
                 if m not in monos:
                     unit = AlgElem(sig, {m: field.one})
                     dm = diff(unit)
@@ -511,6 +514,13 @@ def homotopy_columns_reference(
                 unknowns.append((r, c, m))
                 columns.append({(key, mono): x for key, t in parts for mono, x in t.items()})
     return unknowns, columns
+
+
+def block_filter(block):
+    """The `keep` of `homotopy_columns_reference` for a block
+    ``(grading, w)`` of `_homotopy_columns`."""
+    grading, w = block
+    return lambda r, c, m: grading.basis[r] + grading.weight(m) - grading.basis[c] == w
 
 
 def solve_exact_reference(field, columns: list, rhs: dict) -> Optional[list]:
@@ -561,16 +571,80 @@ def solve_exact_reference(field, columns: list, rhs: dict) -> Optional[list]:
     return x
 
 
-# -- the homotopy search before weight blocks ----------------------------------------
+# -- the homotopy search before the finest grading -----------------------------------
+
+
+def weights_reference(module: FreeModule, d: Differential) -> Optional[list]:
+    """Basis weights that make every term of ``D`` weigh 0 as a map when
+    every polygen weighs 1, or None: the all-ones grading.
+
+    Variables weigh ``sig.var_weights``.  Each term ``t`` of an entry
+    ``D[a, b]`` asks for ``w(e_b) = w(e_a) + w(t)``; the weights are
+    propagated along these terms from weight 0 at the first basis element
+    of each connected component, one free offset per component.  None
+    when a variable differential or an entry of ``D`` has no single
+    weight, or when two terms ask for different weights.
+    """
+    sig = module.sig
+    if sig.var_weights is None:
+        return None
+    links: list = [[] for _ in range(module.rank)]
+    for (a, b), e in d.matrix.entries.items():
+        found = {monomial_weight(sig, m) for m in e.terms}
+        if len(found) > 1:
+            return None
+        for w in found:
+            links[a].append((b, w))
+            links[b].append((a, -w))
+    weights: list = [None] * module.rank
+    for start in range(module.rank):
+        if weights[start] is not None:
+            continue
+        weights[start] = 0
+        todo = [start]
+        while todo:
+            a = todo.pop()
+            for b, w in links[a]:
+                want = weights[a] + w
+                if weights[b] is None:
+                    weights[b] = want
+                    todo.append(b)
+                elif weights[b] != want:
+                    return None
+    return weights
+
+
+def ones_filter(module: FreeModule, d: Differential, h: GradedMap):
+    """The `keep` of the all-ones weight block of ``h``, or None (every
+    unknown) when `weights_reference` grades nothing or ``h`` has terms of
+    two weights: the block `solve_homotopy` solved before the finest
+    grading."""
+    weights = weights_reference(module, d)
+    if weights is None:
+        return None
+    sig = module.sig
+    found = {
+        weights[r] + monomial_weight(sig, m) - weights[c]
+        for (r, c), e in h.entries.items()
+        for m in e.terms
+    }
+    if len(found) > 1:
+        return None
+    w = found.pop() if found else 0
+    return lambda r, c, m: weights[r] + monomial_weight(sig, m) - weights[c] == w
 
 
 def solve_homotopy_reference(
-    module: FreeModule, d: Differential, h: GradedMap, bound: int
+    module: FreeModule, d: Differential, h: GradedMap, bound: int, keep=None
 ) -> Optional[GradedMap]:
-    """`solve_homotopy` on the full system: every unknown of polygen degree
-    at most `bound` in every entry, whatever its weight, and no re-check."""
+    """`solve_homotopy` on the full system, every unknown of polygen degree
+    at most `bound` in every entry, or on the unknowns of it that `keep`
+    holds for (see `homotopy_columns_reference`); no re-check."""
     sig = module.sig
     unknowns, columns = _homotopy_columns(module, d, h.degree + 1, bound)
+    if keep is not None:
+        kept = [k for k, (r, c, m) in enumerate(unknowns) if keep(r, c, m)]
+        unknowns, columns = [unknowns[k] for k in kept], [columns[k] for k in kept]
     sol = solve_exact(sig.field, columns, _coefficients(h))
     if sol is None:
         return None

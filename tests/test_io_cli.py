@@ -1,5 +1,9 @@
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -123,6 +127,24 @@ def test_module_schema_errors(S3):
         )
 
 
+def test_module_entries_parse_each_text_once(S3, monkeypatch):
+    """Entries with the same text share one parsed element (nothing changes
+    an element in place), and a bad text that occurs twice is reported at
+    its first location in document order."""
+    import dgalift.parser
+
+    calls = []
+    parse = dgalift.parser.parse_expr
+    monkeypatch.setattr(dgalift.parser, "parse_expr", lambda *a: calls.append(a[0]) or parse(*a))
+    module, d = module_from_doc(N3_DOC, S3)
+    assert calls == ["a", "- a*X"]
+    assert d.matrix.entries[0, 1] is d.matrix.entries[1, 2]
+    assert d.square_zero and d.matrix.entries[0, 1] == S3.parse("a")
+    bad = {"basis": N3_DOC["basis"], "differential": {"f1": {"f0": "a +"}, "f2": {"f1": "a +"}}}
+    with pytest.raises(SchemaError, match=r"^differential\['f1'\]\['f0'\]: "):
+        module_from_doc(bad, S3)
+
+
 def test_matrix_doc_is_column_major(S3):
     module, d = module_from_doc(N3_DOC, S3)
     doc = matrix_to_doc(d.matrix)
@@ -185,6 +207,57 @@ def test_cli_eval_and_diff(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["data"]["result"] == "-a*W2 + b*W1"
     assert out["data"]["is_cycle"] is True
+
+
+def _transcript(capsys, argv):
+    """Exit code, transcript without `timing_ms` (None when nothing was
+    printed) and standard error of an in-process run."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    out = json.loads(captured.out) if captured.out else None
+    if out is not None:
+        out.pop("timing_ms", None)
+    return code, out, captured.err
+
+
+@pytest.mark.parametrize(
+    "command, options, expr",
+    [
+        ("eval", [], "X^(2)*X^(3)"),
+        ("eval", [], "a*W1 + b*W2 - 3"),
+        ("eval", [], "X^(2"),
+        ("diff", [], "X*W1"),
+        ("derive", ["--var", "X"], "a*X^(2)*W1 + b*W2"),
+    ],
+)
+def test_cli_expression_from_stdin_matches_argv(tmp_path, capsys, monkeypatch, command, options, expr):
+    """An expression given as ``-`` is read from standard input, without
+    its trailing line break, and gives the transcript and exit code of the
+    same text given as the argument (a syntax error included)."""
+    sig = _write(tmp_path, "sig.json", S1_DOC)
+    want = _transcript(capsys, [command, "--sig", sig, *options, expr])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(expr + "\n"))
+    assert _transcript(capsys, [command, "--sig", sig, *options, "-"]) == want
+
+
+def test_cli_eval_reads_a_sum_past_the_argument_limit_from_stdin(tmp_path, capsys):
+    """A 12 000-term sum, about 150 KB, is longer than one command-line
+    argument may be (128 KiB on Linux); piped into ``eval -`` it reaches
+    the parser and gives the transcript of the same text passed to `main`
+    in-process as an argument."""
+    sig = _write(tmp_path, "sig.json", S3_DOC)
+    text = " + ".join(f"{i}*a^{i}" for i in range(1, 12_001))
+    assert len(text.encode()) > 128 * 1024
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run(
+        [sys.executable, "-m", "dgalift.cli", "eval", "--sig", sig, "-"],
+        input=text + "\n", env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    got.pop("timing_ms")
+    assert (0, got, "") == _transcript(capsys, ["eval", "--sig", sig, text])
+    assert got["data"]["input"] == text
 
 
 def test_cli_eval_syntax_error(tmp_path, capsys):

@@ -1,21 +1,26 @@
 import itertools
 import random
+import tempfile
 import time
+from operator import mul
 
 import pytest
 
 from dgalift import QQ, Signature, derivative, diff
 from dgalift.algebra import AlgElem, component_monomials
 from dgalift.errors import SchemaError, VerificationError
+import dgalift.lift as lift_module
 from dgalift.field import PrimeField
-from dgalift.io import matrix_to_doc
+from dgalift.io import load_json, matrix_to_doc, module_from_doc, signature_from_doc
 from dgalift.jop import JOperator
 from dgalift.lift import (
     _basis_change,
     _beta_sharp,
     _coefficients,
+    _grading,
     _homotopy_columns,
-    _weights,
+    _kernel,
+    _unpack,
     construct_lift_even,
     construct_lift_odd,
     decide_naive_lift,
@@ -42,19 +47,24 @@ from dgalift.randgen import (
     rand_map,
     rand_unit,
 )
+from dgalift.solver import solve_exact
 from oracles import (
     basis_change_reference,
+    block_filter,
     homotopy_columns_reference,
     idempotent,
     invert_unit_reference,
     is_scalar_cycle,
     koszul,
+    ones_filter,
     series_plus_reference,
     solve_homotopy_reference,
     unit_elementary,
     unit_poly_degree,
     verify_lift_reference,
+    weights_reference,
 )
+from test_corpus import _gen as _corpus_gen
 
 
 def _doubled_derivation(mod, d, gamma, var="X"):
@@ -788,20 +798,27 @@ def test_homotopy_columns_match_element_reference(field):
     unknowns and columns of `homotopy_columns_reference`, which takes them
     on elements: equal lists, and each column with the same items in the
     same order.  The instances of the ``bracket_diff`` test, on the full
-    system and, where `_weights` grades the input, on the blocks of
-    weights -1..2."""
+    system and, where `_grading` grades the input, on the blocks of the
+    first four classes the unknowns have (the reference enumerates every
+    band whole and keeps the unknowns of the block's class)."""
     compared = blocks = 0
     for mod, d in _column_cases(field):
-        weights = _weights(mod, d)
-        shapes = [None]
-        if weights is not None:
-            shapes += [(weights, w) for w in range(-1, 3)]
         for h_degree in range(-3, 2):
             for bound in range(3):
+                degree = h_degree + 1
+                shapes = [None]
+                grading = _grading(mod, d, GradedMap.zero(mod, h_degree), bound)
+                if grading is not None:
+                    full = _homotopy_columns(mod, d, degree, bound)[0]
+                    basis = grading.basis
+                    classes = {basis[r] + grading.weight(m) - basis[c] for r, c, m in full}
+                    shapes += [(grading, w) for w in sorted(classes)[:4]]
                 for block in shapes:
-                    args = (mod, d, h_degree + 1, bound, block)
-                    unknowns, columns = _homotopy_columns(*args)
-                    want_unknowns, want_columns = homotopy_columns_reference(*args)
+                    unknowns, columns = _homotopy_columns(mod, d, degree, bound, block)
+                    keep = block and block_filter(block)
+                    want_unknowns, want_columns = homotopy_columns_reference(
+                        mod, d, degree, bound, keep
+                    )
                     assert unknowns == want_unknowns
                     assert [list(col.items()) for col in columns] == [
                         list(col.items()) for col in want_columns
@@ -818,18 +835,11 @@ def _s2_koszul(pool):
     return koszul(sig, [sig.parse(t) for t in ("a", "a*b", "c")])
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
-def test_weight_block_search_matches_full_search(field):
-    """`solve_homotopy`, which solves only the weight block of ``h`` when the
-    input is graded, gives the certificate of the full system
-    (`solve_homotopy_reference`) or None with it: the `FixturePool` lifting
-    modules and a Koszul complex over ``S2``, plain and conjugated by random
-    units (graded or not), at bounds 0-3.  Each catches a fault of its own:
-    a block weight not read from ``h``, variables weighted by degree
-    (``S2``), a term of ``D`` left out of the grading, the bound not
-    capping the block."""
-    pool = FixturePool(field)
-    rng = random.Random(53)
+def _grading_cases(pool, rng):
+    """The `FixturePool` lifting modules and a Koszul complex over ``S2``,
+    plain and conjugated by random units (graded or not) and by units with
+    the top variable in one entry, `_conjugated_nk` and `_finer_rung`,
+    where only a finer grading than the all-ones one holds."""
     fixtures = [
         (pool.N3, pool.d3),
         (pool.N1, pool.d1),
@@ -837,7 +847,7 @@ def test_weight_block_search_matches_full_search(field):
         (pool.Nodd, pool.dodd),
         _s2_koszul(pool),
     ]
-    graded = ungraded = found = 0
+    out = [_conjugated_nk(pool), _finer_rung(pool.field, rng)]
     for mod, d in fixtures:
         var = mod.sig.top_variable.name
         units = [rand_unit(mod, rng, strict_raising=k % 2 == 0) for k in range(4)]
@@ -848,23 +858,62 @@ def test_weight_block_search_matches_full_search(field):
             if mod.degrees[c] - mod.degrees[r] == top:
                 for t in (x, x * mod.sig.parse("a"), x * rand_homogeneous(mod.sig, rng, 0)):
                     units.append(GradedMap.identity(mod) + GradedMap(mod, 0, {(r, c): t}))
-        cases = [d] + [d.conjugate(u, invert_unit(u)) for u in units]
-        for dd in cases:
-            h = obstruction(mod, dd, var)
-            if _weights(mod, dd) is None:
-                ungraded += 1
-            else:
-                graded += 1
-            # plus a boundary, most often of several weights: the full system
-            mixed = h + bracket_diff(dd, rand_map(mod, h.degree + 1, rng))
-            for target, bound in itertools.product((h, mixed), range(4)):
-                got = solve_homotopy(mod, dd, target, bound)
-                want = solve_homotopy_reference(mod, dd, target, bound)
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert matrix_to_doc(got) == matrix_to_doc(want)
-                    found += 1
-    assert graded > 0 and ungraded > 0 and found > 0
+        out += [(mod, d)] + [(mod, d.conjugate(u, invert_unit(u))) for u in units]
+    return out
+
+
+def _conjugated_nk(pool):
+    """``NK`` conjugated by ``1 + a E_12``: ``k1`` and ``k2`` both weigh 1,
+    so the entry ``a`` between them breaks the all-ones grading, but
+    ``a -> 1, b -> 2`` grades the result."""
+    u = GradedMap.identity(pool.NK) + GradedMap(pool.NK, 0, {(1, 2): pool.S1.parse("a")})
+    return pool.NK, pool.dK.conjugate(u, invert_unit(u))
+
+
+def _finer_rung(field, rng):
+    """An even Koszul rung ``K(a0, a1, a2)`` shaped as the benchmark's
+    (`_koszul_rung`), conjugated once more by ``1 + a0 E_12``: as in
+    `_conjugated_nk` the all-ones grading breaks and a finer one holds,
+    and here the obstruction is not 0."""
+    sig = Signature(field, ["a0", "a1", "a2"]).adjoin("W0", 1, "a0").adjoin("W1", 1, "a1")
+    sig = sig.adjoin("X", 2, "a1*W0 - a0*W1")
+    mod, d = _koszul_rung(sig, 3, rng)
+    u = GradedMap.identity(mod) + GradedMap(mod, 0, {(1, 2): sig.parse("a0")})
+    return mod, d.conjugate(u, invert_unit(u))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_weight_block_search_matches_full_search(field):
+    """`solve_homotopy`, which solves only the block of the class of ``h``
+    in the finest grading, gives the certificate of the full system and
+    that of the all-ones weight block (`solve_homotopy_reference` on every
+    unknown and on `ones_filter`), or None with both: `_grading_cases` at
+    bounds 0-3, with ``h = j(d)`` and with ``h`` plus a boundary, most
+    often of several classes.  Each catches a fault of its own: a block
+    class not read from ``h``, variables weighted by degree (``S2``), a
+    term of ``D`` left out of the grading, the bound not capping the
+    block, a kernel vector that misses a conflict."""
+    pool = FixturePool(field)
+    rng = random.Random(53)
+    kinds = {"all-ones": 0, "finer only": 0, "none": 0}
+    found = 0
+    for mod, d in _grading_cases(pool, rng):
+        var = mod.sig.top_variable.name
+        h = obstruction(mod, d, var)
+        if weights_reference(mod, d) is not None:
+            kinds["all-ones"] += 1
+        else:
+            kinds["finer only" if _grading(mod, d, h, 0) is not None else "none"] += 1
+        mixed = h + bracket_diff(d, rand_map(mod, h.degree + 1, rng))
+        for target, bound in itertools.product((h, mixed), range(4)):
+            got = solve_homotopy(mod, d, target, bound)
+            want = solve_homotopy_reference(mod, d, target, bound)
+            ones = solve_homotopy_reference(mod, d, target, bound, ones_filter(mod, d, target))
+            assert (got is None) == (want is None) == (ones is None)
+            if got is not None:
+                assert matrix_to_doc(got) == matrix_to_doc(want) == matrix_to_doc(ones)
+                found += 1
+    assert all(kinds.values()) and found > 0, kinds
 
 
 def test_weights():
@@ -886,15 +935,14 @@ def test_weights():
             u = u + GradedMap(mod, 0, {(r, c): sig.parse("2*X")})
         rung = d.conjugate(u, invert_unit(u))
         assert not obstruction(mod, rung, "X").is_zero()
-        assert _weights(mod, rung) == list(mod.degrees)
+        assert weights_reference(mod, rung) == list(mod.degrees)
 
     pool = FixturePool(QQ)
     assert pool.S2.var_weights == (2, 2, 3)
-    assert _weights(*_s2_koszul(pool)) == [0, 1, 2, 1, 3, 2, 3, 4]
+    assert weights_reference(*_s2_koszul(pool)) == [0, 1, 2, 1, 3, 2, 3, 4]
     # k1 and k2 both weigh 1, so a unit entry `a` between them weighs 1, not 0
-    u = GradedMap.identity(pool.NK) + GradedMap(pool.NK, 0, {(1, 2): pool.S1.parse("a")})
-    assert _weights(pool.NK, pool.dK) == [0, 1, 1, 2]
-    assert _weights(pool.NK, pool.dK.conjugate(u, invert_unit(u))) is None
+    assert weights_reference(pool.NK, pool.dK) == [0, 1, 1, 2]
+    assert weights_reference(*_conjugated_nk(pool)) is None
 
     # two components: N3 and g0 <- g1 by a^2, each starting from weight 0
     S3 = pool.S3
@@ -902,7 +950,7 @@ def test_weights():
     entries = dict(pool.d3.matrix.entries)
     entries[3, 4] = S3.parse("a^2")
     d = Differential(GradedMap(mod, -1, entries))
-    assert _weights(mod, d) == [0, 1, 2, 0, 2]
+    assert weights_reference(mod, d) == [0, 1, 2, 0, 2]
 
     # T has zero differential and weighs 0
     sig = Signature(QQ, ["a"]).adjoin("T", 2, "0").adjoin("X", 1, "a")
@@ -910,12 +958,219 @@ def test_weights():
     mod = FreeModule(sig, [("f0", 0), ("f1", 1), ("f2", 2), ("f3", 3)])
     texts = {(0, 1): "a", (1, 2): "a", (0, 2): "-a*X", (0, 3): "a*T"}
     d = Differential(GradedMap(mod, -1, {key: sig.parse(t) for key, t in texts.items()}))
-    assert _weights(mod, d) == [0, 1, 2, 1]
+    assert weights_reference(mod, d) == [0, 1, 2, 1]
     h = obstruction(mod, d, "X")
     for bound in range(3):
         got = solve_homotopy(mod, d, h, bound)
         assert got is not None
         assert matrix_to_doc(got) == matrix_to_doc(solve_homotopy_reference(mod, d, h, bound))
+
+
+def _ones(grading, cls):
+    """Coordinate 0 of a class: its all-ones weight when `grading.ones`."""
+    return _unpack(cls, grading.bits, 1)[0]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_grading_makes_every_term_homogeneous(field):
+    """Under `_grading`, every term of ``D`` has class 0 as a map and every
+    term of each ``dX`` the class of ``X``; where the all-ones grading holds
+    (`weights_reference`), coordinate 0 gives its basis and variable
+    weights, and `_grading` finds a grading wherever it does.  On
+    `_grading_cases`, `_column_cases` (some not square-zero) and Koszul
+    rungs shaped as the benchmark's."""
+    pool = FixturePool(field)
+    rng = random.Random(59)
+    cases = _grading_cases(pool, rng) + _column_cases(field)
+    for parity in ("odd", "even"):
+        for n in (3, 4):
+            sig = Signature(field, [f"a{i}" for i in range(n)])
+            if parity == "odd":
+                sig = sig.adjoin("X", 1, "a0")
+            else:
+                sig = sig.adjoin("W0", 1, "a0").adjoin("W1", 1, "a1")
+                sig = sig.adjoin("X", 2, "a1*W0 - a0*W1")
+            cases.append(_koszul_rung(sig, n, rng))
+    # variable differentials with terms of two multidegrees: a + b joins the
+    # two polygens, a + b^2 weighs a twice b and breaks the all-ones grading
+    for dx in ("a0 + a1", "a0 + a1^2"):
+        sig = Signature(field, ["a0", "a1"]).adjoin("X", 1, dx)
+        cases.append(_koszul_rung(sig, 2, rng))
+    graded = ones = 0
+    for mod, d in cases:
+        grading = _grading(mod, d, GradedMap.zero(mod, -1), 2)
+        reference = weights_reference(mod, d)
+        if grading is None:
+            assert reference is None
+            continue
+        graded += 1
+        for (r, c), e in d.matrix.entries.items():
+            for m in e.terms:
+                assert grading.basis[r] + grading.weight(m) - grading.basis[c] == 0
+        sig = mod.sig
+        for var, cls in zip(sig.variables, grading.var):
+            for p, v in var.diff.terms:
+                pad = (0,) * (len(sig.variables) - len(v))
+                assert grading.weight((p, v + pad)) == cls
+        assert grading.ones == (reference is not None)
+        if grading.ones:
+            ones += 1
+            assert [_ones(grading, x) for x in grading.basis] == reference
+            assert tuple(_ones(grading, x) for x in grading.var) == sig.var_weights
+            assert [_ones(grading, x) for x in grading.poly] == [1] * len(sig.polygens)
+    assert graded > ones > 0
+
+
+def test_finest_grading_separates_what_no_conflict_joins(monkeypatch):
+    """Examples of the finest grading: on a Koszul complex every polygen is
+    a weight of its own, so distinct exponent vectors get distinct classes;
+    on ``NK`` conjugated by ``1 + a E_12`` the one conflict ``2a - b``
+    leaves ``b`` weighing twice ``a``; on `_finer_rung`, whose obstruction
+    is not 0, `solve_homotopy` solves a block smaller than the full
+    system, which it solved whole before; over ``S3`` a conjugation by
+    ``1 + a X E_02`` joins ``a`` with 0, and only the trivial grading
+    holds."""
+    sig = Signature(QQ, ["a0", "a1", "a2"]).adjoin("X", 1, "a0")
+    mod, d = koszul(sig, [sig.parse(f"a{i}") for i in range(3)])
+    grading = _grading(mod, d, GradedMap.zero(mod, -1), 0)
+    vectors = list(itertools.product(range(3), repeat=3))
+    assert len({grading.weight((p, (0,))) for p in vectors}) == len(vectors)
+
+    pool = FixturePool(QQ)
+    mod, d = _conjugated_nk(pool)
+    grading = _grading(mod, d, obstruction(mod, d, "X"), 3)
+    a, b = (grading.weight(pool.S1.parse(t).terms.popitem()[0]) for t in ("a", "b"))
+    assert a != 0 and b == 2 * a and not grading.ones
+    sizes = _solver_sizes(monkeypatch)
+    mod, d = _finer_rung(QQ, random.Random(3))
+    h = obstruction(mod, d, "X")
+    assert not h.is_zero() and weights_reference(mod, d) is None
+    for bound in range(4):
+        got = solve_homotopy(mod, d, h, bound)
+        full = len(_homotopy_columns(mod, d, h.degree + 1, bound)[0])
+        assert 0 < sizes[-1][0] < full
+        assert matrix_to_doc(got) == matrix_to_doc(solve_homotopy_reference(mod, d, h, bound))
+
+    # the same with exponents past what a few bits per weight would hold:
+    # K(a^100000, b^60000) conjugated by 1 + a^40000 E_12, whose inverse is
+    # 1 - a^40000 E_12, meets 140000a - 60000b
+    sig = pool.S1
+    mod, d = koszul(sig, [sig.parse("a^100000"), sig.parse("b^60000")])
+    e12 = GradedMap(mod, 0, {(1, 2): sig.parse("a^40000")})
+    d = d.conjugate(GradedMap.identity(mod) + e12, GradedMap.identity(mod) - e12)
+    h = obstruction(mod, d, "X")
+    grading = _grading(mod, d, h, 0)
+    a, b = (grading.weight(sig.parse(t).terms.popitem()[0]) for t in ("a", "b"))
+    assert a != 0 and 3 * b == 7 * a and not grading.ones
+    assert grading.basis == [0, 100000 * a, 60000 * b, 100000 * a + 60000 * b]
+    got = solve_homotopy(mod, d, h, 0)
+    assert matrix_to_doc(got) == matrix_to_doc(solve_homotopy_reference(mod, d, h, 0))
+    # with c as well the kernel has two coordinates, and each class unpacks
+    # into the weights its exponents give: the packing holds them apart
+    sig = pool.S2
+    mod, d = koszul(sig, [sig.parse(t) for t in ("a^100000", "b^60000", "c")])
+    e12 = GradedMap(mod, 0, {(1, 2): sig.parse("a^40000")})
+    d = d.conjugate(GradedMap.identity(mod) + e12, GradedMap.identity(mod) - e12)
+    grading = _grading(mod, d, GradedMap.zero(mod, -1), 0)
+    unit = [_unpack(x, grading.bits, 2) for x in grading.poly]
+    assert 3 * unit[1][0] == 7 * unit[0][0] and unit[2] != [0, 0] and not grading.ones
+    for r, name in enumerate(mod.names):  # k<s>: the product of the gens in s
+        s = int(name[1:])
+        exps = [100000 * (s & 1), 60000 * (s >> 1 & 1), s >> 2 & 1]
+        want = [sum(e * u[k] for e, u in zip(exps, unit)) for k in range(2)]
+        assert _unpack(grading.basis[r], grading.bits, 2) == want
+
+    mod, d = pool.N3, pool.d3
+    u = GradedMap.identity(mod) + GradedMap(mod, 0, {(0, 1): pool.S3.parse("a*X")})
+    d = d.conjugate(u, invert_unit(u))
+    assert _grading(mod, d, obstruction(mod, d, "X"), 0) is None
+
+
+def test_kernel_of_integer_rows():
+    """`_kernel` returns integer vectors orthogonal to every row, as many as
+    the columns less the rank of the rows (taken over the rationals here),
+    and independent: random rows of 0-6 vectors in 1-5 columns, with
+    repeated and dependent rows."""
+    from fractions import Fraction
+
+    def rank(rows):
+        rows = [[Fraction(x) for x in row] for row in rows]
+        out = 0
+        for col in range(len(rows[0]) if rows else 0):
+            pivot = next((r for r in rows[out:] if r[col]), None)
+            if pivot is None:
+                continue
+            rows.remove(pivot)
+            rows.insert(out, pivot)
+            for r in rows[out + 1 :]:
+                f = r[col] / pivot[col]
+                r[:] = [x - f * y for x, y in zip(r, pivot)]
+            out += 1
+        return out
+
+    rng = random.Random(61)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 6))]
+        if rows and rng.random() < 0.5:
+            rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+        kernel = _kernel(rows, n)
+        assert all(sum(map(mul, v, row)) == 0 for v in kernel for row in rows)
+        assert len(kernel) == n - rank(rows) == rank(kernel)
+
+
+def _solver_sizes(monkeypatch) -> list:
+    """The sizes (unknowns, rows, nonzeros) of each system `solve_homotopy`
+    hands the solver from now on, in order."""
+    sizes = []
+
+    def spy(field, columns, rhs):
+        rows = {key for col in columns for key in col} | set(rhs)
+        sizes.append((len(columns), len(rows), sum(len(col) for col in columns)))
+        return solve_exact(field, columns, rhs)
+
+    monkeypatch.setattr(lift_module, "solve_exact", spy)
+    return sizes
+
+
+def _bench_rungs(seed):
+    """``(name, module, differential, bound)`` for the `decide-large` rungs of
+    one benchmark seed, read from the documents `bench/gen.py` writes."""
+    gen = _corpus_gen()
+    with tempfile.TemporaryDirectory() as tmp:
+        for op in gen.decide_large(seed, tmp):
+            args = dict(zip(op.argv[1::2], op.argv[2::2]))
+            sig = signature_from_doc(load_json(args["--sig"]))
+            mod, d = module_from_doc(load_json(args["--mod"]), sig)
+            yield op.name, mod, d, int(args["--bound"])
+
+
+def test_bench_rungs_solve_the_finest_block(monkeypatch):
+    """The `decide-large` rungs of seed 0: the sizes of the system that
+    `solve_homotopy` hands the solver (unknowns, rows, nonzeros), which
+    the finest grading cuts on the rank-32 rung and on both misses, and a
+    certificate equal to the full system's and the all-ones block's (None
+    with both on the misses), at the rung's bound and one more."""
+    sizes = _solver_sizes(monkeypatch)
+    at_bound = {}
+    for name, mod, d, bound in _bench_rungs(0):
+        h = obstruction(mod, d, "X")
+        for b in (bound, bound + 1):
+            got = solve_homotopy(mod, d, h, b)
+            if b == bound:
+                at_bound[name] = sizes[-1]
+            want = solve_homotopy_reference(mod, d, h, b)
+            ones = solve_homotopy_reference(mod, d, h, b, ones_filter(mod, d, h))
+            assert (got is None) == (want is None) == (ones is None) == name.endswith("-miss")
+            if got is not None:
+                assert matrix_to_doc(got) == matrix_to_doc(want) == matrix_to_doc(ones)
+    assert at_bound == {
+        "naive-odd-q-r16-b0": (84, 141, 316),
+        "naive-odd-f5-r32-b0": (126, 294, 592),  # all-ones block: 330 unknowns
+        "naive-even-q-r16-b1": (46, 40, 96),
+        "naive-even-q-r18-b1-miss": (36, 33, 78),  # all-ones block: 62
+        "naive-even-q-r10-b2-miss": (8, 5, 8),  # all-ones block: 13
+    }
 
 
 def test_homogeneous_search_costs_the_same_at_any_bound(N3):
