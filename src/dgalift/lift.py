@@ -285,8 +285,9 @@ def _grading(module: FreeModule, d: Differential, h: GradedMap, bound: int):
     weights are the integer vectors in the kernel of the conflicts
     (`_kernel`), after the all-ones vector when every conflict sums to 0,
     and a second propagation with them meets no conflict.  Either way two
-    monomials get the same class exactly when their exponent vectors
-    differ by a rational combination of the conflicts.
+    monomials get the same class exactly when their weight vectors (the
+    polygen exponents plus the variables' vectors) differ by a rational
+    combination of the conflicts.
 
     The packing is injective on every vector the search compares:
     `bits` bounds each coordinate by the L1 sizes of the terms of ``D``
