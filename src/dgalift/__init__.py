@@ -13,7 +13,6 @@ from .algebra import (
     derivative,
     diff,
     format_expr,
-    is_boundary_up_to,
     is_cycle,
 )
 from .errors import (
@@ -31,6 +30,7 @@ from .lift import (
     construct_lift_even,
     construct_lift_odd,
     decide_naive_lift,
+    is_boundary_up_to,
     obstruction,
     solve_homotopy,
     verify_lift,

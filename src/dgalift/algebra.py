@@ -50,9 +50,8 @@ from functools import cached_property
 from operator import add, mul
 from typing import Iterable, Iterator, Optional
 
-from .errors import SchemaError, VerificationError
+from .errors import SchemaError
 from .field import Field
-from .solver import solve_exact
 
 # A monomial is (poly_exps, var_exps); both plain int tuples.
 Monomial = tuple
@@ -635,31 +634,6 @@ def component_monomials(
         out.sort(key=lambda m: monomial_sort_key(sig, m))
         band = sig._bands[key] = tuple(out)
     return band
-
-
-def is_boundary_up_to(elem: AlgElem, poly_bound: int):
-    """Search for b with diff(b) == elem among elements supported on
-    monomials of degree ``deg(elem) + 1`` and polygen degree <= poly_bound.
-
-    Returns a witness `AlgElem` (re-verified exactly) or None.  None is
-    conclusive only up to the bound.
-    """
-    sig = elem.sig
-    field = sig.field
-    if elem.is_zero():
-        return sig.zero()
-    n = elem.degree()  # raises on inhomogeneous input
-    candidates = component_monomials(sig, n + 1, poly_bound)
-    columns = [diff(AlgElem(sig, {m: field.one})).terms for m in candidates]
-    sol = solve_exact(field, columns, elem.terms)
-    if sol is None:
-        return None
-    witness = AlgElem(
-        sig, {m: c for m, c in zip(candidates, sol) if c != field.zero}
-    )
-    if diff(witness) != elem:
-        raise VerificationError("boundary witness failed its exact re-check")
-    return witness
 
 
 # -- formatting -----------------------------------------------------------------

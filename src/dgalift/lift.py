@@ -23,8 +23,9 @@ kernel of the conflicts.  Every term of ``D`` then has class 0 as a map,
 solves that one block and gets the certificate of the full system bit
 for bit.  Where the all-ones grading (every polygen weighs 1) holds as
 well, the weight fixes the polygen degree of each unknown, so a bound
-past it costs nothing.  Inputs with no grading but the trivial one fall
-back to the full system, which stays the test oracle.
+past it costs nothing.  Without conflict-free weights the grading is the
+trivial one, of one class; `is_boundary_up_to` is the same search on the
+free module of rank one.
 
 The construction half is deterministic once a certificate exists.  One
 closed form, `_basis_change`, gives the basis change of both parities:
@@ -238,7 +239,7 @@ def _unpack(x: int, bits: int, n: int) -> list:
 
 @dataclass(frozen=True)
 class _Grading:
-    """The finest grading of a module's differential by polygen weights.
+    """A grading of a module's differential by polygen weights.
 
     Each polygen, variable and basis element has a class: an int that
     packs a vector of integer weights as ``sum v_i 2^(bits i)``, so that
@@ -247,8 +248,9 @@ class _Grading:
     every term of ``D`` has class 0 and every term of each ``dX`` the
     class of ``X``, so ``[d, -]`` preserves class.  When `ones` is true,
     coordinate 0 of every class is its all-ones weight (polygens weigh 1,
-    variables ``sig.var_weights``), and unless `finer` is true too, that
-    weight is all a class holds.
+    variables ``sig.var_weights``).  The trivial grading
+    (`_trivial_grading`) weighs everything 0: one class holds every
+    monomial.
     """
 
     sig: object
@@ -257,27 +259,30 @@ class _Grading:
     var: list
     bits: int
     ones: bool
-    finer: bool
 
     def weight(self, m) -> int:
         return sum(map(mul, m[0], self.poly)) + sum(map(mul, m[1], self.var))
 
-    def band(self, degree: int, bound: int, cls: int):
+    def band(self, degree: int, bound: int, cls: int) -> list:
         """The monomials of class `cls` in the band of `degree` with polygen
         degree at most `bound`.  With `ones`, `component_monomials`
-        enumerates only those of the all-ones weight of `cls`."""
-        if not self.ones:
-            band = component_monomials(self.sig, degree, bound)
-        else:
-            band = component_monomials(self.sig, degree, bound, _unpack(cls, self.bits, 1)[0])
-            if not self.finer:
-                return band
+        enumerates only those of the all-ones weight of `cls`, whatever the
+        bound; the rest of the class is a filter."""
+        weight = _unpack(cls, self.bits, 1)[0] if self.ones else None
+        band = component_monomials(self.sig, degree, bound, weight)
         return [m for m in band if self.weight(m) == cls]
 
 
-def _grading(module: FreeModule, d: Differential, h: GradedMap, bound: int):
-    """The finest grading of ``d`` (`_Grading`), or None when only the
-    trivial one holds.
+def _trivial_grading(module: FreeModule) -> _Grading:
+    """The grading with every weight 0, which every differential has."""
+    sig = module.sig
+    return _Grading(
+        sig, [0] * module.rank, [0] * len(sig.polygens), [0] * len(sig.variables), 1, False
+    )
+
+
+def _grading(module: FreeModule, d: Differential, h: GradedMap, bound: int) -> _Grading:
+    """The finest grading of ``d``; `_trivial_grading` when no other holds.
 
     `_propagate` starts from polygen weights whose coordinate 0 is 1 and
     whose other coordinates make unit vectors, and collects the
@@ -297,7 +302,7 @@ def _grading(module: FreeModule, d: Differential, h: GradedMap, bound: int):
     sig = module.sig
     n = len(sig.polygens)
     if n == 0:
-        return None
+        return _trivial_grading(module)
     norms: list = []  # an L1 bound on each variable's weight vector
     for v in sig.variables:
         norms.append(max((sum(p) + sum(map(mul, e, norms)) for p, e in v.diff.terms), default=0))
@@ -313,33 +318,33 @@ def _grading(module: FreeModule, d: Differential, h: GradedMap, bound: int):
     poly = [1 + (1 << bits * (i + 1)) for i in range(n)]
     basis, var, conflicts = _propagate(module, d, poly)
     if not conflicts:
-        return _Grading(sig, basis, poly, var, bits, True, n > 1)
+        return _Grading(sig, basis, poly, var, bits, True)
     rows = [_unpack(x, bits, n + 1) for x in sorted(conflicts)]
     coords = _kernel([row[1:] for row in rows], n)
     ones = all(row[0] == 0 for row in rows)
-    finer = len(coords) > ones  # with ones, a kernel of dimension 1 is all-ones
-    if ones:
-        coords = [[1] * n] + (coords if finer else [])
+    if ones:  # coordinate 0 is the all-ones weight
+        coords = [[1] * n] + coords
     if not coords:
-        return None
+        return _trivial_grading(module)
     bits = ((reach + 1) * max(abs(x) for v in coords for x in v)).bit_length() + 1
     poly = [sum(v[i] << bits * j for j, v in enumerate(coords)) for i in range(n)]
     basis, var, _ = _propagate(module, d, poly)
-    return _Grading(sig, basis, poly, var, bits, ones, finer)
+    return _Grading(sig, basis, poly, var, bits, ones)
 
 
 def _homotopy_columns(
-    module: FreeModule, d: Differential, degree: int, bound: int, block=None
+    module: FreeModule, d: Differential, degree: int, bound: int, block: tuple
 ):
-    """The unknowns ``(r, c, m)`` of ``[d, gamma]`` for a degree-``degree``
-    ``gamma`` and the coefficients of each unknown's image.
+    """The unknowns ``(r, c, m)`` of ``[d, gamma]`` in one block
+    ``(grading, w)`` for a degree-``degree`` ``gamma``, and the
+    coefficients of each unknown's image.
 
     The unknowns at ``(r, c)`` are the monomials of polygen degree at most
-    `bound` in the band of that entry, all of them with no `block`.  A
-    block ``(grading, w)`` keeps those of class ``w`` as maps: the
+    `bound` in the band of that entry that have class ``w`` as maps: the
     monomials ``m`` with ``weight(m) = basis[c] - basis[r] + w``
-    (`_Grading.band`, once per band degree and class).  The unknowns come
-    in (row, column, monomial) order.
+    (`_Grading.band`, once per band degree and class).  Under the trivial
+    grading that is every monomial of the band.  The unknowns come in
+    (row, column, monomial) order.
 
     The image of ``m E_rc`` is ``D[:, r] m`` in column ``c``, plus
     ``(-1)^{|e_r|} d(m)`` at ``(r, c)``, minus ``(-1)^{degree} m D[c, :]`` in
@@ -366,18 +371,14 @@ def _homotopy_columns(
     rights: dict = {}  # (c, m) -> [(b, -/+ m D[c, b])]
     unknowns = []  # (row, col, monomial)
     columns = []  # per unknown: ((row, col), monomial) -> coefficient
-    grading, w = block or (None, None)
-    bands: dict = {}  # (band degree, band class or None) -> monomials
+    grading, w = block
+    bands: dict = {}  # (band degree, band class) -> monomials
     for r in range(module.rank):
         for c in range(module.rank):
-            cls = None if grading is None else grading.basis[c] - grading.basis[r] + w
-            key = (degs[c] - degs[r] + degree, cls)
+            key = (degs[c] - degs[r] + degree, grading.basis[c] - grading.basis[r] + w)
             band = bands.get(key)
             if band is None:
-                if grading is None:
-                    band = bands[key] = component_monomials(sig, key[0], bound)
-                else:
-                    band = bands[key] = grading.band(key[0], bound, cls)
+                band = bands[key] = grading.band(key[0], bound, key[1])
             row_odd = degs[r] % 2
             for m in band:
                 cached = monos.get(m)
@@ -431,37 +432,34 @@ def solve_homotopy(
     returned and re-verified by ``[d, gamma] = h``.  None means no
     certificate exists within the bound.
 
-    When `_grading` finds a grading of the input and every term of ``h``
-    has one class ``w(h)`` as a map, only the unknowns of class ``w(h)``
-    enter the system (`_homotopy_columns` with a block).  ``[d, -]``
-    preserves every such grading, so the columns of each class touch only
-    rows of that class, and the right-hand side lies in the rows of class
-    ``w(h)``.  The solution with every free unknown zero, whose pivots the
-    column order fixes, is therefore zero off the block and on it equals
-    the block system's solution: the certificate is the one the full
-    system gives.  Where the all-ones grading holds, its weight is a
-    coordinate of the class and `component_monomials` enumerates each band
-    at that weight, so a search costs the same at any bound past the
-    polygen degree its block needs; where only a finer grading holds, each
-    band is enumerated up to the bound and filtered by class.  Without a
-    grading, or when ``h`` has terms of two classes, every unknown enters,
-    as the bound allows.
+    Only the unknowns of one class of the grading `_grading` finds enter
+    the system: the class ``w(h)`` of every term of ``h`` as a map, or the
+    one class of the trivial grading when ``h`` has terms of two classes.
+    ``[d, -]`` preserves every grading, so the columns of each class touch
+    only rows of that class, and the right-hand side lies in the rows of
+    class ``w(h)``.  The solution with every free unknown zero, whose
+    pivots the column order fixes, is therefore zero off the block and on
+    it equals the block system's solution: the certificate is the one the
+    system of every unknown gives.  Where the all-ones grading holds, its
+    weight is a coordinate of the class and `component_monomials`
+    enumerates each band at that weight, so a search costs the same at any
+    bound past the polygen degree its block needs; otherwise each band is
+    enumerated up to the bound and filtered by class.
     """
     if d.module != module or h.module != module:
         raise SchemaError("differential and target must act on the given module")
-    sig = module.sig
-    field = sig.field
+    field = module.sig.field
     gamma_degree = h.degree + 1
-    block = None
     grading = _grading(module, d, h, bound)
-    if grading is not None:
-        found = {
-            grading.basis[r] + grading.weight(m) - grading.basis[c]
-            for (r, c), e in h.entries.items()
-            for m in e.terms
-        }
-        if len(found) <= 1:  # a zero h takes any block: its solution is zero
-            block = grading, found.pop() if found else 0
+    found = {
+        grading.basis[r] + grading.weight(m) - grading.basis[c]
+        for (r, c), e in h.entries.items()
+        for m in e.terms
+    }
+    if len(found) > 1:
+        grading, found = _trivial_grading(module), set()
+    # the trivial grading's one class is 0; a zero h takes any block, as its solution is zero
+    block = grading, found.pop() if found else 0
     unknowns, columns = _homotopy_columns(module, d, gamma_degree, bound, block)
     sol = solve_exact(field, columns, _coefficients(h))
     if sol is None:
@@ -474,6 +472,22 @@ def solve_homotopy(
     if bracket_diff(d, gamma) != h:
         raise VerificationError("homotopy certificate failed its exact re-check")
     return gamma
+
+
+def is_boundary_up_to(elem: AlgElem, poly_bound: int) -> Optional[AlgElem]:
+    """Search for b with diff(b) == elem among elements supported on
+    monomials of degree ``deg(elem) + 1`` and polygen degree <= poly_bound:
+    `solve_homotopy` for ``[d, b] = d(b)`` on the free module of rank one
+    with zero differential.  Returns a witness `AlgElem` (re-verified
+    exactly) or None.  None is conclusive only up to the bound.
+    """
+    if elem.is_zero():
+        return elem.sig.zero()
+    n = elem.degree()  # raises on inhomogeneous input
+    module = FreeModule(elem.sig, [("e", 0)])
+    h = GradedMap(module, n, {(0, 0): elem}, check=False)
+    gamma = solve_homotopy(module, Differential.free(module), h, poly_bound)
+    return None if gamma is None else gamma.entry(0, 0)
 
 
 def decide_naive_lift(

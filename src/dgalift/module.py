@@ -23,9 +23,10 @@ own in `compose`, the brackets, ``d o f`` or the `DOpPair` products.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Callable, Iterable, Optional
 
-from .algebra import AlgElem, Signature, _add_into, _mul_into, component_monomials, diff
+from .algebra import AlgElem, Signature, _add_into, _mul_into, diff
 from .errors import NotInvertibleError, SchemaError, VerificationError
 from .solver import solve_exact
 
@@ -639,28 +640,33 @@ def invert_unit(u: GradedMap) -> GradedMap:
 
 
 def _invert_flat(u_flat: GradedMap) -> GradedMap:
-    """Invert the equal-degree part (polygen entries) by coefficient solving."""
+    """Invert the equal-degree part (polygen entries) by coefficient solving,
+    one block of ``k`` basis elements of one degree at a time.  A unit
+    block's inverse is its adjugate over a nonzero constant, so its entries
+    lie among the products of exactly ``k - 1`` monomials of the block's."""
     module = u_flat.module
     sig = module.sig
     field = sig.field
-    max_poly = max((v.poly_degree() for v in u_flat.entries.values()), default=0)
     blocks: dict = {}
     for i, d in enumerate(module.degrees):
         blocks.setdefault(d, []).append(i)
-    max_block = max(len(b) for b in blocks.values())
-    bound = max(0, (max_block - 1) * max_poly)
-    cand = component_monomials(sig, 0, bound)
-    cand_elems = [AlgElem(sig, {m: field.one}) for m in cand]
     one_mono = ((0,) * len(sig.polygens), (0,) * len(sig.variables))
 
     inv_entries: dict = {}  # an accumulator: each (a, b, m) is met once
     for idxs in blocks.values():
         k = len(idxs)
+        block = [[u_flat.entries.get((r, c)) for c in idxs] for r in idxs]
+        monos = {m for row in block for e in row if e is not None for m in e.terms}
+        cand = {one_mono}
+        for _ in range(k - 1):  # degree-0 monomials are polygen monomials
+            cand = {(tuple(map(add, p, q)), v) for p, v in cand for q, _ in monos}
+        cand = sorted(cand)
+        cand_elems = [AlgElem(sig, {m: field.one}) for m in cand]
         unknowns = []  # (a, b, monomial) for v[a][b]
         columns = []  # per unknown: (r, b, monomial) -> coefficient in (u v)[r][b]
         for a in range(k):
             # the products u[r][a] * m do not depend on b: one per (r, a, m)
-            entries = [(r, u_flat.entries.get((idxs[r], idxs[a]))) for r in range(k)]
+            entries = [(r, block[r][a]) for r in range(k)]
             products = [
                 [(r, (e * unit).terms) for r, e in entries if e is not None]
                 for unit in cand_elems

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import random
 
-from .algebra import diff, derivative, is_boundary_up_to
+from .algebra import diff, derivative
 from .field import Field, PrimeField, QQ
 from .jop import JOperator
+from .lift import is_boundary_up_to
 from .module import (
     Differential,
     DOpPair,

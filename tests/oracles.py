@@ -15,14 +15,13 @@ from dgalift.algebra import (
 )
 from dgalift.errors import ExprSyntaxError, NotInvertibleError, SchemaError, VerificationError
 from dgalift.jop import CheckReport, JOperator
-from dgalift.lift import _coefficients, _homotopy_columns
+from dgalift.lift import _coefficients, _homotopy_columns, _trivial_grading
 from dgalift.module import (
     Differential,
     DOpPair,
     FreeModule,
     GradedMap,
     ModuleElement,
-    _invert_flat,
     compose,
     invert_unit,
     left_mult,
@@ -641,7 +640,8 @@ def solve_homotopy_reference(
     at most `bound` in every entry, or on the unknowns of it that `keep`
     holds for (see `homotopy_columns_reference`); no re-check."""
     sig = module.sig
-    unknowns, columns = _homotopy_columns(module, d, h.degree + 1, bound)
+    every = _trivial_grading(module), 0
+    unknowns, columns = _homotopy_columns(module, d, h.degree + 1, bound, every)
     if keep is not None:
         kept = [k for k, (r, c, m) in enumerate(unknowns) if keep(r, c, m)]
         unknowns, columns = [unknowns[k] for k in kept], [columns[k] for k in kept]
@@ -655,6 +655,22 @@ def solve_homotopy_reference(
     return GradedMap(
         module, h.degree + 1, {key: AlgElem(sig, t) for key, t in entries.items()}
     )
+
+
+def is_boundary_reference(elem: AlgElem, poly_bound: int) -> Optional[AlgElem]:
+    """`is_boundary_up_to` as its own system: one unknown per monomial of
+    degree ``deg(elem) + 1`` and polygen degree at most `poly_bound`, with
+    column ``d(m)``; no grading and no re-check."""
+    sig = elem.sig
+    field = sig.field
+    if elem.is_zero():
+        return sig.zero()
+    candidates = component_monomials(sig, elem.degree() + 1, poly_bound)
+    columns = [diff(AlgElem(sig, {m: field.one})).terms for m in candidates]
+    sol = solve_exact(field, columns, elem.terms)
+    if sol is None:
+        return None
+    return AlgElem(sig, {m: c for m, c in zip(candidates, sol) if c != field.zero})
 
 
 # -- the basis change one basis element at a time ------------------------------------
@@ -703,6 +719,50 @@ def basis_change_reference(module: FreeModule, var_name: str, g: GradedMap) -> G
 # -- the lift checks before their matrix forms ---------------------------------------
 
 
+def invert_flat_reference(u_flat: GradedMap) -> GradedMap:
+    """`module._invert_flat` with every monomial of polygen degree up to
+    ``(k - 1) * max_poly`` as a candidate, for ``k`` the largest block of
+    one basis degree and ``max_poly`` the largest polygen degree of an
+    entry."""
+    module = u_flat.module
+    sig = module.sig
+    field = sig.field
+    max_poly = max((v.poly_degree() for v in u_flat.entries.values()), default=0)
+    blocks: dict = {}
+    for i, d in enumerate(module.degrees):
+        blocks.setdefault(d, []).append(i)
+    max_block = max(len(b) for b in blocks.values())
+    bound = max(0, (max_block - 1) * max_poly)
+    cand = component_monomials(sig, 0, bound)
+    cand_elems = [AlgElem(sig, {m: field.one}) for m in cand]
+    one_mono = ((0,) * len(sig.polygens), (0,) * len(sig.variables))
+    inv_entries: dict = {}
+    for idxs in blocks.values():
+        k = len(idxs)
+        unknowns = []
+        columns = []
+        for a in range(k):
+            entries = [(r, u_flat.entries.get((idxs[r], idxs[a]))) for r in range(k)]
+            products = [
+                [(r, (e * unit).terms) for r, e in entries if e is not None]
+                for unit in cand_elems
+            ]
+            for b in range(k):
+                for m, images in zip(cand, products):
+                    unknowns.append((a, b, m))
+                    columns.append(
+                        {(r, b, mono): c for r, terms in images for mono, c in terms.items()}
+                    )
+        rhs = {(a, a, one_mono): field.one for a in range(k)}
+        sol = solve_exact(field, columns, rhs)
+        if sol is None:
+            raise NotInvertibleError("degree-level part of the unit is singular")
+        for (a, b, m), cval in zip(unknowns, sol):
+            if cval != field.zero:
+                inv_entries.setdefault((idxs[a], idxs[b]), {})[m] = cval
+    return GradedMap(module, 0, {key: AlgElem(sig, t) for key, t in inv_entries.items()})
+
+
 def invert_unit_reference(u: GradedMap) -> GradedMap:
     """`invert_unit` with the flat inverse ``v`` always in the products:
     ``u^{-1} = (1 - w + w^2 - ...) v`` with ``w = v u_rest``, one term map
@@ -715,7 +775,7 @@ def invert_unit_reference(u: GradedMap) -> GradedMap:
     flat = {k: x for k, x in u.entries.items() if degs[k[0]] == degs[k[1]]}
     rest = {k: x for k, x in u.entries.items() if degs[k[0]] != degs[k[1]]}
     u_flat = GradedMap(module, 0, flat, check=False)
-    v = one if u_flat == one else _invert_flat(u_flat)
+    v = one if u_flat == one else invert_flat_reference(u_flat)
     w = compose(v, GradedMap(module, 0, rest, check=False))
     total = GradedMap.zero(module, 0)
     power, steps = one, 0

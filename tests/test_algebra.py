@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -14,7 +15,8 @@ from dgalift import (
 )
 from dgalift.algebra import monomial_sort_key
 from dgalift.errors import SchemaError
-from dgalift.randgen import FixturePool
+from dgalift.randgen import FixturePool, rand_elem, rand_homogeneous
+from oracles import is_boundary_reference
 
 
 def test_divided_power_product(S1):
@@ -122,6 +124,34 @@ def test_boundary_not_found(S2, S3):
 
 def test_boundary_zero(S1):
     assert is_boundary_up_to(S1.zero(), 0).is_zero()
+
+
+def test_boundary_rejects_inhomogeneous(S1):
+    with pytest.raises(ValueError):
+        is_boundary_up_to(S1.parse("W1 + a"), 2)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_boundary_search_matches_reference(field):
+    """`is_boundary_up_to`, which is `solve_homotopy` on the free module of
+    rank one, gives the witness of the system over every monomial of the
+    band (`is_boundary_reference`), or None with it: on the differentials
+    of seeded elements, their terms of polygen degree 0-2 mixed, and on
+    seeded homogeneous elements, over every `FixturePool` signature at
+    bounds 0-2."""
+    pool = FixturePool(field)
+    rng = random.Random(101)
+    found = missed = 0
+    for sig in (pool.S3, pool.S1, pool.Sodd3, pool.S2):
+        for _ in range(10):
+            b = rand_elem(sig, rng.randint(1, 4), rng, poly_bound=2, max_terms=4)
+            for elem in (diff(b), rand_homogeneous(sig, rng, 3)):
+                for bound in range(3):
+                    got = is_boundary_up_to(elem, bound)
+                    assert got == is_boundary_reference(elem, bound)
+                    found += got is not None and not elem.is_zero()
+                    missed += got is None
+    assert found > 10 and missed > 10, (found, missed)
 
 
 def _brute_force_monomials(sig, degree, poly_bound):

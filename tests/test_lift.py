@@ -20,6 +20,7 @@ from dgalift.lift import (
     _grading,
     _homotopy_columns,
     _kernel,
+    _trivial_grading,
     _unpack,
     construct_lift_even,
     construct_lift_odd,
@@ -783,7 +784,8 @@ def test_homotopy_columns_match_bracket_diff(field):
         not_square_zero += not d.square_zero
         for h_degree in range(-3, 2):
             for bound in range(3):
-                unknowns, columns = _homotopy_columns(mod, d, h_degree + 1, bound)
+                every = _trivial_grading(mod), 0
+                unknowns, columns = _homotopy_columns(mod, d, h_degree + 1, bound, every)
                 want = _homotopy_columns_by_bracket(mod, d, h_degree + 1, bound)
                 assert unknowns == want[0]
                 for col, want_col in zip(columns, want[1]):
@@ -798,33 +800,34 @@ def test_homotopy_columns_match_element_reference(field):
     unknowns and columns of `homotopy_columns_reference`, which takes them
     on elements: equal lists, and each column with the same items in the
     same order.  The instances of the ``bracket_diff`` test, on the full
-    system and, where `_grading` grades the input, on the blocks of the
-    first four classes the unknowns have (the reference enumerates every
-    band whole and keeps the unknowns of the block's class)."""
+    system (the trivial grading) and, where `_grading` finds a finer one,
+    on the blocks of the first four classes the unknowns have (the
+    reference enumerates every band whole and keeps the unknowns of the
+    block's class)."""
     compared = blocks = 0
     for mod, d in _column_cases(field):
+        trivial = _trivial_grading(mod)
         for h_degree in range(-3, 2):
             for bound in range(3):
                 degree = h_degree + 1
-                shapes = [None]
+                shapes = [(trivial, 0)]
                 grading = _grading(mod, d, GradedMap.zero(mod, h_degree), bound)
-                if grading is not None:
-                    full = _homotopy_columns(mod, d, degree, bound)[0]
+                if grading != trivial:
+                    full = _homotopy_columns(mod, d, degree, bound, (trivial, 0))[0]
                     basis = grading.basis
                     classes = {basis[r] + grading.weight(m) - basis[c] for r, c, m in full}
                     shapes += [(grading, w) for w in sorted(classes)[:4]]
                 for block in shapes:
                     unknowns, columns = _homotopy_columns(mod, d, degree, bound, block)
-                    keep = block and block_filter(block)
                     want_unknowns, want_columns = homotopy_columns_reference(
-                        mod, d, degree, bound, keep
+                        mod, d, degree, bound, block_filter(block)
                     )
                     assert unknowns == want_unknowns
                     assert [list(col.items()) for col in columns] == [
                         list(col.items()) for col in want_columns
                     ]
                     compared += sum(1 for col in columns if col)
-                    blocks += block is not None and bool(columns)
+                    blocks += block[0] != trivial and bool(columns)
     assert compared > 1000 and blocks > 0
 
 
@@ -895,7 +898,7 @@ def test_weight_block_search_matches_full_search(field):
     block, a kernel vector that misses a conflict."""
     pool = FixturePool(field)
     rng = random.Random(53)
-    kinds = {"all-ones": 0, "finer only": 0, "none": 0}
+    kinds = {"all-ones": 0, "finer only": 0, "trivial": 0}
     found = 0
     for mod, d in _grading_cases(pool, rng):
         var = mod.sig.top_variable.name
@@ -903,7 +906,8 @@ def test_weight_block_search_matches_full_search(field):
         if weights_reference(mod, d) is not None:
             kinds["all-ones"] += 1
         else:
-            kinds["finer only" if _grading(mod, d, h, 0) is not None else "none"] += 1
+            trivial = _grading(mod, d, h, 0) == _trivial_grading(mod)
+            kinds["trivial" if trivial else "finer only"] += 1
         mixed = h + bracket_diff(d, rand_map(mod, h.degree + 1, rng))
         for target, bound in itertools.product((h, mixed), range(4)):
             got = solve_homotopy(mod, d, target, bound)
@@ -976,9 +980,9 @@ def test_grading_makes_every_term_homogeneous(field):
     """Under `_grading`, every term of ``D`` has class 0 as a map and every
     term of each ``dX`` the class of ``X``; where the all-ones grading holds
     (`weights_reference`), coordinate 0 gives its basis and variable
-    weights, and `_grading` finds a grading wherever it does.  On
-    `_grading_cases`, `_column_cases` (some not square-zero) and Koszul
-    rungs shaped as the benchmark's."""
+    weights, and `_grading` finds a grading other than the trivial one
+    wherever it does.  On `_grading_cases`, `_column_cases` (some not
+    square-zero) and Koszul rungs shaped as the benchmark's."""
     pool = FixturePool(field)
     rng = random.Random(59)
     cases = _grading_cases(pool, rng) + _column_cases(field)
@@ -1000,10 +1004,7 @@ def test_grading_makes_every_term_homogeneous(field):
     for mod, d in cases:
         grading = _grading(mod, d, GradedMap.zero(mod, -1), 2)
         reference = weights_reference(mod, d)
-        if grading is None:
-            assert reference is None
-            continue
-        graded += 1
+        graded += grading != _trivial_grading(mod)
         for (r, c), e in d.matrix.entries.items():
             for m in e.terms:
                 assert grading.basis[r] + grading.weight(m) - grading.basis[c] == 0
@@ -1047,7 +1048,7 @@ def test_finest_grading_separates_what_no_conflict_joins(monkeypatch):
     assert not h.is_zero() and weights_reference(mod, d) is None
     for bound in range(4):
         got = solve_homotopy(mod, d, h, bound)
-        full = len(_homotopy_columns(mod, d, h.degree + 1, bound)[0])
+        full = len(_homotopy_columns(mod, d, h.degree + 1, bound, (_trivial_grading(mod), 0))[0])
         assert 0 < sizes[-1][0] < full
         assert matrix_to_doc(got) == matrix_to_doc(solve_homotopy_reference(mod, d, h, bound))
 
@@ -1083,7 +1084,7 @@ def test_finest_grading_separates_what_no_conflict_joins(monkeypatch):
     mod, d = pool.N3, pool.d3
     u = GradedMap.identity(mod) + GradedMap(mod, 0, {(0, 1): pool.S3.parse("a*X")})
     d = d.conjugate(u, invert_unit(u))
-    assert _grading(mod, d, obstruction(mod, d, "X"), 0) is None
+    assert _grading(mod, d, obstruction(mod, d, "X"), 0) == _trivial_grading(mod)
 
 
 def test_kernel_of_integer_rows():
@@ -1173,15 +1174,30 @@ def test_bench_rungs_solve_the_finest_block(monkeypatch):
     }
 
 
-def test_homogeneous_search_costs_the_same_at_any_bound(N3):
+def test_homogeneous_search_costs_the_same_at_any_bound(N3, monkeypatch):
     """The README example needs polygen degree 0; its weight block is the
-    same at bound 10**6, where the full system would be out of reach."""
+    same at bound 10**6, where the full system would be out of reach.  So
+    are the blocks of the `decide-large` rungs of seed 0, over three to five
+    polygens, where the all-ones weight picks the polygen degree of each
+    band and the finer classes filter it: the same certificate (None on
+    the misses) and the same solver sizes as at each rung's bound, each in
+    under a second."""
     mod, d = N3
     start = time.perf_counter()
     far = decide_naive_lift(mod, d, "X", 10**6)
     assert time.perf_counter() - start < 1.0
     assert far.bound == 10**6
     assert far.certificate == decide_naive_lift(mod, d, "X", 0).certificate
+
+    sizes = _solver_sizes(monkeypatch)
+    for name, mod, d, bound in _bench_rungs(0):
+        near = decide_naive_lift(mod, d, "X", bound).certificate
+        start = time.perf_counter()
+        far = decide_naive_lift(mod, d, "X", 10**6).certificate
+        assert time.perf_counter() - start < 1.0, name
+        assert sizes[-1] == sizes[-2], name
+        assert (far is None) == name.endswith("-miss")
+        assert far == near, name
 
 
 def _pool_lifts(field, rng):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from dgalift.module import (
     compose,
     direct_sum,
     dop_normalize,
+    _invert_flat,
     invert_unit,
     left_mult,
     sharp_map,
@@ -23,7 +25,7 @@ from dgalift.module import (
     twofold_extension,
 )
 from dgalift.randgen import FixturePool, rand_diff, rand_map, rand_unit
-from oracles import idempotent, is_scalar_cycle, unit_elementary
+from oracles import idempotent, invert_flat_reference, is_scalar_cycle, koszul, unit_elementary
 
 
 def test_apply_map_identity(S1):
@@ -175,6 +177,65 @@ def test_invert_unit_rejects_singular(N3):
     )
     with pytest.raises(NotInvertibleError):
         invert_unit(u)  # 1 + a is not invertible in a polynomial ring
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_invert_flat_matches_reference(field):
+    """`_invert_flat`, whose candidates are the products of ``k - 1``
+    monomials of a degree block's entries, gives the inverse that the
+    search over every monomial up to ``(k - 1) * max_poly`` gives
+    (`invert_flat_reference`), or refuses with it: on the flat parts of
+    products of one to three non-strict `rand_unit`s, scaled by nonzero
+    constants on the diagonal, and on each with ``a`` added at one
+    diagonal entry, on modules with degree blocks of one to three basis
+    elements."""
+    pool = FixturePool(field)
+    rng = random.Random(97)
+    nonzero = [x for x in map(field.of_int, (1, 2, 3, 4)) if x != field.zero]
+    modules = [
+        FreeModule(pool.S2, [("e0", 0), ("e1", 0), ("e2", 0), ("f0", 1), ("f1", 1)]),
+        FreeModule(pool.S1, [("e0", 0), ("e1", 0), ("f0", 2), ("f1", 2), ("f2", 2)]),
+        pool.NK,
+        pool.N3,
+    ]
+    seen = {"inverted": 0, "singular": 0, "polygen entries": 0}
+    for mod in modules:
+        sig = mod.sig
+        degs = mod.degrees
+        for _ in range(6):
+            u = GradedMap.identity(mod)
+            for _ in range(rng.randint(1, 3)):
+                u = compose(u, rand_unit(mod, rng, poly_bound=2, strict_raising=False))
+            scale = {(i, i): sig.scalar(rng.choice(nonzero)) for i in range(mod.rank)}
+            u = compose(GradedMap(mod, 0, scale), u)
+            flat = {k: v for k, v in u.entries.items() if degs[k[0]] == degs[k[1]]}
+            f = GradedMap(mod, 0, flat)
+            r = rng.randrange(mod.rank)
+            bent = f + GradedMap(mod, 0, {(r, r): sig.parse("a")})
+            seen["polygen entries"] += any(v.poly_degree() for v in flat.values())
+            for g in (f, bent):
+                try:
+                    want = invert_flat_reference(g)
+                except NotInvertibleError:
+                    with pytest.raises(NotInvertibleError):
+                        _invert_flat(g)
+                    seen["singular"] += 1
+                    continue
+                assert _invert_flat(g) == want
+                seen["inverted"] += 1
+    assert all(seen.values()), seen
+
+
+def test_invert_flat_of_a_high_degree_entry_is_quick(S1):
+    """``1 + a^400 E_12`` on ``K(a^1000, b^600)``: the inverse
+    ``1 - a^400 E_12`` takes two candidates per block, where every monomial
+    up to polygen degree 400 would be 80 601."""
+    mod, _ = koszul(S1, [S1.parse("a^1000"), S1.parse("b^600")])
+    e12 = GradedMap(mod, 0, {(1, 2): S1.parse("a^400")})
+    start = time.perf_counter()
+    got = invert_unit(GradedMap.identity(mod) + e12)
+    assert time.perf_counter() - start < 1.0
+    assert got == GradedMap.identity(mod) - e12
 
 
 def test_is_scalar_cycle(N3):
