@@ -33,8 +33,9 @@ have degree 0, commute with everything and are cycles, so
 tables keyed by variable exponent vectors only (``_var_products``,
 ``_var_diffs``; at most 191 entries per signature over an `identities`
 benchmark batch).  It memoises each band of `component_monomials`, whole
-or the part of one weight (polygens weigh 1, variables ``var_weights``),
-as a tuple in ``_bands``, keyed by degree, polygen bound and weight.
+or the part of one weight (polygens weigh 1, variables what the caller
+supplies), as a tuple in ``_bands``, keyed by degree, polygen bound and
+weight.
 Memos keyed by whole monomials were tried and dropped: they raised the
 peak RSS of that benchmark from 23.3 to 29.7 MB (pair products) and from
 23.7 to 25.9 MB (``d(m)``), for a bound of 10%.
@@ -46,7 +47,6 @@ only gain entries, and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import add, mul
 from typing import Iterable, Iterator, Optional
 
@@ -141,10 +141,7 @@ class Signature:
         return all(v.diff.is_zero() for v in self.variables)
 
     def var(self, name: str) -> Variable:
-        try:
-            return self.variables[self._var_index[name]]
-        except KeyError:
-            raise SchemaError(f"unknown adjoined variable {name!r}") from None
+        return self.variables[self.var_pos(name)]
 
     def var_pos(self, name: str) -> int:
         try:
@@ -160,23 +157,6 @@ class Signature:
 
     def is_top(self, name: str) -> bool:
         return bool(self.variables) and self.variables[-1].name == name
-
-    @cached_property
-    def var_weights(self) -> Optional[tuple]:
-        """The weights of the adjoined variables when every polygen weighs 1.
-
-        A variable weighs what each term of its differential weighs, and 0
-        when its differential is zero; the differential then preserves
-        weight.  None when some differential has terms of two weights.
-        """
-        weights: list = []
-        for var in self.variables:
-            # a differential only mentions earlier variables: zip stops there
-            found = {sum(p) + sum(map(mul, v, weights)) for p, v in var.diff.terms}
-            if len(found) > 1:
-                return None
-            weights.append(found.pop() if found else 0)
-        return tuple(weights)
 
     def monomial_degree(self, m: Monomial) -> int:
         v = m[1]
@@ -606,12 +586,12 @@ def _var_tuples(sig: Signature, target: int) -> Iterator[tuple]:
 
 
 def component_monomials(
-    sig: Signature, degree: int, poly_bound: int, weight: Optional[int] = None
+    sig: Signature, degree: int, poly_bound: int, weight: Optional[tuple] = None
 ) -> tuple:
     """All monomials of the given total degree with total polygen exponent
-    at most `poly_bound`, in the documented order; with a `weight`, only
-    those of that weight: polygen degree plus the ``sig.var_weights`` of the
-    variable factors.
+    at most `poly_bound`, in the documented order; with a `weight`
+    ``(n, var)``, only those of weight ``n``: polygen degree plus ``var[i]``
+    times the exponent of the ``i``-th variable.
 
     The weight fixes the polygen degree that goes with each variable part,
     so only those polygen exponents are enumerated, whatever the bound.
@@ -628,7 +608,7 @@ def component_monomials(
             if weight is None:
                 totals = range(poly_bound + 1)
             else:
-                n = weight - sum(map(mul, v, sig.var_weights))
+                n = weight[0] - sum(map(mul, v, weight[1]))
                 totals = (n,) if 0 <= n <= poly_bound else ()
             out += [(p, v) for n in totals for p in _poly_tuples(len(sig.polygens), n)]
         out.sort(key=lambda m: monomial_sort_key(sig, m))

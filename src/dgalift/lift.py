@@ -13,19 +13,21 @@ explicit bound.  Certificates are exact and re-verified; a miss is only
 conclusive up to the bound.
 
 Polygens are degree-0 cycles, so a second grading can split the search.
-`_grading` finds the finest one by integer polygen weights: polygens
-start as unit vectors, each variable weighs what its differential
-weighs, and the weights are propagated along the terms of ``D``; every
-mismatch is a conflict, and the polygen weights are then taken in the
-kernel of the conflicts.  Every term of ``D`` then has class 0 as a map,
-``[d, -]`` preserves class, and only the unknowns of the class of
-``j(d)`` can carry the certificate.  `solve_homotopy` assembles and
-solves that one block and gets the certificate of the full system bit
-for bit.  Where the all-ones grading (every polygen weighs 1) holds as
-well, the weight fixes the polygen degree of each unknown, so a bound
-past it costs nothing.  Without conflict-free weights the grading is the
-trivial one, of one class; `is_boundary_up_to` is the same search on the
-free module of rank one.
+`_grading` finds the finest one in which ``D`` and the target ``h`` are
+homogeneous, by integer polygen weights: polygens start as unit vectors,
+each variable weighs what its differential weighs, and the weights are
+propagated along the terms of ``D``; every mismatch is a conflict, as is
+every difference between the classes of the terms of ``h``, and the
+polygen weights are then taken in the kernel of the conflicts.  Every
+term of ``D`` then has class 0 as a map, every term of ``h`` one class
+``w``, ``[d, -]`` preserves class, and only the unknowns of class ``w``
+can carry the certificate.  `solve_homotopy` assembles and solves that
+one block and gets the certificate of the full system bit for bit.
+Where the all-ones grading (every polygen weighs 1) holds as well, the
+weight fixes the polygen degree of each unknown, so a bound past it
+costs nothing.  Without conflict-free weights the grading is the trivial
+one, of one class; `is_boundary_up_to` is the same search on the free
+module of rank one.
 
 The construction half is deterministic once a certificate exists.  One
 closed form, `_basis_change`, gives the basis change of both parities:
@@ -135,9 +137,10 @@ def _coefficients(f: GradedMap) -> dict:
     return {(key, m): c for key, e in f.entries.items() for m, c in e.terms.items()}
 
 
-def _propagate(module: FreeModule, d: Differential, poly: list):
+def _propagate(module: FreeModule, d: Differential, h: GradedMap, poly: list):
     """Weights from the polygen weights `poly`, one int each: those of the
-    variables, those of the basis elements, and the conflicts met.
+    variables, those of the basis elements, the conflicts met and the
+    class of ``h``.
 
     A variable weighs what the first term of its differential weighs (0
     for a zero differential).  Each term ``t`` of an entry ``D[a, b]`` asks
@@ -145,8 +148,12 @@ def _propagate(module: FreeModule, d: Differential, poly: list):
     these terms from weight 0 at the first basis element of each connected
     component, one free offset per component.  Where a term of a variable
     differential or of ``D`` asks for another weight than the one set, the
-    difference is a conflict: the grading holds once it weighs 0.  The
-    conflicts come as absolute values, so each counts once up to sign.
+    difference is a conflict: the grading holds once it weighs 0.  Each
+    term ``m E_rc`` of ``h`` then has the class ``w(e_r) + w(m) - w(e_c)``;
+    the class returned is the least of them (0 for a zero ``h``), and the
+    differences from it are conflicts too, so that ``h`` has one class
+    once they weigh 0.  The conflicts come as absolute values, so each
+    counts once up to sign.
     """
     var: list = []
     conflicts: set = set()
@@ -179,8 +186,15 @@ def _propagate(module: FreeModule, d: Differential, poly: list):
                     todo.append(b)
                 elif basis[b] != want:
                     conflicts.add(abs(basis[b] - want))
+    classes = {
+        basis[r] + sum(map(mul, m[0], poly)) + sum(map(mul, m[1], var)) - basis[c]
+        for (r, c), e in h.entries.items()
+        for m in e.terms
+    }
+    w = min(classes, default=0)
+    conflicts.update(x - w for x in classes)
     conflicts.discard(0)
-    return basis, var, conflicts
+    return basis, var, conflicts, w
 
 
 def _cancel(row: list, pivot: list, col: int) -> list:
@@ -246,11 +260,10 @@ class _Grading:
     classes add as ints.  A monomial has class `weight`, and a term
     ``m E_rc`` of a map the class ``basis[r] + weight(m) - basis[c]``;
     every term of ``D`` has class 0 and every term of each ``dX`` the
-    class of ``X``, so ``[d, -]`` preserves class.  When `ones` is true,
-    coordinate 0 of every class is its all-ones weight (polygens weigh 1,
-    variables ``sig.var_weights``).  The trivial grading
-    (`_trivial_grading`) weighs everything 0: one class holds every
-    monomial.
+    class of ``X``, so ``[d, -]`` preserves class.  When `ones` is not
+    None, coordinate 0 of every class is its all-ones weight: polygens
+    weigh 1 and the variables `ones`, coordinate 0 of `var`.  The
+    trivial grading weighs everything 0: one class holds every monomial.
     """
 
     sig: object
@@ -258,7 +271,7 @@ class _Grading:
     poly: list
     var: list
     bits: int
-    ones: bool
+    ones: Optional[tuple]
 
     def weight(self, m) -> int:
         return sum(map(mul, m[0], self.poly)) + sum(map(mul, m[1], self.var))
@@ -268,31 +281,27 @@ class _Grading:
         degree at most `bound`.  With `ones`, `component_monomials`
         enumerates only those of the all-ones weight of `cls`, whatever the
         bound; the rest of the class is a filter."""
-        weight = _unpack(cls, self.bits, 1)[0] if self.ones else None
+        weight = None if self.ones is None else (_unpack(cls, self.bits, 1)[0], self.ones)
         band = component_monomials(self.sig, degree, bound, weight)
         return [m for m in band if self.weight(m) == cls]
 
 
-def _trivial_grading(module: FreeModule) -> _Grading:
-    """The grading with every weight 0, which every differential has."""
-    sig = module.sig
-    return _Grading(
-        sig, [0] * module.rank, [0] * len(sig.polygens), [0] * len(sig.variables), 1, False
-    )
-
-
-def _grading(module: FreeModule, d: Differential, h: GradedMap, bound: int) -> _Grading:
-    """The finest grading of ``d``; `_trivial_grading` when no other holds.
+def _grading(module: FreeModule, d: Differential, h: GradedMap, bound: int) -> tuple:
+    """The block ``(grading, w)`` that can hold a solution of
+    ``[d, gamma] = h``: the finest grading in which ``D`` and ``h`` are
+    homogeneous, and the class ``w`` of ``h`` (0 when ``h`` is zero).
 
     `_propagate` starts from polygen weights whose coordinate 0 is 1 and
     whose other coordinates make unit vectors, and collects the
-    conflicts.  Without any, that is the grading.  Otherwise the polygen
-    weights are the integer vectors in the kernel of the conflicts
-    (`_kernel`), after the all-ones vector when every conflict sums to 0,
-    and a second propagation with them meets no conflict.  Either way two
-    monomials get the same class exactly when their weight vectors (the
-    polygen exponents plus the variables' vectors) differ by a rational
-    combination of the conflicts.
+    conflicts of ``D`` and of the classes of ``h``.  Without any, that is
+    the grading.  Otherwise the polygen weights are the integer vectors in
+    the kernel of the conflicts (`_kernel`), after the all-ones vector
+    when every conflict sums to 0, and a second propagation with them
+    meets no conflict; an empty kernel weighs every polygen 0, which is
+    the trivial grading.  Either way two monomials get the same class
+    exactly when their weight vectors (the polygen exponents plus the
+    variables' vectors) differ by a rational combination of the
+    conflicts.
 
     The packing is injective on every vector the search compares:
     `bits` bounds each coordinate by the L1 sizes of the terms of ``D``
@@ -301,8 +310,6 @@ def _grading(module: FreeModule, d: Differential, h: GradedMap, bound: int) -> _
     """
     sig = module.sig
     n = len(sig.polygens)
-    if n == 0:
-        return _trivial_grading(module)
     norms: list = []  # an L1 bound on each variable's weight vector
     for v in sig.variables:
         norms.append(max((sum(p) + sum(map(mul, e, norms)) for p, e in v.diff.terms), default=0))
@@ -316,20 +323,20 @@ def _grading(module: FreeModule, d: Differential, h: GradedMap, bound: int) -> _
     )
     bits = (reach + 1).bit_length() + 1
     poly = [1 + (1 << bits * (i + 1)) for i in range(n)]
-    basis, var, conflicts = _propagate(module, d, poly)
-    if not conflicts:
-        return _Grading(sig, basis, poly, var, bits, True)
-    rows = [_unpack(x, bits, n + 1) for x in sorted(conflicts)]
-    coords = _kernel([row[1:] for row in rows], n)
-    ones = all(row[0] == 0 for row in rows)
-    if ones:  # coordinate 0 is the all-ones weight
-        coords = [[1] * n] + coords
-    if not coords:
-        return _trivial_grading(module)
-    bits = ((reach + 1) * max(abs(x) for v in coords for x in v)).bit_length() + 1
-    poly = [sum(v[i] << bits * j for j, v in enumerate(coords)) for i in range(n)]
-    basis, var, _ = _propagate(module, d, poly)
-    return _Grading(sig, basis, poly, var, bits, ones)
+    basis, var, conflicts, w = _propagate(module, d, h, poly)
+    ones = True
+    if conflicts:
+        rows = [_unpack(x, bits, n + 1) for x in sorted(conflicts)]
+        coords = _kernel([row[1:] for row in rows], n)
+        ones = all(row[0] == 0 for row in rows)
+        if ones:  # coordinate 0 is the all-ones weight
+            coords = [[1] * n] + coords
+        scale = max((abs(x) for v in coords for x in v), default=0)
+        bits = ((reach + 1) * scale).bit_length() + 1
+        poly = [sum(v[i] << bits * j for j, v in enumerate(coords)) for i in range(n)]
+        basis, var, _, w = _propagate(module, d, h, poly)
+    var_ones = tuple(_unpack(x, bits, 1)[0] for x in var) if ones else None
+    return _Grading(sig, basis, poly, var, bits, var_ones), w
 
 
 def _homotopy_columns(
@@ -337,7 +344,8 @@ def _homotopy_columns(
 ):
     """The unknowns ``(r, c, m)`` of ``[d, gamma]`` in one block
     ``(grading, w)`` for a degree-``degree`` ``gamma``, and the
-    coefficients of each unknown's image.
+    coefficients of each unknown's image.  `_grading` gives the block of a
+    target; any class of any grading of ``D`` is a block.
 
     The unknowns at ``(r, c)`` are the monomials of polygen degree at most
     `bound` in the band of that entry that have class ``w`` as maps: the
@@ -432,34 +440,25 @@ def solve_homotopy(
     returned and re-verified by ``[d, gamma] = h``.  None means no
     certificate exists within the bound.
 
-    Only the unknowns of one class of the grading `_grading` finds enter
-    the system: the class ``w(h)`` of every term of ``h`` as a map, or the
-    one class of the trivial grading when ``h`` has terms of two classes.
-    ``[d, -]`` preserves every grading, so the columns of each class touch
-    only rows of that class, and the right-hand side lies in the rows of
-    class ``w(h)``.  The solution with every free unknown zero, whose
-    pivots the column order fixes, is therefore zero off the block and on
-    it equals the block system's solution: the certificate is the one the
-    system of every unknown gives.  Where the all-ones grading holds, its
-    weight is a coordinate of the class and `component_monomials`
-    enumerates each band at that weight, so a search costs the same at any
-    bound past the polygen degree its block needs; otherwise each band is
-    enumerated up to the bound and filtered by class.
+    Only the unknowns of the block `_grading` returns enter the system:
+    the class ``w`` of every term of ``h`` as a map, in the finest grading
+    of ``D`` and ``h``.  ``[d, -]`` preserves every grading, so the columns
+    of each class touch only rows of that class, and the right-hand side
+    lies in the rows of class ``w``.  The solution with every free unknown
+    zero, whose pivots the column order fixes, is therefore zero off the
+    block and on it equals the block system's solution: the certificate
+    is the one the system of every unknown gives.  Where the all-ones
+    grading holds, its weight is a coordinate of the class and
+    `component_monomials` enumerates each band at that weight, so a search
+    costs the same at any bound past the polygen degree its block needs;
+    otherwise each band is enumerated up to the bound and filtered by
+    class.
     """
     if d.module != module or h.module != module:
         raise SchemaError("differential and target must act on the given module")
     field = module.sig.field
     gamma_degree = h.degree + 1
-    grading = _grading(module, d, h, bound)
-    found = {
-        grading.basis[r] + grading.weight(m) - grading.basis[c]
-        for (r, c), e in h.entries.items()
-        for m in e.terms
-    }
-    if len(found) > 1:
-        grading, found = _trivial_grading(module), set()
-    # the trivial grading's one class is 0; a zero h takes any block, as its solution is zero
-    block = grading, found.pop() if found else 0
+    block = _grading(module, d, h, bound)
     unknowns, columns = _homotopy_columns(module, d, gamma_degree, bound, block)
     sol = solve_exact(field, columns, _coefficients(h))
     if sol is None:
@@ -478,8 +477,11 @@ def is_boundary_up_to(elem: AlgElem, poly_bound: int) -> Optional[AlgElem]:
     """Search for b with diff(b) == elem among elements supported on
     monomials of degree ``deg(elem) + 1`` and polygen degree <= poly_bound:
     `solve_homotopy` for ``[d, b] = d(b)`` on the free module of rank one
-    with zero differential.  Returns a witness `AlgElem` (re-verified
-    exactly) or None.  None is conclusive only up to the bound.
+    with zero differential.  There the variable differentials and the
+    terms of ``elem`` set the grading, and the unknowns are the monomials
+    of the band in the class of ``elem``.  Returns a witness `AlgElem`
+    (re-verified exactly) or None.  None is conclusive only up to the
+    bound.
     """
     if elem.is_zero():
         return elem.sig.zero()

@@ -15,7 +15,14 @@ from dgalift.algebra import (
 )
 from dgalift.errors import ExprSyntaxError, NotInvertibleError, SchemaError, VerificationError
 from dgalift.jop import CheckReport, JOperator
-from dgalift.lift import _coefficients, _homotopy_columns, _trivial_grading
+from dgalift.lift import (
+    _coefficients,
+    _Grading,
+    _homotopy_columns,
+    _kernel,
+    _propagate,
+    _unpack,
+)
 from dgalift.module import (
     Differential,
     DOpPair,
@@ -199,16 +206,34 @@ def monomial_sort_key_reference(sig, m):
     return (sum(p), poly_word, len(var_word), var_word)
 
 
-def monomial_weight(sig: Signature, m) -> int:
-    """Total polygen exponent plus the weights of the variable factors;
-    needs ``sig.var_weights``."""
-    return sum(m[0]) + sum(map(mul, m[1], sig.var_weights))
+def var_weights_reference(sig: Signature) -> Optional[tuple]:
+    """The weights of the adjoined variables when every polygen weighs 1.
+
+    A variable weighs what each term of its differential weighs, and 0
+    when its differential is zero; the differential then preserves
+    weight.  None when some differential has terms of two weights.
+    """
+    weights: list = []
+    for var in sig.variables:
+        # a differential only mentions earlier variables: zip stops there
+        found = {sum(p) + sum(map(mul, v, weights)) for p, v in var.diff.terms}
+        if len(found) > 1:
+            return None
+        weights.append(found.pop() if found else 0)
+    return tuple(weights)
+
+
+def monomial_weight(var: tuple, m) -> int:
+    """Total polygen exponent plus the exponent of each variable times its
+    weight in `var`."""
+    return sum(m[0]) + sum(map(mul, m[1], var))
 
 
 def component_monomials_reference(sig, degree: int, poly_bound: int, weight=None) -> list:
     """The band found by trying every exponent tuple in a box, kept when its
-    degree, polygen degree and weight (when given) fit, and sorted afresh,
-    by the word order, on every call."""
+    degree, polygen degree and weight ``(n, var)`` (when given: its
+    `monomial_weight` under ``var`` is ``n``) fit, and sorted afresh, by
+    the word order, on every call."""
     if degree < 0 or poly_bound < 0:
         return []
     var_ranges = [range(2 if var.odd else degree // var.degree + 1) for var in sig.variables]
@@ -220,7 +245,8 @@ def component_monomials_reference(sig, degree: int, poly_bound: int, weight=None
         for p in polys
     ]
     if weight is not None:
-        out = [m for m in out if monomial_weight(sig, m) == weight]
+        n, var = weight
+        out = [m for m in out if monomial_weight(var, m) == n]
     out.sort(key=lambda m: monomial_sort_key_reference(sig, m))
     return out
 
@@ -476,7 +502,7 @@ def homotopy_columns_reference(
     ``D[a, r] * m``, ``m * D[c, b]`` negated as an element, and ``d(m)`` and
     ``-d(m)`` as elements.  Each band is enumerated whole, up to `bound`,
     and an unknown ``(r, c, m)`` enters when ``keep(r, c, m)`` holds (every
-    unknown without `keep`): for the block of a `_grading` the same
+    unknown without `keep`): for a block of `_homotopy_columns` the same
     unknowns, order and coefficients."""
     sig = module.sig
     field = sig.field
@@ -573,23 +599,76 @@ def solve_exact_reference(field, columns: list, rhs: dict) -> Optional[list]:
 # -- the homotopy search before the finest grading -----------------------------------
 
 
+def trivial_grading(module: FreeModule) -> _Grading:
+    """The grading with every weight 0, which every differential has: its
+    one class 0 holds every monomial."""
+    sig = module.sig
+    return _Grading(
+        sig, [0] * module.rank, [0] * len(sig.polygens), [0] * len(sig.variables), 1, None
+    )
+
+
+def grading_reference(module: FreeModule, d: Differential, h: GradedMap, bound: int) -> tuple:
+    """The block ``(grading, w)`` that `solve_homotopy` solved before the
+    classes of the target joined the conflicts: the finest grading of
+    ``D`` alone, by the same propagation and kernel as `lift._grading`, and
+    the class of ``h`` in it, or the trivial grading's one class when
+    ``h`` has terms of two classes (0 as well for a zero ``h``)."""
+    sig = module.sig
+    n = len(sig.polygens)
+    if n == 0:
+        return trivial_grading(module), 0
+    norms: list = []
+    for v in sig.variables:
+        norms.append(max((sum(p) + sum(map(mul, e, norms)) for p, e in v.diff.terms), default=0))
+    terms = [m for f in (d.matrix, h) for x in f.entries.values() for m in x.terms]
+    top = max((sum(p) + sum(map(mul, e, norms)) for p, e in set(terms)), default=0)
+    reach = max(
+        4 * (len(terms) + 1) * max(top, *norms, 0),
+        bound + max(module.spread() + h.degree + 1, 0) * max(norms, default=0),
+    )
+    zero = GradedMap.zero(module, h.degree)
+    bits = (reach + 1).bit_length() + 1
+    poly = [1 + (1 << bits * (i + 1)) for i in range(n)]
+    basis, var, conflicts, _ = _propagate(module, d, zero, poly)
+    ones = True
+    if conflicts:
+        rows = [_unpack(x, bits, n + 1) for x in sorted(conflicts)]
+        coords = _kernel([row[1:] for row in rows], n)
+        ones = all(row[0] == 0 for row in rows)
+        if ones:
+            coords = [[1] * n] + coords
+        if not coords:
+            return trivial_grading(module), 0
+        bits = ((reach + 1) * max(abs(x) for v in coords for x in v)).bit_length() + 1
+        poly = [sum(v[i] << bits * j for j, v in enumerate(coords)) for i in range(n)]
+        basis, var, _, _ = _propagate(module, d, zero, poly)
+    grading = _Grading(sig, basis, poly, var, bits, var_weights_reference(sig) if ones else None)
+    found = {
+        basis[r] + grading.weight(m) - basis[c] for (r, c), e in h.entries.items() for m in e.terms
+    }
+    if len(found) > 1:
+        return trivial_grading(module), 0
+    return grading, found.pop() if found else 0
+
+
 def weights_reference(module: FreeModule, d: Differential) -> Optional[list]:
     """Basis weights that make every term of ``D`` weigh 0 as a map when
     every polygen weighs 1, or None: the all-ones grading.
 
-    Variables weigh ``sig.var_weights``.  Each term ``t`` of an entry
+    Variables weigh `var_weights_reference`.  Each term ``t`` of an entry
     ``D[a, b]`` asks for ``w(e_b) = w(e_a) + w(t)``; the weights are
     propagated along these terms from weight 0 at the first basis element
     of each connected component, one free offset per component.  None
     when a variable differential or an entry of ``D`` has no single
     weight, or when two terms ask for different weights.
     """
-    sig = module.sig
-    if sig.var_weights is None:
+    var = var_weights_reference(module.sig)
+    if var is None:
         return None
     links: list = [[] for _ in range(module.rank)]
     for (a, b), e in d.matrix.entries.items():
-        found = {monomial_weight(sig, m) for m in e.terms}
+        found = {monomial_weight(var, m) for m in e.terms}
         if len(found) > 1:
             return None
         for w in found:
@@ -621,16 +700,16 @@ def ones_filter(module: FreeModule, d: Differential, h: GradedMap):
     weights = weights_reference(module, d)
     if weights is None:
         return None
-    sig = module.sig
+    var = var_weights_reference(module.sig)
     found = {
-        weights[r] + monomial_weight(sig, m) - weights[c]
+        weights[r] + monomial_weight(var, m) - weights[c]
         for (r, c), e in h.entries.items()
         for m in e.terms
     }
     if len(found) > 1:
         return None
     w = found.pop() if found else 0
-    return lambda r, c, m: weights[r] + monomial_weight(sig, m) - weights[c] == w
+    return lambda r, c, m: weights[r] + monomial_weight(var, m) - weights[c] == w
 
 
 def solve_homotopy_reference(
@@ -640,7 +719,7 @@ def solve_homotopy_reference(
     at most `bound` in every entry, or on the unknowns of it that `keep`
     holds for (see `homotopy_columns_reference`); no re-check."""
     sig = module.sig
-    every = _trivial_grading(module), 0
+    every = trivial_grading(module), 0
     unknowns, columns = _homotopy_columns(module, d, h.degree + 1, bound, every)
     if keep is not None:
         kept = [k for k, (r, c, m) in enumerate(unknowns) if keep(r, c, m)]

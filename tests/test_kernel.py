@@ -24,6 +24,7 @@ from oracles import (
     monomial_sort_key_reference,
     mul_into_reference,
     mul_reference,
+    var_weights_reference,
 )
 from test_cli_fuzz import CAP_S, _time_cap
 
@@ -189,19 +190,23 @@ def test_sort_key_matches_word_order(field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_weight_bands_filter_the_bands(field):
-    """`component_monomials` with a weight enumerates exactly the monomials
-    of that weight of a band, in band order, and memoises them per
-    signature apart from the whole band."""
+    """`component_monomials` with a weight ``(n, var)`` enumerates exactly
+    the monomials of weight ``n`` of a band under the variable weights
+    ``var``, in band order, and memoises them per signature apart from the
+    whole band: under each signature's all-ones weights and under
+    variable weights of 0 and 1."""
     for sig in _signatures(_POOLS[field.key()]):
-        assert sig.var_weights is not None
-        for degree, bound in _GRID:
-            band = component_monomials(sig, degree, bound)
-            for weight in range(-1, 9):
-                got = component_monomials(sig, degree, bound, weight)
-                assert list(got) == [m for m in band if monomial_weight(sig, m) == weight]
-                assert list(got) == component_monomials_reference(sig, degree, bound, weight)
-                assert component_monomials(sig, degree, bound, weight) is got
-            assert component_monomials(sig, degree, bound) is band
+        ones = var_weights_reference(sig)
+        assert ones is not None
+        for var in (ones, (0,) * len(ones), (1,) * len(ones)):
+            for degree, bound in _GRID:
+                band = component_monomials(sig, degree, bound)
+                for n in range(-1, 9):
+                    got = component_monomials(sig, degree, bound, (n, var))
+                    assert list(got) == [m for m in band if monomial_weight(var, m) == n]
+                    assert list(got) == component_monomials_reference(sig, degree, bound, (n, var))
+                    assert component_monomials(sig, degree, bound, (n, var)) is got
+                assert component_monomials(sig, degree, bound) is band
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -229,7 +234,7 @@ def test_bands_of_a_huge_degree_cost_what_their_monomials_do():
     assert [v for _, v in component_monomials(pool.S1, n, 0)] == [
         (0, 0, n // 2), (1, 1, n // 2 - 1)
     ]
-    assert component_monomials(pool.S1, n + 1, 0, n) == ()
+    assert component_monomials(pool.S1, n + 1, 0, (n, var_weights_reference(pool.S1))) == ()
     got = {v for _, v in component_monomials(pool.Sodd3, n, 0)}
     assert got == {(0, 0, n // 2, 0), (1, 1, n // 2 - 1, 0), (1, 0, n // 2 - 2, 1), (0, 1, n // 2 - 2, 1)}
     assert component_monomials(pool.S3, n, 5) == ()

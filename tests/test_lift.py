@@ -20,7 +20,6 @@ from dgalift.lift import (
     _grading,
     _homotopy_columns,
     _kernel,
-    _trivial_grading,
     _unpack,
     construct_lift_even,
     construct_lift_odd,
@@ -52,6 +51,7 @@ from dgalift.solver import solve_exact
 from oracles import (
     basis_change_reference,
     block_filter,
+    grading_reference,
     homotopy_columns_reference,
     idempotent,
     invert_unit_reference,
@@ -60,8 +60,10 @@ from oracles import (
     ones_filter,
     series_plus_reference,
     solve_homotopy_reference,
+    trivial_grading,
     unit_elementary,
     unit_poly_degree,
+    var_weights_reference,
     verify_lift_reference,
     weights_reference,
 )
@@ -784,7 +786,7 @@ def test_homotopy_columns_match_bracket_diff(field):
         not_square_zero += not d.square_zero
         for h_degree in range(-3, 2):
             for bound in range(3):
-                every = _trivial_grading(mod), 0
+                every = trivial_grading(mod), 0
                 unknowns, columns = _homotopy_columns(mod, d, h_degree + 1, bound, every)
                 want = _homotopy_columns_by_bracket(mod, d, h_degree + 1, bound)
                 assert unknowns == want[0]
@@ -800,18 +802,18 @@ def test_homotopy_columns_match_element_reference(field):
     unknowns and columns of `homotopy_columns_reference`, which takes them
     on elements: equal lists, and each column with the same items in the
     same order.  The instances of the ``bracket_diff`` test, on the full
-    system (the trivial grading) and, where `_grading` finds a finer one,
-    on the blocks of the first four classes the unknowns have (the
-    reference enumerates every band whole and keeps the unknowns of the
-    block's class)."""
+    system (the trivial grading) and, where `_grading` finds a finer one
+    for a zero target, on the blocks of the first four classes the
+    unknowns have (the reference enumerates every band whole and keeps
+    the unknowns of the block's class)."""
     compared = blocks = 0
     for mod, d in _column_cases(field):
-        trivial = _trivial_grading(mod)
+        trivial = trivial_grading(mod)
         for h_degree in range(-3, 2):
             for bound in range(3):
                 degree = h_degree + 1
                 shapes = [(trivial, 0)]
-                grading = _grading(mod, d, GradedMap.zero(mod, h_degree), bound)
+                grading, _ = _grading(mod, d, GradedMap.zero(mod, h_degree), bound)
                 if grading != trivial:
                     full = _homotopy_columns(mod, d, degree, bound, (trivial, 0))[0]
                     basis = grading.basis
@@ -906,7 +908,7 @@ def test_weight_block_search_matches_full_search(field):
         if weights_reference(mod, d) is not None:
             kinds["all-ones"] += 1
         else:
-            trivial = _grading(mod, d, h, 0) == _trivial_grading(mod)
+            trivial = _grading(mod, d, h, 0)[0] == trivial_grading(mod)
             kinds["trivial" if trivial else "finer only"] += 1
         mixed = h + bracket_diff(d, rand_map(mod, h.degree + 1, rng))
         for target, bound in itertools.product((h, mixed), range(4)):
@@ -920,6 +922,39 @@ def test_weight_block_search_matches_full_search(field):
     assert all(kinds.values()) and found > 0, kinds
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_block_holds_the_target(field):
+    """Under the grading `_grading` returns, every term of the target has
+    the block's class ``w``: on the inputs of
+    `test_weight_block_search_matches_full_search` (the same seed and
+    draws) at bounds 0-3, with ``h = j(d)`` and with ``h`` plus a boundary.
+    Every term of ``j(d)`` has the class of ``-X``, so with ``h = j(d)``
+    the block is the one the target-blind search (`grading_reference`)
+    solves, and so are its unknowns.  With a boundary added the unknowns
+    are a subset of that search's, and fewer on some inputs, where the
+    target spans two classes of the grading of ``D`` alone."""
+    pool = FixturePool(field)
+    rng = random.Random(53)
+    smaller = 0
+    for mod, d in _grading_cases(pool, rng):
+        h = obstruction(mod, d, mod.sig.top_variable.name)
+        mixed = h + bracket_diff(d, rand_map(mod, h.degree + 1, rng))
+        for target, bound in itertools.product((h, mixed), range(4)):
+            block = grading, w = _grading(mod, d, target, bound)
+            for (r, c), e in target.entries.items():
+                for m in e.terms:
+                    assert grading.basis[r] + grading.weight(m) - grading.basis[c] == w
+            blind = grading_reference(mod, d, target, bound)
+            if target is h:
+                assert block == blind
+                continue
+            got = _homotopy_columns(mod, d, h.degree + 1, bound, block)[0]
+            want = _homotopy_columns(mod, d, h.degree + 1, bound, blind)[0]
+            assert set(got) <= set(want)
+            smaller += len(got) < len(want)
+    assert smaller > 0
+
+
 def test_weights():
     """Basis weights: degrees on the Koszul rungs the benchmark draws, other
     values over ``S2``, None for a unit entry of the wrong weight, one
@@ -930,7 +965,7 @@ def test_weights():
             sig = sig.adjoin("X", 1, "a0")
         else:
             sig = sig.adjoin("W0", 1, "a0").adjoin("W1", 1, "a1").adjoin("X", 2, "a1*W0 - a0*W1")
-        assert sig.var_weights == tuple(v.degree for v in sig.variables)
+        assert var_weights_reference(sig) == tuple(v.degree for v in sig.variables)
         mod, d = koszul(sig, [sig.parse(f"a{i}") for i in range(4)])
         top = sig.top_variable.degree
         u = GradedMap.identity(mod)
@@ -942,7 +977,7 @@ def test_weights():
         assert weights_reference(mod, rung) == list(mod.degrees)
 
     pool = FixturePool(QQ)
-    assert pool.S2.var_weights == (2, 2, 3)
+    assert var_weights_reference(pool.S2) == (2, 2, 3)
     assert weights_reference(*_s2_koszul(pool)) == [0, 1, 2, 1, 3, 2, 3, 4]
     # k1 and k2 both weigh 1, so a unit entry `a` between them weighs 1, not 0
     assert weights_reference(pool.NK, pool.dK) == [0, 1, 1, 2]
@@ -958,7 +993,7 @@ def test_weights():
 
     # T has zero differential and weighs 0
     sig = Signature(QQ, ["a"]).adjoin("T", 2, "0").adjoin("X", 1, "a")
-    assert sig.var_weights == (0, 1)
+    assert var_weights_reference(sig) == (0, 1)
     mod = FreeModule(sig, [("f0", 0), ("f1", 1), ("f2", 2), ("f3", 3)])
     texts = {(0, 1): "a", (1, 2): "a", (0, 2): "-a*X", (0, 3): "a*T"}
     d = Differential(GradedMap(mod, -1, {key: sig.parse(t) for key, t in texts.items()}))
@@ -971,7 +1006,8 @@ def test_weights():
 
 
 def _ones(grading, cls):
-    """Coordinate 0 of a class: its all-ones weight when `grading.ones`."""
+    """Coordinate 0 of a class: its all-ones weight when `grading.ones` is
+    not None."""
     return _unpack(cls, grading.bits, 1)[0]
 
 
@@ -980,8 +1016,9 @@ def test_grading_makes_every_term_homogeneous(field):
     """Under `_grading`, every term of ``D`` has class 0 as a map and every
     term of each ``dX`` the class of ``X``; where the all-ones grading holds
     (`weights_reference`), coordinate 0 gives its basis and variable
-    weights, and `_grading` finds a grading other than the trivial one
-    wherever it does.  On `_grading_cases`, `_column_cases` (some not
+    weights, `grading.ones` holds the variable weights
+    (`var_weights_reference`), and `_grading` finds a grading other than
+    the trivial one wherever it does.  On `_grading_cases`, `_column_cases` (some not
     square-zero) and Koszul rungs shaped as the benchmark's."""
     pool = FixturePool(field)
     rng = random.Random(59)
@@ -1002,9 +1039,10 @@ def test_grading_makes_every_term_homogeneous(field):
         cases.append(_koszul_rung(sig, 2, rng))
     graded = ones = 0
     for mod, d in cases:
-        grading = _grading(mod, d, GradedMap.zero(mod, -1), 2)
+        grading, w = _grading(mod, d, GradedMap.zero(mod, -1), 2)
+        assert w == 0
         reference = weights_reference(mod, d)
-        graded += grading != _trivial_grading(mod)
+        graded += grading != trivial_grading(mod)
         for (r, c), e in d.matrix.entries.items():
             for m in e.terms:
                 assert grading.basis[r] + grading.weight(m) - grading.basis[c] == 0
@@ -1013,11 +1051,12 @@ def test_grading_makes_every_term_homogeneous(field):
             for p, v in var.diff.terms:
                 pad = (0,) * (len(sig.variables) - len(v))
                 assert grading.weight((p, v + pad)) == cls
-        assert grading.ones == (reference is not None)
-        if grading.ones:
+        assert (grading.ones is not None) == (reference is not None)
+        if grading.ones is not None:
             ones += 1
             assert [_ones(grading, x) for x in grading.basis] == reference
-            assert tuple(_ones(grading, x) for x in grading.var) == sig.var_weights
+            assert tuple(_ones(grading, x) for x in grading.var) == grading.ones
+            assert grading.ones == var_weights_reference(sig)
             assert [_ones(grading, x) for x in grading.poly] == [1] * len(sig.polygens)
     assert graded > ones > 0
 
@@ -1033,22 +1072,22 @@ def test_finest_grading_separates_what_no_conflict_joins(monkeypatch):
     holds."""
     sig = Signature(QQ, ["a0", "a1", "a2"]).adjoin("X", 1, "a0")
     mod, d = koszul(sig, [sig.parse(f"a{i}") for i in range(3)])
-    grading = _grading(mod, d, GradedMap.zero(mod, -1), 0)
+    grading, _ = _grading(mod, d, GradedMap.zero(mod, -1), 0)
     vectors = list(itertools.product(range(3), repeat=3))
     assert len({grading.weight((p, (0,))) for p in vectors}) == len(vectors)
 
     pool = FixturePool(QQ)
     mod, d = _conjugated_nk(pool)
-    grading = _grading(mod, d, obstruction(mod, d, "X"), 3)
+    grading, _ = _grading(mod, d, obstruction(mod, d, "X"), 3)
     a, b = (grading.weight(pool.S1.parse(t).terms.popitem()[0]) for t in ("a", "b"))
-    assert a != 0 and b == 2 * a and not grading.ones
+    assert a != 0 and b == 2 * a and grading.ones is None
     sizes = _solver_sizes(monkeypatch)
     mod, d = _finer_rung(QQ, random.Random(3))
     h = obstruction(mod, d, "X")
     assert not h.is_zero() and weights_reference(mod, d) is None
     for bound in range(4):
         got = solve_homotopy(mod, d, h, bound)
-        full = len(_homotopy_columns(mod, d, h.degree + 1, bound, (_trivial_grading(mod), 0))[0])
+        full = len(_homotopy_columns(mod, d, h.degree + 1, bound, (trivial_grading(mod), 0))[0])
         assert 0 < sizes[-1][0] < full
         assert matrix_to_doc(got) == matrix_to_doc(solve_homotopy_reference(mod, d, h, bound))
 
@@ -1060,9 +1099,9 @@ def test_finest_grading_separates_what_no_conflict_joins(monkeypatch):
     e12 = GradedMap(mod, 0, {(1, 2): sig.parse("a^40000")})
     d = d.conjugate(GradedMap.identity(mod) + e12, GradedMap.identity(mod) - e12)
     h = obstruction(mod, d, "X")
-    grading = _grading(mod, d, h, 0)
+    grading, _ = _grading(mod, d, h, 0)
     a, b = (grading.weight(sig.parse(t).terms.popitem()[0]) for t in ("a", "b"))
-    assert a != 0 and 3 * b == 7 * a and not grading.ones
+    assert a != 0 and 3 * b == 7 * a and grading.ones is None
     assert grading.basis == [0, 100000 * a, 60000 * b, 100000 * a + 60000 * b]
     got = solve_homotopy(mod, d, h, 0)
     assert matrix_to_doc(got) == matrix_to_doc(solve_homotopy_reference(mod, d, h, 0))
@@ -1072,9 +1111,9 @@ def test_finest_grading_separates_what_no_conflict_joins(monkeypatch):
     mod, d = koszul(sig, [sig.parse(t) for t in ("a^100000", "b^60000", "c")])
     e12 = GradedMap(mod, 0, {(1, 2): sig.parse("a^40000")})
     d = d.conjugate(GradedMap.identity(mod) + e12, GradedMap.identity(mod) - e12)
-    grading = _grading(mod, d, GradedMap.zero(mod, -1), 0)
+    grading, _ = _grading(mod, d, GradedMap.zero(mod, -1), 0)
     unit = [_unpack(x, grading.bits, 2) for x in grading.poly]
-    assert 3 * unit[1][0] == 7 * unit[0][0] and unit[2] != [0, 0] and not grading.ones
+    assert 3 * unit[1][0] == 7 * unit[0][0] and unit[2] != [0, 0] and grading.ones is None
     for r, name in enumerate(mod.names):  # k<s>: the product of the gens in s
         s = int(name[1:])
         exps = [100000 * (s & 1), 60000 * (s >> 1 & 1), s >> 2 & 1]
@@ -1084,7 +1123,7 @@ def test_finest_grading_separates_what_no_conflict_joins(monkeypatch):
     mod, d = pool.N3, pool.d3
     u = GradedMap.identity(mod) + GradedMap(mod, 0, {(0, 1): pool.S3.parse("a*X")})
     d = d.conjugate(u, invert_unit(u))
-    assert _grading(mod, d, obstruction(mod, d, "X"), 0) == _trivial_grading(mod)
+    assert _grading(mod, d, obstruction(mod, d, "X"), 0) == (trivial_grading(mod), 0)
 
 
 def test_kernel_of_integer_rows():
@@ -1149,7 +1188,8 @@ def _bench_rungs(seed):
 def test_bench_rungs_solve_the_finest_block(monkeypatch):
     """The `decide-large` rungs of seed 0: the sizes of the system that
     `solve_homotopy` hands the solver (unknowns, rows, nonzeros), which
-    the finest grading cuts on the rank-32 rung and on both misses, and a
+    the finest grading cuts on the rank-32 rung and on both misses, the
+    block of the target-blind search (`grading_reference`), and a
     certificate equal to the full system's and the all-ones block's (None
     with both on the misses), at the rung's bound and one more."""
     sizes = _solver_sizes(monkeypatch)
@@ -1157,6 +1197,7 @@ def test_bench_rungs_solve_the_finest_block(monkeypatch):
     for name, mod, d, bound in _bench_rungs(0):
         h = obstruction(mod, d, "X")
         for b in (bound, bound + 1):
+            assert _grading(mod, d, h, b) == grading_reference(mod, d, h, b)
             got = solve_homotopy(mod, d, h, b)
             if b == bound:
                 at_bound[name] = sizes[-1]

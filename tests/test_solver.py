@@ -10,11 +10,11 @@ import pytest
 
 from dgalift.algebra import Signature
 from dgalift.field import QQ, PrimeField
-from dgalift.lift import _coefficients, _homotopy_columns, _trivial_grading, obstruction
+from dgalift.lift import _coefficients, _homotopy_columns, obstruction
 from dgalift.module import Differential, FreeModule, GradedMap, invert_unit
 from dgalift.randgen import FixturePool, rand_unit
 from dgalift.solver import solve_exact
-from oracles import koszul, solve_exact_reference
+from oracles import koszul, solve_exact_reference, trivial_grading
 
 
 def _solve_dense(field, matrix, rhs, ncols):
@@ -222,7 +222,7 @@ def test_row_order_matches_first_seen_reference_on_homotopy_systems(field):
         key = next(iter(moved), ((0, 0), None))
         moved[key] = field.add(moved.get(key, field.zero), one)
         for bound in range(3):
-            _, columns = _homotopy_columns(mod, d, h.degree + 1, bound, (_trivial_grading(mod), 0))
+            _, columns = _homotopy_columns(mod, d, h.degree + 1, bound, (trivial_grading(mod), 0))
             for target in (rhs, moved):
                 got = solve_exact(field, columns, target)
                 assert got == solve_exact_reference(field, columns, target)
