@@ -26,9 +26,12 @@ Every product goes through one kernel, `_mul_into`, which adds ``a * b``
 of two term maps into an output map in place (``-(a * b)`` with its
 ``neg`` flag); `AlgElem.__mul__`, `diff`, `GradedMap.apply` and the module
 accumulator (`module._product_into`: `compose`, brackets, ``d o f``,
-j-operators) add through it without an intermediate element.  Polygens
-have degree 0, commute with everything and are cycles, so
-``x^v1 * x^v2 = f(v1, v2) * x^(v1+v2)`` and ``d(p x^v) = p d(x^v)``: a
+j-operators) add through it without an intermediate element.  A factor
+that is one constant term ``c*1`` (the unit entries of a basis change
+``u``, of ``u^-1`` and of the identity) scales the other factor term by
+term.  For the rest, polygens have degree 0, commute with everything and
+are cycles, so ``x^v1 * x^v2 = f(v1, v2) * x^(v1+v2)`` and
+``d(p x^v) = p d(x^v)``: a
 `Signature` works out each ``f(v1, v2)`` and each ``d(x^v)`` once, in
 tables keyed by variable exponent vectors only (``_var_products``,
 ``_var_diffs``; at most 191 entries per signature over an `identities`
@@ -107,6 +110,7 @@ class Signature:
         self._bands: dict = {}  # (degree, poly_bound, weight) -> component_monomials
         self._var_products: dict = {}  # (v1, v2) -> (v1 + v2, factor) or None
         self._var_diffs: dict = {}  # v -> the terms of d(x^v)
+        self._unit = ((0,) * len(self.polygens), (0,) * len(self.variables))  # the monomial 1
         self._key = (
             field.key(),
             self.polygens,
@@ -159,8 +163,7 @@ class Signature:
         return bool(self.variables) and self.variables[-1].name == name
 
     def monomial_degree(self, m: Monomial) -> int:
-        v = m[1]
-        return sum(e * d for e, d in zip(v, self._var_degrees))
+        return sum(map(mul, m[1], self._var_degrees))
 
     # -- element constructors ----------------------------------------------
 
@@ -171,13 +174,9 @@ class Signature:
         return self.scalar(self.field.one)
 
     def scalar(self, c) -> "AlgElem":
-        m = (
-            (0,) * len(self.polygens),
-            (0,) * len(self.variables),
-        )
         if c == self.field.zero:
             return self.zero()
-        return AlgElem(self, {m: c})
+        return AlgElem(self, {self._unit: c})
 
     def gen(self, name: str) -> "AlgElem":
         """The generator `name` as an element (``X`` means ``X^(1)``)."""
@@ -381,17 +380,40 @@ def _mul_into(sig: Signature, out: dict, a: dict, b: dict, neg: bool = False) ->
     """Add the product ``a * b`` of two term maps (``-(a * b)`` when `neg`)
     into ``out``, in place; a coefficient that cancels is deleted.
 
-    Polygens have degree 0 and commute with everything, so a product of
-    monomials factors as ``(p1 x^v1)(p2 x^v2) = f(v1, v2) p1 p2 x^(v1+v2)``
-    where the sign and binomials ``f(v1, v2)`` depend on the variable parts
-    only.  Each pair of variable parts is worked out once per signature by
-    `_var_product` and kept in ``sig._var_products`` (a table per signature
-    object, like ``_bands``, holding None for a product that vanishes);
-    a pair of terms then costs one lookup, the polygen sum and the
+    A factor that is one constant term ``c*1`` (key ``sig._unit``) scales
+    the other factor term by term: ``x^0 x^v = x^v`` with no sign or
+    binomial, and scalars are central, so a constant on the right swaps to
+    the left.  For every other product: polygens have degree 0 and commute
+    with everything, so a product of monomials factors as
+    ``(p1 x^v1)(p2 x^v2) = f(v1, v2) p1 p2 x^(v1+v2)`` where the sign and
+    binomials ``f(v1, v2)`` depend on the variable parts only.  Each pair
+    of variable parts is worked out once per signature by `_var_product`
+    and kept in ``sig._var_products`` (a table per signature object, like
+    ``_bands``, holding None for a product that vanishes); a pair of
+    non-constant terms then costs one lookup, the polygen sum and the
     coefficient product.
     """
     field = sig.field
     zero, one, mul, fadd = field.zero, field.one, field.mul, field.add
+    unit = sig._unit
+    if len(b) == 1 and unit in b:
+        a, b = b, a
+    if len(a) == 1 and unit in a:
+        c = field.neg(a[unit]) if neg else a[unit]
+        scaled = c != one
+        for m, x in b.items():
+            if scaled:
+                x = mul(c, x)
+            s = out.get(m)
+            if s is None:
+                out[m] = x
+            else:
+                s = fadd(s, x)
+                if s == zero:
+                    del out[m]
+                else:
+                    out[m] = s
+        return
     table = sig._var_products
     for (p1, v1), c1 in a.items():
         if neg:
@@ -430,7 +452,7 @@ def _var_diff(sig: Signature, v: tuple) -> dict:
     """
     one = sig.field.one
     nvars = len(sig.variables)
-    no_poly = (0,) * len(sig.polygens)
+    no_poly = sig._unit[0]
     out: dict = {}
     left_deg = 0
     for i, var in enumerate(sig.variables):
@@ -494,20 +516,16 @@ def derivative(elem: AlgElem, var_name: str) -> AlgElem:
     sig = elem.sig
     field = sig.field
     i = sig.var_pos(var_name)
-    var = sig.variables[i]
+    odd = sig.variables[i].odd
+    left_degs = sig._var_degrees[:i]
     out: dict = {}
     for (p, v), c in elem.terms.items():
         e = v[i]
         if e == 0:
             continue
-        new_v = v[:i] + (e - 1,) + v[i + 1 :]
-        if var.odd:
-            left_deg = sum(
-                v[j] * sig.variables[j].degree for j in range(i)
-            )
-            if left_deg % 2:
-                c = field.neg(c)
-        out[p, new_v] = c
+        if odd and sum(map(mul, v, left_degs)) % 2:
+            c = field.neg(c)
+        out[p, v[:i] + (e - 1,) + v[i + 1 :]] = c
     return AlgElem(sig, out)
 
 
@@ -645,13 +663,11 @@ def format_expr(elem: AlgElem) -> str:
     field = sig.field
     if elem.is_zero():
         return "0"
-    items = sorted(
-        elem.terms.items(),
-        key=lambda it: (
-            sig.monomial_degree(it[0]),
-            monomial_sort_key(sig, it[0]),
-        ),
-    )
+    items = elem.terms.items()
+    if len(items) > 1:
+        items = sorted(
+            items, key=lambda it: (sig.monomial_degree(it[0]), monomial_sort_key(sig, it[0]))
+        )
     pieces = []
     for m, c in items:
         mono = _format_monomial(sig, m)

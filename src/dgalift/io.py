@@ -102,27 +102,31 @@ def module_from_doc(doc: dict, sig: Signature):
     dmat = doc.get("differential", {})
     if not isinstance(dmat, dict):
         _fail("differential", "must be an object keyed by column names")
+    index = module._index
+
+    def fail_at(msg: str, *names):  # the location is built only on failure
+        _fail("differential" + "".join(f"[{n!r}]" for n in names), msg)
+
     for col_name, col in dmat.items():
-        locc = f"differential[{col_name!r}]"
-        if col_name not in module.names:
-            _fail(locc, "unknown column basis name")
+        c = index.get(col_name)
+        if c is None:
+            fail_at("unknown column basis name", col_name)
         if not isinstance(col, dict):
-            _fail(locc, "must be an object keyed by row names")
+            fail_at("must be an object keyed by row names", col_name)
         for row_name, text in col.items():
-            loc = f"{locc}[{row_name!r}]"
-            if row_name not in module.names:
-                _fail(loc, "unknown row basis name")
+            r = index.get(row_name)
+            if r is None:
+                fail_at("unknown row basis name", col_name, row_name)
             if not isinstance(text, str):
-                _fail(loc, "must be an expression string")
+                fail_at("must be an expression string", col_name, row_name)
             e = parsed.get(text)
             if e is None:
                 try:
                     e = parsed[text] = sig.parse(text)
                 except DgaliftError as ex:
-                    _fail(loc, str(ex))
-            if e.is_zero():
-                continue
-            entries[(module.index(row_name), module.index(col_name))] = e
+                    fail_at(str(ex), col_name, row_name)
+            if not e.is_zero():
+                entries[(r, c)] = e
     try:
         matrix = GradedMap(module, -1, entries)
     except DgaliftError as ex:

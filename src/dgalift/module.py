@@ -162,7 +162,7 @@ class GradedMap:
                 if e.sig != module.sig:
                     raise SchemaError("entry from a different signature")
                 want = degs[c] + degree - degs[r]
-                if {e.sig.monomial_degree(m) for m in e.terms} != {want}:
+                if any(module.sig.monomial_degree(m) != want for m in e.terms):
                     raise SchemaError(
                         f"entry ({module.names[r]},{module.names[c]}) must be "
                         f"homogeneous of degree {want}"
@@ -650,7 +650,7 @@ def _invert_flat(u_flat: GradedMap) -> GradedMap:
     blocks: dict = {}
     for i, d in enumerate(module.degrees):
         blocks.setdefault(d, []).append(i)
-    one_mono = ((0,) * len(sig.polygens), (0,) * len(sig.variables))
+    one_mono = sig._unit
 
     inv_entries: dict = {}  # an accumulator: each (a, b, m) is met once
     for idxs in blocks.values():

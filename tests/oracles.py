@@ -9,9 +9,12 @@ from typing import Callable, Optional
 from dgalift.algebra import (
     AlgElem,
     Signature,
+    _format_monomial,
+    _var_product,
     component_monomials,
     derivative,
     diff,
+    monomial_sort_key,
 )
 from dgalift.errors import ExprSyntaxError, NotInvertibleError, SchemaError, VerificationError
 from dgalift.jop import CheckReport, JOperator
@@ -128,6 +131,37 @@ def mul_reference(x: AlgElem, y: AlgElem) -> AlgElem:
 
 
 def mul_into_reference(sig: Signature, out: dict, a: dict, b: dict, neg: bool = False) -> None:
+    """`_mul_into` without its constant path: every pair of terms, a
+    constant one too, looks its variable parts up in ``sig._var_products``
+    and adds the polygen sum and the coefficient product into ``out``."""
+    field = sig.field
+    zero, one, mul, fadd = field.zero, field.one, field.mul, field.add
+    table = sig._var_products
+    for (p1, v1), c1 in a.items():
+        if neg:
+            c1 = field.neg(c1)
+        for (p2, v2), c2 in b.items():
+            try:
+                entry = table[v1, v2]
+            except KeyError:
+                entry = _var_product(sig, v1, v2)
+            if entry is None:
+                continue
+            v, f = entry
+            coeff = mul(c1, c2) if f == one else mul(mul(c1, c2), f)
+            m = (tuple(map(add, p1, p2)), v)
+            s = out.get(m)
+            if s is None:
+                out[m] = coeff
+            else:
+                s = fadd(s, coeff)
+                if s == zero:
+                    del out[m]
+                else:
+                    out[m] = s
+
+
+def mul_into_pair_reference(sig: Signature, out: dict, a: dict, b: dict, neg: bool = False) -> None:
     """The product kernel before the per-signature tables: add ``a * b``
     (``-(a * b)`` when `neg`) into ``out``, working out the Koszul sign and
     the divided-power binomials of every pair of terms afresh."""
@@ -168,6 +202,50 @@ def mul_into_reference(sig: Signature, out: dict, a: dict, b: dict, neg: bool = 
                             del out[m]
                         else:
                             out[m] = s
+
+
+def derivative_reference(elem: AlgElem, var_name: str) -> AlgElem:
+    """`derivative` with the Koszul sign of an odd variable summed over
+    the variables before it, term by term."""
+    sig = elem.sig
+    i = sig.var_pos(var_name)
+    out: dict = {}
+    for (p, v), c in elem.terms.items():
+        if v[i] == 0:
+            continue
+        if sig.variables[i].odd and sum(v[j] * sig.variables[j].degree for j in range(i)) % 2:
+            c = sig.field.neg(c)
+        out[p, v[:i] + (v[i] - 1,) + v[i + 1 :]] = c
+    return AlgElem(sig, out)
+
+
+def format_expr_reference(elem: AlgElem) -> str:
+    """`format_expr` with every element's terms sorted, one term or many,
+    by degree summed over the variables and then `monomial_sort_key`."""
+    sig = elem.sig
+    if elem.is_zero():
+        return "0"
+
+    def degree(m):
+        return sum(e * var.degree for e, var in zip(m[1], sig.variables))
+
+    items = sorted(elem.terms.items(), key=lambda it: (degree(it[0]), monomial_sort_key(sig, it[0])))
+    pieces = []
+    for m, c in items:
+        mono = _format_monomial(sig, m)
+        txt = sig.field.fmt(c)
+        negative = txt.startswith("-")
+        if negative:
+            txt = txt[1:]
+        if mono:
+            body = mono if txt == "1" else f"{txt}*{mono}"
+        else:
+            body = txt
+        if not pieces:
+            pieces.append(f"-{body}" if negative else body)
+        else:
+            pieces.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(pieces)
 
 
 def diff_reference(elem: AlgElem) -> AlgElem:

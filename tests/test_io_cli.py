@@ -127,6 +127,29 @@ def test_module_schema_errors(S3):
         )
 
 
+@pytest.mark.parametrize(
+    "differential, message",
+    [
+        ({"g": {"f0": "a"}}, "differential['g']: unknown column basis name"),
+        ({"f1": ["a"]}, "differential['f1']: must be an object keyed by row names"),
+        ({"f1": {"g": "a"}}, "differential['f1']['g']: unknown row basis name"),
+        ({"f1": {"f0": 3}}, "differential['f1']['f0']: must be an expression string"),
+        (
+            {"f1": {"f0": "a +"}},
+            "differential['f1']['f0']: expected a generator name, found 'end of input' (at position 3)",
+        ),
+        ({"f1": {"f0": "a*X"}}, "differential: entry (f0,f1) must be homogeneous of degree 0"),
+        ({"f2": {"f1": "a", "'q\"": "a"}}, "differential['f2']['\\'q\"']: unknown row basis name"),
+    ],
+)
+def test_module_entry_errors_name_their_location(S3, differential, message):
+    """Each failing entry of a module document is reported at its column
+    and row, quoted by `repr`, with the text these messages have always had."""
+    with pytest.raises(SchemaError) as info:
+        module_from_doc({"basis": N3_DOC["basis"], "differential": differential}, S3)
+    assert str(info.value) == message
+
+
 def test_module_entries_parse_each_text_once(S3, monkeypatch):
     """Entries with the same text share one parsed element (nothing changes
     an element in place), and a bad text that occurs twice is reported at

@@ -10,8 +10,8 @@ import weakref
 
 import pytest
 
-from dgalift import QQ, PrimeField, component_monomials, diff
-from dgalift.algebra import _mul_into, monomial_sort_key
+from dgalift import QQ, PrimeField, Signature, component_monomials, derivative, diff, format_expr
+from dgalift.algebra import AlgElem, _mul_into, monomial_sort_key
 from dgalift.module import GradedMap, ModuleElement, compose
 from dgalift.randgen import FixturePool, rand_elem, rand_map, rand_scalar
 
@@ -19,9 +19,12 @@ from oracles import (
     apply_reference,
     component_monomials_reference,
     compose_reference,
+    derivative_reference,
     diff_reference,
+    format_expr_reference,
     monomial_weight,
     monomial_sort_key_reference,
+    mul_into_pair_reference,
     mul_into_reference,
     mul_reference,
     var_weights_reference,
@@ -80,9 +83,84 @@ def test_table_kernel_matches_per_pair_kernel(field, neg):
                 for start, total in (({}, None), (z.terms, None), ((cancel + z).terms, z.terms)):
                     got, want = dict(start), dict(start)
                     _mul_into(sig, got, x.terms, y.terms, neg)
-                    mul_into_reference(sig, want, x.terms, y.terms, neg)
+                    mul_into_pair_reference(sig, want, x.terms, y.terms, neg)
                     assert got == want, (sig, x, y, start)
                     assert total is None or got == total
+
+
+def _no_polygen_signature(field):
+    """Odd and even variables over the field itself, no polygens."""
+    return (
+        Signature(field, [])
+        .adjoin("T", 1, "0")
+        .adjoin("U", 2, "0")
+        .adjoin("V", 4, "T*U")
+        .adjoin("Z", 5, "U^(2)")
+    )
+
+
+def _constants(field):
+    """1, -1 and a third constant: -2/3 over Q, the residues 2 to p - 2
+    over F_p (none over F2 and F3, where 1 and -1 are all of them)."""
+    extra = [field.of_fraction(-2, 3)] if field == QQ else map(field.of_int, range(2, field.p - 1))
+    return [field.one, field.neg(field.one), *extra]
+
+
+@pytest.mark.parametrize("neg", [False, True])
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_constant_factor_matches_table_kernel(field, neg):
+    """A factor ``c*1`` on the left, on the right or on both sides adds
+    the same terms in the same order as the table kernel does
+    (`mul_into_reference`): into an empty accumulator, into one holding
+    another element, into one holding the negated product, which cancels
+    to nothing, and into one holding both."""
+    rng = random.Random(17 + neg)
+    for sig in _signatures(_POOLS[field.key()]) + [_no_polygen_signature(field)]:
+        constants = [sig.scalar(c).terms for c in _constants(field)]
+        others = [x.terms for x in _elements(sig, rng, 10)] + constants
+        for k in constants:
+            for x in others:
+                for a, b in ((k, x), (x, k)):
+                    product: dict = {}
+                    mul_into_reference(sig, product, a, b)
+                    product = AlgElem(sig, product)
+                    cancel = product if neg else -product
+                    z = rand_elem(sig, rng.randint(0, 5), rng, 2, max_terms=4)
+                    for start, total in (
+                        ({}, None),
+                        (z.terms, None),
+                        (cancel.terms, {}),
+                        ((cancel + z).terms, z.terms),
+                    ):
+                        got, want = dict(start), dict(start)
+                        _mul_into(sig, got, a, b, neg)
+                        mul_into_reference(sig, want, a, b, neg)
+                        assert list(got.items()) == list(want.items()), (sig, a, b, start)
+                        assert total is None or got == total
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_derivative_matches_reference(field):
+    rng = random.Random(19)
+    for sig in _signatures(_POOLS[field.key()]) + [_no_polygen_signature(field)]:
+        for x in _elements(sig, rng, 40):
+            for var in sig.variables:
+                got, want = derivative(x, var.name), derivative_reference(x, var.name)
+                assert list(got.terms.items()) == list(want.terms.items()), (sig, x, var)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_format_matches_sorted_reference(field):
+    """Elements of one term print as they did when every element was
+    sorted, and so do elements of several terms."""
+    rng = random.Random(20)
+    for sig in _signatures(_POOLS[field.key()]) + [_no_polygen_signature(field)]:
+        elems = _elements(sig, rng, 40)
+        terms = {m: c for x in elems for m, c in x.terms.items()}
+        elems += [AlgElem(sig, {m: c}) for m, c in terms.items()] + [AlgElem(sig, terms)]
+        assert any(len(x.terms) == 1 for x in elems) and len(terms) > 2
+        for x in elems:
+            assert format_expr(x) == format_expr_reference(x), (sig, x.terms)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
