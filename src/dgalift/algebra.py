@@ -35,10 +35,8 @@ are cycles, so ``x^v1 * x^v2 = f(v1, v2) * x^(v1+v2)`` and
 `Signature` works out each ``f(v1, v2)`` and each ``d(x^v)`` once, in
 tables keyed by variable exponent vectors only (``_var_products``,
 ``_var_diffs``; at most 191 entries per signature over an `identities`
-benchmark batch).  It memoises each band of `component_monomials`, whole
-or the part of one weight (polygens weigh 1, variables what the caller
-supplies), as a tuple in ``_bands``, keyed by degree, polygen bound and
-weight.
+benchmark batch).  It memoises each band of `component_monomials` as a
+tuple in ``_bands``, keyed by degree and polygen bound.
 Memos keyed by whole monomials were tried and dropped: they raised the
 peak RSS of that benchmark from 23.3 to 29.7 MB (pair products) and from
 23.7 to 25.9 MB (``d(m)``), for a bound of 10%.
@@ -107,7 +105,7 @@ class Signature:
         self._var_degrees = tuple(v.degree for v in self.variables)
         self._odd = tuple(i for i, v in enumerate(self.variables) if v.odd)
         self._even = tuple(i for i, v in enumerate(self.variables) if not v.odd)
-        self._bands: dict = {}  # (degree, poly_bound, weight) -> component_monomials
+        self._bands: dict = {}  # (degree, poly_bound) -> component_monomials
         self._var_products: dict = {}  # (v1, v2) -> (v1 + v2, factor) or None
         self._var_diffs: dict = {}  # v -> the terms of d(x^v)
         self._unit = ((0,) * len(self.polygens), (0,) * len(self.variables))  # the monomial 1
@@ -603,32 +601,22 @@ def _var_tuples(sig: Signature, target: int) -> Iterator[tuple]:
     yield from rec(0, target)
 
 
-def component_monomials(
-    sig: Signature, degree: int, poly_bound: int, weight: Optional[tuple] = None
-) -> tuple:
+def component_monomials(sig: Signature, degree: int, poly_bound: int) -> tuple:
     """All monomials of the given total degree with total polygen exponent
-    at most `poly_bound`, in the documented order; with a `weight`
-    ``(n, var)``, only those of weight ``n``: polygen degree plus ``var[i]``
-    times the exponent of the ``i``-th variable.
+    at most `poly_bound`, in the documented order.
 
-    The weight fixes the polygen degree that goes with each variable part,
-    so only those polygen exponents are enumerated, whatever the bound.
     Each band is built once per signature and the same tuple is returned
-    on every later call.
+    on every later call; with `poly_bound` 0 it lists the variable parts
+    of the degree, which `lift._Grading.band` completes by class.
     """
     if degree < 0 or poly_bound < 0:
         return ()
-    key = (degree, poly_bound, weight)
+    key = (degree, poly_bound)
     band = sig._bands.get(key)
     if band is None:
         out = []
         for v in _var_tuples(sig, degree):
-            if weight is None:
-                totals = range(poly_bound + 1)
-            else:
-                n = weight[0] - sum(map(mul, v, weight[1]))
-                totals = (n,) if 0 <= n <= poly_bound else ()
-            out += [(p, v) for n in totals for p in _poly_tuples(len(sig.polygens), n)]
+            out += [(p, v) for n in range(poly_bound + 1) for p in _poly_tuples(len(sig.polygens), n)]
         out.sort(key=lambda m: monomial_sort_key(sig, m))
         band = sig._bands[key] = tuple(out)
     return band

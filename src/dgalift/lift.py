@@ -23,11 +23,12 @@ term of ``D`` then has class 0 as a map, every term of ``h`` one class
 ``w``, ``[d, -]`` preserves class, and only the unknowns of class ``w``
 can carry the certificate.  `solve_homotopy` assembles and solves that
 one block and gets the certificate of the full system bit for bit.
-Where the all-ones grading (every polygen weighs 1) holds as well, the
-weight fixes the polygen degree of each unknown, so a bound past it
-costs nothing.  Without conflict-free weights the grading is the trivial
-one, of one class; `is_boundary_up_to` is the same search on the free
-module of rank one.
+`_Grading.band` lists the unknowns of a class from the kernel: only the
+exponents of the pivot polygens are tried, and where the all-ones
+grading (every polygen weighs 1) holds as well, only up to the class's
+weight, so a bound past it costs nothing.  Without conflict-free weights
+the grading is the trivial one, of one class; `is_boundary_up_to` is the
+same search on the free module of rank one.
 
 The construction half is deterministic once a certificate exists.  One
 closed form, `_basis_change`, gives the basis change of both parities:
@@ -56,9 +57,11 @@ from typing import Optional
 from .algebra import (
     AlgElem,
     _mul_into,
+    _poly_tuples,
     component_monomials,
     derivative,
     diff,
+    monomial_sort_key,
 )
 from .errors import NotInvertibleError, SchemaError, VerificationError
 from .jop import CheckReport, JOperator
@@ -206,13 +209,15 @@ def _cancel(row: list, pivot: list, col: int) -> list:
     return [x // k for x in out] if k else out
 
 
-def _kernel(rows: list, n: int) -> list:
-    """A basis of the integer vectors of length `n` orthogonal to every row.
+def _kernel(rows: list, n: int) -> tuple:
+    """A basis of the integer vectors of length `n` orthogonal to every row,
+    and the pivot columns, in increasing order.
 
     Integer elimination: each pivot row is zero at the pivot columns of
     the others, so each free column ``f`` gives the kernel vector that is
     ``L`` at ``f``, 0 at the other free columns and ``-L row[f] / row[p]``
-    at the pivot column ``p`` of each row, ``L`` the lcm of the pivots.
+    at the pivot column ``p`` of each row, ``L`` the lcm of the pivots; the
+    vectors come in the order of their free columns, each positive there.
     """
     pivots: dict = {}  # pivot column -> row
     for row in rows:
@@ -237,7 +242,7 @@ def _kernel(rows: list, n: int) -> list:
             v[col] = -row[f] * (scale // row[col])
         k = gcd(*v)
         out.append([x // k for x in v])
-    return out
+    return out, sorted(pivots)
 
 
 def _unpack(x: int, bits: int, n: int) -> list:
@@ -257,13 +262,15 @@ class _Grading:
 
     Each polygen, variable and basis element has a class: an int that
     packs a vector of integer weights as ``sum v_i 2^(bits i)``, so that
-    classes add as ints.  A monomial has class `weight`, and a term
-    ``m E_rc`` of a map the class ``basis[r] + weight(m) - basis[c]``;
-    every term of ``D`` has class 0 and every term of each ``dX`` the
-    class of ``X``, so ``[d, -]`` preserves class.  When `ones` is not
-    None, coordinate 0 of every class is its all-ones weight: polygens
-    weigh 1 and the variables `ones`, coordinate 0 of `var`.  The
-    trivial grading weighs everything 0: one class holds every monomial.
+    classes add as ints.  A monomial ``m = p x^v`` has class ``weight(m) =
+    sum p_i poly[i] + sum v_j var[j]``, a term ``m E_rc`` of a map the class
+    ``basis[r] + weight(m) - basis[c]``.  Every term of ``D`` has class 0
+    and every term of each ``dX`` the class of ``X``, so ``[d, -]``
+    preserves class.  Polygen ``i`` has coordinates entry ``i`` of the
+    all-ones vector, when `ones` holds, and of each `kernel` vector; each
+    of these is positive at a free column of its own and 0 at the others,
+    and the other columns are the `pivots`.  The trivial grading has no
+    coordinates: one class holds every monomial.
     """
 
     sig: object
@@ -271,19 +278,38 @@ class _Grading:
     poly: list
     var: list
     bits: int
-    ones: Optional[tuple]
-
-    def weight(self, m) -> int:
-        return sum(map(mul, m[0], self.poly)) + sum(map(mul, m[1], self.var))
+    ones: bool
+    kernel: list
+    pivots: list
 
     def band(self, degree: int, bound: int, cls: int) -> list:
         """The monomials of class `cls` in the band of `degree` with polygen
-        degree at most `bound`.  With `ones`, `component_monomials`
-        enumerates only those of the all-ones weight of `cls`, whatever the
-        bound; the rest of the class is a filter."""
-        weight = None if self.ones is None else (_unpack(cls, self.bits, 1)[0], self.ones)
-        band = component_monomials(self.sig, degree, bound, weight)
-        return [m for m in band if self.weight(m) == cls]
+        degree at most `bound`, in monomial order.  For each variable part
+        ``v`` the exponents at the pivots fix the others, one exact division
+        per kernel vector, so only they are tried: up to the all-ones weight
+        of ``cls - weight(v)``, which ``p`` must have, when `ones` holds and
+        else up to `bound`; without pivots there is one candidate."""
+        n, ones, pivots = len(self.poly), self.ones, self.pivots
+        out = []
+        for _, v in component_monomials(self.sig, degree, 0):
+            x = cls - sum(map(mul, v, self.var))
+            t = _unpack(x, self.bits, ones + len(self.kernel))
+            top = t[0] if ones else bound  # the most polygen degree p may have
+            if not 0 <= top <= bound or sum(c << self.bits * i for i, c in enumerate(t)) != x:
+                continue  # no room for polygens, or not a class of this packing
+            free = [f for f in range(n) if f not in pivots]
+            for k in range(top + 1 if pivots else 1):
+                for q in _poly_tuples(len(pivots), k):
+                    p = dict(zip(pivots, q))
+                    for f, u, y in zip(free, self.kernel, t[ones:]):
+                        p[f], rest = divmod(y - sum(u[c] * p[c] for c in pivots), u[f])
+                        if rest or p[f] < 0:
+                            break
+                    else:
+                        if sum(p.values()) == top or not ones and sum(p.values()) < top:
+                            out.append((tuple(p[i] for i in range(n)), v))
+        out.sort(key=lambda m: monomial_sort_key(self.sig, m))
+        return out
 
 
 def _grading(module: FreeModule, d: Differential, h: GradedMap, bound: int) -> tuple:
@@ -292,16 +318,15 @@ def _grading(module: FreeModule, d: Differential, h: GradedMap, bound: int) -> t
     homogeneous, and the class ``w`` of ``h`` (0 when ``h`` is zero).
 
     `_propagate` starts from polygen weights whose coordinate 0 is 1 and
-    whose other coordinates make unit vectors, and collects the
-    conflicts of ``D`` and of the classes of ``h``.  Without any, that is
-    the grading.  Otherwise the polygen weights are the integer vectors in
-    the kernel of the conflicts (`_kernel`), after the all-ones vector
-    when every conflict sums to 0, and a second propagation with them
-    meets no conflict; an empty kernel weighs every polygen 0, which is
-    the trivial grading.  Either way two monomials get the same class
-    exactly when their weight vectors (the polygen exponents plus the
-    variables' vectors) differ by a rational combination of the
-    conflicts.
+    whose other coordinates make unit vectors (the kernel of no conflict),
+    and collects the conflicts of ``D`` and of the classes of ``h``.
+    Without any, that is the grading.  Otherwise the polygen weights are
+    the integer vectors in the kernel of the conflicts (`_kernel`), after
+    the all-ones vector when every conflict sums to 0, and a second
+    propagation with them meets no conflict; an empty kernel weighs every
+    polygen 0: the trivial grading.  Either way two monomials have one
+    class exactly when their weight vectors (polygen exponents plus the
+    variables' vectors) differ by a rational combination of conflicts.
 
     The packing is injective on every vector the search compares:
     `bits` bounds each coordinate by the L1 sizes of the terms of ``D``
@@ -324,19 +349,15 @@ def _grading(module: FreeModule, d: Differential, h: GradedMap, bound: int) -> t
     bits = (reach + 1).bit_length() + 1
     poly = [1 + (1 << bits * (i + 1)) for i in range(n)]
     basis, var, conflicts, w = _propagate(module, d, h, poly)
-    ones = True
+    rows = [_unpack(x, bits, n + 1) for x in sorted(conflicts)]
+    kernel, pivots = _kernel([row[1:] for row in rows], n)
+    ones = all(row[0] == 0 for row in rows)
     if conflicts:
-        rows = [_unpack(x, bits, n + 1) for x in sorted(conflicts)]
-        coords = _kernel([row[1:] for row in rows], n)
-        ones = all(row[0] == 0 for row in rows)
-        if ones:  # coordinate 0 is the all-ones weight
-            coords = [[1] * n] + coords
-        scale = max((abs(x) for v in coords for x in v), default=0)
-        bits = ((reach + 1) * scale).bit_length() + 1
+        coords = ([[1] * n] if ones else []) + kernel  # coordinate 0: all-ones weight
+        bits = ((reach + 1) * max((abs(x) for v in coords for x in v), default=0)).bit_length() + 1
         poly = [sum(v[i] << bits * j for j, v in enumerate(coords)) for i in range(n)]
         basis, var, _, w = _propagate(module, d, h, poly)
-    var_ones = tuple(_unpack(x, bits, 1)[0] for x in var) if ones else None
-    return _Grading(sig, basis, poly, var, bits, var_ones), w
+    return _Grading(sig, basis, poly, var, bits, ones, kernel, pivots), w
 
 
 def _homotopy_columns(
@@ -447,12 +468,11 @@ def solve_homotopy(
     lies in the rows of class ``w``.  The solution with every free unknown
     zero, whose pivots the column order fixes, is therefore zero off the
     block and on it equals the block system's solution: the certificate
-    is the one the system of every unknown gives.  Where the all-ones
-    grading holds, its weight is a coordinate of the class and
-    `component_monomials` enumerates each band at that weight, so a search
-    costs the same at any bound past the polygen degree its block needs;
-    otherwise each band is enumerated up to the bound and filtered by
-    class.
+    is the one the system of every unknown gives.  `_Grading.band` tries
+    only the exponents of the pivot polygens of each class: where the
+    all-ones grading holds a search costs the same at any bound past the
+    polygen degree its block needs, and otherwise it grows as the bound
+    to the power of the number of pivots.
     """
     if d.module != module or h.module != module:
         raise SchemaError("differential and target must act on the given module")

@@ -10,7 +10,9 @@ from dgalift.algebra import (
     AlgElem,
     Signature,
     _format_monomial,
+    _poly_tuples,
     _var_product,
+    _var_tuples,
     component_monomials,
     derivative,
     diff,
@@ -619,11 +621,17 @@ def homotopy_columns_reference(
     return unknowns, columns
 
 
+def monomial_class(grading: _Grading, m) -> int:
+    """The class of a monomial under `grading`: its polygen exponents times
+    `grading.poly` plus its variable exponents times `grading.var`."""
+    return sum(map(mul, m[0], grading.poly)) + sum(map(mul, m[1], grading.var))
+
+
 def block_filter(block):
     """The `keep` of `homotopy_columns_reference` for a block
     ``(grading, w)`` of `_homotopy_columns`."""
     grading, w = block
-    return lambda r, c, m: grading.basis[r] + grading.weight(m) - grading.basis[c] == w
+    return lambda r, c, m: grading.basis[r] + monomial_class(grading, m) - grading.basis[c] == w
 
 
 def solve_exact_reference(field, columns: list, rhs: dict) -> Optional[list]:
@@ -679,11 +687,33 @@ def solve_exact_reference(field, columns: list, rhs: dict) -> Optional[list]:
 
 def trivial_grading(module: FreeModule) -> _Grading:
     """The grading with every weight 0, which every differential has: its
-    one class 0 holds every monomial."""
+    one class 0 holds every monomial, and every polygen is a pivot."""
     sig = module.sig
+    n = len(sig.polygens)
     return _Grading(
-        sig, [0] * module.rank, [0] * len(sig.polygens), [0] * len(sig.variables), 1, None
+        sig, [0] * module.rank, [0] * n, [0] * len(sig.variables), 1, False, [], list(range(n))
     )
+
+
+def band_reference(grading: _Grading, degree: int, bound: int, cls: int) -> list:
+    """`_Grading.band` by slicing and filtering: under the all-ones grading
+    only the polygen degree that coordinate 0 of `cls` leaves each
+    variable part, otherwise every polygen degree up to `bound`; then the
+    monomials of class `cls` among them."""
+    sig = grading.sig
+    if degree < 0 or bound < 0:
+        return []
+    ones = [_unpack(x, grading.bits, 1)[0] for x in [cls] + grading.var]
+    out = []
+    for v in _var_tuples(sig, degree):
+        if grading.ones:
+            n = ones[0] - sum(map(mul, v, ones[1:]))
+            totals = (n,) if 0 <= n <= bound else ()
+        else:
+            totals = range(bound + 1)
+        out += [(p, v) for n in totals for p in _poly_tuples(len(sig.polygens), n)]
+    out.sort(key=lambda m: monomial_sort_key(sig, m))
+    return [m for m in out if monomial_class(grading, m) == cls]
 
 
 def grading_reference(module: FreeModule, d: Differential, h: GradedMap, bound: int) -> tuple:
@@ -709,21 +739,21 @@ def grading_reference(module: FreeModule, d: Differential, h: GradedMap, bound: 
     bits = (reach + 1).bit_length() + 1
     poly = [1 + (1 << bits * (i + 1)) for i in range(n)]
     basis, var, conflicts, _ = _propagate(module, d, zero, poly)
-    ones = True
+    rows = [_unpack(x, bits, n + 1) for x in sorted(conflicts)]
+    kernel, pivots = _kernel([row[1:] for row in rows], n)
+    ones = all(row[0] == 0 for row in rows)
     if conflicts:
-        rows = [_unpack(x, bits, n + 1) for x in sorted(conflicts)]
-        coords = _kernel([row[1:] for row in rows], n)
-        ones = all(row[0] == 0 for row in rows)
-        if ones:
-            coords = [[1] * n] + coords
+        coords = ([[1] * n] if ones else []) + kernel
         if not coords:
             return trivial_grading(module), 0
         bits = ((reach + 1) * max(abs(x) for v in coords for x in v)).bit_length() + 1
         poly = [sum(v[i] << bits * j for j, v in enumerate(coords)) for i in range(n)]
         basis, var, _, _ = _propagate(module, d, zero, poly)
-    grading = _Grading(sig, basis, poly, var, bits, var_weights_reference(sig) if ones else None)
+    grading = _Grading(sig, basis, poly, var, bits, ones, kernel, pivots)
     found = {
-        basis[r] + grading.weight(m) - basis[c] for (r, c), e in h.entries.items() for m in e.terms
+        basis[r] + monomial_class(grading, m) - basis[c]
+        for (r, c), e in h.entries.items()
+        for m in e.terms
     }
     if len(found) > 1:
         return trivial_grading(module), 0

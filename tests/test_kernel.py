@@ -12,7 +12,8 @@ import pytest
 
 from dgalift import QQ, PrimeField, Signature, component_monomials, derivative, diff, format_expr
 from dgalift.algebra import AlgElem, _mul_into, monomial_sort_key
-from dgalift.module import GradedMap, ModuleElement, compose
+from dgalift.lift import _grading
+from dgalift.module import Differential, FreeModule, GradedMap, ModuleElement, compose
 from dgalift.randgen import FixturePool, rand_elem, rand_map, rand_scalar
 
 from oracles import (
@@ -22,12 +23,11 @@ from oracles import (
     derivative_reference,
     diff_reference,
     format_expr_reference,
-    monomial_weight,
+    monomial_class,
     monomial_sort_key_reference,
     mul_into_pair_reference,
     mul_into_reference,
     mul_reference,
-    var_weights_reference,
 )
 from test_cli_fuzz import CAP_S, _time_cap
 
@@ -267,27 +267,6 @@ def test_sort_key_matches_word_order(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
-def test_weight_bands_filter_the_bands(field):
-    """`component_monomials` with a weight ``(n, var)`` enumerates exactly
-    the monomials of weight ``n`` of a band under the variable weights
-    ``var``, in band order, and memoises them per signature apart from the
-    whole band: under each signature's all-ones weights and under
-    variable weights of 0 and 1."""
-    for sig in _signatures(_POOLS[field.key()]):
-        ones = var_weights_reference(sig)
-        assert ones is not None
-        for var in (ones, (0,) * len(ones), (1,) * len(ones)):
-            for degree, bound in _GRID:
-                band = component_monomials(sig, degree, bound)
-                for n in range(-1, 9):
-                    got = component_monomials(sig, degree, bound, (n, var))
-                    assert list(got) == [m for m in band if monomial_weight(var, m) == n]
-                    assert list(got) == component_monomials_reference(sig, degree, bound, (n, var))
-                    assert component_monomials(sig, degree, bound, (n, var)) is got
-                assert component_monomials(sig, degree, bound) is band
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_bands_of_higher_degrees_match_the_box_search(field):
     """The exponents of the last even variable start where the odd
     variables after it can make up the rest; up to degree 14 every band
@@ -303,16 +282,25 @@ def test_bands_of_higher_degrees_match_the_box_search(field):
 def test_bands_of_a_huge_degree_cost_what_their_monomials_do():
     """A band of degree 10^12 with one even variable holds a few monomials
     and is found as fast: the exponents of the even variable are not tried
-    one by one."""
+    one by one.  So is the band of the class of ``X^(n/2)`` under the
+    all-ones grading of ``S1``: both monomials of degree ``n`` at its
+    degree, where ``W1 W2 X^(n/2 - 1)`` has the same weights, and none one
+    degree up, where no monomial has its all-ones weight ``n``."""
     pool = FixturePool(QQ)  # no band memo of another test
     n = 10**12
+    mod = FreeModule(pool.S1, [("e", 0)])
+    x = ((0, 0), (0, 0, n // 2))
     with _time_cap(CAP_S):
         component_monomials(pool.S1, n, 0)
         component_monomials(pool.Sodd3, n, 0)
+        grading, _ = _grading(mod, Differential.free(mod), GradedMap.zero(mod, n - 1), 0)
+        cls = monomial_class(grading, x)
+        assert grading.ones
+        assert grading.band(n, 0, cls) == list(component_monomials(pool.S1, n, 0))
+        assert grading.band(n + 1, 0, cls) == []
     assert [v for _, v in component_monomials(pool.S1, n, 0)] == [
         (0, 0, n // 2), (1, 1, n // 2 - 1)
     ]
-    assert component_monomials(pool.S1, n + 1, 0, (n, var_weights_reference(pool.S1))) == ()
     got = {v for _, v in component_monomials(pool.Sodd3, n, 0)}
     assert got == {(0, 0, n // 2, 0), (1, 1, n // 2 - 1, 0), (1, 0, n // 2 - 2, 1), (0, 1, n // 2 - 2, 1)}
     assert component_monomials(pool.S3, n, 5) == ()

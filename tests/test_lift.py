@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 import tempfile
 import time
 from operator import mul
@@ -19,6 +20,7 @@ from dgalift.lift import (
     _coefficients,
     _grading,
     _homotopy_columns,
+    _Grading,
     _kernel,
     _unpack,
     construct_lift_even,
@@ -49,14 +51,17 @@ from dgalift.randgen import (
 )
 from dgalift.solver import solve_exact
 from oracles import (
+    band_reference,
     basis_change_reference,
     block_filter,
+    component_monomials_reference,
     grading_reference,
     homotopy_columns_reference,
     idempotent,
     invert_unit_reference,
     is_scalar_cycle,
     koszul,
+    monomial_class,
     ones_filter,
     series_plus_reference,
     solve_homotopy_reference,
@@ -67,7 +72,9 @@ from oracles import (
     verify_lift_reference,
     weights_reference,
 )
+from test_cli_fuzz import CAP_S, _time_cap
 from test_corpus import _gen as _corpus_gen
+from test_kernel import _GRID
 
 
 def _doubled_derivation(mod, d, gamma, var="X"):
@@ -817,7 +824,7 @@ def test_homotopy_columns_match_element_reference(field):
                 if grading != trivial:
                     full = _homotopy_columns(mod, d, degree, bound, (trivial, 0))[0]
                     basis = grading.basis
-                    classes = {basis[r] + grading.weight(m) - basis[c] for r, c, m in full}
+                    classes = {basis[r] + monomial_class(grading, m) - basis[c] for r, c, m in full}
                     shapes += [(grading, w) for w in sorted(classes)[:4]]
                 for block in shapes:
                     unknowns, columns = _homotopy_columns(mod, d, degree, bound, block)
@@ -887,6 +894,40 @@ def _finer_rung(field, rng):
     return mod, d.conjugate(u, invert_unit(u))
 
 
+def _rung_cases(field, rng):
+    """Koszul rungs shaped as the benchmark's over three and four polygens,
+    odd and even, and two whose ``dX`` has terms of two multidegrees:
+    ``a + b`` joins the two polygens, ``a + b^2`` weighs ``a`` twice ``b``
+    and breaks the all-ones grading."""
+    cases = []
+    for parity in ("odd", "even"):
+        for n in (3, 4):
+            sig = Signature(field, [f"a{i}" for i in range(n)])
+            if parity == "odd":
+                sig = sig.adjoin("X", 1, "a0")
+            else:
+                sig = sig.adjoin("W0", 1, "a0").adjoin("W1", 1, "a1")
+                sig = sig.adjoin("X", 2, "a1*W0 - a0*W1")
+            cases.append(_koszul_rung(sig, n, rng))
+    for dx in ("a0 + a1", "a0 + a1^2"):
+        sig = Signature(field, ["a0", "a1"]).adjoin("X", 1, dx)
+        cases.append(_koszul_rung(sig, 2, rng))
+    return cases
+
+
+def _huge_conjugates(pool):
+    """``K(a^100000, b^60000)`` over ``S1`` and ``K(a^100000, b^60000, c)``
+    over ``S2``, each conjugated by ``1 + a^40000 E_12``, whose inverse is
+    ``1 - a^40000 E_12``: the conflict ``140000a - 60000b`` leaves exponents
+    past what a few bits per weight would hold."""
+    out = []
+    for sig, gens in ((pool.S1, ("a^100000", "b^60000")), (pool.S2, ("a^100000", "b^60000", "c"))):
+        mod, d = koszul(sig, [sig.parse(t) for t in gens])
+        e12 = GradedMap(mod, 0, {(1, 2): sig.parse("a^40000")})
+        out.append((mod, d.conjugate(GradedMap.identity(mod) + e12, GradedMap.identity(mod) - e12)))
+    return out
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
 def test_weight_block_search_matches_full_search(field):
     """`solve_homotopy`, which solves only the block of the class of ``h``
@@ -943,7 +984,7 @@ def test_block_holds_the_target(field):
             block = grading, w = _grading(mod, d, target, bound)
             for (r, c), e in target.entries.items():
                 for m in e.terms:
-                    assert grading.basis[r] + grading.weight(m) - grading.basis[c] == w
+                    assert grading.basis[r] + monomial_class(grading, m) - grading.basis[c] == w
             blind = grading_reference(mod, d, target, bound)
             if target is h:
                 assert block == blind
@@ -1006,37 +1047,24 @@ def test_weights():
 
 
 def _ones(grading, cls):
-    """Coordinate 0 of a class: its all-ones weight when `grading.ones` is
-    not None."""
+    """Coordinate 0 of a class: its all-ones weight when `grading.ones`
+    holds."""
     return _unpack(cls, grading.bits, 1)[0]
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
 def test_grading_makes_every_term_homogeneous(field):
     """Under `_grading`, every term of ``D`` has class 0 as a map and every
-    term of each ``dX`` the class of ``X``; where the all-ones grading holds
-    (`weights_reference`), coordinate 0 gives its basis and variable
-    weights, `grading.ones` holds the variable weights
-    (`var_weights_reference`), and `_grading` finds a grading other than
-    the trivial one wherever it does.  On `_grading_cases`, `_column_cases` (some not
-    square-zero) and Koszul rungs shaped as the benchmark's."""
+    term of each ``dX`` the class of ``X``; `grading.ones` holds exactly
+    where the all-ones grading does (`weights_reference`), and coordinate
+    0 then gives its basis weights, the variable weights
+    (`var_weights_reference`) and 1 for every polygen; `_grading` finds a
+    grading other than the trivial one wherever it does.  On
+    `_grading_cases`, `_column_cases` (some not square-zero) and
+    `_rung_cases`."""
     pool = FixturePool(field)
     rng = random.Random(59)
-    cases = _grading_cases(pool, rng) + _column_cases(field)
-    for parity in ("odd", "even"):
-        for n in (3, 4):
-            sig = Signature(field, [f"a{i}" for i in range(n)])
-            if parity == "odd":
-                sig = sig.adjoin("X", 1, "a0")
-            else:
-                sig = sig.adjoin("W0", 1, "a0").adjoin("W1", 1, "a1")
-                sig = sig.adjoin("X", 2, "a1*W0 - a0*W1")
-            cases.append(_koszul_rung(sig, n, rng))
-    # variable differentials with terms of two multidegrees: a + b joins the
-    # two polygens, a + b^2 weighs a twice b and breaks the all-ones grading
-    for dx in ("a0 + a1", "a0 + a1^2"):
-        sig = Signature(field, ["a0", "a1"]).adjoin("X", 1, dx)
-        cases.append(_koszul_rung(sig, 2, rng))
+    cases = _grading_cases(pool, rng) + _column_cases(field) + _rung_cases(field, rng)
     graded = ones = 0
     for mod, d in cases:
         grading, w = _grading(mod, d, GradedMap.zero(mod, -1), 2)
@@ -1045,18 +1073,17 @@ def test_grading_makes_every_term_homogeneous(field):
         graded += grading != trivial_grading(mod)
         for (r, c), e in d.matrix.entries.items():
             for m in e.terms:
-                assert grading.basis[r] + grading.weight(m) - grading.basis[c] == 0
+                assert grading.basis[r] + monomial_class(grading, m) - grading.basis[c] == 0
         sig = mod.sig
         for var, cls in zip(sig.variables, grading.var):
             for p, v in var.diff.terms:
                 pad = (0,) * (len(sig.variables) - len(v))
-                assert grading.weight((p, v + pad)) == cls
-        assert (grading.ones is not None) == (reference is not None)
-        if grading.ones is not None:
+                assert monomial_class(grading, (p, v + pad)) == cls
+        assert grading.ones == (reference is not None)
+        if grading.ones:
             ones += 1
             assert [_ones(grading, x) for x in grading.basis] == reference
-            assert tuple(_ones(grading, x) for x in grading.var) == grading.ones
-            assert grading.ones == var_weights_reference(sig)
+            assert tuple(_ones(grading, x) for x in grading.var) == var_weights_reference(sig)
             assert [_ones(grading, x) for x in grading.poly] == [1] * len(sig.polygens)
     assert graded > ones > 0
 
@@ -1074,13 +1101,13 @@ def test_finest_grading_separates_what_no_conflict_joins(monkeypatch):
     mod, d = koszul(sig, [sig.parse(f"a{i}") for i in range(3)])
     grading, _ = _grading(mod, d, GradedMap.zero(mod, -1), 0)
     vectors = list(itertools.product(range(3), repeat=3))
-    assert len({grading.weight((p, (0,))) for p in vectors}) == len(vectors)
+    assert len({monomial_class(grading, (p, (0,))) for p in vectors}) == len(vectors)
 
     pool = FixturePool(QQ)
     mod, d = _conjugated_nk(pool)
     grading, _ = _grading(mod, d, obstruction(mod, d, "X"), 3)
-    a, b = (grading.weight(pool.S1.parse(t).terms.popitem()[0]) for t in ("a", "b"))
-    assert a != 0 and b == 2 * a and grading.ones is None
+    a, b = (monomial_class(grading, pool.S1.parse(t).terms.popitem()[0]) for t in ("a", "b"))
+    assert a != 0 and b == 2 * a and not grading.ones
     sizes = _solver_sizes(monkeypatch)
     mod, d = _finer_rung(QQ, random.Random(3))
     h = obstruction(mod, d, "X")
@@ -1091,29 +1118,22 @@ def test_finest_grading_separates_what_no_conflict_joins(monkeypatch):
         assert 0 < sizes[-1][0] < full
         assert matrix_to_doc(got) == matrix_to_doc(solve_homotopy_reference(mod, d, h, bound))
 
-    # the same with exponents past what a few bits per weight would hold:
-    # K(a^100000, b^60000) conjugated by 1 + a^40000 E_12, whose inverse is
-    # 1 - a^40000 E_12, meets 140000a - 60000b
-    sig = pool.S1
-    mod, d = koszul(sig, [sig.parse("a^100000"), sig.parse("b^60000")])
-    e12 = GradedMap(mod, 0, {(1, 2): sig.parse("a^40000")})
-    d = d.conjugate(GradedMap.identity(mod) + e12, GradedMap.identity(mod) - e12)
+    # the same with exponents past what a few bits per weight would hold
+    (mod, d), (mod3, d3) = _huge_conjugates(pool)
+    sig = mod.sig
     h = obstruction(mod, d, "X")
     grading, _ = _grading(mod, d, h, 0)
-    a, b = (grading.weight(sig.parse(t).terms.popitem()[0]) for t in ("a", "b"))
-    assert a != 0 and 3 * b == 7 * a and grading.ones is None
+    a, b = (monomial_class(grading, sig.parse(t).terms.popitem()[0]) for t in ("a", "b"))
+    assert a != 0 and 3 * b == 7 * a and not grading.ones
     assert grading.basis == [0, 100000 * a, 60000 * b, 100000 * a + 60000 * b]
     got = solve_homotopy(mod, d, h, 0)
     assert matrix_to_doc(got) == matrix_to_doc(solve_homotopy_reference(mod, d, h, 0))
     # with c as well the kernel has two coordinates, and each class unpacks
     # into the weights its exponents give: the packing holds them apart
-    sig = pool.S2
-    mod, d = koszul(sig, [sig.parse(t) for t in ("a^100000", "b^60000", "c")])
-    e12 = GradedMap(mod, 0, {(1, 2): sig.parse("a^40000")})
-    d = d.conjugate(GradedMap.identity(mod) + e12, GradedMap.identity(mod) - e12)
+    mod, d = mod3, d3
     grading, _ = _grading(mod, d, GradedMap.zero(mod, -1), 0)
     unit = [_unpack(x, grading.bits, 2) for x in grading.poly]
-    assert 3 * unit[1][0] == 7 * unit[0][0] and unit[2] != [0, 0] and grading.ones is None
+    assert 3 * unit[1][0] == 7 * unit[0][0] and unit[2] != [0, 0] and not grading.ones
     for r, name in enumerate(mod.names):  # k<s>: the product of the gens in s
         s = int(name[1:])
         exps = [100000 * (s & 1), 60000 * (s >> 1 & 1), s >> 2 & 1]
@@ -1129,8 +1149,10 @@ def test_finest_grading_separates_what_no_conflict_joins(monkeypatch):
 def test_kernel_of_integer_rows():
     """`_kernel` returns integer vectors orthogonal to every row, as many as
     the columns less the rank of the rows (taken over the rationals here),
-    and independent: random rows of 0-6 vectors in 1-5 columns, with
-    repeated and dependent rows."""
+    and independent, and as many pivot columns as that rank, in
+    increasing order: each vector is positive at a free column of its
+    own, in the order of those columns, and 0 at the others.  Random rows
+    of 0-6 vectors in 1-5 columns, with repeated and dependent rows."""
     from fractions import Fraction
 
     def rank(rows):
@@ -1154,9 +1176,89 @@ def test_kernel_of_integer_rows():
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 6))]
         if rows and rng.random() < 0.5:
             rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
-        kernel = _kernel(rows, n)
+        kernel, pivots = _kernel(rows, n)
         assert all(sum(map(mul, v, row)) == 0 for v in kernel for row in rows)
         assert len(kernel) == n - rank(rows) == rank(kernel)
+        assert len(pivots) == rank(rows) and pivots == sorted(set(pivots))
+        free = [f for f in range(n) if f not in pivots]
+        for f, v in zip(free, kernel):
+            assert v[f] > 0 and all(v[g] == 0 for g in free if g != f)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_bands_match_the_slice_and_filter_rule(field):
+    """`_Grading.band`, which enumerates the pivot exponents of a class and
+    solves for the rest, equals `band_reference`, which slices the
+    all-ones weight or takes the band whole and filters it by class.
+
+    On every ``(degree, class)`` that `_homotopy_columns` asks for, one
+    degree below and above it, and at that degree the class plus 1 (under
+    the all-ones grading, an all-ones weight the other coordinates do not
+    give) and plus one past the last coordinate (no class of the packing),
+    at bounds 0-3: the blocks of ``j(d)`` and of zero targets on
+    `_grading_cases`, `_rung_cases` and `_huge_conjugates`, and of zero
+    targets on `_column_cases`, which cover the trivial grading, the
+    all-ones one with and without pivots and finer-only ones.  And on each `FixturePool` signature under one
+    coordinate that weighs every polygen 1 and the variables their
+    all-ones weights, 0 or 1, at weights -1 to 8 over `_GRID`: the
+    monomials of the band of that weight (`component_monomials_reference`).
+    """
+    pool = FixturePool(field)
+    rng = random.Random(67)
+    cases = [
+        (mod, d, [obstruction(mod, d, mod.sig.top_variable.name)])
+        for mod, d in _grading_cases(pool, rng) + _rung_cases(field, rng) + _huge_conjugates(pool)
+    ]
+    cases += [(mod, d, []) for mod, d in _column_cases(field)]
+    kinds = set()
+    nonempty = 0
+    for mod, d, targets in cases:
+        degs = mod.degrees
+        for h, bound in itertools.product(targets + [GradedMap.zero(mod, -1)], range(4)):
+            grading, w = _grading(mod, d, h, bound)
+            kind = "all-ones" if grading.ones else "finer" if grading.kernel else "trivial"
+            kinds.add((kind, bool(grading.pivots)))
+            asked = {
+                (degs[c] - degs[r] + h.degree + 1, grading.basis[c] - grading.basis[r] + w)
+                for r, c in itertools.product(range(mod.rank), repeat=2)
+            }
+            past = 1 << grading.bits * (grading.ones + len(grading.kernel))
+            for degree, cls in asked:
+                near = [(degree + k, cls) for k in (-1, 0, 1)] + [(degree, cls + 1), (degree, cls + past)]
+                for deg, c in near:
+                    got = grading.band(deg, bound, c)
+                    assert got == band_reference(grading, deg, bound, c)
+                    nonempty += bool(got)
+    assert kinds == {("all-ones", False), ("all-ones", True), ("finer", True), ("trivial", True)}
+    assert nonempty > 1000
+
+    for sig in (pool.S3, pool.S1, pool.Sodd3, pool.S2):
+        n = len(sig.polygens)
+        ones = var_weights_reference(sig)
+        for var in (ones, (0,) * len(ones), (1,) * len(ones)):
+            grading = _Grading(sig, [0], [1] * n, list(var), 8, False, [[1] * n], list(range(1, n)))
+            for (degree, bound), cls in itertools.product(_GRID, range(-1, 9)):
+                got = grading.band(degree, bound, cls)
+                assert got == band_reference(grading, degree, bound, cls)
+                assert got == component_monomials_reference(sig, degree, bound, (cls, var))
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+def test_finer_only_search_costs_its_pivots_not_its_bands():
+    """`_finer_rung` has only a finer grading than the all-ones one, so no
+    weight caps the polygen degree of its bands; at bound 200 its search
+    enumerates the exponents of its two pivot polygens in each class, not
+    every band up to the bound, and finishes under the time cap with the
+    unknowns and the certificate of bound 3."""
+    mod, d = _finer_rung(QQ, random.Random(3))
+    h = obstruction(mod, d, "X")
+    found = []
+    for bound in (3, 200):
+        with _time_cap(CAP_S):
+            block = _grading(mod, d, h, bound)
+            unknowns = _homotopy_columns(mod, d, h.degree + 1, bound, block)[0]
+            found.append((unknowns, matrix_to_doc(solve_homotopy(mod, d, h, bound))))
+    assert found[0] == found[1] and len(found[0][0]) == 8
 
 
 def _solver_sizes(monkeypatch) -> list:
@@ -1219,10 +1321,10 @@ def test_homogeneous_search_costs_the_same_at_any_bound(N3, monkeypatch):
     """The README example needs polygen degree 0; its weight block is the
     same at bound 10**6, where the full system would be out of reach.  So
     are the blocks of the `decide-large` rungs of seed 0, over three to five
-    polygens, where the all-ones weight picks the polygen degree of each
-    band and the finer classes filter it: the same certificate (None on
-    the misses) and the same solver sizes as at each rung's bound, each in
-    under a second."""
+    polygens, where the all-ones weight of each class caps the exponents
+    of its pivot polygens: the same certificate (None on the misses) and
+    the same solver sizes as at each rung's bound, each in under a
+    second."""
     mod, d = N3
     start = time.perf_counter()
     far = decide_naive_lift(mod, d, "X", 10**6)
