@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("jop", "the basis derivative of the module differential", mod="required", var=True)
     add(
         "obstruct",
-        "the lifting obstruction matrix with its cycle check",
+        "the lifting obstruction matrix, a cycle since d squares to zero",
         mod="required",
         var=True,
     )
@@ -211,6 +211,8 @@ def _compute(args, transcript: dict):
         return "ok", data, EXIT_OK
 
     if args.command == "obstruct":
+        # obstruction checks that d squares to zero, and j(d o d) =
+        # (-1)^|X| [d, j(d)] for the top variable: the cycle flag is derived.
         h = obstruction(module, d, var_name)
         data = {
             "obstruction": matrix_to_doc(h),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import comb, log10
+from math import comb, lcm, log10
 
 from .errors import SchemaError
 
@@ -151,6 +151,11 @@ class RationalField(Field):
 
     def of_fraction(self, num: int, den: int):
         return _rational(Fraction(num, den))
+
+    def clear_denominators(self, xs: list) -> list:
+        """The rationals `xs` times the lcm of their denominators, as ints."""
+        scale = lcm(*(x.denominator for x in xs))
+        return [x.numerator * (scale // x.denominator) for x in xs]
 
     def fmt(self, x) -> str:
         return str(x)

@@ -50,7 +50,7 @@ every degree ``-|X|`` matrix ``gamma`` or follows from ``Delta(d) = 0``;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from functools import cached_property
 from operator import mul
 from typing import Optional
 
@@ -64,6 +64,7 @@ from .algebra import (
     monomial_sort_key,
 )
 from .errors import NotInvertibleError, SchemaError, VerificationError
+from .field import QQ
 from .jop import CheckReport, JOperator
 from .module import (
     Differential,
@@ -127,12 +128,16 @@ def _require_liftable_setting(module: FreeModule, d: Differential, var_name: str
 
 
 def obstruction(module: FreeModule, d: Differential, var_name: str) -> GradedMap:
-    """The obstruction matrix ``j(d)``, with its cycle property checked."""
+    """The obstruction matrix ``j(d)``, a cycle: ``[d, j(d)] = 0``.
+
+    The setting check gives this, with no check of its own.  For the top
+    variable ``j`` is a derivation of degree ``-|X|`` of the operators
+    (`JOperator.of_dop`), so ``j(d o d) = j(d) d + (-1)^{|X|} d j(d)``, and
+    with ``|d| = -1`` that is ``(-1)^{|X|} [d, j(d)]``.  ``d o d = 0``, so
+    ``[d, j(d)] = 0``.
+    """
     _require_liftable_setting(module, d, var_name)
-    h = JOperator(module, var_name).of_diff(d)
-    if not bracket_diff(d, h).is_zero():
-        raise VerificationError("obstruction failed the cycle check [j(d), d] = 0")
-    return h
+    return JOperator(module, var_name).of_diff(d)
 
 
 def _coefficients(f: GradedMap) -> dict:
@@ -200,49 +205,27 @@ def _propagate(module: FreeModule, d: Differential, h: GradedMap, poly: list):
     return basis, var, conflicts, w
 
 
-def _cancel(row: list, pivot: list, col: int) -> list:
-    """`row` with its entry at `col` cancelled against `pivot`, divided by
-    the gcd of its entries."""
-    f, g = row[col], pivot[col]
-    out = [g * x - f * y for x, y in zip(row, pivot)]
-    k = gcd(*out)
-    return [x // k for x in out] if k else out
-
-
 def _kernel(rows: list, n: int) -> tuple:
     """A basis of the integer vectors of length `n` orthogonal to every row,
     and the pivot columns, in increasing order.
 
-    Integer elimination: each pivot row is zero at the pivot columns of
-    the others, so each free column ``f`` gives the kernel vector that is
-    ``L`` at ``f``, 0 at the other free columns and ``-L row[f] / row[p]``
-    at the pivot column ``p`` of each row, ``L`` the lcm of the pivots; the
-    vectors come in the order of their free columns, each positive there.
+    Column ``j`` of the rows is a pivot when `solve_exact` finds it outside
+    the span of the columns before it.  Otherwise its solution, with every
+    free unknown zero, says ``col_j = sum_(i<j) x_i col_i``: the vector
+    ``-x`` with 1 at ``j`` and 0 past it lies in the kernel and is 0 at the
+    other free columns.  Cleared of denominators it is positive at ``j``,
+    where it holds their lcm, so its entries have no common factor.  The
+    vectors come in the order of their free columns.
     """
-    pivots: dict = {}  # pivot column -> row
-    for row in rows:
-        for col, pivot in pivots.items():
-            if row[col]:
-                row = _cancel(row, pivot, col)
-        col = next((i for i, x in enumerate(row) if x), None)
-        if col is None:
-            continue
-        for c, pivot in pivots.items():
-            if pivot[col]:
-                pivots[c] = _cancel(pivot, row, col)
-        pivots[col] = row
-    scale = lcm(*(row[col] for col, row in pivots.items()))
-    out = []
-    for f in range(n):
-        if f in pivots:
-            continue
-        v = [0] * n
-        v[f] = scale
-        for col, row in pivots.items():
-            v[col] = -row[f] * (scale // row[col])
-        k = gcd(*v)
-        out.append([x // k for x in v])
-    return out, sorted(pivots)
+    columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n)]
+    kernel, pivots = [], []
+    for j in range(n):
+        x = solve_exact(QQ, columns[:j], columns[j])
+        if x is None:
+            pivots.append(j)
+        else:
+            kernel.append(QQ.clear_denominators([-c for c in x] + [1] + [0] * (n - 1 - j)))
+    return kernel, pivots
 
 
 def _unpack(x: int, bits: int, n: int) -> list:
@@ -282,6 +265,11 @@ class _Grading:
     kernel: list
     pivots: list
 
+    @cached_property
+    def free(self) -> list:
+        """The free columns, one per `kernel` vector and in their order."""
+        return [f for f in range(len(self.poly)) if f not in self.pivots]
+
     def band(self, degree: int, bound: int, cls: int) -> list:
         """The monomials of class `cls` in the band of `degree` with polygen
         degree at most `bound`, in monomial order.  For each variable part
@@ -289,7 +277,7 @@ class _Grading:
         per kernel vector, so only they are tried: up to the all-ones weight
         of ``cls - weight(v)``, which ``p`` must have, when `ones` holds and
         else up to `bound`; without pivots there is one candidate."""
-        n, ones, pivots = len(self.poly), self.ones, self.pivots
+        n, ones, pivots, free = len(self.poly), self.ones, self.pivots, self.free
         out = []
         for _, v in component_monomials(self.sig, degree, 0):
             x = cls - sum(map(mul, v, self.var))
@@ -297,7 +285,6 @@ class _Grading:
             top = t[0] if ones else bound  # the most polygen degree p may have
             if not 0 <= top <= bound or sum(c << self.bits * i for i, c in enumerate(t)) != x:
                 continue  # no room for polygens, or not a class of this packing
-            free = [f for f in range(n) if f not in pivots]
             for k in range(top + 1 if pivots else 1):
                 for q in _poly_tuples(len(pivots), k):
                     p = dict(zip(pivots, q))
@@ -321,12 +308,14 @@ def _grading(module: FreeModule, d: Differential, h: GradedMap, bound: int) -> t
     whose other coordinates make unit vectors (the kernel of no conflict),
     and collects the conflicts of ``D`` and of the classes of ``h``.
     Without any, that is the grading.  Otherwise the polygen weights are
-    the integer vectors in the kernel of the conflicts (`_kernel`), after
-    the all-ones vector when every conflict sums to 0, and a second
-    propagation with them meets no conflict; an empty kernel weighs every
-    polygen 0: the trivial grading.  Either way two monomials have one
-    class exactly when their weight vectors (polygen exponents plus the
-    variables' vectors) differ by a rational combination of conflicts.
+    the integer vectors in the kernel of the conflicts, which `_kernel`
+    takes from `solve_exact` over the rationals, one small system per
+    polygen; they come after the all-ones vector when every conflict sums
+    to 0, and a second propagation with them meets no conflict; an empty
+    kernel weighs every polygen 0: the trivial grading.  Either way two
+    monomials have one class exactly when their weight vectors (polygen
+    exponents plus the variables' vectors) differ by a rational
+    combination of conflicts.
 
     The packing is injective on every vector the search compares:
     `bits` bounds each coordinate by the L1 sizes of the terms of ``D``

@@ -2,7 +2,7 @@
 
 from heapq import heapify, heappop, heappush
 from itertools import product
-from math import comb
+from math import comb, gcd, lcm
 from operator import add, mul
 from typing import Callable, Optional
 
@@ -24,7 +24,6 @@ from dgalift.lift import (
     _coefficients,
     _Grading,
     _homotopy_columns,
-    _kernel,
     _propagate,
     _unpack,
 )
@@ -716,12 +715,56 @@ def band_reference(grading: _Grading, degree: int, bound: int, cls: int) -> list
     return [m for m in out if monomial_class(grading, m) == cls]
 
 
+def _cancel(row: list, pivot: list, col: int) -> list:
+    """`row` with its entry at `col` cancelled against `pivot`, divided by
+    the gcd of its entries."""
+    f, g = row[col], pivot[col]
+    out = [g * x - f * y for x, y in zip(row, pivot)]
+    k = gcd(*out)
+    return [x // k for x in out] if k else out
+
+
+def kernel_reference(rows: list, n: int) -> tuple:
+    """`lift._kernel` by integer Gauss-Jordan elimination, with no rational
+    ever formed: each pivot row is zero at the pivot columns of the
+    others, so each free column ``f`` gives the kernel vector that is
+    ``L`` at ``f``, 0 at the other free columns and ``-L row[f] / row[p]``
+    at the pivot column ``p`` of each row, ``L`` the lcm of the pivots;
+    the vectors come in the order of their free columns, each positive
+    there, and the pivot columns in increasing order."""
+    pivots: dict = {}  # pivot column -> row
+    for row in rows:
+        for col, pivot in pivots.items():
+            if row[col]:
+                row = _cancel(row, pivot, col)
+        col = next((i for i, x in enumerate(row) if x), None)
+        if col is None:
+            continue
+        for c, pivot in pivots.items():
+            if pivot[col]:
+                pivots[c] = _cancel(pivot, row, col)
+        pivots[col] = row
+    scale = lcm(*(row[col] for col, row in pivots.items()))
+    out = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [0] * n
+        v[f] = scale
+        for col, row in pivots.items():
+            v[col] = -row[f] * (scale // row[col])
+        k = gcd(*v)
+        out.append([x // k for x in v])
+    return out, sorted(pivots)
+
+
 def grading_reference(module: FreeModule, d: Differential, h: GradedMap, bound: int) -> tuple:
     """The block ``(grading, w)`` that `solve_homotopy` solved before the
     classes of the target joined the conflicts: the finest grading of
-    ``D`` alone, by the same propagation and kernel as `lift._grading`, and
-    the class of ``h`` in it, or the trivial grading's one class when
-    ``h`` has terms of two classes (0 as well for a zero ``h``)."""
+    ``D`` alone, by the same propagation as `lift._grading` and the kernel
+    of `kernel_reference`, and the class of ``h`` in it, or the trivial
+    grading's one class when ``h`` has terms of two classes (0 as well for
+    a zero ``h``)."""
     sig = module.sig
     n = len(sig.polygens)
     if n == 0:
@@ -740,7 +783,7 @@ def grading_reference(module: FreeModule, d: Differential, h: GradedMap, bound: 
     poly = [1 + (1 << bits * (i + 1)) for i in range(n)]
     basis, var, conflicts, _ = _propagate(module, d, zero, poly)
     rows = [_unpack(x, bits, n + 1) for x in sorted(conflicts)]
-    kernel, pivots = _kernel([row[1:] for row in rows], n)
+    kernel, pivots = kernel_reference([row[1:] for row in rows], n)
     ones = all(row[0] == 0 for row in rows)
     if conflicts:
         coords = ([[1] * n] if ones else []) + kernel

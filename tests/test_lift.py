@@ -60,6 +60,7 @@ from oracles import (
     idempotent,
     invert_unit_reference,
     is_scalar_cycle,
+    kernel_reference,
     koszul,
     monomial_class,
     ones_filter,
@@ -73,7 +74,7 @@ from oracles import (
     weights_reference,
 )
 from test_cli_fuzz import CAP_S, _time_cap
-from test_corpus import _gen as _corpus_gen
+from test_corpus import _gen as _corpus_gen, _inputs as _corpus_inputs
 from test_kernel import _GRID
 
 
@@ -166,6 +167,28 @@ def test_obstruction_preconditions(S3, S1):
     mod1 = FreeModule(S1, [("e0", 0)])
     with pytest.raises(SchemaError):
         obstruction(mod1, Differential.free(mod1), "W1")  # not the top variable
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_obstruction_is_a_cycle(field):
+    """``[d, j(d)] = 0`` wherever ``d o d = 0``, which `obstruction` proves
+    and does not check: on every `_grading_cases` and `_rung_cases` input,
+    and on every corpus input over the field (`tests/test_corpus.py`; the
+    benchmark draws them over Q and F5 only)."""
+    pool = FixturePool(field)
+    rng = random.Random(73)
+    cases = _grading_cases(pool, rng) + _rung_cases(field, rng)
+    with tempfile.TemporaryDirectory() as tmp:
+        for _, sig_path, mod_path, _ in _corpus_inputs(tmp):
+            sig = signature_from_doc(load_json(sig_path))
+            if sig.field == field:
+                cases.append(module_from_doc(load_json(mod_path), sig))
+    nonzero = 0
+    for mod, d in cases:
+        h = obstruction(mod, d, mod.sig.top_variable.name)
+        assert bracket_diff(d, h).is_zero()
+        nonzero += not h.is_zero()
+    assert nonzero > 0
 
 
 def test_solve_homotopy_fixture(N3):
@@ -1151,8 +1174,10 @@ def test_kernel_of_integer_rows():
     the columns less the rank of the rows (taken over the rationals here),
     and independent, and as many pivot columns as that rank, in
     increasing order: each vector is positive at a free column of its
-    own, in the order of those columns, and 0 at the others.  Random rows
-    of 0-6 vectors in 1-5 columns, with repeated and dependent rows."""
+    own, in the order of those columns, and 0 at the others.  It equals
+    the integer elimination `kernel_reference`.  Random rows of 0-6
+    vectors in 1-5 columns, with repeated and dependent rows, and rows in
+    no column."""
     from fractions import Fraction
 
     def rank(rows):
@@ -1183,6 +1208,39 @@ def test_kernel_of_integer_rows():
         free = [f for f in range(n) if f not in pivots]
         for f, v in zip(free, kernel):
             assert v[f] > 0 and all(v[g] == 0 for g in free if g != f)
+        assert (kernel, pivots) == kernel_reference(rows, n)
+    unit = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert _kernel([], 3) == kernel_reference([], 3) == (unit, [])
+    assert _kernel([[], []], 0) == kernel_reference([[], []], 0) == ([], [])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_kernel_of_conflicts_matches_integer_elimination(field, monkeypatch):
+    """On the conflict rows `_grading` hands `_kernel`, with ``j(d)`` and a
+    zero target at bounds 0 and 2, `_kernel` equals `kernel_reference`:
+    every `_grading_cases` and `_rung_cases` input, where the rows have
+    pivots and free columns both, and rational solutions on some."""
+    seen = []
+
+    def spy(rows, n):
+        seen.append((rows, n))
+        return _kernel(rows, n)
+
+    monkeypatch.setattr(lift_module, "_kernel", spy)
+    pool = FixturePool(field)
+    rng = random.Random(71)
+    for mod, d in _grading_cases(pool, rng) + _rung_cases(field, rng):
+        h = obstruction(mod, d, mod.sig.top_variable.name)
+        for target, bound in itertools.product((h, GradedMap.zero(mod, h.degree)), (0, 2)):
+            _grading(mod, d, target, bound)
+    pivoted = fractional = 0
+    for rows, n in seen:
+        kernel, pivots = _kernel(rows, n)
+        assert (kernel, pivots) == kernel_reference(rows, n)
+        pivoted += bool(pivots) and bool(kernel)
+        free = [f for f in range(n) if f not in pivots]
+        fractional += any(v[f] > 1 for f, v in zip(free, kernel))
+    assert pivoted > 0 and fractional > 0, (pivoted, fractional)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
@@ -1262,13 +1320,17 @@ def test_finer_only_search_costs_its_pivots_not_its_bands():
 
 
 def _solver_sizes(monkeypatch) -> list:
-    """The sizes (unknowns, rows, nonzeros) of each system `solve_homotopy`
-    hands the solver from now on, in order."""
+    """The sizes (unknowns, rows, nonzeros) of each homotopy system
+    `solve_homotopy` hands the solver from now on, in order.  Its row keys
+    are ``((row, col), monomial)`` pairs; the systems `_kernel` solves are
+    keyed by the indices of the conflicts, ints, and are left out, as is
+    a system with no rows at all."""
     sizes = []
 
     def spy(field, columns, rhs):
         rows = {key for col in columns for key in col} | set(rhs)
-        sizes.append((len(columns), len(rows), sum(len(col) for col in columns)))
+        if any(type(key) is tuple for key in rows):
+            sizes.append((len(columns), len(rows), sum(len(col) for col in columns)))
         return solve_exact(field, columns, rhs)
 
     monkeypatch.setattr(lift_module, "solve_exact", spy)
