@@ -22,11 +22,16 @@ Conventions:
   * the differential obeys ``d(xy) = d(x)y + (-1)^|x| x d(y)`` and
     ``d(X^(m)) = X^(m-1) * d(X)``.
 
-Every product goes through one kernel, `_mul_into`, which adds ``a * b``
-of two term maps into an output map in place (``-(a * b)`` with its
-``neg`` flag); `AlgElem.__mul__`, `diff`, `GradedMap.apply` and the module
-accumulator (`module._product_into`: `compose`, brackets, ``d o f``,
-j-operators) add through it without an intermediate element.  A factor
+Three term-level kernels add into an output term map in place, each
+negated by a ``neg`` flag, with no intermediate element: `_mul_into` adds
+``a * b`` of two term maps, `_diff_into` adds ``d(a)`` and
+`_derivative_into` the derivative of ``a`` by one variable.
+`AlgElem.__mul__`, `diff` and `derivative` are wrappers over them, and
+`GradedMap.apply` and the module accumulator (`module._product_into` and
+`module._derive_into`: `compose`, brackets, ``d o f``, j-operators) add
+straight into each matrix entry through them.  Each kernel call unpacks
+the field's ``(zero, one, mul, add, neg)`` from the one tuple
+``sig._ops`` instead of looking the five up on the field.  A factor
 that is one constant term ``c*1`` (the unit entries of a basis change
 ``u``, of ``u^-1`` and of the identity) scales the other factor term by
 term.  For the rest, polygens have degree 0, commute with everything and
@@ -109,6 +114,7 @@ class Signature:
         self._var_products: dict = {}  # (v1, v2) -> (v1 + v2, factor) or None
         self._var_diffs: dict = {}  # v -> the terms of d(x^v)
         self._unit = ((0,) * len(self.polygens), (0,) * len(self.variables))  # the monomial 1
+        self._ops = (field.zero, field.one, field.mul, field.add, field.neg)  # for the kernels
         self._key = (
             field.key(),
             self.polygens,
@@ -391,13 +397,12 @@ def _mul_into(sig: Signature, out: dict, a: dict, b: dict, neg: bool = False) ->
     non-constant terms then costs one lookup, the polygen sum and the
     coefficient product.
     """
-    field = sig.field
-    zero, one, mul, fadd = field.zero, field.one, field.mul, field.add
+    zero, one, mul, fadd, fneg = sig._ops
     unit = sig._unit
     if len(b) == 1 and unit in b:
         a, b = b, a
     if len(a) == 1 and unit in a:
-        c = field.neg(a[unit]) if neg else a[unit]
+        c = fneg(a[unit]) if neg else a[unit]
         scaled = c != one
         for m, x in b.items():
             if scaled:
@@ -415,7 +420,7 @@ def _mul_into(sig: Signature, out: dict, a: dict, b: dict, neg: bool = False) ->
     table = sig._var_products
     for (p1, v1), c1 in a.items():
         if neg:
-            c1 = field.neg(c1)
+            c1 = fneg(c1)
         for (p2, v2), c2 in b.items():
             try:
                 entry = table[v1, v2]
@@ -468,24 +473,24 @@ def _var_diff(sig: Signature, v: tuple) -> dict:
     return out
 
 
-def diff(elem: AlgElem) -> AlgElem:
-    """The differential of the algebra, extended by the Leibniz rule.
+def _diff_into(sig: Signature, out: dict, terms: dict, neg: bool = False) -> None:
+    """Add ``d`` of the term map ``terms`` (``-d(terms)`` when `neg`) into
+    ``out``, in place; a coefficient that cancels is deleted.
 
     Polygens are cycles of degree 0, so ``d(p x^v) = p d(x^v)``: the terms
     of ``d(x^v)`` are worked out once per signature by `_var_diff` and kept
     in ``sig._var_diffs`` (a table per signature object, like ``_bands``),
-    and each term of `elem` costs one lookup plus a polygen sum and a
-    coefficient product per term of its ``d(x^v)``.
+    and each term costs one lookup plus a polygen sum and a coefficient
+    product per term of its ``d(x^v)``.
     """
-    sig = elem.sig
-    field = sig.field
-    zero, mul, fadd = field.zero, field.mul, field.add
+    zero, _, mul, fadd, fneg = sig._ops
     table = sig._var_diffs
-    out: dict = {}
-    for (p, v), c in elem.terms.items():
+    for (p, v), c in terms.items():
         dv = table.get(v)
         if dv is None:
             dv = _var_diff(sig, v)
+        if neg:
+            c = fneg(c)
         for (q, w), e in dv.items():
             m = (tuple(map(add, p, q)), w)
             coeff = mul(c, e)
@@ -498,33 +503,53 @@ def diff(elem: AlgElem) -> AlgElem:
                     del out[m]
                 else:
                     out[m] = s
-    return AlgElem(sig, out)
 
 
-def derivative(elem: AlgElem, var_name: str) -> AlgElem:
-    """The derivative with respect to one adjoined variable.
+def diff(elem: AlgElem) -> AlgElem:
+    """The differential of the algebra, extended by the Leibniz rule."""
+    out: dict = {}
+    _diff_into(elem.sig, out, elem.terms)
+    return AlgElem(elem.sig, out)
+
+
+def _derivative_into(sig: Signature, out: dict, terms: dict, neg: bool, i: int) -> None:
+    """Add the derivative of the term map ``terms`` by the variable at
+    position ``i`` (negated when `neg`) into ``out``, in place.
 
     For an even variable every divided-power index drops by one (terms
     without the variable die).  For an odd variable the factor is removed
     after moving it to the leftmost position, which contributes the Koszul
-    sign of that move.  The result is zero exactly when the element lies in
-    the subalgebra generated without the variable.  Lowering one exponent
-    is injective on the monomials with the variable: no two terms meet.
+    sign of that move.  Lowering one exponent is injective on the monomials
+    with the variable: no two terms of ``terms`` meet, but a term may meet
+    one already in ``out``.
     """
-    sig = elem.sig
-    field = sig.field
-    i = sig.var_pos(var_name)
-    odd = sig.variables[i].odd
-    left_degs = sig._var_degrees[:i]
-    out: dict = {}
-    for (p, v), c in elem.terms.items():
+    zero, _, _, fadd, fneg = sig._ops
+    left_degs = sig._var_degrees[:i] if sig._var_degrees[i] % 2 else ()
+    for (p, v), c in terms.items():
         e = v[i]
         if e == 0:
             continue
-        if odd and sum(map(mul, v, left_degs)) % 2:
-            c = field.neg(c)
-        out[p, v[:i] + (e - 1,) + v[i + 1 :]] = c
-    return AlgElem(sig, out)
+        if neg ^ sum(map(mul, v, left_degs)) % 2:
+            c = fneg(c)
+        m = (p, v[:i] + (e - 1,) + v[i + 1 :])
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s = fadd(s, c)
+            if s == zero:
+                del out[m]
+            else:
+                out[m] = s
+
+
+def derivative(elem: AlgElem, var_name: str) -> AlgElem:
+    """The derivative with respect to one adjoined variable (see
+    `_derivative_into`); zero exactly when the element lies in the
+    subalgebra generated without the variable."""
+    out: dict = {}
+    _derivative_into(elem.sig, out, elem.terms, False, elem.sig.var_pos(var_name))
+    return AlgElem(elem.sig, out)
 
 
 def is_cycle(elem: AlgElem) -> bool:

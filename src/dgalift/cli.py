@@ -18,7 +18,6 @@ from .errors import DgaliftError, SchemaError, VerificationError
 from .field import field_from_spec
 from .io import (
     dump_canonical,
-    file_digest,
     load_json,
     matrix_to_doc,
     module_from_doc,
@@ -119,13 +118,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_setting(args):
-    sig_doc = load_json(args.sig)
+    sig_doc, digest = load_json(args.sig)
     sig = signature_from_doc(sig_doc)
-    inputs = {"sig": {"path": args.sig, "sha256": file_digest(args.sig)}}
+    inputs = {"sig": {"path": args.sig, "sha256": digest}}
     module = d = None
     if getattr(args, "mod", None):
-        module, d = module_from_doc(load_json(args.mod), sig)
-        inputs["mod"] = {"path": args.mod, "sha256": file_digest(args.mod)}
+        mod_doc, digest = load_json(args.mod)
+        module, d = module_from_doc(mod_doc, sig)
+        inputs["mod"] = {"path": args.mod, "sha256": digest}
     return sig, module, d, inputs
 
 

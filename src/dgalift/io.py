@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .algebra import Signature, format_expr
@@ -155,24 +156,71 @@ def module_to_doc(module: FreeModule, d: Optional[Differential] = None) -> dict:
     return doc
 
 
-def load_json(path: str) -> dict:
+def load_json(path: str) -> tuple:
+    """The JSON document in the file at `path` and the `file_digest` of its
+    bytes, read once.  The bytes are decoded as UTF-8 with universal
+    newlines, as a text-mode read of the file would give them to `json`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as ex:
         raise SchemaError(f"cannot read {path}: {ex}") from ex
+    text = raw.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text), file_digest(raw)
     except json.JSONDecodeError as ex:
         raise SchemaError(f"{path} is not valid JSON: {ex}") from ex
     except RecursionError as ex:  # the decoder recurses once per nesting level
         raise SchemaError(f"{path} is nested too deeply to read") from ex
 
 
-def file_digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+def file_digest(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()
 
 
 def dump_canonical(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """``json.dumps(obj, indent=2, sort_keys=True)``, character for
+    character, for documents of str-keyed dicts, lists, str, int, float,
+    bool and None.  With `indent` set, `json` runs its pure-Python
+    encoder; this writer does the same walk with less per-value dispatch."""
+    out: list = []
+    _write(obj, out, "\n")
+    return "".join(out)
+
+
+def _write(obj, out: list, nl: str) -> None:
+    """Append the text of `obj`, indented by `nl` (a newline and the
+    current indentation), to `out`."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + _quote(key) + ": ")
+            _write(obj[key], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif obj is None or obj is True or obj is False:
+        out.append(_CONSTANTS[obj])
+    else:  # a number, or json's TypeError for what it cannot write
+        out.append(json.dumps(obj))
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Union
 
-from .algebra import derivative
+from .algebra import _derivative_into
 from .errors import SchemaError
 from .module import (
     Differential,
@@ -53,6 +53,7 @@ class JOperator:
         self.module = module
         self.sig = module.sig
         self.var = self.sig.var(var_name)
+        self._pos = self.sig.var_pos(var_name)
         self.var_name = var_name
         self.is_top = self.sig.is_top(var_name)
         self.degree = -self.var.degree
@@ -68,7 +69,7 @@ class JOperator:
         """Add ``j(alpha)`` into a `module` accumulator."""
         if alpha.module != self.module:
             raise SchemaError("map acts on a different module")
-        _derive_into(out, alpha, lambda e: derivative(e, self.var_name), self.degree)
+        _derive_into(out, alpha, _derivative_into, self.degree, False, self._pos)
 
     def of_map(self, alpha: GradedMap) -> GradedMap:
         out: dict = {}

@@ -56,11 +56,11 @@ from typing import Optional
 
 from .algebra import (
     AlgElem,
+    _diff_into,
     _mul_into,
     _poly_tuples,
     component_monomials,
     derivative,
-    diff,
     monomial_sort_key,
 )
 from .errors import NotInvertibleError, SchemaError, VerificationError
@@ -391,18 +391,24 @@ def _homotopy_columns(
     columns = []  # per unknown: ((row, col), monomial) -> coefficient
     grading, w = block
     bands: dict = {}  # (band degree, band class) -> monomials
+    cols: dict = {}  # |e_r| -> the columns c whose band degree |e_c| - |e_r| + degree is >= 0
     for r in range(module.rank):
-        for c in range(module.rank):
-            key = (degs[c] - degs[r] + degree, grading.basis[c] - grading.basis[r] + w)
+        row_deg = degs[r]
+        row_odd = row_deg % 2
+        reach = cols.get(row_deg)
+        if reach is None:
+            reach = cols[row_deg] = [c for c, e in enumerate(degs) if e - row_deg + degree >= 0]
+        for c in reach:
+            key = (degs[c] - row_deg + degree, grading.basis[c] - grading.basis[r] + w)
             band = bands.get(key)
             if band is None:
                 band = bands[key] = grading.band(key[0], bound, key[1])
-            row_odd = degs[r] % 2
             for m in band:
                 cached = monos.get(m)
                 if cached is None:
                     unit = {m: one}
-                    dm = diff(AlgElem(sig, unit)).terms
+                    dm: dict = {}
+                    _diff_into(sig, dm, unit)
                     cached = monos[m] = unit, (dm, {t: field.neg(x) for t, x in dm.items()})
                 unit, dms = cached
                 left = lefts.get((r, m))

@@ -15,10 +15,14 @@ entry under the row sign ``(-1)^{|e_row|}``; ``[d, f]``, ``d o d`` and
 one reference differential normalize into `DOpPair` values ``f + g o d``.
 
 Every sum of such terms adds into one accumulator, a dict ``(row, col) ->
-term map``: `_product_into` adds ``f o g`` and `_derive_into` an entrywise
-derivation (``d(f)`` here, ``j(f)`` in `jop`), each negated by a ``neg``
-flag, and `_finish` wraps every entry once.  No term becomes a map of its
-own in `compose`, the brackets, ``d o f`` or the `DOpPair` products.
+term map``: `_product_into` adds ``f o g`` through `algebra._mul_into`,
+one call per pair of entries, and `_derive_into` an entrywise derivation
+through its term-level kernel (`algebra._diff_into` for ``d(f)`` here,
+`algebra._derivative_into` for ``j(f)`` in `jop`), each negated by a
+``neg`` flag.  Both fetch an entry's term map with one ``get`` and make it
+only when it is missing, and the kernels add into it directly; `_finish`
+wraps every entry once.  No term becomes a map or an element of its own
+in `compose`, the brackets, ``d o f`` or the `DOpPair` products.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from operator import add
 from typing import Callable, Iterable, Optional
 
-from .algebra import AlgElem, Signature, _add_into, _mul_into, diff
+from .algebra import AlgElem, Signature, _add_into, _diff_into, _mul_into, diff
 from .errors import NotInvertibleError, SchemaError, VerificationError
 from .solver import solve_exact
 
@@ -289,22 +293,40 @@ def _product_into(out: dict, f: GradedMap, g: GradedMap, neg: bool = False) -> N
     sig = f.module.sig
     by_row: dict = {}  # g's entries by row (= column of f)
     for (r, c), v in g.entries.items():
-        by_row.setdefault(r, []).append((c, v.terms))
+        row = by_row.get(r)
+        if row is None:
+            by_row[r] = [(c, v.terms)]
+        else:
+            row.append((c, v.terms))
     for (r, m), fv in f.entries.items():
-        for c, gv in by_row.get(m, ()):
-            _mul_into(sig, out.setdefault((r, c), {}), fv.terms, gv, neg)
+        row = by_row.get(m)
+        if row is None:
+            continue
+        a = fv.terms
+        for c, b in row:
+            acc = out.get((r, c))
+            if acc is None:
+                acc = out[r, c] = {}
+            _mul_into(sig, acc, a, b, neg)
 
 
-def _derive_into(out: dict, f: GradedMap, delta: Callable, n: int, neg: bool = False) -> None:
-    """Add a degree-``n`` derivation ``delta`` of the algebra, applied to
-    every entry of ``f`` (negated when `neg`), into ``out``.  Row ``r``
-    carries ``(-1)^{n |e_r|}``, the Koszul sign of moving ``delta`` past ``e_r``.
+def _derive_into(
+    out: dict, f: GradedMap, delta_into: Callable, n: int, neg: bool = False, *args
+) -> None:
+    """Add a degree-``n`` derivation of the algebra, applied to every entry
+    of ``f`` (negated when `neg`), into ``out``.  ``delta_into(sig, acc,
+    terms, neg, *args)`` is its term-level kernel (`algebra._diff_into`,
+    `algebra._derivative_into`), which adds straight into the entry ``acc``.
+    Row ``r`` carries ``(-1)^{n |e_r|}``, the Koszul sign of moving the
+    derivation past ``e_r``.
     """
-    field = f.module.sig.field
+    sig = f.module.sig
     degs = f.module.degrees
     for (r, c), e in f.entries.items():
-        negate = neg ^ bool((n * degs[r]) % 2)
-        _add_into(field, out.setdefault((r, c), {}), delta(e).terms, negate)
+        acc = out.get((r, c))
+        if acc is None:
+            acc = out[r, c] = {}
+        delta_into(sig, acc, e.terms, neg ^ (n * degs[r]) % 2, *args)
 
 
 def _bracket_into(out: dict, f: GradedMap, g: GradedMap, neg: bool = False) -> None:
@@ -315,9 +337,10 @@ def _bracket_into(out: dict, f: GradedMap, g: GradedMap, neg: bool = False) -> N
 
 def _finish(module: FreeModule, degree: int, out: dict) -> GradedMap:
     """The map of an accumulator; entries that cancelled are left out."""
+    sig = module.sig
     m = object.__new__(GradedMap)
     m.module, m.degree = module, degree
-    m.entries = {k: AlgElem(module.sig, t) for k, t in out.items() if t}
+    m.entries = {k: AlgElem(sig, t) for k, t in out.items() if t}
     return m
 
 
@@ -393,7 +416,7 @@ class Differential:
         self.matrix._check(f)
         out: dict = {}
         _product_into(out, self.matrix, f)
-        _derive_into(out, f, diff, -1)
+        _derive_into(out, f, _diff_into, -1)
         return _finish(f.module, f.degree - 1, out)
 
     def square(self) -> GradedMap:
@@ -433,7 +456,7 @@ def bracket_diff(d: Differential, f: GradedMap) -> GradedMap:
 def _bracket_diff_into(out: dict, d: Differential, f: GradedMap, neg: bool = False) -> None:
     """Add ``[d, f] = D f + d(f) - (-1)^{|f|} f D`` (negated when `neg`)."""
     _product_into(out, d.matrix, f, neg)
-    _derive_into(out, f, diff, -1, neg)
+    _derive_into(out, f, _diff_into, -1, neg)
     _product_into(out, f, d.matrix, neg ^ (not f.degree % 2))
 
 
@@ -443,7 +466,7 @@ def bracket_diff2(d: Differential, d2: Differential) -> GradedMap:
     d.matrix._check(d2.matrix)
     out: dict = {}
     _bracket_diff_into(out, d, d2.matrix)
-    _derive_into(out, d.matrix, diff, -1)
+    _derive_into(out, d.matrix, _diff_into, -1)
     return _finish(d.module, -2, out)
 
 

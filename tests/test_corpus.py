@@ -4,7 +4,9 @@
 benchmark seeds 0-3 (generated by `bench/gen.py`, imported by path) and on
 the README example.  The digest of each run covers the exit code and the
 transcript's `verdict`, `data` and `params`, not `timing_ms` or the input
-paths, and must equal the one recorded in `corpus.json`.
+paths, and must equal the one recorded in `corpus.json`.  Each
+transcript's text must also be, byte for byte, what
+``json.dumps(..., indent=2, sort_keys=True)`` writes for it.
 
 Re-record after a change that is meant to move a transcript, and say in
 CHANGES.md which ones moved and why:
@@ -52,7 +54,10 @@ def _digest(argv: list) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    transcript = json.loads(out.getvalue())
+    text = out.getvalue()
+    transcript = json.loads(text)
+    # the CLI writes the text json's own indented, key-sorted encoder gives
+    assert text == json.dumps(transcript, indent=2, sort_keys=True) + "\n", argv
     kept = {k: transcript.get(k) for k in ("verdict", "data", "params")}
     kept["exit"] = code
     return hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -11,6 +12,8 @@ from dgalift.cli import main
 from dgalift.errors import SchemaError
 from dgalift.field import QQ, PrimeField
 from dgalift.io import (
+    dump_canonical,
+    load_json,
     matrix_to_doc,
     module_from_doc,
     module_to_doc,
@@ -176,6 +179,90 @@ def test_matrix_doc_is_column_major(S3):
 
 
 # -- command line ----------------------------------------------------------------
+
+
+_CRAFTED = [
+    {},
+    [],
+    {"empty": {}, "nothing": [], "none": None},
+    [[], [[]], [[1, [2, {}]], []], {"a": []}],
+    {"yes": True, "no": False, "flags": [True, False, None]},
+    {"ints": [0, -1, 7, -(10**30), 10**300, 2**63]},
+    {"timing_ms": 12.345, "small": 1e-07, "big": 1e22, "neg": -0.0, "half": 0.5, "special": [float("inf"), float("-inf")]},
+    {"\u00e9t\u00e9": "na\u00efve \u65e5\u672c \U0001f600", "z": "\"quoted\" \\ back", "ctl": "\n\t\r\b\f\x00\x1f\x7f"},
+    {"b": 1, "a": 2, "B": 3, "\u00e4": 4, "aa": 5, "a b": 6, "": 7, "\n": 8},
+    ("tuple", ["inside", ("nested",)]),
+    "just a string",
+    -5,
+    None,
+]
+
+
+@pytest.mark.parametrize("doc", _CRAFTED)
+def test_canonical_writer_matches_json(doc):
+    assert dump_canonical(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_canonical_writer_matches_json_on_nan():
+    assert dump_canonical([float("nan")]) == json.dumps([float("nan")], indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [{"a": {1, 2}}, [object()], {"x": [b"bytes"]}])
+def test_canonical_writer_refuses_what_json_refuses(doc):
+    with pytest.raises(TypeError) as json_error:
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as writer_error:
+        dump_canonical(doc)
+    assert str(writer_error.value) == str(json_error.value)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"a": 1}',
+        b'{"a":\r\n 1,\r "b": [2]}\r\n',
+        b'{"a": "x\r\ny"}',
+        b'{"a": "x\ry"}',
+        b'{"a":\r\n 1,\r "b" 2}',
+        b"\xef\xbb\xbf{}",
+        b'{"\xc3\xa9": "\xe6\x97\xa5"}',
+        b"{\xff}",
+        b"",
+    ],
+)
+def test_load_json_reads_what_a_text_read_gives_json(tmp_path, raw):
+    """`load_json` reads the bytes once; the document, or the error, must
+    be the one a text-mode `json.load` of the file gives, and the digest
+    that of the bytes."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            want = json.load(fh), hashlib.sha256(raw).hexdigest()
+    except json.JSONDecodeError as ex:
+        want = SchemaError(f"{path} is not valid JSON: {ex}")
+    except UnicodeDecodeError as ex:
+        want = ex
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as got:
+            load_json(str(path))
+        assert str(got.value) == str(want)
+    else:
+        assert load_json(str(path)) == want
+
+
+def test_cli_opens_each_input_once(tmp_path, capsys, monkeypatch):
+    sig, mod = _write(tmp_path, "s.json", S3_DOC), _write(tmp_path, "n.json", N3_DOC)
+    opened = []
+    real_open = open
+    monkeypatch.setattr("builtins.open", lambda path, *a, **k: opened.append(str(path)) or real_open(path, *a, **k))
+    assert main(["naive", "--sig", sig, "--mod", mod, "--bound", "0"]) == 0
+    monkeypatch.undo()
+    assert sorted(opened) == sorted([sig, mod])
+    inputs = json.loads(capsys.readouterr().out)["inputs"]
+    for key, path in (("sig", sig), ("mod", mod)):
+        with open(path, "rb") as fh:
+            assert inputs[key] == {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
 
 
 def test_cli_validate(tmp_path, capsys):

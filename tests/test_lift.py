@@ -180,9 +180,9 @@ def test_obstruction_is_a_cycle(field):
     cases = _grading_cases(pool, rng) + _rung_cases(field, rng)
     with tempfile.TemporaryDirectory() as tmp:
         for _, sig_path, mod_path, _ in _corpus_inputs(tmp):
-            sig = signature_from_doc(load_json(sig_path))
+            sig = signature_from_doc(load_json(sig_path)[0])
             if sig.field == field:
-                cases.append(module_from_doc(load_json(mod_path), sig))
+                cases.append(module_from_doc(load_json(mod_path)[0], sig))
     nonzero = 0
     for mod, d in cases:
         h = obstruction(mod, d, mod.sig.top_variable.name)
@@ -1344,8 +1344,8 @@ def _bench_rungs(seed):
     with tempfile.TemporaryDirectory() as tmp:
         for op in gen.decide_large(seed, tmp):
             args = dict(zip(op.argv[1::2], op.argv[2::2]))
-            sig = signature_from_doc(load_json(args["--sig"]))
-            mod, d = module_from_doc(load_json(args["--mod"]), sig)
+            sig = signature_from_doc(load_json(args["--sig"])[0])
+            mod, d = module_from_doc(load_json(args["--mod"])[0], sig)
             yield op.name, mod, d, int(args["--bound"])
 
 
