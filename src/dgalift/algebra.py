@@ -41,7 +41,8 @@ are cycles, so ``x^v1 * x^v2 = f(v1, v2) * x^(v1+v2)`` and
 tables keyed by variable exponent vectors only (``_var_products``,
 ``_var_diffs``; at most 191 entries per signature over an `identities`
 benchmark batch).  It memoises each band of `component_monomials` as a
-tuple in ``_bands``, keyed by degree and polygen bound.
+tuple in ``_bands``, keyed by degree and polygen bound, and the term map
+of each generator the parser has read in ``_gens``, keyed by name.
 Memos keyed by whole monomials were tried and dropped: they raised the
 peak RSS of that benchmark from 23.3 to 29.7 MB (pair products) and from
 23.7 to 25.9 MB (``d(m)``), for a bound of 10%.
@@ -113,6 +114,7 @@ class Signature:
         self._bands: dict = {}  # (degree, poly_bound) -> component_monomials
         self._var_products: dict = {}  # (v1, v2) -> (v1 + v2, factor) or None
         self._var_diffs: dict = {}  # v -> the terms of d(x^v)
+        self._gens: dict = {}  # name -> the terms of the generator, for the parser
         self._unit = ((0,) * len(self.polygens), (0,) * len(self.variables))  # the monomial 1
         self._ops = (field.zero, field.one, field.mul, field.add, field.neg)  # for the kernels
         self._key = (

@@ -9,6 +9,7 @@ from typing import Callable, Optional
 from dgalift.algebra import (
     AlgElem,
     Signature,
+    _add_into,
     _format_monomial,
     _poly_tuples,
     _var_product,
@@ -37,7 +38,6 @@ from dgalift.module import (
     invert_unit,
     left_mult,
 )
-from dgalift.parser import _Token
 from dgalift.solver import solve_exact
 
 
@@ -1051,12 +1051,13 @@ def verify_lift_reference(
     return report
 
 
-# -- the expression tokenizer, one step per character --------------------------------
+# -- the expression parser, by recursive descent over a character loop -------------
 
 
-def tokenize_reference(source: str):
-    """`parser._tokenize` by a loop over the characters and their
-    `str` predicates."""
+def tokenize_reference(source: str) -> list:
+    """`parser._tokenize` by a loop over the characters and their `str`
+    predicates, with each token's kind and position: ``(kind, text, pos)``,
+    closed by ``("end", "", len(source))``."""
     tokens = []
     i = 0
     n = len(source)
@@ -1069,20 +1070,113 @@ def tokenize_reference(source: str):
             j = i
             while j < n and source[j].isdecimal():
                 j += 1
-            tokens.append(_Token("int", source[i:j], i))
+            tokens.append(("int", source[i:j], i))
             i = j
             continue
         if c.isalpha() or c == "_":
             j = i
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
-            tokens.append(_Token("name", source[i:j], i))
+            tokens.append(("name", source[i:j], i))
             i = j
             continue
         if c in "+-*/^()":
-            tokens.append(_Token(c, c, i))
+            tokens.append((c, c, i))
             i += 1
             continue
         raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
+    tokens.append(("end", "", n))
     return tokens
+
+
+class _ReferenceParser:
+    """The recursive-descent parser that `parser.parse_expr` replaced: a
+    method per grammar rule, `peek` and `take` per token, the terms added
+    into one term map and every product, the integer coefficient's too,
+    by ``AlgElem.__mul__`` from the left."""
+
+    def __init__(self, text: str, sig: Signature):
+        self.sig = sig
+        self.tokens = tokenize_reference(text)
+        self.i = 0
+
+    def peek(self) -> tuple:
+        return self.tokens[self.i]
+
+    def take(self, kind=None) -> tuple:
+        tok = self.tokens[self.i]
+        if kind is not None and tok[0] != kind:
+            raise ExprSyntaxError(f"expected {kind} but found {tok[1] or 'end of input'!r}", tok[2])
+        self.i += 1
+        return tok
+
+    def parse(self) -> AlgElem:
+        result = self.expr()
+        kind, text, pos = self.peek()
+        if kind != "end":
+            raise ExprSyntaxError(f"unexpected {text!r}", pos)
+        return result
+
+    def expr(self) -> AlgElem:
+        field = self.sig.field
+        total: dict = {}
+        neg = self.peek()[0] in ("+", "-") and self.take()[0] == "-"
+        _add_into(field, total, self.term().terms, neg)
+        while self.peek()[0] in ("+", "-"):
+            neg = self.take()[0] == "-"
+            _add_into(field, total, self.term().terms, neg)
+        return AlgElem(self.sig, total)
+
+    def term(self) -> AlgElem:
+        sig = self.sig
+        if self.peek()[0] == "int":
+            num = int(self.take()[1])
+            den = 1
+            if self.peek()[0] == "/":
+                self.take()
+                _, text, pos = self.take("int")
+                den = int(text)
+                if sig.field.of_int(den) == sig.field.zero:
+                    raise ExprSyntaxError("zero denominator", pos)
+            result = sig.scalar(sig.field.of_fraction(num, den))
+        else:
+            result = self.factor()
+        while self.peek()[0] == "*":
+            self.take()
+            result = result * self.factor()
+        return result
+
+    def factor(self) -> AlgElem:
+        sig = self.sig
+        kind, name, pos = self.take()
+        if kind != "name":
+            raise ExprSyntaxError(
+                f"expected a generator name, found {name or 'end of input'!r}", pos
+            )
+        is_poly = name in sig._poly_index
+        is_var = name in sig._var_index
+        if not is_poly and not is_var:
+            raise ExprSyntaxError(f"unknown generator {name!r}", pos)
+        if self.peek()[0] != "^":
+            return sig.gen(name)
+        caret = self.take()[2]
+        if self.peek()[0] == "(":
+            self.take()
+            exponent = self.take("int")[1]
+            self.take(")")
+            if not is_var or sig.var(name).odd:
+                raise ExprSyntaxError(
+                    f"divided-power notation requires an even variable, not {name!r}", caret
+                )
+            return sig.gen_power(name, int(exponent))
+        exponent = self.take("int")[1]
+        if not is_poly:
+            raise ExprSyntaxError(
+                f"caret powers apply to polynomial generators only, not {name!r}", caret
+            )
+        return sig.gen_power(name, int(exponent))
+
+
+def parse_reference(text: str, sig: Signature) -> AlgElem:
+    """`parser.parse_expr` as it was before its one-pass loop."""
+    return _ReferenceParser(text, sig).parse()

@@ -618,6 +618,10 @@ def test_cli_transcript_shape(
 # JSON text nested 10^5 deep, past the decoder's recursion limit
 _DEEP_LIST = "[" * 10**5 + "]" * 10**5
 _DEEP_OBJECT = '{"a":' * 10**5 + "0" + "}" * 10**5
+# a decimal literal longer than int() reads, where it has a limit
+_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_NINES = "9" * max(5000, _INT_LIMIT + 1)
+_NO_INT_LIMIT = pytest.mark.skipif(not _INT_LIMIT, reason="int() reads integers of any length here")
 
 
 @pytest.mark.parametrize(
@@ -695,6 +699,21 @@ _DEEP_OBJECT = '{"a":' * 10**5 + "0" + "}" * 10**5
         (_DEEP_OBJECT, N3_DOC, ["validate"], "{tmp}/sig.json is nested too deeply to read"),
         (S3_DOC, _DEEP_LIST, ["naive"], "{tmp}/mod.json is nested too deeply to read"),
         (S3_DOC, _DEEP_OBJECT, ["lift"], "{tmp}/mod.json is nested too deeply to read"),
+        pytest.param(
+            S3_DOC,
+            N3_DOC,
+            ["eval", _NINES + "*a"],
+            f"integer literal of {len(_NINES)} digits is too long (at position 0)",
+            marks=_NO_INT_LIMIT,
+        ),
+        pytest.param(
+            S3_DOC,
+            dict(N3_DOC, differential={"f1": {"f0": "a^" + _NINES}}),
+            ["naive", "--bound", "0"],
+            f"differential['f1']['f0']: integer literal of {len(_NINES)} digits is too long"
+            " (at position 2)",
+            marks=_NO_INT_LIMIT,
+        ),
     ],
     ids=[
         "zero-denominator-in-F5",
@@ -716,6 +735,8 @@ _DEEP_OBJECT = '{"a":' * 10**5 + "0" + "}" * 10**5
         "deep-object-sig",
         "deep-list-mod",
         "deep-object-mod",
+        "oversized-coefficient",
+        "oversized-exponent-in-module",
     ],
 )
 def test_cli_hostile_inputs_exit_1(tmp_path, capsys, sig_doc, mod_doc, argv, message):

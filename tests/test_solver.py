@@ -228,3 +228,55 @@ def test_row_order_matches_first_seen_reference_on_homotopy_systems(field):
                 assert got == solve_exact_reference(field, columns, target)
                 verdicts.append(got is not None)
     assert verdicts.count(True) > 10 and verdicts.count(False) > 10
+
+
+def _chained_system(field, rng):
+    """A sparse system whose pivot rows chain: each row holds a few
+    neighbouring unknowns, so a pivot row keeps entries besides its lead
+    and reducing by it adds entries that need reducing in turn.  The
+    right-hand side is the image of a sparse vector (so most pivots get a
+    zero right-hand side), that image with one reached row moved off it
+    (most often inconsistent, but only after reduction), or either with
+    extra keys that no column reaches, zero or not."""
+    ncols = rng.randint(1, 10)
+    columns = [{} for _ in range(ncols)]
+    nrows = rng.randint(1, 12)
+    for i in range(nrows):
+        start = rng.randrange(ncols)
+        for j in range(start, min(ncols, start + rng.randint(1, 4))):
+            if rng.random() < 0.8:
+                columns[j][("row", i)] = _scalar(field, rng)
+    x0 = [_scalar(field, rng) if rng.random() < 0.3 else field.zero for _ in range(ncols)]
+    rhs = {}
+    for col, xj in zip(columns, x0):
+        for key, c in col.items():
+            rhs[key] = field.add(rhs.get(key, field.zero), field.mul(xj, c))
+    reached = sorted({key for col in columns for key, c in col.items() if c != field.zero})
+    if reached and rng.random() < 0.5:
+        key = rng.choice(reached)
+        rhs[key] = field.add(rhs.get(key, field.zero), field.one)
+    if rng.random() < 0.3:
+        rhs[("free", 0)] = field.zero if rng.random() < 0.7 else field.one
+    return columns, rhs
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_chained_systems_match_the_first_seen_reference(field):
+    """On systems whose pivot rows have rests that fill, whose pivots often
+    have a zero right-hand side, with keys that no column reaches and with
+    inconsistency that only reduction shows, the solver gives the solution
+    or the None of `solve_exact_reference`, and of dense elimination."""
+    rng = random.Random(f"chained-{field!r}")
+    verdicts = []
+    late = 0  # inconsistent, though every nonzero right-hand side is reached
+    for _ in range(1500):
+        columns, rhs = _chained_system(field, rng)
+        got = solve_exact(field, columns, rhs)
+        assert got == solve_exact_reference(field, columns, rhs)
+        keys = sorted({key for col in columns for key in col} | set(rhs))
+        matrix = [[col.get(key, field.zero) for col in columns] for key in keys]
+        assert got == _solve_dense(field, matrix, [rhs.get(key, field.zero) for key in keys], len(columns))
+        verdicts.append(got is not None)
+        reached = {key for col in columns for key, c in col.items() if c != field.zero}
+        late += got is None and all(c == field.zero or key in reached for key, c in rhs.items())
+    assert verdicts.count(True) > 300 and verdicts.count(False) > 300 and late > 200
