@@ -50,7 +50,6 @@ every degree ``-|X|`` matrix ``gamma`` or follows from ``Delta(d) = 0``;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 from typing import Optional
 
@@ -265,11 +264,6 @@ class _Grading:
     kernel: list
     pivots: list
 
-    @cached_property
-    def free(self) -> list:
-        """The free columns, one per `kernel` vector and in their order."""
-        return [f for f in range(len(self.poly)) if f not in self.pivots]
-
     def band(self, degree: int, bound: int, cls: int) -> list:
         """The monomials of class `cls` in the band of `degree` with polygen
         degree at most `bound`, in monomial order.  For each variable part
@@ -277,7 +271,8 @@ class _Grading:
         per kernel vector, so only they are tried: up to the all-ones weight
         of ``cls - weight(v)``, which ``p`` must have, when `ones` holds and
         else up to `bound`; without pivots there is one candidate."""
-        n, ones, pivots, free = len(self.poly), self.ones, self.pivots, self.free
+        n, ones, pivots = len(self.poly), self.ones, self.pivots
+        free = [f for f in range(n) if f not in pivots]  # one per kernel vector, in order
         out = []
         for _, v in component_monomials(self.sig, degree, 0):
             x = cls - sum(map(mul, v, self.var))
@@ -304,15 +299,15 @@ def _grading(module: FreeModule, d: Differential, h: GradedMap, bound: int) -> t
     ``[d, gamma] = h``: the finest grading in which ``D`` and ``h`` are
     homogeneous, and the class ``w`` of ``h`` (0 when ``h`` is zero).
 
-    `_propagate` starts from polygen weights whose coordinate 0 is 1 and
-    whose other coordinates make unit vectors (the kernel of no conflict),
-    and collects the conflicts of ``D`` and of the classes of ``h``.
-    Without any, that is the grading.  Otherwise the polygen weights are
-    the integer vectors in the kernel of the conflicts, which `_kernel`
-    takes from `solve_exact` over the rationals, one small system per
-    polygen; they come after the all-ones vector when every conflict sums
-    to 0, and a second propagation with them meets no conflict; an empty
-    kernel weighs every polygen 0: the trivial grading.  Either way two
+    One `_propagate`, on unit polygen weights, collects the conflicts of
+    ``D`` and of the classes of ``h``.  The polygen weights are the
+    integer vectors in their kernel, which `_kernel` takes from
+    `solve_exact` (the unit vectors when there is no conflict), after the
+    all-ones vector when every conflict sums to 0; an empty kernel is the
+    trivial grading.  Every weight `_propagate` sets combines the polygen
+    weights along one spanning forest, so the block's basis, variable and
+    class weights are the images of the first pass's under the linear
+    map to the new polygen weights, which sends every conflict to 0.  Two
     monomials have one class exactly when their weight vectors (polygen
     exponents plus the variables' vectors) differ by a rational
     combination of conflicts.
@@ -335,18 +330,17 @@ def _grading(module: FreeModule, d: Differential, h: GradedMap, bound: int) -> t
         4 * (len(terms) + 1) * max(top, *norms, 0),
         bound + max(module.spread() + h.degree + 1, 0) * max(norms, default=0),
     )
-    bits = (reach + 1).bit_length() + 1
-    poly = [1 + (1 << bits * (i + 1)) for i in range(n)]
-    basis, var, conflicts, w = _propagate(module, d, h, poly)
-    rows = [_unpack(x, bits, n + 1) for x in sorted(conflicts)]
-    kernel, pivots = _kernel([row[1:] for row in rows], n)
-    ones = all(row[0] == 0 for row in rows)
-    if conflicts:
-        coords = ([[1] * n] if ones else []) + kernel  # coordinate 0: all-ones weight
-        bits = ((reach + 1) * max((abs(x) for v in coords for x in v), default=0)).bit_length() + 1
-        poly = [sum(v[i] << bits * j for j, v in enumerate(coords)) for i in range(n)]
-        basis, var, _, w = _propagate(module, d, h, poly)
-    return _Grading(sig, basis, poly, var, bits, ones, kernel, pivots), w
+    unit = (reach + 1).bit_length() + 1
+    basis, var, conflicts, w = _propagate(module, d, h, [1 << unit * i for i in range(n)])
+    rows = [_unpack(x, unit, n) for x in sorted(conflicts)]
+    kernel, pivots = _kernel(rows, n)
+    ones = all(sum(row) == 0 for row in rows)
+    coords = ([[1] * n] if ones else []) + kernel  # coordinate 0: all-ones weight
+    # the all-ones coordinate's entries are 1, which counts without polygens too
+    bits = ((reach + 1) * max([ones] + [abs(x) for v in kernel for x in v])).bit_length() + 1
+    poly = [sum(v[i] << bits * j for j, v in enumerate(coords)) for i in range(n)]
+    basis, var, w = ([sum(map(mul, _unpack(x, unit, n), poly)) for x in xs] for xs in (basis, var, [w]))
+    return _Grading(sig, basis, poly, var, bits, ones, kernel, pivots), w[0]
 
 
 def _homotopy_columns(
@@ -463,16 +457,19 @@ def solve_homotopy(
     lies in the rows of class ``w``.  The solution with every free unknown
     zero, whose pivots the column order fixes, is therefore zero off the
     block and on it equals the block system's solution: the certificate
-    is the one the system of every unknown gives.  `_Grading.band` tries
-    only the exponents of the pivot polygens of each class: where the
-    all-ones grading holds a search costs the same at any bound past the
-    polygen degree its block needs, and otherwise it grows as the bound
-    to the power of the number of pivots.
+    is the one the system of every unknown gives; for a zero ``h`` it is
+    the zero map, returned without a search.  `_Grading.band` tries only
+    the exponents of the pivot polygens of each class: where the all-ones
+    grading holds a search costs the same at any bound past the polygen
+    degree its block needs, and otherwise it grows as the bound to the
+    power of the number of pivots.
     """
     if d.module != module or h.module != module:
         raise SchemaError("differential and target must act on the given module")
-    field = module.sig.field
     gamma_degree = h.degree + 1
+    if h.is_zero():
+        return GradedMap.zero(module, gamma_degree)
+    field = module.sig.field
     block = _grading(module, d, h, bound)
     unknowns, columns = _homotopy_columns(module, d, gamma_degree, bound, block)
     sol = solve_exact(field, columns, _coefficients(h))

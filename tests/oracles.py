@@ -25,6 +25,7 @@ from dgalift.lift import (
     _coefficients,
     _Grading,
     _homotopy_columns,
+    _kernel,
     _propagate,
     _unpack,
 )
@@ -758,26 +759,55 @@ def kernel_reference(rows: list, n: int) -> tuple:
     return out, sorted(pivots)
 
 
+def _reach(module: FreeModule, d: Differential, h: GradedMap, bound: int) -> int:
+    """The bound on each weight coordinate that `lift._grading` packs by."""
+    norms: list = []
+    for v in module.sig.variables:
+        norms.append(max((sum(p) + sum(map(mul, e, norms)) for p, e in v.diff.terms), default=0))
+    terms = [m for f in (d.matrix, h) for x in f.entries.values() for m in x.terms]
+    top = max((sum(p) + sum(map(mul, e, norms)) for p, e in set(terms)), default=0)
+    return max(
+        4 * (len(terms) + 1) * max(top, *norms, 0),
+        bound + max(module.spread() + h.degree + 1, 0) * max(norms, default=0),
+    )
+
+
+def grading_two_pass_reference(
+    module: FreeModule, d: Differential, h: GradedMap, bound: int
+) -> tuple:
+    """`lift._grading` by two propagations: the first on polygen weights
+    whose coordinate 0 is 1 and whose other coordinates make unit
+    vectors, and, where it meets conflicts, a second on the weights of
+    the kernel (after the all-ones vector when every conflict sums to 0),
+    which meets none; the same block, field for field."""
+    n = len(module.sig.polygens)
+    reach = _reach(module, d, h, bound)
+    bits = (reach + 1).bit_length() + 1
+    poly = [1 + (1 << bits * (i + 1)) for i in range(n)]
+    basis, var, conflicts, w = _propagate(module, d, h, poly)
+    rows = [_unpack(x, bits, n + 1) for x in sorted(conflicts)]
+    kernel, pivots = _kernel([row[1:] for row in rows], n)
+    ones = all(row[0] == 0 for row in rows)
+    if conflicts:
+        coords = ([[1] * n] if ones else []) + kernel  # coordinate 0: all-ones weight
+        bits = ((reach + 1) * max((abs(x) for v in coords for x in v), default=0)).bit_length() + 1
+        poly = [sum(v[i] << bits * j for j, v in enumerate(coords)) for i in range(n)]
+        basis, var, _, w = _propagate(module, d, h, poly)
+    return _Grading(module.sig, basis, poly, var, bits, ones, kernel, pivots), w
+
+
 def grading_reference(module: FreeModule, d: Differential, h: GradedMap, bound: int) -> tuple:
     """The block ``(grading, w)`` that `solve_homotopy` solved before the
     classes of the target joined the conflicts: the finest grading of
-    ``D`` alone, by the same propagation as `lift._grading` and the kernel
-    of `kernel_reference`, and the class of ``h`` in it, or the trivial
-    grading's one class when ``h`` has terms of two classes (0 as well for
-    a zero ``h``)."""
+    ``D`` alone, by the same propagation as `grading_two_pass_reference`
+    and the kernel of `kernel_reference`, and the class of ``h`` in it,
+    or the trivial grading's one class when ``h`` has terms of two
+    classes (0 as well for a zero ``h``)."""
     sig = module.sig
     n = len(sig.polygens)
     if n == 0:
         return trivial_grading(module), 0
-    norms: list = []
-    for v in sig.variables:
-        norms.append(max((sum(p) + sum(map(mul, e, norms)) for p, e in v.diff.terms), default=0))
-    terms = [m for f in (d.matrix, h) for x in f.entries.values() for m in x.terms]
-    top = max((sum(p) + sum(map(mul, e, norms)) for p, e in set(terms)), default=0)
-    reach = max(
-        4 * (len(terms) + 1) * max(top, *norms, 0),
-        bound + max(module.spread() + h.degree + 1, 0) * max(norms, default=0),
-    )
+    reach = _reach(module, d, h, bound)
     zero = GradedMap.zero(module, h.degree)
     bits = (reach + 1).bit_length() + 1
     poly = [1 + (1 << bits * (i + 1)) for i in range(n)]

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 
@@ -25,6 +26,7 @@ from dgalift.module import invert_unit
 from dgalift.randgen import FixturePool, rand_unit
 from dgalift.tensor import NaiveTensor, odd_ses, verify_splitting
 from oracles import odd_coefficient_module
+from test_cli_fuzz import CAP_S, _time_cap
 
 S1_DOC = {
     "field": {"type": "Q"},
@@ -749,3 +751,28 @@ def test_cli_hostile_inputs_exit_1(tmp_path, capsys, sig_doc, mod_doc, argv, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+@pytest.mark.parametrize("command", ["naive", "lift"])
+@pytest.mark.parametrize("degree", [2 * 10**6, 10**12])
+def test_cli_zero_obstruction_over_two_even_variables_finishes(tmp_path, capsys, command, degree):
+    """README's even signature plus ``Y | dY = b*W1 - a*W2``, and basis
+    degrees 0 and `degree` with no differential: the obstruction is 0, so
+    `naive` and `lift` answer at once with the empty certificate, where a
+    search would enumerate a band of about ``degree / 2`` monomials in
+    ``X`` and ``Y``."""
+    y = {"name": "Y", "degree": 2, "d": "b*W1 - a*W2"}
+    sig_doc = dict(S1_DOC, variables=S1_DOC["variables"] + [y])
+    basis = [{"name": "e0", "degree": 0}, {"name": "e1", "degree": degree}]
+    mod_doc = {"basis": basis, "differential": {}}
+    argv = [command, "--sig", _write(tmp_path, "sig.json", sig_doc)]
+    argv += ["--mod", _write(tmp_path, "mod.json", mod_doc), "--bound", "0"]
+    with _time_cap(CAP_S):
+        code, doc, err = _transcript(capsys, argv)
+    assert (code, err) == (0, "")
+    assert doc["params"]["var"] == "Y" and doc["data"]["certificate"] == {}
+    if command == "naive":
+        assert doc["verdict"] == "vanishes"
+    else:
+        assert doc["verdict"] == "lifted" and doc["data"]["verification"]["lift"] is True

@@ -45,6 +45,7 @@ from dgalift.module import (
 from dgalift.randgen import (
     FixturePool,
     rand_diff,
+    rand_elem,
     rand_homogeneous,
     rand_map,
     rand_unit,
@@ -56,6 +57,7 @@ from oracles import (
     block_filter,
     component_monomials_reference,
     grading_reference,
+    grading_two_pass_reference,
     homotopy_columns_reference,
     idempotent,
     invert_unit_reference,
@@ -75,7 +77,7 @@ from oracles import (
 )
 from test_cli_fuzz import CAP_S, _time_cap
 from test_corpus import _gen as _corpus_gen, _inputs as _corpus_inputs
-from test_kernel import _GRID
+from test_kernel import _GRID, _no_polygen_signature
 
 
 def _doubled_derivation(mod, d, gamma, var="X"):
@@ -230,6 +232,24 @@ def test_solve_homotopy_zero_obstruction(S1, S3):
     mod1 = FreeModule(S3, [("e0", 0)])
     dec = decide_naive_lift(mod1, Differential.free(mod1), "X", 2)
     assert dec.vanishes and dec.certificate == GradedMap.zero(mod1, -1)
+
+
+def test_zero_target_needs_no_search(N3, N1, monkeypatch):
+    """A zero target is answered by the zero map of the homotopy's degree
+    without a search (`_grading` is never called): the solution with
+    every free unknown zero that the full system gives
+    (`solve_homotopy_reference`), at target degrees -2 to 0 and bounds 0
+    and 3, on the README example, ``N1`` and `_finer_rung`."""
+
+    def refuse(*args):
+        raise AssertionError("a zero target ran the search")
+
+    monkeypatch.setattr(lift_module, "_grading", refuse)
+    for mod, d in (N3, N1, _finer_rung(QQ, random.Random(3))):
+        for degree, bound in itertools.product((-2, -1, 0), (0, 3)):
+            zero = GradedMap.zero(mod, degree)
+            want = solve_homotopy_reference(mod, d, zero, bound)
+            assert solve_homotopy(mod, d, zero, bound) == want == GradedMap.zero(mod, degree + 1)
 
 
 def test_decide_naive_lift(N3, N1):
@@ -1241,6 +1261,85 @@ def test_kernel_of_conflicts_matches_integer_elimination(field, monkeypatch):
         free = [f for f in range(n) if f not in pivots]
         fractional += any(v[f] > 1 for f, v in zip(free, kernel))
     assert pivoted > 0 and fractional > 0, (pivoted, fractional)
+
+
+def _boundary_modules(sigs, rng):
+    """``(module, differential, [targets])`` for the searches of
+    `is_boundary_up_to`: the free module of rank one with zero
+    differential, and as targets the differentials of seeded elements and
+    seeded homogeneous elements."""
+    out = []
+    for sig in sigs:
+        mod = FreeModule(sig, [("e", 0)])
+        targets = []
+        for _ in range(6):
+            b = rand_elem(sig, rng.randint(1, 4), rng, poly_bound=2, max_terms=4)
+            for elem in (diff(b), rand_homogeneous(sig, rng, 3)):
+                if not elem.is_zero():
+                    targets.append(GradedMap(mod, elem.degree(), {(0, 0): elem}, check=False))
+        out.append((mod, Differential.free(mod), targets))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_one_propagation_matches_the_two_pass_grading(field):
+    """`_grading`, which propagates once on unit polygen weights and maps
+    the weights it finds to those of the block, returns the block of
+    `grading_two_pass_reference`, which propagates a second time on the
+    block's polygen weights: the whole ``(grading, w)`` pair, at bounds 0,
+    2 and 5.  With ``j(d)``, ``j(d)`` plus a boundary, a zero target and
+    a seeded target on `_grading_cases`, `_rung_cases`, `_finer_rung` and
+    `_huge_conjugates`, with a zero and a seeded target on `_column_cases`
+    (some not square-zero), with the targets `is_boundary_up_to` builds on its
+    rank-one modules over every `FixturePool` signature and one with no
+    polygens, and on a Koszul complex, which meets no conflict."""
+    pool = FixturePool(field)
+    rng = random.Random(79)
+    cases = []
+    lifting = _grading_cases(pool, rng) + _rung_cases(field, rng) + _huge_conjugates(pool)
+    for mod, d in lifting + [_finer_rung(field, rng)]:
+        h = obstruction(mod, d, mod.sig.top_variable.name)
+        cases.append((mod, d, [h, h + bracket_diff(d, rand_map(mod, h.degree + 1, rng))]))
+    cases += [(mod, d, []) for mod, d in _column_cases(field)]
+    sigs = [pool.S3, pool.S1, pool.Sodd3, pool.S2, _no_polygen_signature(field)]
+    cases += _boundary_modules(sigs, rng)
+    sig = Signature(field, ["a0", "a1", "a2"]).adjoin("X", 1, "a0")
+    mod, d = koszul(sig, [sig.parse(f"a{i}") for i in range(3)])
+    cases.append((mod, d, []))
+    kinds = set()
+    for mod, d, targets in cases:
+        targets = targets + [GradedMap.zero(mod, -1), rand_map(mod, -1, rng)]
+        for h, bound in itertools.product(targets, (0, 2, 5)):
+            got = _grading(mod, d, h, bound)
+            assert got == grading_two_pass_reference(mod, d, h, bound)
+            grading = got[0]
+            n = len(grading.poly)
+            unit = [[int(i == j) for j in range(n)] for i in range(n)]
+            if not n:
+                kinds.add("no polygens")
+            elif (grading.kernel, grading.pivots) == (unit, []):
+                kinds.add("no conflict")
+            else:
+                kinds.add("all-ones" if grading.ones else "finer" if grading.kernel else "trivial")
+    assert kinds == {"no polygens", "no conflict", "all-ones", "finer", "trivial"}
+
+
+def test_grading_propagates_once(monkeypatch):
+    """`_grading` walks ``D`` once: one `_propagate` per grading on
+    `_finer_rung` and on `_conjugated_nk`, whose targets ``j(d)`` meet
+    conflicts (each grading has pivot polygens)."""
+    calls = []
+    propagate = lift_module._propagate
+
+    def spy(*args):
+        calls.append(args)
+        return propagate(*args)
+
+    monkeypatch.setattr(lift_module, "_propagate", spy)
+    for mod, d in (_finer_rung(QQ, random.Random(3)), _conjugated_nk(FixturePool(QQ))):
+        calls.clear()
+        grading, _ = _grading(mod, d, obstruction(mod, d, "X"), 2)
+        assert grading.pivots and len(calls) == 1
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
