@@ -2,8 +2,9 @@
 
 Every command reads structured documents, computes, re-verifies whatever
 it claims, and prints a JSON transcript on standard output; diagnostics go
-to standard error.  Exit codes: 0 success, 1 bad input, 2 a verification
-failed, 3 the search was inconclusive at the requested bound.
+to standard error.  Exit codes: 0 success, 1 bad input (a usage error
+too), 2 a verification failed, 3 the search was inconclusive at the
+requested bound.
 """
 
 from __future__ import annotations
@@ -289,7 +290,10 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as ex:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_INPUT if ex.code else EXIT_OK
     try:
         return _run(args)
     except VerificationError as ex:

@@ -78,7 +78,7 @@ from .module import (
     sharp_map,
     twofold_extension,
 )
-from .solver import solve_exact
+from .solver import dependencies, solve_exact
 
 
 @dataclass
@@ -208,18 +208,17 @@ def _kernel(rows: list, n: int) -> tuple:
     """A basis of the integer vectors of length `n` orthogonal to every row,
     and the pivot columns, in increasing order.
 
-    Column ``j`` of the rows is a pivot when `solve_exact` finds it outside
-    the span of the columns before it.  Otherwise its solution, with every
-    free unknown zero, says ``col_j = sum_(i<j) x_i col_i``: the vector
-    ``-x`` with 1 at ``j`` and 0 past it lies in the kernel and is 0 at the
-    other free columns.  Cleared of denominators it is positive at ``j``,
-    where it holds their lcm, so its entries have no common factor.  The
-    vectors come in the order of their free columns.
+    One `dependencies` pass over the columns of the rows finds the pivots,
+    the columns outside the span of the columns before them.  Each other
+    column ``j`` is ``sum_(i<j) x_i col_i`` with every free ``x_i`` zero:
+    the vector ``-x`` with 1 at ``j`` and 0 past it lies in the kernel and
+    is 0 at the other free columns.  Cleared of denominators it is
+    positive at ``j``, where it holds their lcm, so its entries have no
+    common factor.  The vectors come in the order of their free columns.
     """
     columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n)]
     kernel, pivots = [], []
-    for j in range(n):
-        x = solve_exact(QQ, columns[:j], columns[j])
+    for j, x in enumerate(dependencies(QQ, columns)):
         if x is None:
             pivots.append(j)
         else:
@@ -301,10 +300,10 @@ def _grading(module: FreeModule, d: Differential, h: GradedMap, bound: int) -> t
 
     One `_propagate`, on unit polygen weights, collects the conflicts of
     ``D`` and of the classes of ``h``.  The polygen weights are the
-    integer vectors in their kernel, which `_kernel` takes from
-    `solve_exact` (the unit vectors when there is no conflict), after the
-    all-ones vector when every conflict sums to 0; an empty kernel is the
-    trivial grading.  Every weight `_propagate` sets combines the polygen
+    integer vectors in their kernel, which `_kernel` takes from one
+    `dependencies` pass (the unit vectors when there is no conflict), after
+    the all-ones vector when every conflict sums to 0; an empty kernel is
+    the trivial grading.  Every weight `_propagate` sets combines the polygen
     weights along one spanning forest, so the block's basis, variable and
     class weights are the images of the first pass's under the linear
     map to the new polygen weights, which sends every conflict to 0.  Two

@@ -572,7 +572,7 @@ def characterization_check(delta: Callable, jop: JOperator) -> CheckReport:
     return report
 
 
-# -- the homotopy system on elements, and the solver in first-seen row order --------
+# -- the homotopy system on elements, and the row-form solvers --------------------
 
 
 def homotopy_columns_reference(
@@ -635,8 +635,10 @@ def block_filter(block):
 
 
 def solve_exact_reference(field, columns: list, rhs: dict) -> Optional[list]:
-    """`solve_exact` with the rows eliminated in the order they are first
-    seen (column by column, then the right-hand side), not by size."""
+    """`solve_exact` by rows, eliminated in the order they are first seen
+    (column by column, then the right-hand side): each row is reduced by
+    the pivot rows so far and, if anything is left, becomes a pivot row on
+    its smallest column."""
     zero = field.zero
     rows: dict = {}
     for j, col in enumerate(columns):
@@ -678,6 +680,86 @@ def solve_exact_reference(field, columns: list, rhs: dict) -> Optional[list]:
         for k, v in rest.items():
             if x[k] != zero:
                 b = field.sub(b, field.mul(v, x[k]))
+        x[lead] = b
+    return x
+
+
+def solve_row_form_reference(field, columns: list, rhs: dict) -> Optional[list]:
+    """The row-form `solve_exact` that the column-echelon pass replaced.
+
+    The columns are transposed once into ``[row, b]`` pairs, taken fewest
+    entries first (rows only the right-hand side reaches come first, so
+    ``0 = b`` is refused before any step).  Reducing by a pivot row that
+    is its lead alone is done at once; a longer one adds entries right of
+    its lead, which go through a heap in increasing column order.  A pivot
+    row keeps the negated rest of its row scaled to a leading one."""
+    zero, add, sub, mul = field.zero, field.add, field.sub, field.mul
+    rows: dict = {}  # row key -> [row, its right-hand side]
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            if c != zero:
+                pair = rows.get(key)
+                if pair is None:
+                    rows[key] = [{j: c}, zero]
+                else:
+                    pair[0][j] = c
+    for key, b in rhs.items():
+        pair = rows.get(key)
+        if pair is None:
+            rows[key] = [{}, b]
+        else:
+            pair[1] = b
+    # pivot column -> (minus the rest of its row scaled to a leading one, rhs)
+    pivots: dict = {}
+    for row, b in sorted(rows.values(), key=lambda pair: len(pair[0])):
+        heap = []
+        for col in [col for col in row if col in pivots]:
+            rest, pb = pivots[col]
+            if rest:
+                heap.append(col)
+            else:
+                b = sub(b, mul(row.pop(col), pb))
+        if heap:
+            heapify(heap)
+        while heap:
+            col = heappop(heap)
+            factor = row.pop(col, None)
+            if factor is None:
+                continue
+            rest, pb = pivots[col]
+            b = sub(b, mul(factor, pb))
+            for k, v in rest.items():
+                x = row.get(k)
+                if x is not None:
+                    x = add(x, mul(factor, v))
+                    if x == zero:
+                        del row[k]
+                    else:
+                        row[k] = x
+                    continue
+                x = mul(factor, v)
+                pivot = pivots.get(k)
+                if pivot is None:
+                    row[k] = x
+                elif pivot[0]:
+                    row[k] = x
+                    heappush(heap, k)
+                else:
+                    b = sub(b, mul(x, pivot[1]))
+        if not row:
+            if b != zero:
+                return None
+            continue
+        lead = min(row)
+        inv = field.inv(row.pop(lead))
+        minus = field.neg(inv)
+        pivots[lead] = ({k: mul(minus, v) for k, v in row.items()}, mul(inv, b))
+    x = [zero] * len(columns)
+    for lead in sorted(pivots, reverse=True):
+        rest, b = pivots[lead]
+        for k, v in rest.items():
+            if x[k] != zero:
+                b = add(b, mul(v, x[k]))
         x[lead] = b
     return x
 

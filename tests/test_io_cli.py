@@ -753,6 +753,33 @@ def test_cli_hostile_inputs_exit_1(tmp_path, capsys, sig_doc, mod_doc, argv, mes
     assert captured.err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["naive", "--sig", "{sig}"], "the following arguments are required: --mod"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["naive", "--sig", "{sig}", "--mod", "{mod}", "--bound", "x"], "invalid int value: 'x'"),
+    ],
+    ids=["missing-mod", "unknown-command", "bound-not-int"],
+)
+def test_cli_usage_errors_exit_1(tmp_path, capsys, argv, message):
+    """A command line argparse rejects is bad input: exit 1, not argparse's
+    2, which the exit-code table reserves for a failed verification, with
+    nothing on stdout and argparse's usage message on stderr."""
+    sig, mod = _write(tmp_path, "sig.json", S3_DOC), _write(tmp_path, "mod.json", N3_DOC)
+    paths = {"{sig}": sig, "{mod}": mod}
+    assert main([paths.get(a, a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: dgalift") and message in captured.err
+
+
+def test_cli_help_exits_0(capsys):
+    """``--help`` still prints the usage on stdout and exits 0."""
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: dgalift")
+
+
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
 @pytest.mark.parametrize("command", ["naive", "lift"])
 @pytest.mark.parametrize("degree", [2 * 10**6, 10**12])

@@ -11,6 +11,7 @@ from dgalift import QQ, Signature, derivative, diff
 from dgalift.algebra import AlgElem, component_monomials
 from dgalift.errors import SchemaError, VerificationError
 import dgalift.lift as lift_module
+import dgalift.solver as solver_module
 from dgalift.field import PrimeField
 from dgalift.io import load_json, matrix_to_doc, module_from_doc, signature_from_doc
 from dgalift.jop import JOperator
@@ -1263,6 +1264,38 @@ def test_kernel_of_conflicts_matches_integer_elimination(field, monkeypatch):
     assert pivoted > 0 and fractional > 0, (pivoted, fractional)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_grading_runs_one_elimination_and_no_solve(field, monkeypatch):
+    """Each `_grading` takes its kernel from exactly one elimination pass
+    of the solver and makes no `solve_exact` call, with conflicts or
+    without: every `_grading_cases` and `_rung_cases` input, with ``j(d)``
+    and a zero target."""
+    passes = []
+    eliminate = solver_module._eliminate
+
+    def spy(f, ranked):
+        passes.append(len(ranked))
+        return eliminate(f, ranked)
+
+    def refuse(*args):
+        raise AssertionError("_grading called solve_exact")
+
+    monkeypatch.setattr(solver_module, "_eliminate", spy)
+    monkeypatch.setattr(lift_module, "solve_exact", refuse)
+    monkeypatch.setattr(solver_module, "solve_exact", refuse)
+    pool = FixturePool(field)
+    rng = random.Random(71)
+    graded = 0
+    for mod, d in _grading_cases(pool, rng) + _rung_cases(field, rng):
+        h = obstruction(mod, d, mod.sig.top_variable.name)
+        for target in (h, GradedMap.zero(mod, h.degree)):
+            passes.clear()
+            grading, _ = _grading(mod, d, target, 0)
+            assert passes == [len(mod.sig.polygens)]
+            graded += grading.pivots != []
+    assert graded > 0
+
+
 def _boundary_modules(sigs, rng):
     """``(module, differential, [targets])`` for the searches of
     `is_boundary_up_to`: the free module of rank one with zero
@@ -1420,16 +1453,13 @@ def test_finer_only_search_costs_its_pivots_not_its_bands():
 
 def _solver_sizes(monkeypatch) -> list:
     """The sizes (unknowns, rows, nonzeros) of each homotopy system
-    `solve_homotopy` hands the solver from now on, in order.  Its row keys
-    are ``((row, col), monomial)`` pairs; the systems `_kernel` solves are
-    keyed by the indices of the conflicts, ints, and are left out, as is
-    a system with no rows at all."""
+    `solve_homotopy` hands the solver from now on, in order; `_kernel`
+    takes its vectors from `dependencies` and adds none."""
     sizes = []
 
     def spy(field, columns, rhs):
         rows = {key for col in columns for key in col} | set(rhs)
-        if any(type(key) is tuple for key in rows):
-            sizes.append((len(columns), len(rows), sum(len(col) for col in columns)))
+        sizes.append((len(columns), len(rows), sum(len(col) for col in columns)))
         return solve_exact(field, columns, rhs)
 
     monkeypatch.setattr(lift_module, "solve_exact", spy)
