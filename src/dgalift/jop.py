@@ -64,6 +64,7 @@ class JOperator:
         elif not gamma.is_zero() and gamma.degree != self.degree:
             raise SchemaError(f"gamma must have degree {self.degree}, found {gamma.degree}")
         self.gamma = gamma
+        self._of_partial = None  # (d, of_diff(d)) for the last d of `of_dop`
 
     def _j_into(self, out: dict, alpha: GradedMap) -> None:
         """Add ``j(alpha)`` into a `module` accumulator."""
@@ -88,20 +89,25 @@ class JOperator:
         return _finish(self.module, self.degree - 1, out)
 
     def of_dop(self, p: DOpPair) -> DOpPair:
-        """Leibniz extension ``j(f + g o d) = j(f) + j(g) o d +
-        (-1)^{|X||g|} g o j(d)``, plus ``[gamma, -]``; representation-free."""
-        jd, e, c = {}, {}, {}
-        self._j_into(jd, p.partial.matrix)
-        self._j_into(c, p.g)
+        """The Leibniz rule ``Delta(f + g o d) = Delta(f) + Delta(g) o d +
+        (-1)^{|X||g|} g o Delta(d)`` for ``Delta = j + [gamma, -]``, with
+        ``Delta(d)`` the map `of_diff` gives; representation-free.
+        ``Delta(d)`` is kept for the last ``d`` met (by identity), so pairs
+        over one differential compute it once."""
+        d = p.partial
+        if self._of_partial is None or self._of_partial[0] is not d:
+            self._of_partial = (d, self.of_diff(d))
+        e, c = {}, {}
         self._j_into(e, p.f)
-        jd_map = _finish(self.module, self.degree - 1, jd)
-        _product_into(e, p.g, jd_map, bool((self.var.degree * p.g.degree) % 2))
+        self._j_into(c, p.g)
         if not self.gamma.is_zero():
-            DOpPair.of_map(self.gamma, p.partial)._bracket_into(e, c, p)
+            _bracket_into(e, self.gamma, p.f)
+            _bracket_into(c, self.gamma, p.g)
+        _product_into(e, p.g, self._of_partial[1], bool((self.var.degree * p.g.degree) % 2))
         return DOpPair(
             _finish(self.module, p.f.degree + self.degree, e),
             _finish(self.module, p.g.degree + self.degree, c),
-            p.partial,
+            d,
         )
 
     def __call__(self, target: Target):

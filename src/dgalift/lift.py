@@ -84,7 +84,9 @@ from .solver import dependencies, solve_exact
 @dataclass
 class LiftDecision:
     """Outcome of the obstruction-vanishing search at one bound: a checked
-    certificate ``gamma`` with ``j(d) = [d, gamma]``, or None (`vanishes`)."""
+    certificate ``gamma`` with ``j(d) = [d, gamma]``, or None when the search
+    found none up to the bound.  `vanishes` is true exactly when
+    `certificate` is not None."""
 
     certificate: Optional[GradedMap]
     bound: int

@@ -4,6 +4,12 @@ Unconstrained random matrices essentially never square to zero, so
 square-zero differentials come from structured families: fixture matrices
 over the variable-free subalgebra conjugated by random units.  Everything
 is driven by an explicit `random.Random` so runs are reproducible.
+
+The draws go through ``rng.choice`` on ranges and on the band tuple: on
+CPython ``randint(a, b)``, ``randrange(n)`` and ``choice(seq)`` each end in
+one ``_randbelow`` of the same width, so ``choice(range(a, b + 1))`` draws
+what ``randint(a, b)`` draws and leaves the generator in the same state,
+through fewer Python calls.
 """
 
 from __future__ import annotations
@@ -13,12 +19,16 @@ from typing import Optional
 
 from .algebra import AlgElem, Signature, _add_into, component_monomials
 from .field import Field
-from .module import Differential, DOpPair, FreeModule, GradedMap, invert_unit
+from .module import Differential, DOpPair, FreeModule, GradedMap, _finish, invert_unit
+
+
+_SCALARS = range(-3, 4)
+_ONE = range(1, 2)
 
 
 def rand_scalar(field: Field, rng: random.Random, nonzero: bool = False):
     while True:
-        c = field.of_int(rng.randint(-3, 3))
+        c = field.of_int(rng.choice(_SCALARS))
         if not nonzero or c != field.zero:
             return c
 
@@ -33,11 +43,20 @@ def rand_elem(
     monos = component_monomials(sig, degree, poly_bound)
     if not monos:
         return sig.zero()
-    out: dict = {}
-    for _ in range(rng.randint(1, max_terms)):
-        m = monos[rng.randrange(len(monos))]
-        _add_into(sig.field, out, {m: rand_scalar(sig.field, rng)})
+    field, choice = sig.field, rng.choice
+    n = choice(range(1, max_terms + 1))
+    out = _one_term(field, monos, choice)
+    for _ in range(n - 1):
+        _add_into(field, out, _one_term(field, monos, choice))
     return AlgElem(sig, out)
+
+
+def _one_term(field: Field, monos: tuple, choice) -> dict:
+    """The term map of one random term over ``monos`` (empty when its
+    coefficient is zero)."""
+    m = choice(monos)
+    c = field.of_int(choice(_SCALARS))
+    return {m: c} if c != field.zero else {}
 
 
 def rand_homogeneous(sig, rng, max_degree: int = 4, poly_bound: int = 1) -> AlgElem:
@@ -55,16 +74,20 @@ def rand_map(
     poly_bound: int = 1,
     density: float = 0.7,
 ) -> GradedMap:
-    entries = {}
-    for r in range(module.rank):
-        for c in range(module.rank):
-            want = module.degrees[c] + degree - module.degrees[r]
+    """Each entry allowed by the degrees is drawn with probability
+    ``density``, as a one-term `rand_elem` of its degree."""
+    sig, degs, choice = module.sig, module.degrees, rng.choice
+    out = {}
+    for r, dr in enumerate(degs):
+        for c, dc in enumerate(degs):
+            want = dc + degree - dr
             if want < 0 or rng.random() > density:
                 continue
-            e = rand_elem(module.sig, want, rng, poly_bound, max_terms=1)
-            if not e.is_zero():
-                entries[(r, c)] = e
-    return GradedMap(module, degree, entries, check=False)
+            monos = component_monomials(sig, want, poly_bound)
+            if monos:
+                choice(_ONE)  # the term count of a one-term `rand_elem`
+                out[r, c] = _one_term(sig.field, monos, choice)
+    return _finish(module, degree, out)
 
 
 def rand_diff(module: FreeModule, rng: random.Random, poly_bound: int = 1) -> Differential:

@@ -1292,3 +1292,41 @@ class _ReferenceParser:
 def parse_reference(text: str, sig: Signature) -> AlgElem:
     """`parser.parse_expr` as it was before its one-pass loop."""
     return _ReferenceParser(text, sig).parse()
+
+
+# -- the seeded draws, through randint/randrange and one `_add_into` per term ------
+
+
+def rand_scalar_reference(field, rng, nonzero: bool = False):
+    while True:
+        c = field.of_int(rng.randint(-3, 3))
+        if not nonzero or c != field.zero:
+            return c
+
+
+def rand_elem_reference(
+    sig: Signature, degree: int, rng, poly_bound: int = 1, max_terms: int = 2
+) -> AlgElem:
+    monos = component_monomials(sig, degree, poly_bound)
+    if not monos:
+        return sig.zero()
+    out: dict = {}
+    for _ in range(rng.randint(1, max_terms)):
+        m = monos[rng.randrange(len(monos))]
+        _add_into(sig.field, out, {m: rand_scalar_reference(sig.field, rng)})
+    return AlgElem(sig, out)
+
+
+def rand_map_reference(
+    module: FreeModule, degree: int, rng, poly_bound: int = 1, density: float = 0.7
+) -> GradedMap:
+    entries = {}
+    for r in range(module.rank):
+        for c in range(module.rank):
+            want = module.degrees[c] + degree - module.degrees[r]
+            if want < 0 or rng.random() > density:
+                continue
+            e = rand_elem_reference(module.sig, want, rng, poly_bound, max_terms=1)
+            if not e.is_zero():
+                entries[(r, c)] = e
+    return GradedMap(module, degree, entries, check=False)

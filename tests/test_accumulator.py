@@ -126,6 +126,44 @@ def test_accumulator_matches_term_by_term_oracles(field):
     assert all(reached.values()), reached
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_of_dop_memo_follows_the_differential(field):
+    """`of_dop` keeps ``Delta(d)`` for the last differential it met.  One
+    twisted and one untwisted operator take turns on pairs over two
+    different differentials and over a copy of the first that is equal but
+    not the same object; each result must be the oracle's, over the pair's
+    own differential, so a ``Delta(d)`` kept from another one cannot pass."""
+    pool = FixturePool(field)
+    rng = random.Random(4112)
+    reached = {"twisted": 0, "inner variable": 0, "a stale Delta(d) differs": 0}
+    for mod, d0 in [(pool.N3, pool.d3), (pool.NK, pool.dK), (pool.Nodd, pool.dodd), (pool.M2_S1, None)]:
+        first = d0 or rand_diff(mod, rng)
+        copy = Differential(GradedMap(mod, -1, dict(first.matrix.entries), check=False))
+        assert copy == first and copy is not first
+        diffs = [first, rand_diff(mod, rng, poly_bound=2), copy]
+        f = rand_map(mod, 0, rng, density=1.0)
+        pairs = [
+            [DOpPair.of_map(f, d), DOpPair.of_diff(d), rand_dop(mod, d, rng, 0), rand_dop(mod, d, rng, -1)]
+            for d in diffs
+        ]
+        for var in mod.sig.variables:
+            plain = JOperator(mod, var.name)
+            gamma = rand_map(mod, plain.degree, rng, 2, density=1.0)
+            ops = [JOperator(mod, var.name, gamma), plain]
+            reached["twisted"] += not gamma.is_zero()
+            reached["inner variable"] += not plain.is_top
+            for _ in range(2):
+                for d, over_d in zip(diffs, pairs):
+                    for p in over_d:
+                        for op in ops:
+                            got = op.of_dop(p)
+                            _same_pair(got, of_dop_reference(op, p))
+                            assert got.partial is d
+                            stale = compose(p.g, op.of_diff(diffs[1]) - op.of_diff(first))
+                            reached["a stale Delta(d) differs"] += not stale.is_zero()
+    assert all(reached.values()), reached
+
+
 def _is_constant(e) -> bool:
     return len(e.terms) == 1 and e.sig._unit in e.terms
 

@@ -53,9 +53,11 @@ def _seeded_draws(field) -> str:
 
 
 # sha256 of `_seeded_draws`, the same before and after `rand_elem` and
-# `GradedMap.__add__` took their sums through `algebra._add_into`.  The
-# seeded suites and the benchmark's `identities` digests count passes, so
-# they do not see a draw that moves.
+# `GradedMap.__add__` took their sums through `algebra._add_into`, and
+# before and after `rand_scalar`, `rand_elem` and `rand_map` drew through
+# `rng.choice` (which `test_randgen.py` checks draw by draw).  The seeded
+# suites and the benchmark's `identities` digests count passes, so they do
+# not see a draw that moves.
 @pytest.mark.parametrize(
     "field, digest",
     [
