@@ -327,6 +327,79 @@ def test_odd_parity_guards(N3, N1prime):
         construct_lift_odd(mod, d, "X", cert)  # X is even here
 
 
+def test_odd_lift_rejects_bad_certificate(N3):
+    mod, d = N3
+    assert not obstruction(mod, d, "X").is_zero()
+    with pytest.raises(VerificationError, match=r"^odd lift failed verification: entry \(.*\) depends on X"):
+        construct_lift_odd(mod, d, "X", GradedMap.zero(mod, -1))
+
+
+def _nonzero_map(mod, degree, rng):
+    for _ in range(100):
+        f = rand_map(mod, degree, rng, poly_bound=1, density=1.0)
+        if not f.is_zero():
+            return f
+    raise AssertionError(f"no nonzero map of degree {degree} on {mod!r}")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+def test_construction_rejects_gamma_of_wrong_degree_or_module(field):
+    """A nonzero ``gamma`` of a degree other than ``-|X|``, or one on another
+    module of the same degrees, gets `SchemaError` with `JOperator`'s
+    message from both constructions, before any arithmetic could fail on
+    it in another way."""
+    pool = FixturePool(field)
+    rng = random.Random(97)
+    for mod, d, construct in ((pool.NK, pool.dK, construct_lift_even), (pool.N3, pool.d3, construct_lift_odd)):
+        degree = JOperator(mod, "X").degree
+        for wrong in (degree + 1, degree + 2):
+            gamma = _nonzero_map(mod, wrong, rng)
+            with pytest.raises(SchemaError, match=f"^gamma must have degree {degree}, found {wrong}$"):
+                construct(mod, d, "X", gamma)
+        other = FreeModule(mod.sig, [(name + "o", deg) for name, deg in zip(mod.names, mod.degrees)])
+        with pytest.raises(SchemaError, match="^gamma acts on a different module$"):
+            construct(mod, d, "X", _nonzero_map(other, degree, rng))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_construction_succeeds_exactly_on_certificates(field):
+    """No certificate check runs apart from `verify_lift`, and none is
+    missing: on `square_zero_instance` inputs a construction succeeds
+    exactly when ``Delta(d) = 0`` for ``Delta = JOperator(mod, X, gamma)``
+    (even) or ``JOperator(mod, X, -gamma)`` (odd), and then its ``u`` is
+    the per-column basis change.  Otherwise it fails `verify_lift`, and
+    only on entries that depend on ``X``.  The candidates are the bound-2
+    certificate, that certificate plus a random degree ``-|X|`` map, and a
+    random one; both outcomes occur for each parity."""
+    pool = FixturePool(field)
+    rng = random.Random(103)
+    seen = set()
+    for _ in range(500):
+        mod, d, var = pool.square_zero_instance(rng)
+        odd = mod.sig.var(var).odd
+        degree = JOperator(mod, var).degree
+        gammas = [rand_map(mod, degree, rng, poly_bound=1)]
+        cert = decide_naive_lift(mod, d, var, 2).certificate
+        if cert is not None:
+            gammas += [cert, cert + rand_map(mod, degree, rng, poly_bound=1)]
+        construct = construct_lift_odd if odd else construct_lift_even
+        for gamma in gammas:
+            solves = JOperator(mod, var, -gamma if odd else gamma).of_diff(d).is_zero()
+            seen.add((odd, solves))
+            if solves:
+                lift = construct(mod, d, var, gamma)
+                g = _doubled_derivation(mod, d, gamma, var)[2] if odd else gamma
+                assert lift.u == basis_change_reference(lift.module, var, g)
+                continue
+            with pytest.raises(VerificationError) as failed:
+                construct(mod, d, var, gamma)
+            head, notes = str(failed.value).split(": ", 1)
+            assert head == ("odd" if odd else "even") + " lift failed verification"
+            for note in notes.split("; "):
+                assert note.startswith("entry (") and note.endswith(f") depends on {var}"), note
+    assert seen == {(odd, solves) for odd in (False, True) for solves in (False, True)}, seen
+
+
 def test_verify_lift_catches_tampering(N3):
     mod, d = N3
     dec = decide_naive_lift(mod, d, "X", 0)
@@ -1658,7 +1731,9 @@ def test_invert_unit_matches_series_oracle(field, monkeypatch):
     product (`invert_unit_reference`): on `rand_unit` units with and
     without equal-degree entries, and on the basis changes of odd and even
     lifts.  Every lift unit has the identity as its flat part, so that it
-    takes the path that solves nothing; some random units do not."""
+    takes the path that solves nothing; some random units do not.
+    `invert_unit` checks ``u inv = 1`` only, so ``inv u = 1`` is checked
+    here on every unit."""
     import dgalift.module as module
 
     solved = []
@@ -1674,10 +1749,13 @@ def test_invert_unit_matches_series_oracle(field, monkeypatch):
             unit = rand_unit(mod, rng, poly_bound=2, strict_raising=k % 2 == 0)
             units.append(unit + (rand_unit(mod, rng, poly_bound=1) - GradedMap.identity(mod)))
     for u in units:
-        assert invert_unit(u) == invert_unit_reference(u)
+        inv = invert_unit(u)
+        assert inv == invert_unit_reference(u)
+        assert compose(inv, u) == GradedMap.identity(u.module)  # the side not checked
     assert solved
     solved.clear()
     lifts = _pool_lifts(field, rng)
     for lift in lifts:
         assert invert_unit(lift.u) == invert_unit_reference(lift.u) == lift.u_inv
+        assert compose(lift.u_inv, lift.u) == GradedMap.identity(lift.module)
     assert not solved
