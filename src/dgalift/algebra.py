@@ -220,6 +220,8 @@ class Signature:
         `t` may be an element of this signature or expression text over it.
         It must be homogeneous of degree ``degree - 1`` and a cycle.
         """
+        if isinstance(degree, bool) or not isinstance(degree, int):
+            raise SchemaError(f"degree of {name} must be an integer, found {degree!r}")
         if degree < 1:
             raise SchemaError("adjoined variables must have positive degree")
         if isinstance(t, str):
@@ -238,7 +240,9 @@ class Signature:
 
 class AlgElem:
     """A sparse element: finite map from normal-form monomials to nonzero
-    coefficients.  Equality is map equality; arithmetic is exact."""
+    coefficients.  Equality is map equality; arithmetic is exact.  ``*``
+    is the graded product of two elements; a field scalar (or a plain int)
+    multiplies through `scale`."""
 
     __slots__ = ("sig", "terms")
 
@@ -300,16 +304,9 @@ class AlgElem:
             return self.sig.zero()
         return AlgElem(self.sig, {m: field.mul(c, q) for m, q in self.terms.items()})
 
-    def __rmul__(self, c):
-        if isinstance(c, int):
-            return self.scale(c)
-        return NotImplemented
-
     # -- graded product --------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         if not isinstance(other, AlgElem):
             return NotImplemented
         self._check(other)
@@ -563,7 +560,7 @@ def is_cycle(elem: AlgElem) -> bool:
 # -- monomial enumeration and ordering ----------------------------------------------
 
 
-def monomial_sort_key(sig: Signature, m: Monomial):
+def monomial_sort_key(m: Monomial):
     """Documented total order on monomials.
 
     Order: total polygen degree, then the polygen word (generator indices
@@ -644,7 +641,7 @@ def component_monomials(sig: Signature, degree: int, poly_bound: int) -> tuple:
         out = []
         for v in _var_tuples(sig, degree):
             out += [(p, v) for n in range(poly_bound + 1) for p in _poly_tuples(len(sig.polygens), n)]
-        out.sort(key=lambda m: monomial_sort_key(sig, m))
+        out.sort(key=monomial_sort_key)
         band = sig._bands[key] = tuple(out)
     return band
 
@@ -681,7 +678,7 @@ def format_expr(elem: AlgElem) -> str:
     items = elem.terms.items()
     if len(items) > 1:
         items = sorted(
-            items, key=lambda it: (sig.monomial_degree(it[0]), monomial_sort_key(sig, it[0]))
+            items, key=lambda it: (sig.monomial_degree(it[0]), monomial_sort_key(it[0]))
         )
     pieces = []
     for m, c in items:

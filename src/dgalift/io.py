@@ -159,7 +159,8 @@ def module_to_doc(module: FreeModule, d: Optional[Differential] = None) -> dict:
 def load_json(path: str) -> tuple:
     """The JSON document in the file at `path` and the `file_digest` of its
     bytes, read once.  The bytes are decoded as UTF-8 with universal
-    newlines, as a text-mode read of the file would give them to `json`."""
+    newlines, as a text-mode read of the file would give them to `json`.
+    An object that repeats a key is refused; `json` would keep the last."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -168,8 +169,17 @@ def load_json(path: str) -> tuple:
     text = raw.decode("utf-8")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            seen: set = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise SchemaError(f"{path} repeats the key {key!r} in one object")
+        return obj
+
     try:
-        return json.loads(text), file_digest(raw)
+        return json.loads(text, object_pairs_hook=unique_keys), file_digest(raw)
     except json.JSONDecodeError as ex:
         raise SchemaError(f"{path} is not valid JSON: {ex}") from ex
     except RecursionError as ex:  # the decoder recurses once per nesting level

@@ -89,7 +89,6 @@ class LiftDecision:
     `certificate` is not None."""
 
     certificate: Optional[GradedMap]
-    bound: int
 
     @property
     def vanishes(self) -> bool:
@@ -291,7 +290,7 @@ class _Grading:
                     else:
                         if sum(p.values()) == top or not ones and sum(p.values()) < top:
                             out.append((tuple(p[i] for i in range(n)), v))
-        out.sort(key=lambda m: monomial_sort_key(self.sig, m))
+        out.sort(key=monomial_sort_key)
         return out
 
 
@@ -510,7 +509,7 @@ def decide_naive_lift(
 ) -> LiftDecision:
     """Semi-decide obstruction vanishing at the given polygen-degree bound."""
     cert = solve_homotopy(module, d, obstruction(module, d, var_name), bound)
-    return LiftDecision(cert, bound)
+    return LiftDecision(cert)
 
 
 # -- constructions: one basis change for both parities -----------------------------
@@ -671,7 +670,9 @@ def verify_lift(
     ``u^{-1} e_lam`` is column ``lam`` of ``u^{-1}``, ``d'`` adds
     ``(-1)^{|e_r|} d(x_r)`` to ``D' x`` in row ``r`` as ``after`` does, and
     ``d(e_lam)`` is column ``lam`` of ``D`` (``d(1) = 0``).  Each failing
-    column is named, in basis order.
+    column is named, in basis order.  A supplied `u_inv` is taken as ``u``'s
+    inverse unchecked, so ``d' o d' = u^{-1} (d o d) u`` cannot be assumed
+    and ``d'`` is squared here.
     """
     report = CheckReport(True)
     module = lift_diff.module

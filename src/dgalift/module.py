@@ -42,10 +42,12 @@ class FreeModule:
         self.sig = sig
         basis = list(basis)
         self.names = tuple(n for n, _ in basis)
-        self.degrees = tuple(int(d) for _, d in basis)
-        for n in self.names:
+        self.degrees = tuple(d for _, d in basis)
+        for n, d in basis:
             if not isinstance(n, str):
                 raise SchemaError(f"module basis name {n!r} is not a string")
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise SchemaError(f"module basis degree {d!r} is not an integer")
         if len(set(self.names)) != len(self.names):
             raise SchemaError("module basis names must be unique")
         if not self.names:
@@ -378,18 +380,16 @@ def left_mult(module: FreeModule, b: AlgElem) -> GradedMap:
 class Differential:
     """A map obeying the module Leibniz rule, stored by its basis matrix.
 
-    The stored matrix is the whole data: the action on ``e * b`` is the
-    matrix part times ``b`` plus ``(-1)^{|e|} e * d(b)``.  ``square_zero``
-    reports whether the (always linear-over-the-algebra) square vanishes.
+    The stored matrix, of degree -1 even when zero, is the whole data:
+    ``d(e * b)`` is the matrix part times ``b`` plus ``(-1)^{|e|} e * d(b)``.
+    ``square_zero`` reports whether the (algebra-linear) square vanishes.
     """
 
     __slots__ = ("matrix", "_square")
 
     def __init__(self, matrix: GradedMap):
-        if matrix.degree != -1 and not matrix.is_zero():
-            raise SchemaError("a differential matrix must have degree -1")
         if matrix.degree != -1:
-            matrix = GradedMap.zero(matrix.module, -1)
+            raise SchemaError("a differential matrix must have degree -1")
         self.matrix = matrix
         self._square = None
 
@@ -606,8 +606,6 @@ def dop_normalize(summands: Iterable, partial: Differential) -> DOpPair:
                     raise SchemaError("chains may only use the reference differential")
             elif isinstance(item, GradedMap):
                 p = DOpPair.of_map(item, partial)
-            elif isinstance(item, DOpPair):
-                p = item
             else:
                 raise SchemaError(f"cannot normalize item {item!r}")
             acc = p if acc is None else acc.compose(p)
@@ -615,8 +613,7 @@ def dop_normalize(summands: Iterable, partial: Differential) -> DOpPair:
             continue
         total = acc if total is None else total + acc
     if total is None:
-        z = GradedMap.zero(partial.module, 0)
-        return DOpPair(z, GradedMap.zero(partial.module, 1), partial)
+        return DOpPair.of_map(GradedMap.zero(partial.module, 0), partial)
     return total
 
 

@@ -26,13 +26,6 @@ _SCALARS = range(-3, 4)
 _ONE = range(1, 2)
 
 
-def rand_scalar(field: Field, rng: random.Random, nonzero: bool = False):
-    while True:
-        c = field.of_int(rng.choice(_SCALARS))
-        if not nonzero or c != field.zero:
-            return c
-
-
 def rand_elem(
     sig: Signature,
     degree: int,

@@ -395,36 +395,34 @@ def check_base_change(pool, rng) -> bool:
     return j.of_map(f) - transported == bracket(alpha, f)
 
 
-SUITES = [
-    ("graded_commutativity", check_graded_commutativity),
-    ("diff_square_zero", check_diff_square_zero),
-    ("diff_leibniz", check_diff_leibniz),
-    ("derivative_product_rule", check_derivative_product_rule),
-    ("derivative_diff_commute", check_derivative_diff_commute),
-    ("derivative_kernel", check_derivative_kernel),
-    ("format_parse_roundtrip", check_format_parse_roundtrip),
-    ("boundary_witness_reverifies", check_boundary_witness),
-    ("map_is_linear_over_algebra", check_b_linearity),
-    ("module_leibniz", check_module_leibniz),
-    ("diff_bracket_scalar", check_bracket_scalar),
-    ("jacobi", check_jacobi),
-    ("scalar_bracket_of_composites", check_scalar_bracket_of_composites),
-    ("square_is_linear", check_square_linear),
-    ("bracket_diff_linear", check_bracket_diff_linear),
-    ("dop_normalize_sound", check_dop_normalize),
-    ("twofold_square_zero", check_twofold_square_zero),
-    ("invert_unit_roundtrip", check_invert_unit),
-    ("leibniz_on_endomorphisms", check_lr_for_e),
-    ("leibniz_on_zero_combination", check_lr_general),
-    ("leibniz_on_operator_pairs", check_lr_for_d),
-    ("derivation_ad_compat", check_derivation_ad_compat),
-    ("weak_square_is_ad", check_weak_square_is_ad),
-    ("j_anchors", check_j_anchors),
-    ("j_of_diff_is_cycle", check_j_square_zero_bracket),
-    ("base_change_defect", check_base_change),
-]
-
-SUITE_MAP = dict(SUITES)
+SUITES = {
+    "graded_commutativity": check_graded_commutativity,
+    "diff_square_zero": check_diff_square_zero,
+    "diff_leibniz": check_diff_leibniz,
+    "derivative_product_rule": check_derivative_product_rule,
+    "derivative_diff_commute": check_derivative_diff_commute,
+    "derivative_kernel": check_derivative_kernel,
+    "format_parse_roundtrip": check_format_parse_roundtrip,
+    "boundary_witness_reverifies": check_boundary_witness,
+    "map_is_linear_over_algebra": check_b_linearity,
+    "module_leibniz": check_module_leibniz,
+    "diff_bracket_scalar": check_bracket_scalar,
+    "jacobi": check_jacobi,
+    "scalar_bracket_of_composites": check_scalar_bracket_of_composites,
+    "square_is_linear": check_square_linear,
+    "bracket_diff_linear": check_bracket_diff_linear,
+    "dop_normalize_sound": check_dop_normalize,
+    "twofold_square_zero": check_twofold_square_zero,
+    "invert_unit_roundtrip": check_invert_unit,
+    "leibniz_on_endomorphisms": check_lr_for_e,
+    "leibniz_on_zero_combination": check_lr_general,
+    "leibniz_on_operator_pairs": check_lr_for_d,
+    "derivation_ad_compat": check_derivation_ad_compat,
+    "weak_square_is_ad": check_weak_square_is_ad,
+    "j_anchors": check_j_anchors,
+    "j_of_diff_is_cycle": check_j_square_zero_bracket,
+    "base_change_defect": check_base_change,
+}
 
 # The identity batch pinned by the acceptance gate.
 CORE_IDENTITY_SUITES = [
@@ -442,7 +440,7 @@ CORE_IDENTITY_SUITES = [
 
 
 def run_suite(name: str, field: Field, seed: int, iters: int, pool: FixturePool) -> dict:
-    check = SUITE_MAP[name]
+    check = SUITES[name]
     rng = random.Random((seed, name, field.key().__repr__()).__repr__())
     failures = 0
     for _ in range(iters):
@@ -463,7 +461,7 @@ def run_selftest(seed: int, iters: int, fields=None) -> dict:
     results = []
     for field in fields:
         pool = FixturePool(field)
-        for name, _ in SUITES:
+        for name in SUITES:
             results.append(run_suite(name, field, seed, iters, pool))
     return {
         "seed": seed,

@@ -231,7 +231,7 @@ def format_expr_reference(elem: AlgElem) -> str:
     def degree(m):
         return sum(e * var.degree for e, var in zip(m[1], sig.variables))
 
-    items = sorted(elem.terms.items(), key=lambda it: (degree(it[0]), monomial_sort_key(sig, it[0])))
+    items = sorted(elem.terms.items(), key=lambda it: (degree(it[0]), monomial_sort_key(it[0])))
     pieces = []
     for m, c in items:
         mono = _format_monomial(sig, m)
@@ -794,7 +794,7 @@ def band_reference(grading: _Grading, degree: int, bound: int, cls: int) -> list
         else:
             totals = range(bound + 1)
         out += [(p, v) for n in totals for p in _poly_tuples(len(sig.polygens), n)]
-    out.sort(key=lambda m: monomial_sort_key(sig, m))
+    out.sort(key=monomial_sort_key)
     return [m for m in out if monomial_class(grading, m) == cls]
 
 

@@ -207,7 +207,7 @@ def _brute_force_monomials(sig, degree, poly_bound):
 def test_component_monomials_complete(S1, degree, poly_bound):
     got = component_monomials(S1, degree, poly_bound)
     assert set(got) == _brute_force_monomials(S1, degree, poly_bound)
-    keys = [monomial_sort_key(S1, m) for m in got]
+    keys = [monomial_sort_key(m) for m in got]
     assert keys == sorted(keys)
     assert len(set(got)) == len(got)
 

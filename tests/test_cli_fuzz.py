@@ -2,9 +2,10 @@
 
 Each case mutates the README example documents (`bench/data/s3.json` and
 `bench/data/n3.json`, read only) once or twice and runs one module command
-through `cli.main`.  The contract: a JSON transcript with exit 0, 2 or 3,
-or exit 1 with a single line on standard error; no exception escapes, and
-each run stays within a time cap.
+through `cli.main`.  Some cases also write one object of a document with a
+key repeated.  The contract: a JSON transcript with exit 0, 2 or 3, or exit
+1 with a single line on standard error; no exception escapes, and each run
+stays within a time cap.  A repeated key always gets exit 1.
 """
 
 import copy
@@ -106,6 +107,25 @@ def _mutate(sig, mod, rng):
         parent[key] = copy.deepcopy(rng.choice(JUNK))
 
 
+def _repeat_key(doc, rng):
+    """The text of `doc` with one key of one of its objects written twice,
+    the second time with a junk value, and the repeated key."""
+    objects = [()] + [path + (key,) for path, key in _paths(doc)
+                      if isinstance(_at(doc, path + (key,)), dict)]
+    path = rng.choice([p for p in objects if _at(doc, p)])
+    obj = _at(doc, path)
+    key = rng.choice(list(obj))
+    items = [(k, json.dumps(v)) for k, v in obj.items()]
+    items.append((key, json.dumps(rng.choice(JUNK))))
+    text = "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in items) + "}"
+    if not path:
+        return text, key
+    marker = "\u0000repeated\u0000"
+    parent = copy.deepcopy(doc)
+    _at(parent, path[:-1])[path[-1]] = marker
+    return json.dumps(parent).replace(json.dumps(marker), text), key
+
+
 @contextmanager
 def _time_cap(seconds):
     """Turn a run longer than `seconds` into a test failure."""
@@ -127,15 +147,22 @@ def test_cli_fuzz_hostile_documents(tmp_path, capsys):
     base_sig = json.loads((DATA / "s3.json").read_text())
     base_mod = json.loads((DATA / "n3.json").read_text())
     rng = random.Random(2020)
+    repeats = random.Random(2021)  # apart from `rng`, which draws the other cases
     codes: dict = {}
+    repeated = 0
     start = time.perf_counter()
     for case in range(CASES):
         sig, mod = copy.deepcopy(base_sig), copy.deepcopy(base_mod)
         _mutate(sig, mod, rng)
         texts = [json.dumps(sig), json.dumps(mod)]
+        dup = None  # the document with a repeated key
         if rng.random() < 0.05:  # not JSON at all: cut short
             i = rng.randrange(2)
             texts[i] = texts[i][: rng.randrange(len(texts[i]))]
+        elif repeats.random() < 0.1:
+            dup = repeats.randrange(2)
+            texts[dup], key = _repeat_key([sig, mod][dup], repeats)
+            repeated += 1
         sig_path, mod_path = tmp_path / f"s{case}.json", tmp_path / f"n{case}.json"
         sig_path.write_text(texts[0], encoding="utf-8")
         mod_path.write_text(texts[1], encoding="utf-8")
@@ -147,6 +174,10 @@ def test_cli_fuzz_hostile_documents(tmp_path, capsys):
             code = main(argv)
         out, err = capsys.readouterr()
         where = f"case {case}: {command} on {texts[0]} / {texts[1]}"
+        if dup is not None:
+            assert code == 1, where
+            if dup == 0:  # the signature is read first, so its error is the one shown
+                assert err == f"error: {sig_path} repeats the key {key!r} in one object\n", where
         if code == 1:
             assert out == "", where
             assert err.count("\n") == 1 and err.endswith("\n"), where
@@ -157,6 +188,7 @@ def test_cli_fuzz_hostile_documents(tmp_path, capsys):
     assert time.perf_counter() - start < 60
     # the mutations must reach past the parser as well as fail in it
     assert codes.get(1, 0) > CASES // 4 and codes.get(0, 0) + codes.get(3, 0) > 10, codes
+    assert repeated > 10, repeated
 
 
 HUGE = "a^99999999999"

@@ -27,6 +27,7 @@ from dgalift.randgen import FixturePool, rand_unit
 from dgalift.tensor import NaiveTensor, odd_ses, verify_splitting
 from oracles import odd_coefficient_module
 from test_cli_fuzz import CAP_S, _time_cap
+from test_corpus import _gen as _corpus_gen
 
 S1_DOC = {
     "field": {"type": "Q"},
@@ -372,6 +373,32 @@ def test_cli_eval_reads_a_sum_past_the_argument_limit_from_stdin(tmp_path, capsy
     assert got["data"]["input"] == text
 
 
+@pytest.mark.parametrize(
+    "command, name, n, verdict",
+    [("naive", "naive-odd-q-r256-b0", 8, "vanishes"), ("lift", "lift-odd-q-r128-b0", 7, "lifted")],
+    ids=["naive-rank-256", "lift-rank-128"],
+)
+def test_cli_large_odd_rungs_finish(tmp_path, command, name, n, verdict):
+    """`naive` on the odd Q Koszul rung of rank 256 (19448 unknowns) and
+    `lift` on the one of rank 128, as `bench/gen.py` draws them for seed 0,
+    at bound 0: ranks no benchmark workload reaches.  Each runs in a fresh
+    process under the 20-s limit CI gives it, and the lift passes all three
+    checks."""
+    sig_doc, mod_doc = _corpus_gen().rung_docs(0, name, "q", n, "odd", False)
+    argv = [command, "--sig", _write(tmp_path, "sig.json", sig_doc)]
+    argv += ["--mod", _write(tmp_path, "mod.json", mod_doc), "--bound", "0"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run(
+        [sys.executable, "-m", "dgalift.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    doc = json.loads(run.stdout)
+    assert doc["verdict"] == verdict
+    if command == "lift":
+        assert doc["data"]["verification"] == {"lift": True, "sequence": True, "splitting": True}
+
+
 def test_cli_eval_syntax_error(tmp_path, capsys):
     sig = _write(tmp_path, "sig.json", S1_DOC)
     assert main(["eval", "--sig", sig, "X^(2"]) == 1
@@ -620,6 +647,12 @@ def test_cli_transcript_shape(
 # JSON text nested 10^5 deep, past the decoder's recursion limit
 _DEEP_LIST = "[" * 10**5 + "]" * 10**5
 _DEEP_OBJECT = '{"a":' * 10**5 + "0" + "}" * 10**5
+# one key written twice in one object: `json` alone keeps the last value, and
+# each of these would then read as a valid document
+_REPEATED_SIG = json.dumps(S3_DOC)[:-1] + ', "polygens": ["b"]}'
+_REPEATED_COLUMN = json.dumps(N3_DOC).replace('"f2": {', '"f1": {"f0": "a"}, "f2": {')
+_REPEATED_ROW = json.dumps(N3_DOC).replace('"f0": "- a*X"', '"f0": "- a*X", "f1": "a"')
+_REPEATED_DEGREE = json.dumps(N3_DOC).replace('"degree": 0', '"degree": 0, "degree": 0')
 # a decimal literal longer than int() reads, where it has a limit
 _INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 _NINES = "9" * max(5000, _INT_LIMIT + 1)
@@ -701,6 +734,10 @@ _NO_INT_LIMIT = pytest.mark.skipif(not _INT_LIMIT, reason="int() reads integers 
         (_DEEP_OBJECT, N3_DOC, ["validate"], "{tmp}/sig.json is nested too deeply to read"),
         (S3_DOC, _DEEP_LIST, ["naive"], "{tmp}/mod.json is nested too deeply to read"),
         (S3_DOC, _DEEP_OBJECT, ["lift"], "{tmp}/mod.json is nested too deeply to read"),
+        (_REPEATED_SIG, N3_DOC, ["validate"], "{tmp}/sig.json repeats the key 'polygens' in one object"),
+        (S3_DOC, _REPEATED_COLUMN, ["naive"], "{tmp}/mod.json repeats the key 'f1' in one object"),
+        (S3_DOC, _REPEATED_ROW, ["lift"], "{tmp}/mod.json repeats the key 'f1' in one object"),
+        (S3_DOC, _REPEATED_DEGREE, ["naive"], "{tmp}/mod.json repeats the key 'degree' in one object"),
         pytest.param(
             S3_DOC,
             N3_DOC,
@@ -737,6 +774,10 @@ _NO_INT_LIMIT = pytest.mark.skipif(not _INT_LIMIT, reason="int() reads integers 
         "deep-object-sig",
         "deep-list-mod",
         "deep-object-mod",
+        "repeated-sig-key",
+        "repeated-column",
+        "repeated-row",
+        "repeated-basis-key",
         "oversized-coefficient",
         "oversized-exponent-in-module",
     ],

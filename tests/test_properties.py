@@ -20,7 +20,7 @@ _POOLS = {f.key(): FixturePool(f) for f in FIELDS}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F5"])
-@pytest.mark.parametrize("name", [name for name, _ in SUITES])
+@pytest.mark.parametrize("name", list(SUITES))
 def test_suite(field, name):
     result = run_suite(name, field, seed=20240412, iters=60, pool=_POOLS[field.key()])
     assert result["failures"] == 0, result
@@ -54,10 +54,10 @@ def _seeded_draws(field) -> str:
 
 # sha256 of `_seeded_draws`, the same before and after `rand_elem` and
 # `GradedMap.__add__` took their sums through `algebra._add_into`, and
-# before and after `rand_scalar`, `rand_elem` and `rand_map` drew through
-# `rng.choice` (which `test_randgen.py` checks draw by draw).  The seeded
-# suites and the benchmark's `identities` digests count passes, so they do
-# not see a draw that moves.
+# before and after `rand_elem`, `rand_map` and the deleted `rand_scalar`
+# drew through `rng.choice` (which `test_randgen.py` checks draw by draw
+# for the first two).  The seeded suites and the benchmark's `identities`
+# digests count passes, so they do not see a draw that moves.
 @pytest.mark.parametrize(
     "field, digest",
     [
