@@ -160,13 +160,17 @@ def load_json(path: str) -> tuple:
     """The JSON document in the file at `path` and the `file_digest` of its
     bytes, read once.  The bytes are decoded as UTF-8 with universal
     newlines, as a text-mode read of the file would give them to `json`.
-    An object that repeats a key is refused; `json` would keep the last."""
+    Bytes that are not UTF-8 are refused with the path named.  An object
+    that repeats a key is refused; `json` would keep the last."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as ex:
         raise SchemaError(f"cannot read {path}: {ex}") from ex
-    text = raw.decode("utf-8")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as ex:
+        raise SchemaError(f"{path} is not UTF-8 text: {ex}") from ex
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
 

@@ -54,6 +54,10 @@ class FreeModule:
             raise SchemaError("module basis must be non-empty")
         self._index = {n: i for i, n in enumerate(self.names)}
         self._key = (sig.key(), self.names, self.degrees)
+        # (degree, poly_bound) -> the entry slots and scalars of
+        # `randgen.rand_map`; filled by it and only gains entries, like
+        # ``sig._bands``
+        self._slots: dict = {}
 
     @property
     def rank(self) -> int:

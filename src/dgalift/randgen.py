@@ -5,11 +5,18 @@ square-zero differentials come from structured families: fixture matrices
 over the variable-free subalgebra conjugated by random units.  Everything
 is driven by an explicit `random.Random` so runs are reproducible.
 
-The draws go through ``rng.choice`` on ranges and on the band tuple: on
-CPython ``randint(a, b)``, ``randrange(n)`` and ``choice(seq)`` each end in
-one ``_randbelow`` of the same width, so ``choice(range(a, b + 1))`` draws
-what ``randint(a, b)`` draws and leaves the generator in the same state,
-through fewer Python calls.
+Every integer draw but `rand_unit`'s ``shuffle`` goes through `_below`,
+which copies CPython's ``Random._randbelow_with_getrandbits``:
+``k = n.bit_length()`` and ``getrandbits(k)`` again until the result is
+below ``n``.  On CPython ``randrange(n)``, ``randint(a, b)``
+(``a + randrange(b - a + 1)``) and ``choice(seq)``
+(``seq[randrange(len(seq))]``) each end in exactly that loop, so a draw
+here gives the value the stdlib call gives and leaves the generator in
+the same state, without the stdlib's Python frames around that loop.
+`tests/test_randgen.py` checks this against ``randrange`` for every ``n``
+up to 70, compares each draw and the generator's state after it with the
+``randint`` oracles of `tests/oracles.py`, and pins the digest of the
+draws.
 """
 
 from __future__ import annotations
@@ -22,8 +29,14 @@ from .field import Field
 from .module import Differential, DOpPair, FreeModule, GradedMap, _finish, invert_unit
 
 
-_SCALARS = range(-3, 4)
-_ONE = range(1, 2)
+def _below(getrandbits, n: int) -> int:
+    """``randrange(n)`` of the generator whose ``getrandbits`` this is, for
+    ``n >= 1``: the same value, from the same bits."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def rand_elem(
@@ -33,31 +46,44 @@ def rand_elem(
     poly_bound: int = 1,
     max_terms: int = 2,
 ) -> AlgElem:
+    """The sum of one to `max_terms` random terms of the band (they may
+    cancel), each with a coefficient in -3..3."""
     monos = component_monomials(sig, degree, poly_bound)
     if not monos:
         return sig.zero()
-    field, choice = sig.field, rng.choice
-    n = choice(range(1, max_terms + 1))
-    out = _one_term(field, monos, choice)
-    for _ in range(n - 1):
-        _add_into(field, out, _one_term(field, monos, choice))
+    field, bits = sig.field, rng.getrandbits
+    out: dict = {}
+    for _ in range(_below(bits, max_terms) + 1):
+        m = monos[_below(bits, len(monos))]
+        _add_into(field, out, {m: field.of_int(_below(bits, 7) - 3)})
     return AlgElem(sig, out)
 
 
-def _one_term(field: Field, monos: tuple, choice) -> dict:
-    """The term map of one random term over ``monos`` (empty when its
-    coefficient is zero)."""
-    m = choice(monos)
-    c = field.of_int(choice(_SCALARS))
-    return {m: c} if c != field.zero else {}
-
-
 def rand_homogeneous(sig, rng, max_degree: int = 4, poly_bound: int = 1) -> AlgElem:
+    bits = rng.getrandbits
     for _ in range(6):
-        e = rand_elem(sig, rng.randint(0, max_degree), rng, poly_bound)
+        e = rand_elem(sig, _below(bits, max_degree + 1), rng, poly_bound)
         if not e.is_zero():
             return e
     return sig.one()
+
+
+def _entry_slots(module: FreeModule, degree: int, poly_bound: int) -> tuple:
+    """The entries `rand_map` may draw, as ``((r, c), band)`` pairs in row
+    order with the band of the entry's degree (empty when it has no
+    monomials), and the field's scalars -3..3; kept in ``module._slots``."""
+    key = (degree, poly_bound)
+    memo = module._slots.get(key)
+    if memo is None:
+        sig, degs = module.sig, module.degrees
+        slots = tuple(
+            ((r, c), component_monomials(sig, dc + degree - dr, poly_bound))
+            for r, dr in enumerate(degs)
+            for c, dc in enumerate(degs)
+            if dc + degree - dr >= 0
+        )
+        memo = module._slots[key] = (slots, tuple(map(sig.field.of_int, range(-3, 4))))
+    return memo
 
 
 def rand_map(
@@ -69,17 +95,18 @@ def rand_map(
 ) -> GradedMap:
     """Each entry allowed by the degrees is drawn with probability
     ``density``, as a one-term `rand_elem` of its degree."""
-    sig, degs, choice = module.sig, module.degrees, rng.choice
+    slots, scalars = _entry_slots(module, degree, poly_bound)
+    zero, bits, uniform = module.sig.field.zero, rng.getrandbits, rng.random
     out = {}
-    for r, dr in enumerate(degs):
-        for c, dc in enumerate(degs):
-            want = dc + degree - dr
-            if want < 0 or rng.random() > density:
-                continue
-            monos = component_monomials(sig, want, poly_bound)
-            if monos:
-                choice(_ONE)  # the term count of a one-term `rand_elem`
-                out[r, c] = _one_term(sig.field, monos, choice)
+    for rc, monos in slots:
+        if uniform() > density or not monos:
+            continue
+        while bits(1):  # the term count of a one-term `rand_elem`: randrange(1)
+            pass
+        m = monos[_below(bits, len(monos))]
+        c = scalars[_below(bits, 7)]
+        if c != zero:
+            out[rc] = {m: c}
     return _finish(module, degree, out)
 
 
@@ -90,7 +117,7 @@ def rand_diff(module: FreeModule, rng: random.Random, poly_bound: int = 1) -> Di
 
 def rand_dop(module: FreeModule, d: Differential, rng: random.Random, degree: Optional[int] = None) -> DOpPair:
     if degree is None:
-        degree = rng.randint(-2, 1)
+        degree = _below(rng.getrandbits, 4) - 2
     return DOpPair(
         rand_map(module, degree, rng),
         rand_map(module, degree + 1, rng),
@@ -187,11 +214,11 @@ class FixturePool:
         self.M2_odd = FreeModule(self.Sodd3, [("e0", 0), ("e1", 3)])
 
     def any_signature(self, rng: random.Random) -> Signature:
-        return [self.S3, self.S1, self.Sodd3, self.S2][rng.randrange(4)]
+        return [self.S3, self.S1, self.Sodd3, self.S2][_below(rng.getrandbits, 4)]
 
     def module_with_var(self, rng: random.Random):
         """A module together with the top variable of its signature."""
-        mod = [self.N3, self.M2_S3, self.M2_S1, self.M2_odd][rng.randrange(4)]
+        mod = [self.N3, self.M2_S3, self.M2_S1, self.M2_odd][_below(rng.getrandbits, 4)]
         return mod, mod.sig.top_variable.name
 
     def square_zero_instance(self, rng: random.Random):
@@ -201,7 +228,7 @@ class FixturePool:
             (self.N1, self.d1),
             (self.NK, self.dK),
             (self.Nodd, self.dodd),
-        ][rng.randrange(4)]
+        ][_below(rng.getrandbits, 4)]
         u = rand_unit(mod, rng)
         if u == GradedMap.identity(mod):
             return mod, d, mod.sig.top_variable.name

@@ -189,8 +189,8 @@ def check_scalar_bracket_of_composites(pool, rng) -> bool:
     lb = DOpPair.of_map(left_mult(mod, b), d)
     fd = DOpPair.of_map(f, d).compose(DOpPair.of_diff(d))
     df = DOpPair.of_diff(d).compose(DOpPair.of_map(f, d))
-    want1 = DOpPair.of_map(compose(f, ldb), d)
     t = compose(f, ldb)
+    want1 = DOpPair.of_map(t, d)
     want2 = DOpPair.of_map(-t if f.degree % 2 else t, d)
     return fd.bracket(lb) == want1 and df.bracket(lb) == want2
 

@@ -1330,3 +1330,21 @@ def rand_map_reference(
             if not e.is_zero():
                 entries[(r, c)] = e
     return GradedMap(module, degree, entries, check=False)
+
+
+def rand_homogeneous_reference(sig: Signature, rng, max_degree: int = 4, poly_bound: int = 1) -> AlgElem:
+    for _ in range(6):
+        e = rand_elem_reference(sig, rng.randint(0, max_degree), rng, poly_bound)
+        if not e.is_zero():
+            return e
+    return sig.one()
+
+
+def rand_dop_reference(module: FreeModule, d: Differential, rng, degree: Optional[int] = None) -> DOpPair:
+    if degree is None:
+        degree = rng.randint(-2, 1)
+    return DOpPair(
+        rand_map_reference(module, degree, rng),
+        rand_map_reference(module, degree + 1, rng),
+        d,
+    )

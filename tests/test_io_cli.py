@@ -236,7 +236,7 @@ def test_canonical_writer_refuses_what_json_refuses(doc):
 def test_load_json_reads_what_a_text_read_gives_json(tmp_path, raw):
     """`load_json` reads the bytes once; the document, or the error, must
     be the one a text-mode `json.load` of the file gives, and the digest
-    that of the bytes."""
+    that of the bytes.  Either error is a `SchemaError` naming the path."""
     path = tmp_path / "doc.json"
     path.write_bytes(raw)
     try:
@@ -245,13 +245,31 @@ def test_load_json_reads_what_a_text_read_gives_json(tmp_path, raw):
     except json.JSONDecodeError as ex:
         want = SchemaError(f"{path} is not valid JSON: {ex}")
     except UnicodeDecodeError as ex:
-        want = ex
+        want = SchemaError(f"{path} is not UTF-8 text: {ex}")
     if isinstance(want, Exception):
         with pytest.raises(type(want)) as got:
             load_json(str(path))
         assert str(got.value) == str(want)
     else:
         assert load_json(str(path)) == want
+
+
+@pytest.mark.parametrize("flag", ["--sig", "--mod"])
+def test_cli_non_utf8_input_names_its_file(tmp_path, capsys, flag):
+    """A Latin-1 ``é`` in either input exits 1 with an error that names the
+    file, not the codec's message alone."""
+    paths = {"--sig": _write(tmp_path, "sig.json", S3_DOC), "--mod": _write(tmp_path, "mod.json", N3_DOC)}
+    if flag == "--sig":
+        doc = dict(S3_DOC, polygens=["\u00e9"])
+    else:
+        doc = dict(N3_DOC, basis=[{"name": "\u00e9", "degree": 0}], differential={})
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+    paths[flag] = str(bad)
+    assert main(["validate", "--sig", paths["--sig"], "--mod", paths["--mod"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad} is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9")
 
 
 def test_cli_opens_each_input_once(tmp_path, capsys, monkeypatch):

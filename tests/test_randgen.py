@@ -3,22 +3,31 @@ which draw through ``randint``/``randrange`` and add every term through
 `_add_into`.
 
 Every later instance of a seeded suite follows from the generator's state,
-so each draw must give the oracle's element or map and leave the
-generator in the oracle's state.  Run as a script,
+so each draw must give the oracle's element, map or pair and leave the
+generator in the oracle's state.  The digest of the draws is pinned: it
+does not depend on the interpreter version, so a draw that moves on any
+supported Python fails here, where the benchmark's digests of the suites'
+pass counts would not see it.  Run as a script,
 
     PYTHONPATH=src python tests/test_randgen.py
 
-it makes the same comparison without pytest and prints a digest of the
-draws, which does not depend on the interpreter version.
+it makes the same comparison without pytest and prints the digest.
 """
 
 import hashlib
 import random
 
+import pytest
+
 from dgalift import format_expr
 from dgalift.field import QQ, PrimeField
-from dgalift.randgen import FixturePool, rand_elem, rand_map
-from oracles import rand_elem_reference, rand_map_reference
+from dgalift.randgen import FixturePool, _below, rand_dop, rand_elem, rand_homogeneous, rand_map
+from oracles import (
+    rand_dop_reference,
+    rand_elem_reference,
+    rand_homogeneous_reference,
+    rand_map_reference,
+)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5)]
 SEEDS = range(60)
@@ -27,6 +36,11 @@ DEGREES = range(-1, 6)
 # maps, one pair per seed in turn
 ELEM_ARGS = [(pb, mt) for pb in range(3) for mt in range(1, 5)]
 MAP_ARGS = [(pb, density) for pb in range(3) for density in (0.7, 1.0, 0.3)]
+# (max_degree, poly_bound) of the homogeneous elements, one pair per seed
+HOMOGENEOUS_ARGS = [(md, pb) for md in (0, 2, 4, 6) for pb in range(3)]
+# `draws_digest()` as the `randint`/`choice` draws of `randgen` gave it
+# before every draw went through `_below`
+DIGEST = "21360 draws, sha256 89061c455236888f2cbda7bc5361e55ef5b56c4fc439079ee9a6e5f5cd6c0793"
 
 
 def _pair(new_rng, old_rng, new, old) -> None:
@@ -53,6 +67,18 @@ def _draws(pool: FixturePool, seed: int) -> list:
             _pair(new_rng, old_rng, f, old)
             assert f.degree == old.degree and not any(e.is_zero() for e in f.entries.values())
             out.append(repr(f))
+    md, pb = HOMOGENEOUS_ARGS[seed % len(HOMOGENEOUS_ARGS)]
+    for sig in (pool.S3, pool.S1, pool.Sodd3, pool.S2):
+        e = rand_homogeneous(sig, new_rng, md, pb)
+        _pair(new_rng, old_rng, e, rand_homogeneous_reference(sig, old_rng, md, pb))
+        out.append(format_expr(e))
+    for mod, d in ((pool.N3, pool.d3), (pool.N1, pool.d1), (pool.NK, pool.dK), (pool.Nodd, pool.dodd)):
+        for degree in (None, 0):
+            p = rand_dop(mod, d, new_rng, degree)
+            old = rand_dop_reference(mod, d, old_rng, degree)
+            _pair(new_rng, old_rng, p, old)
+            assert (p.f.degree, p.g.degree) == (old.f.degree, old.g.degree)
+            out.append(f"{p.degree} {p!r}")
     return out
 
 
@@ -67,7 +93,19 @@ def draws_digest() -> str:
 
 
 def test_draws_match_the_reference():
-    draws_digest()
+    assert draws_digest() == DIGEST
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_below_is_randrange(seed):
+    """`_below` gives ``randrange(n)``'s value from the same bits, so it
+    leaves the generator in the same state, for every ``n`` up to 70 (one
+    to seven bits, with and without rejected draws)."""
+    new_rng, old_rng = random.Random(seed), random.Random(seed)
+    for n in range(1, 71):
+        for _ in range(20):
+            assert _below(new_rng.getrandbits, n) == old_rng.randrange(n)
+        assert new_rng.getstate() == old_rng.getstate(), n
 
 
 if __name__ == "__main__":
