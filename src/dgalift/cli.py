@@ -56,10 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, sig=True, mod=False, var=False, bound=False, expr=False):
+    def add(name, help_text, *, mod=False, var=False, bound=False, expr=False):
         p = sub.add_parser(name, help=help_text)
-        if sig:
-            p.add_argument("--sig", required=True, help="signature document (JSON)")
+        p.add_argument("--sig", required=True, help="signature document (JSON)")
         if mod == "required":
             p.add_argument("--mod", required=True, help="module document (JSON)")
         elif mod:
@@ -136,10 +135,6 @@ def _var_name(args, sig):
         sig.var(name)
         return name
     return sig.top_variable.name
-
-
-def _emit(transcript: dict) -> None:
-    sys.stdout.write(dump_canonical(transcript) + "\n")
 
 
 def _compute(args, transcript: dict):
@@ -285,7 +280,7 @@ def _run(args) -> int:
     # validate rejects gets no timing.
     if args.command != "selftest" and code != EXIT_INPUT:
         transcript["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)
-    _emit(transcript)
+    sys.stdout.write(dump_canonical(transcript) + "\n")
     return code
 
 
@@ -299,10 +294,7 @@ def main(argv=None) -> int:
     except VerificationError as ex:
         print(f"verification failure: {ex}", file=sys.stderr)
         return EXIT_VERIFY
-    except DgaliftError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as ex:
+    except (DgaliftError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INPUT
 

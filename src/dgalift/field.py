@@ -51,41 +51,15 @@ def _is_prime(p: int) -> bool:
 
 
 class Field:
-    """Interface shared by `RationalField` and `PrimeField`."""
+    """Base of `RationalField` and `PrimeField`, equal when their keys are.
 
-    zero = None
-    one = None
-
-    def add(self, x, y):
-        raise NotImplementedError
-
-    def neg(self, x):
-        raise NotImplementedError
-
-    def sub(self, x, y):
-        raise NotImplementedError
-
-    def mul(self, x, y):
-        raise NotImplementedError
-
-    def inv(self, x):
-        raise NotImplementedError
-
-    def of_int(self, n: int):
-        raise NotImplementedError
-
-    def of_fraction(self, num: int, den: int):
-        raise NotImplementedError
-
-    def fmt(self, x) -> str:
-        raise NotImplementedError
-
-    def key(self):
-        """Hashable structural identity, used for signature compatibility."""
-        raise NotImplementedError
-
-    def to_doc(self) -> dict:
-        raise NotImplementedError
+    Every field supplies the scalars ``zero`` and ``one``; ``add``,
+    ``neg``, ``sub``, ``mul`` and ``inv`` (``ZeroDivisionError`` on 0);
+    ``of_int(n)``, ``of_fraction(num, den)`` and ``binomial(n, k)``, the
+    divided-power coefficient; ``fmt(x)``, the scalar's literal; ``key()``,
+    a hashable identity used for signature compatibility; and ``to_doc()``.
+    ``clear_denominators`` exists over Q only.
+    """
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.key() == other.key()

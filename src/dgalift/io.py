@@ -126,8 +126,7 @@ def module_from_doc(doc: dict, sig: Signature):
                     e = parsed[text] = sig.parse(text)
                 except DgaliftError as ex:
                     fail_at(str(ex), col_name, row_name)
-            if not e.is_zero():
-                entries[(r, c)] = e
+            entries[(r, c)] = e
     try:
         matrix = GradedMap(module, -1, entries)
     except DgaliftError as ex:
@@ -160,8 +159,9 @@ def load_json(path: str) -> tuple:
     """The JSON document in the file at `path` and the `file_digest` of its
     bytes, read once.  The bytes are decoded as UTF-8 with universal
     newlines, as a text-mode read of the file would give them to `json`.
-    Bytes that are not UTF-8 are refused with the path named.  An object
-    that repeats a key is refused; `json` would keep the last."""
+    Bytes that are not UTF-8, and an integer longer than Python converts,
+    are refused with the path named.  An object that repeats a key is
+    refused; `json` would keep the last."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -186,6 +186,8 @@ def load_json(path: str) -> tuple:
         return json.loads(text, object_pairs_hook=unique_keys), file_digest(raw)
     except json.JSONDecodeError as ex:
         raise SchemaError(f"{path} is not valid JSON: {ex}") from ex
+    except ValueError as ex:  # an integer literal past Python's digit limit
+        raise SchemaError(f"{path} cannot be read as JSON: {ex}") from ex
     except RecursionError as ex:  # the decoder recurses once per nesting level
         raise SchemaError(f"{path} is nested too deeply to read") from ex
 

@@ -100,7 +100,7 @@ class FreeModule:
         for name, coeff in pairs:
             if isinstance(coeff, str):
                 coeff = self.sig.parse(coeff)
-            out = out + ModuleElement(self, {self.index(name): coeff} if not coeff.is_zero() else {})
+            out = out + ModuleElement(self, {self.index(name): coeff})
         return out
 
 

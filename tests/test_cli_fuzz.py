@@ -2,16 +2,22 @@
 
 Each case mutates the README example documents (`bench/data/s3.json` and
 `bench/data/n3.json`, read only) once or twice and runs one module command
-through `cli.main`.  Some cases also write one object of a document with a
-key repeated.  The contract: a JSON transcript with exit 0, 2 or 3, or exit
-1 with a single line on standard error; no exception escapes, and each run
-stays within a time cap.  A repeated key always gets exit 1.
+through `cli.main`.  Other cases keep the documents valid but change their
+mathematics: the differential conjugated by a unit, one entry doubled so
+that it no longer squares to zero, the basis permuted, or a miss rung of
+`bench/gen.py` (imported by path) in their place.  Some cases also write
+one object of a document with a key repeated.  The contract: a JSON
+transcript with exit 0, 2 or 3, or exit 1 with a single line on standard
+error; no exception escapes, and each run stays within a time cap.  A
+repeated key always gets exit 1, and so does an integer literal longer
+than Python converts.
 """
 
 import copy
 import json
 import random
 import signal
+import sys
 import time
 from contextlib import contextmanager
 from math import comb
@@ -20,14 +26,24 @@ from pathlib import Path
 import pytest
 
 from dgalift.cli import main
+from dgalift.io import module_from_doc, module_to_doc, signature_from_doc
+from dgalift.module import Differential, GradedMap
+from dgalift.randgen import rand_unit
+from test_corpus import _gen as _corpus_gen
 
 DATA = Path(__file__).resolve().parent.parent / "bench" / "data"
 CASES = 200
 CAP_S = 10.0
 
-JUNK = [None, True, False, 0, 1, -1, 2.5, 10**30, "", "x", "1/0", [], [1], {}, {"a": 1}]
+# Junk that `json.dumps` cannot write: an integer past Python's limit on
+# converting decimal text (4300 digits by default), put in as a marker and
+# spliced into the document's text.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+OVER_LIMIT = "\u0000over-limit\u0000"
+OVER_LIMIT_TEXT = "9" * (max(DIGIT_LIMIT, 4300) + 1)
+JUNK = [None, True, False, 0, 1, -1, 2.5, 10**30, "", "x", "1/0", [], [1], {}, {"a": 1}, OVER_LIMIT]
 BAD_NAMES = ["", "1a", "a b", "a-b", "é", "X", "a", "f0", "_", "n" * 300, 7, None]
-BAD_DEGREES = [-3, -1, 0, 1, 2, 3, 99, 10**6, True, 1.5, "1", None]
+BAD_DEGREES = [-3, -1, 0, 1, 2, 3, 99, 10**6, True, 1.5, "1", None, OVER_LIMIT]
 BAD_EXPRS = [
     "a + X",          # inhomogeneous
     "a*X",            # wrong sign: d no longer squares to zero
@@ -53,6 +69,7 @@ BAD_FIELDS = [
     {"type": "Fp", "p": "5"},
     {"type": "Fp"},
     {"type": "Fp", "p": 2},
+    {"type": "Fp", "p": OVER_LIMIT},
     {"type": "Fp", "p": 5},
     {"type": "R"},
     {},
@@ -107,6 +124,34 @@ def _mutate(sig, mod, rng):
         parent[key] = copy.deepcopy(rng.choice(JUNK))
 
 
+def _valid_mutate(sig, mod, rng, gen):
+    """One edit that keeps (sig, mod) valid documents but changes their
+    mathematics; returns the new pair and the kind of edit."""
+    kind = rng.choice(["conjugate", "double", "permute", "miss"])
+    if kind == "permute":
+        rng.shuffle(mod["basis"])
+    elif kind == "miss":
+        n, field_key, bound = rng.choice([2, 3]), rng.choice(["q", "f5"]), rng.choice([0, 1])
+        name = f"naive-even-{field_key}-r{(1 << n) + 2}-b{bound}-miss"
+        sig, mod = gen.rung_docs(rng.randrange(4), name, field_key, n, "even", True)
+    else:
+        module, d = module_from_doc(mod, signature_from_doc(sig))
+        if kind == "conjugate":
+            d = d.conjugate(rand_unit(module, rng))
+        else:  # double the first entry, in a seeded order, that breaks d o d = 0
+            entries = sorted(d.matrix.entries)
+            rng.shuffle(entries)
+            for key in entries:
+                doubled = dict(d.matrix.entries)
+                doubled[key] = doubled[key].scale(2)
+                twice = Differential(GradedMap(module, -1, doubled))
+                if not twice.square_zero:
+                    d = twice
+                    break
+        mod = module_to_doc(module, d)
+    return sig, mod, kind
+
+
 def _repeat_key(doc, rng):
     """The text of `doc` with one key of one of its objects written twice,
     the second time with a junk value, and the repeated key."""
@@ -148,21 +193,31 @@ def test_cli_fuzz_hostile_documents(tmp_path, capsys):
     base_mod = json.loads((DATA / "n3.json").read_text())
     rng = random.Random(2020)
     repeats = random.Random(2021)  # apart from `rng`, which draws the other cases
+    valid = random.Random(2022)  # the cases that keep their documents valid
+    gen = _corpus_gen()
     codes: dict = {}
-    repeated = 0
+    kinds: dict = {}
+    repeated = over_limit = 0
     start = time.perf_counter()
     for case in range(CASES):
         sig, mod = copy.deepcopy(base_sig), copy.deepcopy(base_mod)
-        _mutate(sig, mod, rng)
+        kind = None
+        if valid.random() < 0.6:
+            sig, mod, kind = _valid_mutate(sig, mod, valid, gen)
+        else:
+            _mutate(sig, mod, rng)
         texts = [json.dumps(sig), json.dumps(mod)]
         dup = None  # the document with a repeated key
-        if rng.random() < 0.05:  # not JSON at all: cut short
+        cut = rng.random() < 0.05
+        if cut:  # not JSON at all: cut short
             i = rng.randrange(2)
             texts[i] = texts[i][: rng.randrange(len(texts[i]))]
         elif repeats.random() < 0.1:
             dup = repeats.randrange(2)
             texts[dup], key = _repeat_key([sig, mod][dup], repeats)
             repeated += 1
+        else:  # where a key is repeated the marker stays a string, so the repeat is refused
+            texts = [t.replace(json.dumps(OVER_LIMIT), OVER_LIMIT_TEXT) for t in texts]
         sig_path, mod_path = tmp_path / f"s{case}.json", tmp_path / f"n{case}.json"
         sig_path.write_text(texts[0], encoding="utf-8")
         mod_path.write_text(texts[1], encoding="utf-8")
@@ -178,6 +233,14 @@ def test_cli_fuzz_hostile_documents(tmp_path, capsys):
             assert code == 1, where
             if dup == 0:  # the signature is read first, so its error is the one shown
                 assert err == f"error: {sig_path} repeats the key {key!r} in one object\n", where
+        if not cut and dup is None and OVER_LIMIT_TEXT in texts[0] + texts[1]:
+            over_limit += 1
+            if DIGIT_LIMIT and OVER_LIMIT_TEXT in texts[0]:
+                assert err.startswith(f"error: {sig_path} cannot be read as JSON: Exceeds the limit"), where
+        if kind == "double" and not cut and dup is None:  # validate names the square
+            with _time_cap(CAP_S):
+                assert main(["validate", "--sig", str(sig_path), "--mod", str(mod_path)]) == 1, where
+            assert capsys.readouterr().err == "validate: differential does not square to zero\n", where
         if code == 1:
             assert out == "", where
             assert err.count("\n") == 1 and err.endswith("\n"), where
@@ -185,10 +248,15 @@ def test_cli_fuzz_hostile_documents(tmp_path, capsys):
             assert code in (0, 2, 3), where
             assert isinstance(json.loads(out)["verdict"], str), where
         codes[code] = codes.get(code, 0) + 1
+        kinds[kind] = kinds.get(kind, 0) + 1
     assert time.perf_counter() - start < 60
     # the mutations must reach past the parser as well as fail in it
     assert codes.get(1, 0) > CASES // 4 and codes.get(0, 0) + codes.get(3, 0) > 10, codes
+    # ... and the valid edits must reach the search, and its inconclusive end
+    assert all(codes.get(code, 0) >= 10 for code in (0, 1, 3)), codes
+    assert all(kinds.get(kind, 0) >= 10 for kind in ("conjugate", "double", "permute", "miss")), kinds
     assert repeated > 10, repeated
+    assert over_limit > 0
 
 
 HUGE = "a^99999999999"

@@ -1,7 +1,7 @@
 """Guards that no other test reaches: each raises its error with its exact
 message.  Also the `DOpPair` zero-component rule, `dop_normalize` on empty
-input, degrees the API refuses, and the CLI's exit 2 for a failed
-verification and for a failing suite."""
+input, a `JOperator` called on a pair, degrees the API refuses, and the
+CLI's exit 2 for a failed verification and for a failing suite."""
 
 import json
 
@@ -24,6 +24,7 @@ from dgalift.module import (
     dop_normalize,
     invert_unit,
     left_mult,
+    sharp_map,
     twofold_extension,
 )
 from dgalift.randgen import FixturePool
@@ -72,6 +73,19 @@ GUARDS = [
      SchemaError, "module basis must be non-empty"),
     ("basis-element", lambda: N3.index("zz"),
      SchemaError, "unknown basis element 'zz'"),
+    # a zero coefficient does not hide an unknown name
+    ("elem-unknown-name", lambda: N3.elem([("nope", "a")]),
+     SchemaError, "unknown basis element 'nope'"),
+    ("elem-unknown-name-zero-text", lambda: N3.elem([("nope", "0")]),
+     SchemaError, "unknown basis element 'nope'"),
+    ("elem-unknown-name-zero", lambda: N3.elem([("nope", S3.zero())]),
+     SchemaError, "unknown basis element 'nope'"),
+    ("single-zero-degree", lambda: GradedMap.single(N3, 0, 0, S3.zero()),
+     SchemaError, "degree required for a zero single entry"),
+    ("sharp-map-rank", lambda: sharp_map(A, N3, 1),
+     SchemaError, "doubled module has unexpected rank"),
+    ("element-times-int", lambda: S3.parse("a") * 3,
+     TypeError, "unsupported operand type(s) for *: 'AlgElem' and 'int'"),
     ("element-modules", lambda: N3.basis_elem(0) + OTHER.basis_elem(0),
      SchemaError, "elements belong to different modules"),
     ("entry-signature", lambda: GradedMap(N3, 0, {(0, 0): S1.one()}),
@@ -126,6 +140,13 @@ def test_guard_raises_its_message(call, error, message):
         call()
     assert type(raised.value) is error
     assert str(raised.value) == message
+
+
+def test_joperator_applies_to_a_pair_as_of_dop():
+    j = JOperator(N3, "X", GradedMap.single(N3, 0, 1, S3.one()))  # twisted by gamma = E_01
+    pair = DOpPair.of_map(AX, D3)
+    assert not j.of_dop(pair).is_zero()
+    assert j(pair) == j.of_dop(pair)
 
 
 def test_load_json_reports_an_unreadable_path(tmp_path):

@@ -272,6 +272,27 @@ def test_cli_non_utf8_input_names_its_file(tmp_path, capsys, flag):
     assert captured.err.startswith(f"error: {bad} is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="needs a limit on int digits")
+@pytest.mark.parametrize("flag", ["--sig", "--mod"])
+def test_cli_over_limit_integer_names_its_file(tmp_path, capsys, flag):
+    """An integer literal longer than Python converts, as a signature's
+    ``p`` or a basis degree, exits 1 with an error that names the file.
+    `json.dumps` cannot write such an int, so the text is written as is."""
+    if not sys.get_int_max_str_digits():
+        pytest.skip("int digits unlimited in this process")
+    digits = "1" + "0" * sys.get_int_max_str_digits()
+    with pytest.raises(ValueError) as cause:
+        int(digits)
+    paths = {"--sig": _write(tmp_path, "sig.json", S3_DOC), "--mod": _write(tmp_path, "mod.json", N3_DOC)}
+    if flag == "--sig":
+        text = '{"field": {"type": "Fp", "p": %s}, "polygens": ["a"], "variables": []}' % digits
+    else:
+        text = '{"basis": [{"name": "e", "degree": %s}], "differential": {}}' % digits
+    paths[flag] = _write(tmp_path, "long-int.json", text)
+    assert main(["validate", "--sig", paths["--sig"], "--mod", paths["--mod"]]) == 1
+    assert capsys.readouterr() == ("", f"error: {paths[flag]} cannot be read as JSON: {cause.value}\n")
+
+
 def test_cli_opens_each_input_once(tmp_path, capsys, monkeypatch):
     sig, mod = _write(tmp_path, "s.json", S3_DOC), _write(tmp_path, "n.json", N3_DOC)
     opened = []

@@ -277,3 +277,24 @@ def test_splitting_oracle_and_verify_lift_reject_mutated_lifts(N3, N1prime, muta
         if mutate is _x_unit:  # conjugation still holds: only X-freeness fails
             assert all("depends on X" in f for f in rep.failures), rep.failures
         assert not verify_splitting(nt, bad).passed
+
+
+def test_tensor_guards(N3):
+    """Elements of two constructions, a differential or a lift of another
+    module, and an odd slot past the first power."""
+    mod, d = N3
+    other = FreeModule(mod.sig, [("g0", 0), ("g1", 1), ("g2", 2)])  # N3's degrees, other names
+    nt = NaiveTensor(mod, d, "X")
+    nt_other = NaiveTensor(other, Differential.free(other), "X")
+    for combine in (lambda s, t: s + t, lambda s, t: s - t):
+        with pytest.raises(SchemaError) as raised:
+            combine(nt.slot(0, 0), nt_other.slot(0, 0))
+        assert str(raised.value) == "tensor elements from different constructions"
+    with pytest.raises(SchemaError) as raised:
+        NaiveTensor(other, d, "X")
+    assert str(raised.value) == "differential acts on a different module"
+    assert nt.slot("f1", 2, "a") == nt.zero() and nt.slot("f1", 2, "a").is_zero()
+    lift = construct_lift_odd(mod, d, "X", decide_naive_lift(mod, d, "X", 0).certificate)
+    with pytest.raises(SchemaError) as raised:
+        rho_from_lift(nt_other, lift)
+    assert str(raised.value) == "lift belongs to a different module"
