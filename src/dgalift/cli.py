@@ -5,6 +5,11 @@ it claims, and prints a JSON transcript on standard output; diagnostics go
 to standard error.  Exit codes: 0 success, 1 bad input (a usage error
 too), 2 a verification failed, 3 the search was inconclusive at the
 requested bound.
+
+Exit 1 prints no transcript and one ``error: ...`` line, except for
+`validate` on a differential that does not square to zero: it prints its
+transcript (verdict ``fail``, ``"square_zero": false``, no ``timing_ms``)
+and the line ``validate: differential does not square to zero``.
 """
 
 from __future__ import annotations

@@ -50,13 +50,13 @@ identity that holds for every degree ``-|X|`` matrix ``gamma``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 from typing import Optional
 
 from .algebra import (
     AlgElem,
     _diff_into,
-    _mul_into,
+    _var_product,
     _poly_tuples,
     component_monomials,
     derivative,
@@ -138,11 +138,6 @@ def obstruction(module: FreeModule, d: Differential, var_name: str) -> GradedMap
     """
     _require_liftable_setting(module, d, var_name)
     return JOperator(module, var_name).of_diff(d)
-
-
-def _coefficients(f: GradedMap) -> dict:
-    """The monomial coefficients of a map, keyed by ``((row, col), monomial)``."""
-    return {(key, m): c for key, e in f.entries.items() for m, c in e.terms.items()}
 
 
 def _propagate(module: FreeModule, d: Differential, h: GradedMap, poly: list):
@@ -347,9 +342,10 @@ def _homotopy_columns(
     module: FreeModule, d: Differential, degree: int, bound: int, block: tuple
 ):
     """The unknowns ``(r, c, m)`` of ``[d, gamma]`` in one block
-    ``(grading, w)`` for a degree-``degree`` ``gamma``, and the
-    coefficients of each unknown's image.  `_grading` gives the block of a
-    target; any class of any grading of ``D`` is a block.
+    ``(grading, w)`` for a degree-``degree`` ``gamma``, the coefficients of
+    each unknown's image, and the ids of the monomials that key them.
+    `_grading` gives the block of a target; any class of any grading of
+    ``D`` is a block.
 
     The unknowns at ``(r, c)`` are the monomials of polygen degree at most
     `bound` in the band of that entry that have class ``w`` as maps: the
@@ -364,13 +360,26 @@ def _homotopy_columns(
     has no diagonal entries (they would have degree -1).  ``D`` is indexed
     by column and by row once, and ``d(m)``, ``D[:, r] m`` and ``m D[c, :]``
     are computed once per monomial, per ``(r, m)`` and per ``(c, m)``: each
-    is shared by every unknown of its degree band.  The products are taken
-    on term maps by `_mul_into`, the sign of ``m D[c, :]`` as its `neg`
-    flag, and each column is filled by plain loops over them.
+    is shared by every unknown of its degree band.  A product by the one
+    monomial ``m = p x^v`` adds ``p`` and ``v`` to the exponents, so it
+    sends distinct terms to distinct monomials and no two of its terms
+    merge: each term costs one lookup in ``sig._var_products``, as in
+    `_mul_into`, and no term map is built.
+
+    Row keys are ints.  Each monomial met gets the id ``(1 + i) * rank^2``
+    in `ids`, ``i`` the number met before it, and the coefficient of a
+    monomial at ``(r, c)`` is keyed by its id plus ``r * rank + c``: one
+    positive int per ``((r, c), monomial)`` (`_row_keys` keys a target the
+    same way).  Each product is kept as ``(partial key, coefficient)``
+    pairs, and each column is filled by adding the entry's part of the key
+    to them; the caches are keyed by ``ids[m]`` plus ``r`` or ``c``.
     """
     sig = module.sig
     field = sig.field
-    one = field.one
+    one, fmul, fneg = field.one, field.mul, field.neg
+    table = sig._var_products
+    rank = module.rank
+    square = rank * rank
     degs = module.degrees
     by_col: dict = {}  # r -> [(a, terms of D[a, r])]
     by_row: dict = {}  # c -> [(b, terms of D[c, b])]
@@ -378,17 +387,46 @@ def _homotopy_columns(
         by_col.setdefault(b, []).append((a, e.terms))
         by_row.setdefault(a, []).append((b, e.terms))
     subtract = degree % 2 == 0
-    monos: dict = {}  # m -> ({m: 1}, (d(m), -d(m)))
-    lefts: dict = {}  # (r, m) -> [(a, D[a, r] m)]
-    rights: dict = {}  # (c, m) -> [(b, -/+ m D[c, b])]
+    ids: dict = {}  # monomial -> (1 + index) * rank^2
+
+    def keyed(terms: dict, m: tuple, shift: int, left: bool, neg: bool) -> list:
+        """``terms * m`` (``m * terms`` unless `left`, negated when `neg`)
+        as ``(ids[monomial] + shift, coefficient)`` pairs."""
+        p, v = m
+        out = []
+        for (q, u), x in terms.items():
+            pair = (u, v) if left else (v, u)
+            try:
+                entry = table[pair]
+            except KeyError:
+                entry = _var_product(sig, *pair)
+            if entry is None:
+                continue
+            uv, f = entry
+            if f != one:
+                x = fmul(x, f)
+            if neg:
+                x = fneg(x)
+            mono = (tuple(map(add, q, p)), uv)
+            k = ids.get(mono)
+            if k is None:
+                k = ids[mono] = (len(ids) + 1) * square
+            out.append((k + shift, x))
+        return out
+
+    unit = sig._unit
+    diffs: dict = {}  # ids[m] -> (d(m), -d(m)) keyed
+    lefts: dict = {}  # ids[m] + r -> D[:, r] m keyed less c
+    rights: dict = {}  # ids[m] + c -> -/+ m D[c, :] keyed less r * rank
     unknowns = []  # (row, col, monomial)
-    columns = []  # per unknown: ((row, col), monomial) -> coefficient
+    columns = []  # per unknown: row key -> coefficient
     grading, w = block
     bands: dict = {}  # (band degree, band class) -> monomials
     cols: dict = {}  # |e_r| -> the columns c whose band degree |e_c| - |e_r| + degree is >= 0
-    for r in range(module.rank):
+    for r in range(rank):
         row_deg = degs[r]
         row_odd = row_deg % 2
+        base = r * rank
         reach = cols.get(row_deg)
         if reach is None:
             reach = cols[row_deg] = [c for c, e in enumerate(degs) if e - row_deg + degree >= 0]
@@ -398,42 +436,48 @@ def _homotopy_columns(
             if band is None:
                 band = bands[key] = grading.band(key[0], bound, key[1])
             for m in band:
-                cached = monos.get(m)
-                if cached is None:
-                    unit = {m: one}
+                k = ids.get(m)
+                if k is None:
+                    k = ids[m] = (len(ids) + 1) * square
+                dms = diffs.get(k)
+                if dms is None:
                     dm: dict = {}
-                    _diff_into(sig, dm, unit)
-                    cached = monos[m] = unit, (dm, {t: field.neg(x) for t, x in dm.items()})
-                unit, dms = cached
-                left = lefts.get((r, m))
+                    _diff_into(sig, dm, {m: one})
+                    pos = keyed(dm, unit, 0, True, False)  # d(m) * 1
+                    dms = diffs[k] = pos, [(t, fneg(x)) for t, x in pos]
+                left = lefts.get(k + r)
                 if left is None:
-                    left = lefts[r, m] = []
+                    left = lefts[k + r] = []
                     for a, e in by_col.get(r, ()):
-                        out: dict = {}
-                        _mul_into(sig, out, e, unit)
-                        left.append((a, out))
-                right = rights.get((c, m))
+                        left += keyed(e, m, a * rank, True, False)
+                right = rights.get(k + c)
                 if right is None:
-                    right = rights[c, m] = []
+                    right = rights[k + c] = []
                     for b, e in by_row.get(c, ()):
-                        out = {}
-                        _mul_into(sig, out, unit, e, subtract)
-                        right.append((b, out))
-                column: dict = {}
-                for a, t in left:
-                    entry = (a, c)
-                    for mono, x in t.items():
-                        column[entry, mono] = x
-                entry = (r, c)
-                for mono, x in dms[row_odd].items():
-                    column[entry, mono] = x
-                for b, t in right:
-                    entry = (r, b)
-                    for mono, x in t.items():
-                        column[entry, mono] = x
+                        right += keyed(e, m, b, False, subtract)
+                column = {t + c: x for t, x in left}
+                rc = base + c
+                for t, x in dms[row_odd]:
+                    column[t + rc] = x
+                for t, x in right:
+                    column[t + base] = x
                 unknowns.append((r, c, m))
                 columns.append(column)
-    return unknowns, columns
+    return unknowns, columns, ids
+
+
+def _row_keys(module: FreeModule, ids: dict, f: GradedMap) -> dict:
+    """The monomial coefficients of a map, keyed as `_homotopy_columns`
+    keys the rows of its `ids`; a monomial without an id keeps the key
+    ``((row, col), monomial)``, which no column reaches."""
+    rank = module.rank
+    out = {}
+    for (r, c), e in f.entries.items():
+        rc = r * rank + c
+        for m, x in e.terms.items():
+            k = ids.get(m)
+            out[((r, c), m) if k is None else k + rc] = x
+    return out
 
 
 def solve_homotopy(
@@ -471,8 +515,8 @@ def solve_homotopy(
         return GradedMap.zero(module, gamma_degree)
     field = module.sig.field
     block = _grading(module, d, h, bound)
-    unknowns, columns = _homotopy_columns(module, d, gamma_degree, bound, block)
-    sol = solve_exact(field, columns, _coefficients(h))
+    unknowns, columns, ids = _homotopy_columns(module, d, gamma_degree, bound, block)
+    sol = solve_exact(field, columns, _row_keys(module, ids, h))
     if sol is None:
         return None
     entries: dict = {}  # an accumulator: each (r, c, m) is one unknown

@@ -22,7 +22,6 @@ from dgalift.algebra import (
 from dgalift.errors import ExprSyntaxError, NotInvertibleError, SchemaError, VerificationError
 from dgalift.jop import CheckReport, JOperator
 from dgalift.lift import (
-    _coefficients,
     _Grading,
     _homotopy_columns,
     _kernel,
@@ -575,6 +574,33 @@ def characterization_check(delta: Callable, jop: JOperator) -> CheckReport:
 # -- the homotopy system on elements, and the row-form solvers --------------------
 
 
+def _coefficients(f: GradedMap) -> dict:
+    """The monomial coefficients of a map, keyed by ``((row, col), monomial)``."""
+    return {(key, m): c for key, e in f.entries.items() for m, c in e.terms.items()}
+
+
+def decode_rows(module: FreeModule, ids: dict, columns: list) -> list:
+    """The columns of `_homotopy_columns` with each int row key
+    ``(1 + i) * rank^2 + r * rank + c`` mapped back through `divmod` to
+    ``((r, c), m)``, ``m`` the monomial of id ``(1 + i) * rank^2`` in
+    `ids`; a key that is not an int (a term of a target that no column
+    reaches, see `_row_keys`) is kept, and so is the order of each
+    column's items."""
+    rank = module.rank
+    square = rank * rank
+    monos = {k // square: m for m, k in ids.items()}
+    out = []
+    for col in columns:
+        decoded = {}
+        for key, x in col.items():
+            if type(key) is int:
+                i, rc = divmod(key, square)
+                key = divmod(rc, rank), monos[i]
+            decoded[key] = x
+        out.append(decoded)
+    return out
+
+
 def homotopy_columns_reference(
     module: FreeModule, d: Differential, degree: int, bound: int, keep=None
 ):
@@ -980,10 +1006,12 @@ def solve_homotopy_reference(
 ) -> Optional[GradedMap]:
     """`solve_homotopy` on the full system, every unknown of polygen degree
     at most `bound` in every entry, or on the unknowns of it that `keep`
-    holds for (see `homotopy_columns_reference`); no re-check."""
+    holds for (see `homotopy_columns_reference`); the columns decoded to
+    ``((row, col), monomial)`` keys (`decode_rows`), and no re-check."""
     sig = module.sig
     every = trivial_grading(module), 0
-    unknowns, columns = _homotopy_columns(module, d, h.degree + 1, bound, every)
+    unknowns, columns, ids = _homotopy_columns(module, d, h.degree + 1, bound, every)
+    columns = decode_rows(module, ids, columns)
     if keep is not None:
         kept = [k for k, (r, c, m) in enumerate(unknowns) if keep(r, c, m)]
         unknowns, columns = [unknowns[k] for k in kept], [columns[k] for k in kept]

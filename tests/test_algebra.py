@@ -183,7 +183,7 @@ def _boundary_blocks(elem, bound):
     trivial = trivial_grading(module), 0
     blind = grading_reference(module, d, GradedMap.zero(module, h.degree), bound)
     spanned = blind != trivial and grading_reference(module, d, h, bound) == trivial
-    unknowns, _ = _homotopy_columns(module, d, h.degree + 1, bound, _grading(module, d, h, bound))
+    unknowns = _homotopy_columns(module, d, h.degree + 1, bound, _grading(module, d, h, bound))[0]
     return [m for _, _, m in unknowns], component_monomials(sig, h.degree + 1, bound), spanned
 
 

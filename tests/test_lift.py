@@ -18,11 +18,11 @@ from dgalift.jop import JOperator
 from dgalift.lift import (
     _basis_change,
     _beta_sharp,
-    _coefficients,
     _grading,
     _homotopy_columns,
     _Grading,
     _kernel,
+    _row_keys,
     _unpack,
     construct_lift_even,
     construct_lift_odd,
@@ -53,10 +53,12 @@ from dgalift.randgen import (
 )
 from dgalift.solver import solve_exact
 from oracles import (
+    _coefficients,
     band_reference,
     basis_change_reference,
     block_filter,
     component_monomials_reference,
+    decode_rows,
     grading_reference,
     grading_two_pass_reference,
     homotopy_columns_reference,
@@ -911,7 +913,8 @@ def test_homotopy_columns_match_bracket_diff(field):
         for h_degree in range(-3, 2):
             for bound in range(3):
                 every = trivial_grading(mod), 0
-                unknowns, columns = _homotopy_columns(mod, d, h_degree + 1, bound, every)
+                unknowns, columns, ids = _homotopy_columns(mod, d, h_degree + 1, bound, every)
+                columns = decode_rows(mod, ids, columns)
                 want = _homotopy_columns_by_bracket(mod, d, h_degree + 1, bound)
                 assert unknowns == want[0]
                 for col, want_col in zip(columns, want[1]):
@@ -944,7 +947,8 @@ def test_homotopy_columns_match_element_reference(field):
                     classes = {basis[r] + monomial_class(grading, m) - basis[c] for r, c, m in full}
                     shapes += [(grading, w) for w in sorted(classes)[:4]]
                 for block in shapes:
-                    unknowns, columns = _homotopy_columns(mod, d, degree, bound, block)
+                    unknowns, columns, ids = _homotopy_columns(mod, d, degree, bound, block)
+                    columns = decode_rows(mod, ids, columns)
                     want_unknowns, want_columns = homotopy_columns_reference(
                         mod, d, degree, bound, block_filter(block)
                     )
@@ -1579,6 +1583,44 @@ def test_bench_rungs_solve_the_finest_block(monkeypatch):
         "naive-even-q-r18-b1-miss": (36, 33, 78),  # all-ones block: 62
         "naive-even-q-r10-b2-miss": (8, 5, 8),  # all-ones block: 13
     }
+
+
+def test_bench_rungs_key_rows_by_positive_ints():
+    """The `decide-large` rungs of seed 0 of rank 16 to 34 (odd over Q and
+    F5, even, and the even miss), at bounds 0 and 1: the block that
+    `solve_homotopy` assembles has the unknowns of
+    `homotopy_columns_reference` and, decoded (`decode_rows`), its
+    columns item for item; every row key is a positive int (`bench`'s
+    tracer counts the truthy keys); the target's keys decode to its
+    coefficients; and `solve_homotopy` gives `solve_homotopy_reference`'s
+    certificate, None on the miss."""
+    misses = 0
+    for name, mod, d, _ in _bench_rungs(0):
+        if mod.rank < 16:
+            continue
+        h = obstruction(mod, d, "X")
+        for bound in (0, 1):
+            block = _grading(mod, d, h, bound)
+            unknowns, columns, ids = _homotopy_columns(mod, d, h.degree + 1, bound, block)
+            assert all(type(key) is int and key > 0 for col in columns for key in col)
+            want_unknowns, want_columns = homotopy_columns_reference(
+                mod, d, h.degree + 1, bound, block_filter(block)
+            )
+            assert unknowns == want_unknowns
+            assert [list(col.items()) for col in decode_rows(mod, ids, columns)] == [
+                list(col.items()) for col in want_columns
+            ]
+            rhs = decode_rows(mod, ids, [_row_keys(mod, ids, h)])[0]
+            assert list(rhs.items()) == list(_coefficients(h).items())
+            got = solve_homotopy(mod, d, h, bound)
+            want = solve_homotopy_reference(mod, d, h, bound)
+            assert (got is None) == (want is None), (name, bound)
+            if got is not None:
+                assert matrix_to_doc(got) == matrix_to_doc(want)
+            if name.endswith("-miss"):
+                assert got is None
+                misses += 1
+    assert misses == 2
 
 
 def test_homogeneous_search_costs_the_same_at_any_bound(N3, monkeypatch):

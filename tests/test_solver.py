@@ -13,11 +13,18 @@ import pytest
 
 from dgalift.algebra import Signature
 from dgalift.field import QQ, PrimeField
-from dgalift.lift import _coefficients, _homotopy_columns, obstruction
+from dgalift.lift import _homotopy_columns, obstruction
 from dgalift.module import Differential, FreeModule, GradedMap, invert_unit
 from dgalift.randgen import FixturePool, rand_unit
 from dgalift.solver import dependencies, solve_exact
-from oracles import koszul, solve_exact_reference, solve_row_form_reference, trivial_grading
+from oracles import (
+    _coefficients,
+    decode_rows,
+    koszul,
+    solve_exact_reference,
+    solve_row_form_reference,
+    trivial_grading,
+)
 
 
 def _solve_dense(field, matrix, rhs, ncols):
@@ -210,9 +217,10 @@ def _homotopy_systems(field):
     """``(columns, targets)`` of the full systems `solve_homotopy`
     assembles: the `FixturePool` lifting modules, plain and conjugated by
     random units, and bench-shaped Koszul rungs of rank 8 and 16 (odd,
-    even, even plus the miss block) at bounds 0-2.  The targets are the
-    obstruction ``j(d)``, and ``j(d)`` with one coefficient moved off it,
-    which is most often inconsistent."""
+    even, even plus the miss block) at bounds 0-2, their int row keys
+    decoded to ``((row, col), monomial)`` (`decode_rows`).  The targets
+    are the obstruction ``j(d)``, and ``j(d)`` with one coefficient moved
+    off it, which is most often inconsistent."""
     pool = FixturePool(field)
     rng = random.Random(61)
     cases = []
@@ -234,8 +242,8 @@ def _homotopy_systems(field):
         key = next(iter(moved), ((0, 0), None))
         moved[key] = field.add(moved.get(key, field.zero), field.one)
         for bound in range(3):
-            _, columns = _homotopy_columns(mod, d, h.degree + 1, bound, (trivial_grading(mod), 0))
-            yield columns, (rhs, moved)
+            _, columns, ids = _homotopy_columns(mod, d, h.degree + 1, bound, (trivial_grading(mod), 0))
+            yield decode_rows(mod, ids, columns), (rhs, moved)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
