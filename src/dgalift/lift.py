@@ -37,12 +37,17 @@ for ``g = gamma`` (even variable) or, on the doubled module, for
 ``g = [[-gamma, -1], [alpha, gamma]]`` (odd variable, where ``u = 1 - X g``).
 Column ``c`` of ``u`` is column ``c`` of the corrected idempotent of ``eps_c``
 for every gamma, because a map of negative degree has no diagonal entries.
-The output is ``u`` and a differential matrix free of the variable.
+The output is ``u`` and the differential matrix ``D'`` in its basis, free of
+the variable.  ``D'`` comes in closed form, with no product by ``u`` or
+``u^{-1}`` (`_lifted_differential`): ``D' = [D]_0 - eps_r d(X) [g]_0``, for
+``[f]_0`` the terms of ``f`` free of ``X``.
 
 A construction runs one check per identity: the setting and parity
 guards, the module and degree of ``gamma``, the termination cap of the
 basis change, `invert_unit`'s one-sided check, and `verify_lift`, whose
-variable check is the certificate check (``j(D') = u^{-1} Delta(d) u``).
+conjugation identity ``u (D' u^{-1} + d(u^{-1})) = D`` is the certificate
+check: the closed form is ``u^{-1} (D u + d(u))`` exactly when that is free
+of ``X``, and ``j(u^{-1} (D u + d(u))) = u^{-1} Delta(d) u``.
 `construct_lift_even` and `construct_lift_odd` prove this and every
 identity that holds for every degree ``-|X|`` matrix ``gamma``.
 """
@@ -56,6 +61,7 @@ from typing import Optional
 from .algebra import (
     AlgElem,
     _diff_into,
+    _mul_into,
     _var_product,
     _poly_tuples,
     component_monomials,
@@ -622,12 +628,15 @@ def construct_lift_even(
 
     The input enters through `verify_lift` alone.  ``j(u) = -gamma u``, as
     ``j(X^(n) A_n) = X^(n-1) A_n + X^(n) j(A_n)`` and ``A_(n+1) - j(A_n) =
-    gamma A_n`` telescope, so ``j(D') = u^{-1} Delta(d) u``, free of ``X``
-    exactly when ``Delta(d) = 0``; ``u`` (flat part 1) is always invertible.
+    gamma A_n`` telescope, so the conjugate ``u^{-1} (D u + d(u))`` has
+    ``j = u^{-1} Delta(d) u`` and is free of ``X`` exactly when ``Delta(d) =
+    0``; ``u`` (flat part 1) is always invertible.  The closed-form ``D'``
+    (`_lifted_differential`) is free of ``X`` for every gamma and equals the
+    conjugate exactly then, so a gamma that is no certificate fails the
+    conjugation identity of `verify_lift`.
     """
     _certified("even", module, d, var_name, gamma)
-    u = _basis_change(module, var_name, gamma)
-    return _conjugate_and_verify("even", var_name, module, d, u, gamma)
+    return _lift_and_verify("even", var_name, module, d, gamma, gamma)
 
 
 def _beta_sharp(doubled: FreeModule, base: FreeModule, alpha: GradedMap, k: int) -> GradedMap:
@@ -671,8 +680,11 @@ def construct_lift_odd(
     ``c`` of the last term is ``X e_c g[c, c] = 0`` (``g`` has negative
     degree, hence no diagonal entries).
 
-    ``j#(u) = -g u`` (``j#(l_X g) = g - l_X j#(g) = g - g l_X g``), so
-    ``j#(D'#) = u^{-1} Gamma(d#) u``: `verify_lift` checks ``Delta(d) = 0``.
+    ``j#(u) = -g u`` (``j#(l_X g) = g - l_X j#(g) = g - g l_X g``), so the
+    conjugate ``u^{-1} (D# u + d(u))`` has ``j# = u^{-1} Gamma(d#) u``.  The
+    closed-form ``D'`` (`_lifted_differential`) is free of ``X`` and equals
+    that conjugate exactly when ``Delta(d) = 0``, which the conjugation
+    identity of `verify_lift` therefore checks.
     """
     _certified("odd", module, d, var_name, gamma)
     jop = JOperator(module, var_name)
@@ -682,15 +694,52 @@ def construct_lift_odd(
     k = -jop.var.degree
     doubled, d_sharp = twofold_extension(module, d, k)
     g = _beta_sharp(doubled, module, alpha, k) - sharp_map(gamma, doubled, k)
-    u = _basis_change(doubled, var_name, g)
-    return _conjugate_and_verify("odd", var_name, doubled, d_sharp, u, gamma, k)
+    return _lift_and_verify("odd", var_name, doubled, d_sharp, g, gamma, k)
 
 
-def _conjugate_and_verify(parity, var_name, module, d, u, gamma, shift_k=None) -> LiftResult:
-    """Conjugate ``d`` into the basis whose columns are those of ``u`` and
-    return the lift once `verify_lift` has passed on it."""
+def _lifted_differential(
+    module: FreeModule, d: Differential, var_name: str, g: GradedMap
+) -> Differential:
+    """``[D]_0 - eps_r d(X) [g]_0``, where ``[f]_0`` keeps the terms of ``f``
+    free of ``X`` and row ``r`` carries ``eps_r = (-1)^{|e_r| (|X| + 1)}``.
+
+    It is ``[D']_0`` for ``D' = u^{-1} (D u + d(u))`` and ``u`` the
+    `_basis_change` of ``g``, whatever ``g``.  ``[-]_0`` is multiplicative,
+    as ``X`` exponents add in every product.  ``[u]_0 = 1``, since
+    ``A_0 = 1`` and every later term carries ``X^(n)``, ``n >= 1``; so
+    ``[u^{-1}]_0 = 1`` and ``[D']_0 = [D]_0 + [d(u)]_0``.  ``d(X^(n) a) =
+    X^(n-1) d(X) a +- X^(n) d(a)`` has ``X`` exponents ``n - 1`` and up, so
+    only ``-l_X g`` reaches exponent 0: ``l_X`` carries ``(-1)^{|X| |e_r|}``
+    and ``d`` ``(-1)^{|e_r|}`` in row ``r``.  When ``Delta(d) = 0``, ``D'`` is
+    free of ``X`` and equals this; otherwise this differs from ``D'`` and
+    fails `verify_lift`'s conjugation identity.  ``d(X)`` lives in the stage
+    before ``X``, so its variable exponents get one 0 for ``X``.
+    """
+    sig = module.sig
+    var = sig.var(var_name)
+    top = sig.var_pos(var_name)
+    dx = {(p, v + (0,)): c for (p, v), c in var.diff.terms.items()}
+    out: dict = {}
+    for key, e in d.matrix.entries.items():
+        terms = {m: c for m, c in e.terms.items() if not m[1][top]}
+        if terms:
+            out[key] = terms
+    signed = not var.odd  # eps_r = (-1)^{|e_r|} for an even X, else 1
+    degs = module.degrees
+    for (r, c), e in g.entries.items():
+        terms = {m: x for m, x in e.terms.items() if not m[1][top]}
+        if terms:
+            _mul_into(sig, out.setdefault((r, c), {}), dx, terms, not (signed and degs[r] % 2))
+    return Differential(_finish(module, -1, out))
+
+
+def _lift_and_verify(parity, var_name, module, d, g, gamma, shift_k=None) -> LiftResult:
+    """The basis change ``u`` of ``g`` and the differential in the basis of
+    its columns (`_lifted_differential`), returned once `verify_lift` has
+    passed on them."""
+    u = _basis_change(module, var_name, g)
     u_inv = invert_unit(u)
-    lift_diff = d.conjugate(u_inv, u)
+    lift_diff = _lifted_differential(module, d, var_name, g)
     report = verify_lift(lift_diff, u, d, var_name, u_inv=u_inv)
     if not report.passed:
         raise VerificationError(

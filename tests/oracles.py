@@ -1191,6 +1191,13 @@ def verify_lift_reference(
     return report
 
 
+def lifted_matrix_reference(d: Differential, u: GradedMap, u_inv: GradedMap) -> GradedMap:
+    """The matrix of ``d`` in the basis of the columns of ``u``, by
+    conjugation: ``D' = u^{-1} (D u + d(u))``, as the construction built it
+    before `lift._lifted_differential` gave it in closed form."""
+    return compose(u_inv, d.after(u))
+
+
 # -- the expression parser, by recursive descent over a character loop -------------
 
 

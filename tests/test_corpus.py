@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 
 from dgalift.cli import main
+from dgalift.module import Differential
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = Path(__file__).resolve().parent / "corpus.json"
@@ -43,8 +44,11 @@ def _inputs(workdir: str):
     gen = _gen()
     ops = [("readme", gen.readme_op())]
     for seed in SEEDS:
-        ops += [(f"{seed}:{op.name}", op) for op in gen.decide_large(seed, workdir)]
-        ops += [(f"{seed}:{op.name}", op) for op in gen.lift_small(seed, workdir)[1:]]
+        # the file names carry no seed: one directory per seed
+        seed_dir = Path(workdir) / str(seed)
+        seed_dir.mkdir()
+        ops += [(f"{seed}:{op.name}", op) for op in gen.decide_large(seed, str(seed_dir))]
+        ops += [(f"{seed}:{op.name}", op) for op in gen.lift_small(seed, str(seed_dir))[1:]]
     for key, op in ops:
         args = dict(zip(op.argv[1::2], op.argv[2::2]))
         yield key, args["--sig"], args["--mod"], args["--bound"]
@@ -77,6 +81,27 @@ def test_transcripts_match_the_corpus(tmp_path):
     assert len(got) == 426
     assert got.keys() == want.keys()
     assert [k for k in got if got[k] != want[k]] == []
+
+
+def test_lift_never_conjugates(tmp_path, monkeypatch):
+    """`lift` builds the lifted differential in closed form: with
+    `Differential.conjugate` raising, the README example and the even
+    rank-16 Koszul rung of seed 0 (bound 1) still exit 0 with their
+    recorded transcripts.  The rung is generated before the patch, since
+    `bench/gen.py` conjugates to draw it."""
+    gen = _gen()
+    ops = {"readme": gen.readme_op()}
+    ops.update((f"0:{op.name}", op) for op in gen.decide_large(0, str(tmp_path)))
+    want = json.loads(CORPUS.read_text(encoding="utf-8"))
+
+    def refuse(*_):
+        raise AssertionError("Differential.conjugate called")
+
+    monkeypatch.setattr(Differential, "conjugate", refuse)
+    for key in ("readme", "0:naive-even-q-r16-b1"):
+        args = dict(zip(ops[key].argv[1::2], ops[key].argv[2::2]))
+        argv = ["lift", "--sig", args["--sig"], "--mod", args["--mod"], "--bound", args["--bound"]]
+        assert _digest(argv) == want[f"{key}:lift"], key
 
 
 if __name__ == "__main__":

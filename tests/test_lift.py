@@ -67,6 +67,7 @@ from oracles import (
     is_scalar_cycle,
     kernel_reference,
     koszul,
+    lifted_matrix_reference,
     monomial_class,
     ones_filter,
     series_plus_reference,
@@ -330,10 +331,14 @@ def test_odd_parity_guards(N3, N1prime):
 
 
 def test_odd_lift_rejects_bad_certificate(N3):
+    """The zero map is no certificate here.  The lifted matrix is built free
+    of ``X`` whatever ``gamma``, so the conjugation identity is what fails."""
     mod, d = N3
     assert not obstruction(mod, d, "X").is_zero()
-    with pytest.raises(VerificationError, match=r"^odd lift failed verification: entry \(.*\) depends on X"):
+    with pytest.raises(VerificationError, match=r"^odd lift failed verification: ") as failed:
         construct_lift_odd(mod, d, "X", GradedMap.zero(mod, -1))
+    assert "depends on" not in str(failed.value)
+    assert "conjugation identity fails on column" in str(failed.value)
 
 
 def _nonzero_map(mod, degree, rng):
@@ -369,8 +374,10 @@ def test_construction_succeeds_exactly_on_certificates(field):
     missing: on `square_zero_instance` inputs a construction succeeds
     exactly when ``Delta(d) = 0`` for ``Delta = JOperator(mod, X, gamma)``
     (even) or ``JOperator(mod, X, -gamma)`` (odd), and then its ``u`` is
-    the per-column basis change.  Otherwise it fails `verify_lift`, and
-    only on entries that depend on ``X``.  The candidates are the bound-2
+    the per-column basis change.  Otherwise it fails `verify_lift`: the
+    lifted matrix is free of ``X`` whatever ``gamma``, so no entry is named
+    as depending on ``X``, and the conjugation identity fails on at least
+    one column.  The candidates are the bound-2
     certificate, that certificate plus a random degree ``-|X|`` map, and a
     random one; both outcomes occur for each parity."""
     pool = FixturePool(field)
@@ -397,8 +404,9 @@ def test_construction_succeeds_exactly_on_certificates(field):
                 construct(mod, d, var, gamma)
             head, notes = str(failed.value).split(": ", 1)
             assert head == ("odd" if odd else "even") + " lift failed verification"
-            for note in notes.split("; "):
-                assert note.startswith("entry (") and note.endswith(f") depends on {var}"), note
+            notes = notes.split("; ")
+            assert not any("depends on" in note for note in notes), notes
+            assert any(note.startswith("conjugation identity fails on column ") for note in notes), notes
     assert seen == {(odd, solves) for odd in (False, True) for solves in (False, True)}, seen
 
 
@@ -1543,12 +1551,14 @@ def _solver_sizes(monkeypatch) -> list:
     return sizes
 
 
-def _bench_rungs(seed):
-    """``(name, module, differential, bound)`` for the `decide-large` rungs of
-    one benchmark seed, read from the documents `bench/gen.py` writes."""
+def _bench_rungs(seed, workload="decide_large"):
+    """``(name, module, differential, bound)`` for the ops of one benchmark
+    workload (the `decide-large` rungs by default; `lift-small` puts the
+    README example first) and seed, read from the documents `bench/gen.py`
+    writes."""
     gen = _corpus_gen()
     with tempfile.TemporaryDirectory() as tmp:
-        for op in gen.decide_large(seed, tmp):
+        for op in getattr(gen, workload)(seed, tmp):
             args = dict(zip(op.argv[1::2], op.argv[2::2]))
             sig = signature_from_doc(load_json(args["--sig"])[0])
             mod, d = module_from_doc(load_json(args["--mod"])[0], sig)
@@ -1800,3 +1810,89 @@ def test_invert_unit_matches_series_oracle(field, monkeypatch):
         assert invert_unit(lift.u) == invert_unit_reference(lift.u) == lift.u_inv
         assert compose(lift.u_inv, lift.u) == GradedMap.identity(lift.module)
     assert not solved
+
+
+def _construct(mod, d, var, gamma):
+    construct = construct_lift_odd if mod.sig.var(var).odd else construct_lift_even
+    return construct(mod, d, var, gamma)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_lifted_matrix_matches_conjugation_oracle(field):
+    """The closed form ``D' = [D]_0 - eps_r d(X) [g]_0`` of a construction
+    equals the conjugation ``u^{-1} (D u + d(u))`` (`lifted_matrix_reference`)
+    exactly, on every lift of `_pool_lifts`, of both parities."""
+    lifts = _pool_lifts(field, random.Random(107))
+    for lift in lifts:
+        want = lifted_matrix_reference(lift.ambient_diff, lift.u, lift.u_inv)
+        assert lift.lift_diff.matrix == want
+    assert any(lift.u != GradedMap.identity(lift.module) for lift in lifts)
+
+
+def test_lifted_matrix_matches_conjugation_oracle_on_bench_rungs():
+    """The same on the 49 `lift-small` ops of benchmark seed 0, the README
+    example among them, and on the three `decide-large` rungs of seed 0
+    that lift, at their own bound.  The even rank-16 rung is the one whose
+    certificate has terms free of ``X`` in rows of odd degree, where
+    ``eps_r = -1``."""
+    names = []
+    for name, mod, d, bound in itertools.chain(_bench_rungs(0, "lift_small"), _bench_rungs(0)):
+        if name.endswith("-miss"):
+            continue
+        var = mod.sig.top_variable.name
+        lift = _construct(mod, d, var, decide_naive_lift(mod, d, var, bound).certificate)
+        assert lift.lift_diff.matrix == lifted_matrix_reference(lift.ambient_diff, lift.u, lift.u_inv), name
+        names.append(name)
+    assert len(names) == 52 and names[0] == "lift-readme-s3-n3"
+    assert "naive-even-q-r16-b1" in names
+
+
+def _x_free_unit(mod, var, rng):
+    """A degree-0 unit free of `var`: a diagonal of nonzero scalars times a
+    `rand_unit` (degree-raising, or with one entry between equal degrees)
+    whose terms in `var` are dropped."""
+    sig, field = mod.sig, mod.sig.field
+    pos = sig.var_pos(var)
+    u = rand_unit(mod, rng, poly_bound=1, strict_raising=rng.random() < 0.5)
+    free = {k: AlgElem(sig, {m: c for m, c in e.terms.items() if not m[1][pos]}) for k, e in u.entries.items()}
+    scalars = [x for x in map(field.of_int, range(1, 5)) if x != field.zero]
+    diag = {(i, i): sig.scalar(rng.choice(scalars)) for i in range(mod.rank)}
+    return compose(GradedMap(mod, 0, diag, check=False), GradedMap(mod, 0, free))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_certificate_conjugates_with_a_unit_free_of_the_variable(field):
+    """For a degree-0 unit ``v`` free of ``X``, ``j(v) = 0``, so the
+    obstruction of ``d' = v d v^{-1}`` is ``v j(d) v^{-1}`` and
+    ``v gamma v^{-1}`` is a certificate for ``d'`` whenever ``gamma`` is one
+    for ``d``.  On the `FixturePool` lifting modules and Koszul rungs of both
+    parities: ``[d', v gamma v^{-1}] = j(d')``, and the construction on
+    ``d'`` with that certificate passes `verify_lift`, with the lifted
+    matrix of `lifted_matrix_reference`.  Some units of each parity have
+    an entry off the diagonal."""
+    pool = FixturePool(field)
+    rng = random.Random(109)
+    fixtures = [(pool.N3, pool.d3), (pool.NK, pool.dK), (pool.Nodd, pool.dodd)]
+    for parity in ("odd", "even"):
+        sig = Signature(field, [f"a{i}" for i in range(3)])
+        if parity == "odd":
+            sig = sig.adjoin("X", 1, "a0")
+        else:
+            sig = sig.adjoin("W0", 1, "a0").adjoin("W1", 1, "a1").adjoin("X", 2, "a1*W0 - a0*W1")
+        fixtures.append(_koszul_rung(sig, 3, rng))
+    moved = {"odd": 0, "even": 0}
+    for mod, d in fixtures:
+        var = mod.sig.top_variable.name
+        gamma = decide_naive_lift(mod, d, var, 2).certificate
+        assert gamma is not None
+        for _ in range(4):
+            v = _x_free_unit(mod, var, rng)
+            vi = invert_unit(v)
+            d2 = d.conjugate(v, vi)
+            gamma2 = compose(compose(v, gamma), vi)
+            assert bracket_diff(d2, gamma2) == obstruction(mod, d2, var)
+            lift = _construct(mod, d2, var, gamma2)
+            assert verify_lift(lift.lift_diff, lift.u, lift.ambient_diff, var, u_inv=lift.u_inv).passed
+            assert lift.lift_diff.matrix == lifted_matrix_reference(lift.ambient_diff, lift.u, lift.u_inv)
+            moved["odd" if mod.sig.var(var).odd else "even"] += any(r != c for r, c in v.entries)
+    assert all(moved.values()), moved
