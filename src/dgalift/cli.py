@@ -239,16 +239,15 @@ def _compute(args, transcript: dict):
 
     construct = construct_lift_odd if odd else construct_lift_even
     result = construct(module, d, var_name, decision.certificate)
-    lift_report = verify_lift(
-        result.lift_diff, result.u, result.ambient_diff, var_name, u_inv=result.u_inv
-    )
+    lift_report = verify_lift(result.lift_diff, result.u, result.ambient_diff, var_name)
     # The splitting rho sends u e_lam to (u e_lam) (x) 1, extended
-    # linearly.  pi(y (x) 1) = y and u u_inv = 1 (checked by invert_unit)
-    # give pi o rho = id.  In the basis u e_lam the differential has the
-    # lifted matrix, whose entries are free of the variable and so cross
-    # the tensor sign: rho o d = d o rho.  So the lift checks establish
-    # the splitting; tensor.verify_splitting, which checks it element by
-    # element, is the test oracle for this.
+    # linearly.  u is unipotent (its flat part is 1, which verify_lift
+    # reads), so the u e_lam are a basis, and pi(y (x) 1) = y gives
+    # pi o rho = id on each of them; u^{-1} is never built.  In the basis
+    # u e_lam the differential has the lifted matrix, whose entries are
+    # free of the variable and so cross the tensor sign: rho o d = d o rho.
+    # So the lift checks establish the splitting; tensor.verify_splitting,
+    # which checks it element by element, is the test oracle for this.
     data = {
         "parity": result.parity,
         "certificate": certificate,

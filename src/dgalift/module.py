@@ -632,13 +632,12 @@ def invert_unit(u: GradedMap) -> GradedMap:
     inverted by exact linear algebra on polygen coefficients (``v``), the
     second is nilpotent: ``u^{-1} = (1 - w + w^2 - ...) v``, ``w = v u_rest``.
     The powers of ``w`` add into one sum, multiplied by ``v`` once at the
-    end.  When the flat part is the identity, as in every unit
-    `lift._basis_change` builds (``X^(n) A_n``, ``n >= 1``, joins basis
-    elements of different degrees), nothing is solved and ``v = 1`` is never
-    multiplied by.  Only ``u inv = 1`` is checked.  A degree-0 map is block
-    upper-triangular by basis degree, with blocks over the commutative
-    polygen ring on the diagonal, so a right inverse makes ``e = inv u``
-    unipotent, ``1 + n``; ``e^2 = inv (u inv) u = e`` then gives ``n (1 + n) = 0``.
+    end.  When the flat part is the identity nothing is solved and
+    ``v = 1`` is never multiplied by.  Only ``u inv = 1`` is checked.  A
+    degree-0 map is block upper-triangular by basis degree, with blocks
+    over the commutative polygen ring on the diagonal, so a right inverse
+    makes ``e = inv u`` unipotent, ``1 + n``; ``e^2 = inv (u inv) u = e``
+    then gives ``n (1 + n) = 0``.
     """
     if u.degree != 0:
         raise NotInvertibleError("only degree-0 maps can be inverted")
@@ -755,7 +754,9 @@ def twofold_extension(module: FreeModule, d: Differential, k: int):
     """``N + N(k)`` with the block-diagonal differential diag(d, (-1)^k d).
 
     Returns ``(doubled module, doubled differential)``.  Requires a
-    square-zero differential; the result is square-zero again.
+    square-zero differential; the result is square-zero again, and its
+    square ``diag(d o d, d o d)`` is stored, not computed: row ``r + rank``
+    carries ``(-1)^k D`` and the Leibniz sign ``(-1)^(|e_r| - k)``.
     """
     if not d.square_zero:
         raise SchemaError("two-fold extension requires a square-zero differential")
@@ -764,7 +765,9 @@ def twofold_extension(module: FreeModule, d: Differential, k: int):
         module.sig, [(n + suffix, deg - k) for n, deg in zip(module.names, module.degrees)]
     )
     doubled = direct_sum(module, shifted)
-    return doubled, Differential(sharp_map(d.matrix, doubled, k))
+    dd = Differential(sharp_map(d.matrix, doubled, k))
+    dd._square = sharp_map(d.square(), doubled, k)
+    return doubled, dd
 
 
 def sharp_map(m: GradedMap, doubled: FreeModule, k: int) -> GradedMap:

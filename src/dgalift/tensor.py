@@ -25,7 +25,7 @@ from typing import Callable
 from .algebra import AlgElem, diff
 from .errors import SchemaError
 from .jop import CheckReport
-from .module import Differential, FreeModule, GradedMap, ModuleElement, _sum_entries, fresh_suffix, shift
+from .module import Differential, FreeModule, GradedMap, ModuleElement, _sum_entries, fresh_suffix, invert_unit, shift
 from .lift import LiftResult
 
 
@@ -185,9 +185,10 @@ def rho_from_lift(nt: NaiveTensor, lift: LiftResult) -> Callable:
         nt.of_module_elem(lift.u.apply(nt.module.basis_elem(lam)))
         for lam in range(nt.module.rank)
     ]
+    u_inv = invert_unit(lift.u)
 
     def rho(x: ModuleElement) -> TensorElement:
-        coords = lift.u_inv.apply(x)
+        coords = u_inv.apply(x)
         out = nt.zero()
         for lam, c in coords.coeffs.items():
             out = out + cols[lam].scale_right(c)

@@ -1166,9 +1166,11 @@ def verify_lift_reference(
     var_name: str,
     u_inv: Optional[GradedMap] = None,
 ) -> CheckReport:
-    """`verify_lift` with the conjugation identity checked one basis column
-    at a time: ``u (d' (u^{-1} e_lam)) = d(e_lam)`` through the module
-    actions."""
+    """The lift check through the inverse, one basis column at a time:
+    ``u (d' (u^{-1} e_lam)) = d(e_lam)`` through the module actions, with
+    ``d'`` squared and `u_inv` taken unchecked when given (else from
+    `invert_unit`).  Where ``u`` is invertible and `u_inv` is its inverse it
+    passes exactly when `verify_lift` does."""
     report = CheckReport(True)
     module = lift_diff.module
     for (r, c), e in lift_diff.matrix.entries.items():
@@ -1187,6 +1189,35 @@ def verify_lift_reference(
     for lam in range(module.rank):
         e = module.basis_elem(lam)
         if u.apply(lift_diff.apply(u_inv.apply(e))) != d.apply(e):
+            report.note(f"conjugation identity fails on column {module.names[lam]}")
+    return report
+
+
+def verify_lift_inverse_free_reference(
+    lift_diff: Differential, u: GradedMap, d: Differential, var_name: str
+) -> CheckReport:
+    """`verify_lift` one basis column at a time, with no inverse in the
+    identity: ``d(u e_lam) = u (d'(e_lam))`` through the module actions.
+    Entries in the variable are found by `derivative`, ``d'`` squares to
+    zero when ``d`` does, and `invert_unit` decides invertibility on every
+    ``u``."""
+    report = CheckReport(True)
+    module = lift_diff.module
+    for (r, c), e in lift_diff.matrix.entries.items():
+        if not derivative(e, var_name).is_zero():
+            report.note(
+                f"entry ({module.names[r]},{module.names[c]}) depends on {var_name}"
+            )
+    if not d.square_zero:
+        report.note("lifted differential does not square to zero")
+    try:
+        invert_unit(u)
+    except (NotInvertibleError, VerificationError) as ex:
+        report.note(f"basis change is not invertible: {ex}")
+        return report
+    for lam in range(module.rank):
+        e = module.basis_elem(lam)
+        if d.apply(u.apply(e)) != u.apply(lift_diff.apply(e)):
             report.note(f"conjugation identity fails on column {module.names[lam]}")
     return report
 

@@ -79,7 +79,7 @@ def test_a3_odd_weak_lift_roundtrip(N3):
     for e in lift.lift_diff.matrix.entries.values():
         assert derivative(e, "X").is_zero()
     assert lift.lift_diff.square_zero
-    rep = verify_lift(lift.lift_diff, lift.u, lift.ambient_diff, "X", u_inv=lift.u_inv)
+    rep = verify_lift(lift.lift_diff, lift.u, lift.ambient_diff, "X")
     assert rep.passed, rep.failures
     nt = NaiveTensor(lift.module, lift.ambient_diff, "X")
     assert verify_splitting(nt, lift).passed
@@ -134,7 +134,7 @@ def test_a5_even_lift_roundtrip(N1prime):
     dec = decide_naive_lift(mod, d, "X", 3)
     assert dec.vanishes
     lift = construct_lift_even(mod, d, "X", dec.certificate)
-    rep = verify_lift(lift.lift_diff, lift.u, d, "X", u_inv=lift.u_inv)
+    rep = verify_lift(lift.lift_diff, lift.u, d, "X")
     assert rep.passed, rep.failures
     assert lift.lift_diff == m_flat
     nt = NaiveTensor(mod, d, "X")

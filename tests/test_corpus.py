@@ -104,6 +104,42 @@ def test_lift_never_conjugates(tmp_path, monkeypatch):
         assert _digest(argv) == want[f"{key}:lift"], key
 
 
+def test_lift_never_inverts(tmp_path, monkeypatch):
+    """`lift` checks its lift without inverting the basis change or
+    squaring the lifted differential.  With `invert_unit` refusing in
+    `dgalift.lift` and in `dgalift.module`, the README example (odd) and
+    the even rank-16 Koszul rung of seed 0 (bound 1) still exit 0 with
+    their recorded transcripts, and each run computes one square, that of
+    its input: `twofold_extension` stores the doubled one in closed form.
+    The rung is generated before the patch, since `bench/gen.py` inverts
+    to draw it."""
+    gen = _gen()
+    ops = {"readme": gen.readme_op()}
+    ops.update((f"0:{op.name}", op) for op in gen.decide_large(0, str(tmp_path)))
+    want = json.loads(CORPUS.read_text(encoding="utf-8"))
+
+    def refuse(*_):
+        raise AssertionError("invert_unit called")
+
+    monkeypatch.setattr("dgalift.lift.invert_unit", refuse)
+    monkeypatch.setattr("dgalift.module.invert_unit", refuse)
+    squared = []
+    square = Differential.square
+
+    def counted(self):
+        if self._square is None:
+            squared.append(self.module.rank)
+        return square(self)
+
+    monkeypatch.setattr(Differential, "square", counted)
+    for key, rank in (("readme", 3), ("0:naive-even-q-r16-b1", 16)):
+        squared.clear()
+        args = dict(zip(ops[key].argv[1::2], ops[key].argv[2::2]))
+        argv = ["lift", "--sig", args["--sig"], "--mod", args["--mod"], "--bound", args["--bound"]]
+        assert _digest(argv) == want[f"{key}:lift"], key
+        assert squared == [rank], key
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_corpus.py --write")

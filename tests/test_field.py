@@ -279,7 +279,7 @@ def _pipeline_transcripts(field):
                 continue
             construct = construct_lift_odd if mod.sig.var(var).odd else construct_lift_even
             lift = construct(mod, d, var, dec.certificate)
-            maps = [dec.certificate, lift.u, lift.u_inv, lift.lift_diff.matrix]
+            maps = [dec.certificate, lift.u, invert_unit(lift.u), lift.lift_diff.matrix]
             out.append((bound, True, *(matrix_to_doc(m) for m in maps)))
             scalars += [c for m in maps for e in m.entries.values() for c in e.terms.values()]
     return out, scalars

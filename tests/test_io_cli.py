@@ -413,19 +413,24 @@ def test_cli_eval_reads_a_sum_past_the_argument_limit_from_stdin(tmp_path, capsy
 
 
 @pytest.mark.parametrize(
-    "command, name, n, verdict",
-    [("naive", "naive-odd-q-r256-b0", 8, "vanishes"), ("lift", "lift-odd-q-r128-b0", 7, "lifted")],
-    ids=["naive-rank-256", "lift-rank-128"],
+    "command, name, n, parity, bound, verdict",
+    [
+        ("naive", "naive-odd-q-r256-b0", 8, "odd", 0, "vanishes"),
+        ("lift", "lift-odd-q-r128-b0", 7, "odd", 0, "lifted"),
+        ("lift", "lift-even-q-r128-b1", 7, "even", 1, "lifted"),
+    ],
+    ids=["naive-rank-256", "lift-rank-128", "lift-even-rank-128"],
 )
-def test_cli_large_odd_rungs_finish(tmp_path, command, name, n, verdict):
+def test_cli_large_odd_rungs_finish(tmp_path, command, name, n, parity, bound, verdict):
     """`naive` on the odd Q Koszul rung of rank 256 (19448 unknowns) and
-    `lift` on the one of rank 128, as `bench/gen.py` draws them for seed 0,
-    at bound 0: ranks no benchmark workload reaches.  Each runs in a fresh
-    process under the 20-s limit CI gives it, and the lift passes all three
-    checks."""
-    sig_doc, mod_doc = _corpus_gen().rung_docs(0, name, "q", n, "odd", False)
+    `lift` on the one of rank 128, at bound 0, and `lift` on the even Q
+    rung of rank 128 at bound 1, as `bench/gen.py` draws them for seed 0:
+    ranks no benchmark workload reaches.  Each runs in a fresh process
+    under the 20-s limit CI gives it, and each lift passes all of its
+    checks (the even one has no sequence)."""
+    sig_doc, mod_doc = _corpus_gen().rung_docs(0, name, "q", n, parity, False)
     argv = [command, "--sig", _write(tmp_path, "sig.json", sig_doc)]
-    argv += ["--mod", _write(tmp_path, "mod.json", mod_doc), "--bound", "0"]
+    argv += ["--mod", _write(tmp_path, "mod.json", mod_doc), "--bound", str(bound)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     run = subprocess.run(
         [sys.executable, "-m", "dgalift.cli", *argv],
@@ -435,7 +440,8 @@ def test_cli_large_odd_rungs_finish(tmp_path, command, name, n, verdict):
     doc = json.loads(run.stdout)
     assert doc["verdict"] == verdict
     if command == "lift":
-        assert doc["data"]["verification"] == {"lift": True, "sequence": True, "splitting": True}
+        flags = {"lift": True, "splitting": True} | ({"sequence": True} if parity == "odd" else {})
+        assert doc["data"]["verification"] == flags
 
 
 def test_cli_eval_syntax_error(tmp_path, capsys):

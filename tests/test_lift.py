@@ -76,6 +76,7 @@ from oracles import (
     unit_elementary,
     unit_poly_degree,
     var_weights_reference,
+    verify_lift_inverse_free_reference,
     verify_lift_reference,
     weights_reference,
 )
@@ -282,7 +283,7 @@ def test_even_lift_roundtrip(N1prime):
     for e in result.lift_diff.matrix.entries.values():
         assert derivative(e, "X").is_zero()
     assert result.lift_diff.square_zero
-    rep = verify_lift(result.lift_diff, result.u, d, "X", u_inv=result.u_inv)
+    rep = verify_lift(result.lift_diff, result.u, d, "X")
     assert rep.passed
     # this fixture was twisted from a known flat matrix; the pipeline finds it
     assert result.lift_diff == m_flat
@@ -304,7 +305,7 @@ def test_odd_lift_roundtrip(N3):
     for e in result.lift_diff.matrix.entries.values():
         assert derivative(e, "X").is_zero()
     assert result.lift_diff.square_zero
-    rep = verify_lift(result.lift_diff, result.u, result.ambient_diff, "X", u_inv=result.u_inv)
+    rep = verify_lift(result.lift_diff, result.u, result.ambient_diff, "X")
     assert rep.passed
     _assert_corrected_projections(mod, d, result)
 
@@ -422,7 +423,7 @@ def test_verify_lift_catches_tampering(N3):
         },
         check=False,
     )
-    rep = verify_lift(Differential(tampered), result.u, result.ambient_diff, "X", u_inv=result.u_inv)
+    rep = verify_lift(Differential(tampered), result.u, result.ambient_diff, "X")
     assert not rep.passed
     assert any("column" in f or "square" in f for f in rep.failures)
 
@@ -544,7 +545,7 @@ def test_even_lift_multi_step_series(S1):
     else:
         pytest.fail("no gauge produced a multi-step series")
     lift = construct_lift_even(mod, d, "X", gamma2)
-    rep = verify_lift(lift.lift_diff, lift.u, d, "X", u_inv=lift.u_inv)
+    rep = verify_lift(lift.lift_diff, lift.u, d, "X")
     assert rep.passed, rep.failures
     assert verify_splitting(NaiveTensor(mod, d, "X"), lift).passed
 
@@ -583,7 +584,7 @@ def test_corrected_basis_realizes_the_derivation(N3, N1prime):
     lift = construct_lift_even(mod, d, "X", dec.certificate)
     j = JOperator(mod, "X")
     delta = JOperator(mod, "X", dec.certificate)
-    u, ui = lift.u, lift.u_inv
+    u, ui = lift.u, invert_unit(lift.u)
     for _ in range(25):
         f = rand_map(mod, rng.randint(-2, 2), rng)
         new_basis_op = compose(compose(u, j.of_map(compose(compose(ui, f), u))), ui)
@@ -595,7 +596,7 @@ def test_corrected_basis_realizes_the_derivation(N3, N1prime):
     dbl = lift3.module
     _, j_sh, g = _doubled_derivation(mod3, d3, dec3.certificate)
     big_gamma = JOperator(dbl, "X", g)
-    u, ui = lift3.u, lift3.u_inv
+    u, ui = lift3.u, invert_unit(lift3.u)
     for _ in range(25):
         f = rand_map(dbl, rng.randint(-2, 2), rng)
         new_basis_op = compose(compose(u, j_sh.of_map(compose(compose(ui, f), u))), ui)
@@ -1708,55 +1709,63 @@ def _x_dependent_entry(mod, var):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
 def test_verify_lift_matches_column_oracle(field):
-    """The one matrix identity ``u (D' u^{-1} + d(u^{-1})) = D`` gives the
-    report of the per-column check (`verify_lift_reference`), the same
-    verdict and the same failures in the same order: on lifts of both
-    parities, and on each with one entry of ``lift_diff``, ``u`` or
-    ``u_inv`` dropped or doubled, with an entry in the variable added to
-    ``lift_diff``, and with the ``u_inv`` of another lift of the module.  A
-    mutated ``u`` is also checked with no ``u_inv``, so that `invert_unit`
-    runs on it.  The test asserts that some reports name some columns but
-    not all, that some name two or more (their order is compared), that
-    some name an entry in the variable, and that some basis changes are
-    refused as not invertible."""
+    """The one matrix identity ``D u + d(u) = u D'`` gives the report of the
+    inverse-free per-column check (`verify_lift_inverse_free_reference`),
+    the same verdict and the same failures in the same order: on lifts of
+    both parities, and on each with one entry of ``lift_diff`` or ``u``
+    dropped or doubled, with an entry in the variable added to
+    ``lift_diff``, and, where two basis elements share a degree, in the
+    basis ``u v`` for ``v = 1 + E_ij`` between them, with ``lift_diff`` kept
+    and with it moved to ``v^{-1} D' v``.  Wherever ``u`` is invertible the
+    verdict is also that of the check through ``u^{-1}``
+    (`verify_lift_reference`).  The test asserts that some reports name some columns but not all, that
+    some name two or more (their order is compared), that some name an
+    entry in the variable, that some basis changes are refused as not
+    invertible, and that some basis changes whose flat part is not 1 pass
+    through `invert_unit`."""
     rng = random.Random(83)
     lifts = _pool_lifts(field, rng)
-    seen = {"passed": 0, "some columns": 0, "two columns": 0, "entry": 0, "not invertible": 0}
+    seen = {"passed": 0, "some columns": 0, "two columns": 0, "entry": 0, "not invertible": 0,
+            "inverted and passed": 0}
     for lift in lifts:
-        var, d = lift.var_name, lift.ambient_diff
-        dl, u, ui = lift.lift_diff.matrix, lift.u, lift.u_inv
-        cases = [(dl, u, ui), (dl, u, None)]
+        mod, var, d = lift.module, lift.var_name, lift.ambient_diff
+        dl, u = lift.lift_diff.matrix, lift.u
+        cases = [(dl, u)]
         for double in (False, True):
-            cases += [
-                (_mutate_entry(dl, rng, double), u, ui),
-                (dl, _mutate_entry(u, rng, double), ui),
-                (dl, u, _mutate_entry(ui, rng, double)),
-                (dl, _mutate_entry(u, rng, double), None),
-            ]
-        slot = _x_dependent_entry(lift.module, var)
+            cases += [(_mutate_entry(dl, rng, double), u), (dl, _mutate_entry(u, rng, double))]
+        slot = _x_dependent_entry(mod, var)
         if slot is not None:
             key, x = slot
-            cases.append((dl + GradedMap(lift.module, -1, {key: x}, check=False), u, ui))
-        cases += [(dl, u, other.u_inv) for other in lifts
-                  if other.module == lift.module and other.u_inv != ui]
-        for m, uu, vv in cases:
+            cases.append((dl + GradedMap(mod, -1, {key: x}, check=False), u))
+        pair = next((p for p in itertools.permutations(range(mod.rank), 2)
+                     if mod.degrees[p[0]] == mod.degrees[p[1]]), None)
+        if pair is not None:
+            one, e = GradedMap.identity(mod), unit_elementary(mod, *pair)
+            uv = compose(u, one + e)
+            cases += [(dl, uv), (compose(compose(one - e, dl), one + e), uv)]
+        for m, uu in cases:
             args = (Differential(m), uu, d, var)
-            want = verify_lift_reference(*args, u_inv=vv)
-            got = verify_lift(*args, u_inv=vv)
+            want = verify_lift_inverse_free_reference(*args)
+            got = verify_lift(*args)
             assert (got.passed, got.failures) == (want.passed, want.failures)
+            invertible = not any("invertible" in f for f in want.failures)
+            if invertible:
+                assert verify_lift_reference(*args).passed == want.passed
             columns = [f for f in want.failures if "column" in f]
             seen["passed"] += want.passed
-            seen["some columns"] += 0 < len(columns) < lift.module.rank
+            seen["some columns"] += 0 < len(columns) < mod.rank
             seen["two columns"] += len(columns) >= 2
             seen["entry"] += any("depends on" in f for f in want.failures)
-            seen["not invertible"] += any("invertible" in f for f in want.failures)
+            seen["not invertible"] += not invertible
+            seen["inverted and passed"] += want.passed and not lift_module._unipotent(uu)
     assert all(seen.values()), seen
 
 
 def test_verify_lift_reports_a_singular_basis_change(N3, monkeypatch):
     """A basis change whose flat part is singular (``a`` on the diagonal)
-    is reported as not invertible; an error of any other kind inside
-    `invert_unit` is a fault and propagates."""
+    is reported as not invertible.  `invert_unit` runs only on a basis
+    change whose flat part is not 1, and an error of any other kind inside
+    it is a fault and propagates."""
     mod, d = N3
     lift = construct_lift_odd(mod, d, "X", decide_naive_lift(mod, d, "X", 0).certificate)
     dbl, dl, d = lift.module, lift.lift_diff, lift.ambient_diff
@@ -1772,8 +1781,9 @@ def test_verify_lift_reports_a_singular_basis_change(N3, monkeypatch):
         raise TypeError("a fault")
 
     monkeypatch.setattr("dgalift.lift.invert_unit", broken)
+    assert verify_lift(dl, lift.u, d, "X").passed  # unipotent: not inverted
     with pytest.raises(TypeError):
-        verify_lift(dl, lift.u, d, "X")
+        verify_lift(dl, u, d, "X")
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
@@ -1807,8 +1817,9 @@ def test_invert_unit_matches_series_oracle(field, monkeypatch):
     solved.clear()
     lifts = _pool_lifts(field, rng)
     for lift in lifts:
-        assert invert_unit(lift.u) == invert_unit_reference(lift.u) == lift.u_inv
-        assert compose(lift.u_inv, lift.u) == GradedMap.identity(lift.module)
+        inv = invert_unit(lift.u)
+        assert inv == invert_unit_reference(lift.u)
+        assert compose(inv, lift.u) == GradedMap.identity(lift.module)
     assert not solved
 
 
@@ -1824,7 +1835,7 @@ def test_lifted_matrix_matches_conjugation_oracle(field):
     exactly, on every lift of `_pool_lifts`, of both parities."""
     lifts = _pool_lifts(field, random.Random(107))
     for lift in lifts:
-        want = lifted_matrix_reference(lift.ambient_diff, lift.u, lift.u_inv)
+        want = lifted_matrix_reference(lift.ambient_diff, lift.u, invert_unit(lift.u))
         assert lift.lift_diff.matrix == want
     assert any(lift.u != GradedMap.identity(lift.module) for lift in lifts)
 
@@ -1841,7 +1852,7 @@ def test_lifted_matrix_matches_conjugation_oracle_on_bench_rungs():
             continue
         var = mod.sig.top_variable.name
         lift = _construct(mod, d, var, decide_naive_lift(mod, d, var, bound).certificate)
-        assert lift.lift_diff.matrix == lifted_matrix_reference(lift.ambient_diff, lift.u, lift.u_inv), name
+        assert lift.lift_diff.matrix == lifted_matrix_reference(lift.ambient_diff, lift.u, invert_unit(lift.u)), name
         names.append(name)
     assert len(names) == 52 and names[0] == "lift-readme-s3-n3"
     assert "naive-even-q-r16-b1" in names
@@ -1892,7 +1903,7 @@ def test_certificate_conjugates_with_a_unit_free_of_the_variable(field):
             gamma2 = compose(compose(v, gamma), vi)
             assert bracket_diff(d2, gamma2) == obstruction(mod, d2, var)
             lift = _construct(mod, d2, var, gamma2)
-            assert verify_lift(lift.lift_diff, lift.u, lift.ambient_diff, var, u_inv=lift.u_inv).passed
-            assert lift.lift_diff.matrix == lifted_matrix_reference(lift.ambient_diff, lift.u, lift.u_inv)
+            assert verify_lift(lift.lift_diff, lift.u, lift.ambient_diff, var).passed
+            assert lift.lift_diff.matrix == lifted_matrix_reference(lift.ambient_diff, lift.u, invert_unit(lift.u))
             moved["odd" if mod.sig.var(var).odd else "even"] += any(r != c for r, c in v.entries)
     assert all(moved.values()), moved

@@ -271,6 +271,43 @@ def test_twofold_extension(N3):
         assert ds.matrix.entry(i + r, j + r) == -v  # (-1)^k with k = -1
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_twofold_extension_stores_its_square_in_closed_form(field):
+    """`twofold_extension` stores the square of the doubled differential as
+    ``sharp_map`` of the input's square, ``diag(d o d, d o d)``: on the
+    pool's square-zero instances and their conjugates by `rand_unit`, at
+    shifts of both parities, the stored square equals the one a fresh
+    `Differential` of the same matrix computes.  The closed form holds for
+    every differential, square-zero or not, which random ones check; a
+    differential that does not square to zero is still refused."""
+    pool = FixturePool(field)
+    rng = random.Random(113)
+    instances = []
+    for mod, d in [(pool.N3, pool.d3), (pool.N1, pool.d1), (pool.NK, pool.dK), (pool.Nodd, pool.dodd)]:
+        u = rand_unit(mod, rng, poly_bound=1)
+        instances += [(mod, d), (mod, d.conjugate(u, invert_unit(u)))]
+    for mod, d in instances:
+        assert d.square_zero
+        for k in (-3, -2, -1, 1, 2):
+            dbl, ds = twofold_extension(mod, d, k)
+            assert ds._square is not None  # stored, not computed
+            assert ds.square() == Differential(ds.matrix).square()
+            assert ds.square_zero
+    refused = 0
+    for mod in (pool.N3, pool.NK, pool.Nodd, pool.M2_S1):
+        for k in (-1, 2):
+            dbl, _ = twofold_extension(mod, Differential.free(mod), k)
+            for _ in range(4):
+                d = rand_diff(mod, rng)
+                fresh = Differential(sharp_map(d.matrix, dbl, k)).square()
+                assert sharp_map(d.square(), dbl, k) == fresh
+                if not d.square_zero:
+                    refused += 1
+                    with pytest.raises(SchemaError, match="requires a square-zero differential"):
+                        twofold_extension(mod, d, k)
+    assert refused
+
+
 def test_sharp_map_sign(N3):
     mod, d = N3
     sig = mod.sig

@@ -244,24 +244,27 @@ def _x_unit(lift):
             lift_diff = lift.ambient_diff.conjugate(u_inv, u)
             entries = lift_diff.matrix.entries.values()
             if any(not derivative(e, lift.var_name).is_zero() for e in entries):
-                return dataclasses.replace(lift, u=u, u_inv=u_inv, lift_diff=lift_diff)
+                return dataclasses.replace(lift, u=u, lift_diff=lift_diff)
     raise AssertionError("no basis change through the variable")
 
 
-def _wrong_inverse(lift):
-    """The lift with ``u_inv`` replaced by ``(1 + a E_00) u_inv``."""
-    mod = lift.module
-    w = GradedMap.identity(mod) + GradedMap(mod, 0, {(0, 0): mod.sig.parse("a")})
-    return dataclasses.replace(lift, u_inv=compose(w, lift.u_inv))
+def _wrong_u(lift):
+    """The lift with the first entry of ``u`` off its diagonal doubled, and
+    ``lift_diff`` kept: ``u`` stays unipotent, but its columns no longer
+    carry ``D'``."""
+    u = lift.u
+    key = min(k for k in u.entries if k[0] != k[1])
+    entries = dict(u.entries) | {key: u.entries[key] + u.entries[key]}
+    return dataclasses.replace(lift, u=GradedMap(lift.module, 0, entries, check=False))
 
 
 @pytest.mark.parametrize(
-    "mutate", [_x_unit, _wrong_inverse], ids=["x-dependent-entry", "wrong-u-inv"]
+    "mutate", [_x_unit, _wrong_u], ids=["x-dependent-entry", "wrong-u"]
 )
 def test_splitting_oracle_and_verify_lift_reject_mutated_lifts(N3, N1prime, mutate):
     """A basis change whose lifted matrix depends on the variable, and a
-    wrong ``u_inv``: both `verify_splitting` and `verify_lift` reject each,
-    for an odd and an even lift."""
+    wrong ``u`` with the lifted matrix kept: both `verify_splitting` and
+    `verify_lift` reject each, for an odd and an even lift."""
     mod3, d3 = N3
     mod1, d1, _, _ = N1prime
     lifts = [
@@ -272,7 +275,7 @@ def test_splitting_oracle_and_verify_lift_reject_mutated_lifts(N3, N1prime, muta
         nt = NaiveTensor(lift.module, lift.ambient_diff, "X")
         assert verify_splitting(nt, lift).passed
         bad = mutate(lift)
-        rep = verify_lift(bad.lift_diff, bad.u, bad.ambient_diff, "X", u_inv=bad.u_inv)
+        rep = verify_lift(bad.lift_diff, bad.u, bad.ambient_diff, "X")
         assert not rep.passed
         if mutate is _x_unit:  # conjugation still holds: only X-freeness fails
             assert all("depends on X" in f for f in rep.failures), rep.failures
