@@ -124,8 +124,9 @@ class JOperator:
         return f"JOperator({self.var_name}{twist} on {self.module!r})"
 
 
-def base_change_defect(jop: JOperator, u: GradedMap, u_inv: Optional[GradedMap] = None) -> GradedMap:
-    """The matrix ``alpha = j(u) u^{-1}`` measuring basis dependence.
+def base_change_defect(jop: JOperator, u: GradedMap) -> GradedMap:
+    """The matrix ``alpha = j(u) u^{-1}`` measuring basis dependence;
+    `invert_unit` gives ``u^{-1}`` or refuses a ``u`` that has none.
 
     For the basis obtained by applying the unit ``u``, the operator in the
     new basis differs from the old one by the commutator with this matrix:
@@ -134,18 +135,19 @@ def base_change_defect(jop: JOperator, u: GradedMap, u_inv: Optional[GradedMap] 
     """
     if u.degree != 0:
         raise SchemaError("base change requires a degree-0 unit")
-    if u_inv is None:
-        u_inv = invert_unit(u)
-    return compose(jop.of_map(u), u_inv)
+    return compose(jop.of_map(u), invert_unit(u))
 
 
 @dataclass
 class CheckReport:
-    """Outcome of a verdict-valued check, with failure witnesses."""
+    """Outcome of a verdict-valued check, with failure witnesses: it
+    passes exactly when no failure was noted."""
 
-    passed: bool
     failures: list = dc_field(default_factory=list)
 
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
     def note(self, msg: str):
-        self.passed = False
         self.failures.append(msg)

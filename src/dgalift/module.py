@@ -433,11 +433,10 @@ class Differential:
     def square_zero(self) -> bool:
         return self.square().is_zero()
 
-    def conjugate(self, u: GradedMap, u_inv: Optional[GradedMap] = None) -> "Differential":
-        """The differential ``u o d o u^{-1}``."""
-        if u_inv is None:
-            u_inv = invert_unit(u)
-        return Differential(compose(u, self.after(u_inv)))
+    def conjugate(self, u: GradedMap) -> "Differential":
+        """The differential ``u o d o u^{-1}``, with ``u^{-1}`` from
+        `invert_unit`, which refuses a ``u`` that is not invertible."""
+        return Differential(compose(u, self.after(invert_unit(u))))
 
     def __eq__(self, other):
         return isinstance(other, Differential) and self.matrix == other.matrix
@@ -637,15 +636,13 @@ def invert_unit(u: GradedMap) -> GradedMap:
     degree-0 map is block upper-triangular by basis degree, with blocks
     over the commutative polygen ring on the diagonal, so a right inverse
     makes ``e = inv u`` unipotent, ``1 + n``; ``e^2 = inv (u inv) u = e``
-    then gives ``n (1 + n) = 0``.
+    then gives ``n (1 + n) = 0``.  `_flat_inverse` decides invertibility
+    and gives ``v``.
     """
-    if u.degree != 0:
-        raise NotInvertibleError("only degree-0 maps can be inverted")
+    v = _flat_inverse(u)
     module = u.module
     one = GradedMap.identity(module)
-    flat = {k: v for k, v in u.entries.items() if module.degrees[k[0]] == module.degrees[k[1]]}
-    rest = {k: v for k, v in u.entries.items() if module.degrees[k[0]] != module.degrees[k[1]]}
-    v = None if flat == one.entries else _invert_flat(GradedMap(module, 0, flat, check=False))
+    rest = {k: e for k, e in u.entries.items() if module.degrees[k[0]] != module.degrees[k[1]]}
     w = GradedMap(module, 0, rest, check=False)
     if v is not None:
         w = compose(v, w)
@@ -663,6 +660,23 @@ def invert_unit(u: GradedMap) -> GradedMap:
     if compose(u, inv) != one:
         raise VerificationError("unit inverse failed verification")
     return inv
+
+
+def _flat_inverse(u: GradedMap) -> Optional[GradedMap]:
+    """The one test of invertibility: `NotInvertibleError` unless ``u`` has
+    degree 0 and an invertible equal-degree ("flat") part ``F``; then None
+    when ``F`` is 1, else ``F^{-1}``.  The rest ``R = u - F`` raises basis
+    degree strictly (see `invert_unit`), so ``u = F (1 + F^{-1} R)`` with
+    ``F^{-1} R`` nilpotent, and the diagonal blocks of ``u u^{-1} = 1``
+    invert ``F``: ``u`` is invertible exactly when ``F`` is.
+    """
+    if u.degree != 0:
+        raise NotInvertibleError("only degree-0 maps can be inverted")
+    degs = u.module.degrees
+    flat = {k: e for k, e in u.entries.items() if degs[k[0]] == degs[k[1]]}
+    if flat == GradedMap.identity(u.module).entries:
+        return None
+    return _invert_flat(GradedMap(u.module, 0, flat, check=False))
 
 
 def _invert_flat(u_flat: GradedMap) -> GradedMap:

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .algebra import AlgElem, Signature, _add_into, component_monomials
 from .field import Field
-from .module import Differential, DOpPair, FreeModule, GradedMap, _finish, invert_unit
+from .module import Differential, DOpPair, FreeModule, GradedMap, _finish
 
 
 def _below(getrandbits, n: int) -> int:
@@ -232,4 +232,4 @@ class FixturePool:
         u = rand_unit(mod, rng)
         if u == GradedMap.identity(mod):
             return mod, d, mod.sig.top_variable.name
-        return mod, d.conjugate(u, invert_unit(u)), mod.sig.top_variable.name
+        return mod, d.conjugate(u), mod.sig.top_variable.name

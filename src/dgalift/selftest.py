@@ -374,8 +374,8 @@ def check_base_change(pool, rng) -> bool:
     mod, var = pool.module_with_var(rng)
     j = JOperator(mod, var)
     u = rand_unit(mod, rng)
+    alpha = base_change_defect(j, u)
     ui = invert_unit(u)
-    alpha = base_change_defect(j, u, ui)
     f = rand_map(mod, rng.randint(-2, 2), rng)
     transported = compose(compose(u, j.of_map(compose(compose(ui, f), u))), ui)
     return j.of_map(f) - transported == bracket(alpha, f)

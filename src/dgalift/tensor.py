@@ -199,7 +199,7 @@ def rho_from_lift(nt: NaiveTensor, lift: LiftResult) -> Callable:
 
 def verify_splitting(nt: NaiveTensor, lift: LiftResult) -> CheckReport:
     """Check ``pi o rho = id`` and ``rho o d = d o rho`` on every basis column."""
-    report = CheckReport(True)
+    report = CheckReport()
     rho = rho_from_lift(nt, lift)
     for lam in range(nt.module.rank):
         e = nt.module.basis_elem(lam)
@@ -234,7 +234,7 @@ class OddSequence:
     def check(self) -> CheckReport:
         """On every basis line: ``pi o iota = 0``, both arrows commute with
         the differentials, and ``pi`` hits the basis."""
-        report = CheckReport(True)
+        report = CheckReport()
         nt = self.nt
         names = self.kernel_module.names
         for lam in range(self.kernel_module.rank):

@@ -532,7 +532,7 @@ def characterization_check(delta: Callable, jop: JOperator) -> CheckReport:
     module = jop.module
     sig = module.sig
     var = jop.var
-    report = CheckReport(True)
+    report = CheckReport()
     ident = GradedMap.identity(module)
 
     if var.odd:
@@ -1171,7 +1171,7 @@ def verify_lift_reference(
     ``d'`` squared and `u_inv` taken unchecked when given (else from
     `invert_unit`).  Where ``u`` is invertible and `u_inv` is its inverse it
     passes exactly when `verify_lift` does."""
-    report = CheckReport(True)
+    report = CheckReport()
     module = lift_diff.module
     for (r, c), e in lift_diff.matrix.entries.items():
         if not derivative(e, var_name).is_zero():
@@ -1201,7 +1201,7 @@ def verify_lift_inverse_free_reference(
     Entries in the variable are found by `derivative`, ``d'`` squares to
     zero when ``d`` does, and `invert_unit` decides invertibility on every
     ``u``."""
-    report = CheckReport(True)
+    report = CheckReport()
     module = lift_diff.module
     for (r, c), e in lift_diff.matrix.entries.items():
         if not derivative(e, var_name).is_zero():

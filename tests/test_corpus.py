@@ -106,11 +106,12 @@ def test_lift_never_conjugates(tmp_path, monkeypatch):
 
 def test_lift_never_inverts(tmp_path, monkeypatch):
     """`lift` checks its lift without inverting the basis change or
-    squaring the lifted differential.  With `invert_unit` refusing in
-    `dgalift.lift` and in `dgalift.module`, the README example (odd) and
-    the even rank-16 Koszul rung of seed 0 (bound 1) still exit 0 with
-    their recorded transcripts, and each run computes one square, that of
-    its input: `twofold_extension` stores the doubled one in closed form.
+    squaring the lifted differential.  With `invert_unit` and the flat
+    solve `_invert_flat` refusing in `dgalift.module`, the README example
+    (odd) and the even rank-16 Koszul rung of seed 0 (bound 1) still exit
+    0 with their recorded transcripts, and each run computes one square,
+    that of its input: `twofold_extension` stores the doubled one in
+    closed form.
     The rung is generated before the patch, since `bench/gen.py` inverts
     to draw it."""
     gen = _gen()
@@ -121,8 +122,8 @@ def test_lift_never_inverts(tmp_path, monkeypatch):
     def refuse(*_):
         raise AssertionError("invert_unit called")
 
-    monkeypatch.setattr("dgalift.lift.invert_unit", refuse)
     monkeypatch.setattr("dgalift.module.invert_unit", refuse)
+    monkeypatch.setattr("dgalift.module._invert_flat", refuse)
     squared = []
     square = Differential.square
 

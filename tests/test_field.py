@@ -257,7 +257,7 @@ def _half_module(pool):
         )
     )
     u = GradedMap.identity(mod) + GradedMap(mod, 0, {(0, 1): sig.parse("1/3*X")})
-    return [(mod, d, "X"), (mod, d.conjugate(u, invert_unit(u)), "X")]
+    return [(mod, d, "X"), (mod, d.conjugate(u), "X")]
 
 
 def _pipeline_transcripts(field):

@@ -22,7 +22,6 @@ from dgalift.io import (
     signature_to_doc,
 )
 from dgalift.lift import construct_lift_even, construct_lift_odd, decide_naive_lift
-from dgalift.module import invert_unit
 from dgalift.randgen import FixturePool, rand_unit
 from dgalift.tensor import NaiveTensor, odd_ses, verify_splitting
 from oracles import odd_coefficient_module
@@ -340,7 +339,11 @@ def test_cli_validate_rejects_nonzero_square(tmp_path, capsys):
         "differential": {"e1": {"e0": "X"}},
     }
     mod = _write(tmp_path, "mod.json", bad)
-    assert main(["validate", "--sig", sig, "--mod", mod]) == 1
+    assert main(["validate", "--sig", sig, "--mod", mod]) == 2
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert (doc["verdict"], doc["data"]["square_zero"], err) == ("fail", False, "")
+    assert "timing_ms" in doc
 
 
 def test_cli_derive(tmp_path, capsys):
@@ -546,7 +549,7 @@ def test_cli_splitting_flag_matches_oracle(tmp_path, capsys, field):
     for mod, d0 in [(pool.N3, pool.d3), (pool.NK, pool.dK), (pool.Nodd, pool.dodd)]:
         for _ in range(2):
             u = rand_unit(mod, rng, poly_bound=2)
-            cases.append((mod, d0.conjugate(u, invert_unit(u)), 2))
+            cases.append((mod, d0.conjugate(u), 2))
     parities = set()
     for n, (mod, d, bound) in enumerate(cases):
         sig = _write(tmp_path, f"sig{n}.json", signature_to_doc(mod.sig))
@@ -624,7 +627,7 @@ NONZERO_SQUARE_DOC = {
     "sig_doc, mod_doc, argv, verdict, code, keys, timed",
     [
         (S3_DOC, None, ["validate"], "pass", 0, {"inputs"}, True),
-        (S3_DOC, NONZERO_SQUARE_DOC, ["validate"], "fail", 1, {"inputs"}, False),
+        (S3_DOC, NONZERO_SQUARE_DOC, ["validate"], "fail", 2, {"inputs"}, True),
         (S1_DOC, None, ["eval", "X^(2)*X^(3)"], "ok", 0, {"inputs"}, True),
         (S1_DOC, None, ["diff", "X"], "ok", 0, {"inputs"}, True),
         (S2_DOC, None, ["derive", "--var", "X1", "c*X1"], "ok", 0, {"inputs"}, True),
@@ -674,8 +677,7 @@ def test_cli_transcript_shape(
 ):
     """Every command and outcome: the top-level keys of the transcript, its
     verdict, the exit code, and whether it carries ``timing_ms`` (never
-    for selftest, whose transcript is a function of the seed, nor for an
-    input that validate rejects)."""
+    for selftest, whose transcript is a function of the seed)."""
     extra = []
     if sig_doc is not None:
         extra += ["--sig", _write(tmp_path, "sig.json", sig_doc)]

@@ -9,7 +9,7 @@ import pytest
 
 from dgalift import QQ, Signature, derivative, diff
 from dgalift.algebra import AlgElem, component_monomials
-from dgalift.errors import SchemaError, VerificationError
+from dgalift.errors import NotInvertibleError, SchemaError, VerificationError
 import dgalift.lift as lift_module
 import dgalift.solver as solver_module
 from dgalift.field import PrimeField
@@ -35,6 +35,7 @@ from dgalift.module import (
     Differential,
     FreeModule,
     GradedMap,
+    _flat_inverse,
     bracket,
     bracket_diff,
     compose,
@@ -483,7 +484,7 @@ def test_pipelines_over_prime_fields(p):
     pool = FixturePool(PrimeField(p))
     rng = random.Random(p)
     u = rand_unit(pool.N3, rng)
-    d = pool.d3.conjugate(u, invert_unit(u))
+    d = pool.d3.conjugate(u)
     dec = decide_naive_lift(pool.N3, d, "X", 2)
     assert dec.vanishes
     lift = construct_lift_odd(pool.N3, d, "X", dec.certificate)
@@ -496,7 +497,7 @@ def test_pipelines_over_prime_fields(p):
     u2 = GradedMap.identity(pool.NK) + GradedMap(
         pool.NK, 0, {(0, 3): sig.parse("X")}
     )
-    d2 = pool.dK.conjugate(u2, invert_unit(u2))
+    d2 = pool.dK.conjugate(u2)
     dec2 = decide_naive_lift(pool.NK, d2, "X", 2)
     assert dec2.vanishes
     lift2 = construct_lift_even(pool.NK, d2, "X", dec2.certificate)
@@ -524,7 +525,7 @@ def test_even_lift_multi_step_series(S1):
         GradedMap.identity(mod)
         + GradedMap(mod, 0, {(0, 1): S1.parse("X"), (1, 2): S1.parse("X")}),
     )
-    d = flat.conjugate(u, invert_unit(u))
+    d = flat.conjugate(u)
     dec = decide_naive_lift(mod, d, "X", 2)
     assert dec.vanishes
     j = JOperator(mod, "X")
@@ -652,7 +653,7 @@ def test_certificate_transport_under_conjugation(N3, N1prime):
         for _ in range(10):
             u = rand_unit(mod, rng, poly_bound=1)
             ui = invert_unit(u)
-            d2 = d.conjugate(u, ui)
+            d2 = d.conjugate(u)
             assert d2.square_zero
             bound = base_bound + 2 * unit_poly_degree(u)
             dec = decide_naive_lift(mod, d2, "X", bound)
@@ -728,7 +729,7 @@ def test_construction_identities_hold_for_every_gamma(field):
             if mod.degrees[c] - mod.degrees[r] == j.var.degree
         ][:1]
         for u in units:
-            d = d0.conjugate(u, invert_unit(u))
+            d = d0.conjugate(u)
             gammas = [rand_map(mod, j.degree, rng, poly_bound=2) for _ in range(4)]
             dec = decide_naive_lift(mod, d, var, 2)
             if dec.vanishes:
@@ -775,7 +776,7 @@ def _koszul_rung(sig, n, rng):
     u = GradedMap.identity(mod)
     for r, c in rng.sample(spots, 2):
         u = u + GradedMap(mod, 0, {(r, c): x})
-    return mod, d.conjugate(u, invert_unit(u))
+    return mod, d.conjugate(u)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
@@ -810,7 +811,7 @@ def test_basis_change_matches_per_column_oracle(field):
     for mod, d in [(pool.N3, pool.d3), (pool.N1, pool.d1), (pool.NK, pool.dK), (pool.Nodd, pool.dodd)]:
         fixtures.append((mod, d))
         u = rand_unit(mod, rng, poly_bound=1)
-        fixtures.append((mod, d.conjugate(u, invert_unit(u))))
+        fixtures.append((mod, d.conjugate(u)))
     lifted = {"odd": 0, "even": 0}
     reached = {"A_2": 0, "g A_2 != A_2 g": 0, "j(A_n)": 0}
     for mod, d in fixtures:
@@ -1000,7 +1001,7 @@ def _grading_cases(pool, rng):
             if mod.degrees[c] - mod.degrees[r] == top:
                 for t in (x, x * mod.sig.parse("a"), x * rand_homogeneous(mod.sig, rng, 0)):
                     units.append(GradedMap.identity(mod) + GradedMap(mod, 0, {(r, c): t}))
-        out += [(mod, d)] + [(mod, d.conjugate(u, invert_unit(u))) for u in units]
+        out += [(mod, d)] + [(mod, d.conjugate(u)) for u in units]
     return out
 
 
@@ -1009,7 +1010,7 @@ def _conjugated_nk(pool):
     so the entry ``a`` between them breaks the all-ones grading, but
     ``a -> 1, b -> 2`` grades the result."""
     u = GradedMap.identity(pool.NK) + GradedMap(pool.NK, 0, {(1, 2): pool.S1.parse("a")})
-    return pool.NK, pool.dK.conjugate(u, invert_unit(u))
+    return pool.NK, pool.dK.conjugate(u)
 
 
 def _finer_rung(field, rng):
@@ -1021,7 +1022,7 @@ def _finer_rung(field, rng):
     sig = sig.adjoin("X", 2, "a1*W0 - a0*W1")
     mod, d = _koszul_rung(sig, 3, rng)
     u = GradedMap.identity(mod) + GradedMap(mod, 0, {(1, 2): sig.parse("a0")})
-    return mod, d.conjugate(u, invert_unit(u))
+    return mod, d.conjugate(u)
 
 
 def _rung_cases(field, rng):
@@ -1054,7 +1055,7 @@ def _huge_conjugates(pool):
     for sig, gens in ((pool.S1, ("a^100000", "b^60000")), (pool.S2, ("a^100000", "b^60000", "c"))):
         mod, d = koszul(sig, [sig.parse(t) for t in gens])
         e12 = GradedMap(mod, 0, {(1, 2): sig.parse("a^40000")})
-        out.append((mod, d.conjugate(GradedMap.identity(mod) + e12, GradedMap.identity(mod) - e12)))
+        out.append((mod, d.conjugate(GradedMap.identity(mod) + e12)))
     return out
 
 
@@ -1143,7 +1144,7 @@ def test_weights():
         for r, c in [(0, 4), (1, 5), (11, 15)] if parity == "odd" else [(0, 5), (1, 11), (5, 15)]:
             assert mod.degrees[c] - mod.degrees[r] == top
             u = u + GradedMap(mod, 0, {(r, c): sig.parse("2*X")})
-        rung = d.conjugate(u, invert_unit(u))
+        rung = d.conjugate(u)
         assert not obstruction(mod, rung, "X").is_zero()
         assert weights_reference(mod, rung) == list(mod.degrees)
 
@@ -1272,7 +1273,7 @@ def test_finest_grading_separates_what_no_conflict_joins(monkeypatch):
 
     mod, d = pool.N3, pool.d3
     u = GradedMap.identity(mod) + GradedMap(mod, 0, {(0, 1): pool.S3.parse("a*X")})
-    d = d.conjugate(u, invert_unit(u))
+    d = d.conjugate(u)
     assert _grading(mod, d, obstruction(mod, d, "X"), 0) == (trivial_grading(mod), 0)
 
 
@@ -1667,7 +1668,7 @@ def _pool_lifts(field, rng):
     for mod, d in [(pool.N3, pool.d3), (pool.NK, pool.dK), (pool.Nodd, pool.dodd)]:
         fixtures.append((mod, d))
         u = rand_unit(mod, rng, poly_bound=1)
-        fixtures.append((mod, d.conjugate(u, invert_unit(u))))
+        fixtures.append((mod, d.conjugate(u)))
     for parity in ("odd", "even"):
         sig = Signature(field, [f"a{i}" for i in range(3)])
         if parity == "odd":
@@ -1708,7 +1709,7 @@ def _x_dependent_entry(mod, var):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
-def test_verify_lift_matches_column_oracle(field):
+def test_verify_lift_matches_column_oracle(field, monkeypatch):
     """The one matrix identity ``D u + d(u) = u D'`` gives the report of the
     inverse-free per-column check (`verify_lift_inverse_free_reference`),
     the same verdict and the same failures in the same order: on lifts of
@@ -1721,12 +1722,19 @@ def test_verify_lift_matches_column_oracle(field):
     (`verify_lift_reference`).  The test asserts that some reports name some columns but not all, that
     some name two or more (their order is compared), that some name an
     entry in the variable, that some basis changes are refused as not
-    invertible, and that some basis changes whose flat part is not 1 pass
-    through `invert_unit`."""
+    invertible, and that some basis changes whose flat part is not 1 pass.
+    `verify_lift` never calls `invert_unit`, so those pass with
+    `dgalift.module.invert_unit` raising once the lifts are built (the
+    oracles hold their own reference to it)."""
     rng = random.Random(83)
     lifts = _pool_lifts(field, rng)
+
+    def refuse(*_):
+        raise AssertionError("invert_unit called")
+
+    monkeypatch.setattr("dgalift.module.invert_unit", refuse)
     seen = {"passed": 0, "some columns": 0, "two columns": 0, "entry": 0, "not invertible": 0,
-            "inverted and passed": 0}
+            "flat not 1 and passed": 0}
     for lift in lifts:
         mod, var, d = lift.module, lift.var_name, lift.ambient_diff
         dl, u = lift.lift_diff.matrix, lift.u
@@ -1757,13 +1765,13 @@ def test_verify_lift_matches_column_oracle(field):
             seen["two columns"] += len(columns) >= 2
             seen["entry"] += any("depends on" in f for f in want.failures)
             seen["not invertible"] += not invertible
-            seen["inverted and passed"] += want.passed and not lift_module._unipotent(uu)
+            seen["flat not 1 and passed"] += want.passed and _flat_inverse(uu) is not None
     assert all(seen.values()), seen
 
 
 def test_verify_lift_reports_a_singular_basis_change(N3, monkeypatch):
     """A basis change whose flat part is singular (``a`` on the diagonal)
-    is reported as not invertible.  `invert_unit` runs only on a basis
+    is reported as not invertible.  `_invert_flat` runs only on a basis
     change whose flat part is not 1, and an error of any other kind inside
     it is a fault and propagates."""
     mod, d = N3
@@ -1780,10 +1788,52 @@ def test_verify_lift_reports_a_singular_basis_change(N3, monkeypatch):
     def broken(_):
         raise TypeError("a fault")
 
-    monkeypatch.setattr("dgalift.lift.invert_unit", broken)
-    assert verify_lift(dl, lift.u, d, "X").passed  # unipotent: not inverted
+    monkeypatch.setattr("dgalift.module._invert_flat", broken)
+    assert verify_lift(dl, lift.u, d, "X").passed  # flat part 1: nothing solved
     with pytest.raises(TypeError):
         verify_lift(dl, u, d, "X")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+def test_flat_inverse_decides_as_invert_unit(field):
+    """`verify_lift` refuses a basis change as not invertible, with the
+    message of `invert_unit`, exactly when `invert_unit` raises
+    `NotInvertibleError`; `invert_unit` stays the oracle.  The basis
+    changes on each lift's module: `rand_unit` draws (strictly raising or
+    not, polygen bound 1 and 2), each also summed with a second draw that
+    may join basis elements of one degree both ways (a flat part such as
+    ``[[1, x], [y, 1]]``, singular or not), a polygen ``a`` and ``1 + a``
+    on a diagonal, and a map of degree 1.  Where ``u`` is invertible, the
+    flat part of ``u^{-1}`` is what `_flat_inverse` gives, 1 for None."""
+    rng = random.Random(97)
+    seen = {"refused": 0, "flat 1": 0, "flat not 1": 0}
+    for lift in _pool_lifts(field, rng):
+        mod, var = lift.module, lift.var_name
+        one, sig = GradedMap.identity(mod), mod.sig
+        units = []
+        for poly_bound, strict in itertools.product((1, 2), (True, False)):
+            u = rand_unit(mod, rng, poly_bound=poly_bound, strict_raising=strict)
+            units += [u, u + rand_unit(mod, rng, strict_raising=False) - one]
+        a = sig.gen(sig.polygens[0])
+        lam = rng.randrange(mod.rank)
+        units += [one + GradedMap(mod, 0, {(lam, lam): x}) for x in (a - sig.one(), a)]
+        units.append(rand_map(mod, 1, rng))
+        for u in units:
+            try:
+                inv, want = invert_unit(u), []
+            except NotInvertibleError as ex:
+                inv, want = None, [f"basis change is not invertible: {ex}"]
+            report = verify_lift(lift.lift_diff, u, lift.ambient_diff, var)
+            assert [f for f in report.failures if "invertible" in f] == want
+            if inv is None:
+                seen["refused"] += 1
+                continue
+            flat = _flat_inverse(u)
+            degs = mod.degrees
+            inv_flat = {k: e for k, e in inv.entries.items() if degs[k[0]] == degs[k[1]]}
+            assert inv_flat == (one if flat is None else flat).entries
+            seen["flat 1" if flat is None else "flat not 1"] += 1
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
@@ -1899,7 +1949,7 @@ def test_certificate_conjugates_with_a_unit_free_of_the_variable(field):
         for _ in range(4):
             v = _x_free_unit(mod, var, rng)
             vi = invert_unit(v)
-            d2 = d.conjugate(v, vi)
+            d2 = d.conjugate(v)
             gamma2 = compose(compose(v, gamma), vi)
             assert bracket_diff(d2, gamma2) == obstruction(mod, d2, var)
             lift = _construct(mod, d2, var, gamma2)
